@@ -1,6 +1,9 @@
 """Propagation and acquisition impairments: AWGN, clustered multipath,
 and ADC quantization.
 
+noise_sigma is the one place where an Eb/N0 becomes a per-sample noise
+level; add_awgn, the block pipeline and OOK calibration all use it.
+
 The multipath generator follows the Saleh-Valenzuela construction:
 cluster starts arrive as a Poisson process, rays arrive as a Poisson
 process within each cluster, and mean tap power decays exponentially
@@ -250,21 +253,51 @@ def apply_channel(signal, ch):
     return SampledSignal(oaconvolve(x, h), rate, t0=signal.t0)
 
 
-def add_awgn(signal, ebn0_db, energy_per_bit, rng_seed):
-    """Add white Gaussian noise for a target Eb/N0.
+def check_ebn0(ebn0_db):
+    """Raise InvalidParams unless ebn0_db is finite or +inf (the
+    no-noise sentinel)."""
+    if math.isnan(ebn0_db) or ebn0_db == -math.inf:
+        raise InvalidParams(f"Eb/N0 must be finite or +inf, got {ebn0_db}")
 
-    Per-sample variance is (N0/2) * sample_rate with
-    N0 = energy_per_bit / 10^(ebn0_db/10). An infinite ebn0_db is the
-    no-noise sentinel and returns the input unchanged.
+
+def noise_sigma(ebn0_db, energy_per_bit, sample_rate):
+    """Per-sample noise standard deviation sqrt(N0/2 * sample_rate)
+    for a target Eb/N0, with N0 = energy_per_bit / 10^(ebn0_db/10).
+
+    +inf, and any Eb/N0 so high that N0 is not representable, give 0.
+    Raises InvalidParams for a non-positive energy_per_bit, for NaN or
+    -inf, and for an Eb/N0 so low that sigma overflows.
     """
     if not energy_per_bit > 0.0:
         raise InvalidParams(
             f"energy_per_bit must be positive, got {energy_per_bit}"
         )
-    if math.isinf(ebn0_db) and ebn0_db > 0:
+    check_ebn0(ebn0_db)
+    if ebn0_db == math.inf:
+        return 0.0
+    try:
+        n0 = energy_per_bit / 10.0 ** (ebn0_db / 10.0)
+    except OverflowError:
+        return 0.0
+    except ZeroDivisionError:
+        n0 = math.inf
+    sigma = math.sqrt(0.5 * n0 * sample_rate)
+    if not math.isfinite(sigma):
+        raise InvalidParams(f"Eb/N0 {ebn0_db} dB is too low to simulate")
+    return sigma
+
+
+def add_awgn(signal, ebn0_db, energy_per_bit, rng_seed):
+    """Add white Gaussian noise for a target Eb/N0 to every sample.
+
+    Per-sample deviation is noise_sigma(). A zero deviation (the +inf
+    no-noise sentinel) returns the input unchanged. The link pipeline,
+    receiver.simulate_block, draws noise only for the samples the
+    receiver observes; this full-waveform form is its reference.
+    """
+    sigma = noise_sigma(ebn0_db, energy_per_bit, signal.sample_rate)
+    if sigma == 0.0:
         return signal
-    n0 = energy_per_bit / 10.0 ** (ebn0_db / 10.0)
-    sigma = math.sqrt(0.5 * n0 * signal.sample_rate)
     rng = np.random.default_rng(rng_seed)
     noisy = signal.samples + sigma * rng.standard_normal(len(signal))
     return SampledSignal(noisy, signal.sample_rate, t0=signal.t0)

@@ -4,9 +4,13 @@ emission, and side-by-side architecture comparison.
 A sweep is a pure function of its SweepConfig: bit, noise, channel, and
 calibration random streams are all derived from the base seed, point
 index, and block index, so repeated runs are byte-identical. Work is
-done in blocks of BLOCK_BITS bits; in multipath mode each block sees a
-fresh channel realization. The receiver is genie-synchronized (zero
-timing offset); matched-filter acquisition is exercised separately.
+done in blocks of BLOCK_BITS bits, each sent through
+receiver.simulate_block; in multipath mode each block sees a fresh
+channel realization. Noise is drawn only for the receiver's
+observation windows, and in quantized mode the ADC full scale is the
+peak over those observed samples. The receiver is genie-synchronized
+(zero timing offset); matched-filter acquisition is exercised
+separately.
 
 The sweep axis is Eb/N0. With unit-energy pulses BPAM and PPM spend one
 energy unit per bit; OOK transmits nothing for a 0, so its
@@ -14,22 +18,20 @@ prior-averaged Eb is half a pulse energy.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import QuantizerConfig, add_awgn, apply_channel, draw_channel
+from .channel import check_ebn0, draw_channel
 from .errors import FormatError, GridMismatch, InvalidParams
 from .framing import DEFAULT_PARAMS, generate_code
-from .receiver import ReceiverConfig, calibrate_ook_threshold, demodulate
-from .transmitter import (
-    ENERGY_PER_BIT,
-    OOK,
-    PPM,
-    SCHEMES,
-    ModulationConfig,
-    place_pulse_train,
+from .receiver import (
+    ReceiverConfig,
+    calibrate_ook_threshold,
+    decide,
+    simulate_block,
 )
+from .transmitter import ENERGY_PER_BIT, OOK, PPM, SCHEMES, ModulationConfig
 from .waveform import DEFAULT_PULSE, DEFAULT_SAMPLE_RATE, sample_pulse
 
 BLOCK_BITS = 1000
@@ -50,7 +52,8 @@ class SweepConfig:
     channel: None for AWGN-only, or an SvProfile for multipath on top
         of AWGN.
     quant_bits: None for the floating-point datapath, or the ADC word
-        width; full scale tracks the per-block received peak.
+        width (an integer); full scale tracks the per-block peak of the
+        observed samples.
     code/delta: default to a seed-derived code and an orthogonal PPM
         shift of one pulse duration.
     """
@@ -76,6 +79,8 @@ class SweepConfig:
         grid = tuple(float(x) for x in self.ebn0_grid)
         if not grid:
             raise InvalidParams("ebn0_grid must be non-empty")
+        for ebn0_db in grid:
+            check_ebn0(ebn0_db)
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise InvalidParams("ebn0_grid must be strictly increasing")
         object.__setattr__(self, "ebn0_grid", grid)
@@ -83,10 +88,16 @@ class SweepConfig:
             raise InvalidParams(
                 f"n_bits_per_point must be >= 1000, got {self.n_bits_per_point}"
             )
-        if self.quant_bits is not None and not 1 <= int(self.quant_bits) <= 64:
-            raise InvalidParams(
-                f"quant_bits must be in [1, 64], got {self.quant_bits}"
-            )
+        if self.quant_bits is not None:
+            if not (
+                isinstance(self.quant_bits, (int, np.integer))
+                and 1 <= self.quant_bits <= 64
+            ):
+                raise InvalidParams(
+                    f"quant_bits must be an integer in [1, 64], "
+                    f"got {self.quant_bits!r}"
+                )
+            object.__setattr__(self, "quant_bits", int(self.quant_bits))
         if self.code is None:
             object.__setattr__(
                 self,
@@ -149,41 +160,28 @@ def point_seeds(base_seed, point_index):
 
 def _run_point(cfg, rcfg, ebn0_db, seeds):
     bits_base, noise_base, chan_base, cal_base = seeds
-    eb = ENERGY_PER_BIT[cfg.scheme]
     if cfg.scheme == OOK:
         rcfg = rcfg.with_threshold(
             calibrate_ook_threshold(
-                rcfg, ebn0_db, eb, CALIBRATION_FRAMES, cal_base
+                rcfg, ebn0_db, ENERGY_PER_BIT[OOK], CALIBRATION_FRAMES,
+                cal_base,
             )
         )
-    template = rcfg.template
     errors = 0
-    done = 0
-    block = 0
     n_bits = cfg.n_bits_per_point
-    while done < n_bits:
+    for block, done in enumerate(range(0, n_bits, BLOCK_BITS)):
         nb = min(BLOCK_BITS, n_bits - done)
         bits = np.random.default_rng(bits_base ^ block).integers(
             0, 2, size=nb, dtype=np.int64
         )
-        sig = place_pulse_train(
-            bits, cfg.modulation, cfg.params, cfg.code, template
-        )
+        channel = None
         if cfg.channel is not None:
-            sig = apply_channel(
-                sig, draw_channel(cfg.channel, chan_base ^ block)
-            )
-        rx = add_awgn(sig, ebn0_db, eb, noise_base ^ block)
-        block_cfg = rcfg
-        if cfg.quant_bits is not None:
-            peak = float(np.max(np.abs(rx.samples))) or 1.0
-            block_cfg = replace(
-                rcfg, datapath=QuantizerConfig(int(cfg.quant_bits), peak)
-            )
-        decoded = demodulate(rx, block_cfg)[:nb]
-        errors += int(np.count_nonzero(decoded != bits))
-        done += nb
-        block += 1
+            channel = draw_channel(cfg.channel, chan_base ^ block)
+        stats = simulate_block(
+            bits, rcfg, rcfg, ebn0_db, noise_base ^ block, channel,
+            cfg.quant_bits,
+        )
+        errors += int(np.count_nonzero(decide(stats[:nb]) != bits))
     return BerPoint(ebn0_db=ebn0_db, errors=errors, bits=n_bits)
 
 

@@ -1,22 +1,35 @@
-"""Matched-filter synchronization and the three demodulators.
+"""Matched-filter synchronization, the three demodulators, and the
+block pipeline that sweeps and sessions share.
 
-All receivers share one structure: slice the received signal into
-frames, look only at the code-predicted chip inside each frame, and
-decide the bit from correlations (BPAM, PPM) or windowed energy (OOK).
+A receiver looks only at the code-predicted chip of each frame. It
+gathers each frame's observation window into one row of an
+(n_frames, W) matrix and decides the bit from a per-row statistic:
 
-    BPAM: one correlation against the template; sign decides.
-    PPM : two correlations, at the nominal and the delta-shifted
-          position; the larger one decides.
-    OOK : square-and-integrate over the chip window; a calibrated
-          threshold decides.
+    BPAM: correlation against the template (W = template); bit 1 iff
+          it is >= 0.
+    PPM : correlations at the nominal and the delta-shifted position
+          (W = template + delta); bit 1 iff shifted >= nominal.
+    OOK : energy over the integration window (W = the window); bit 1
+          iff it is >= a calibrated threshold.
 
-Every comparison tie decodes as bit 1 so the quantized datapath, where
-ties are reachable, stays deterministic.
+A window that runs past its frame's end is truncated there. Ties
+decode as bit 1 so the quantized datapath, where ties are reachable,
+stays deterministic.
 
 The datapath field selects between the floating-point reference and a
-quantized mode in which both the received samples and the template
-pass through the same ADC model before correlation; accumulators stay
-in double precision either way.
+quantized mode in which the window samples and the template pass
+through the same ADC model before correlation; accumulators stay in
+double precision either way.
+
+simulate_block runs one block over the link: it places the clean
+transmit waveform, applies the channel, gathers the windows at the
+receiver's geometry and adds white noise to those windows only. With
+white noise the window samples are a sufficient statistic for the
+decision, so noise anywhere else would never be read. On the
+floating-point datapath without a channel, a window no pulse reaches
+skips even that: its statistic is drawn from its closed-form law. The
+result equals add_awgn on the whole waveform followed by demodulate
+in distribution, not sample for sample.
 """
 
 import math
@@ -25,7 +38,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.signal import correlate
 
-from .channel import quantize_array
+from .channel import (
+    QuantizerConfig,
+    apply_channel,
+    noise_sigma,
+    quantize_array,
+)
 from .errors import (
     InvalidParams,
     RateMismatch,
@@ -33,8 +51,17 @@ from .errors import (
     UncalibratedThreshold,
     WindowTooSmall,
 )
-from .framing import chip_offsets_for_frames, chip_samples, require_code
-from .transmitter import BPAM, OOK, PPM, check_pulse_fits, delta_samples, place_pulse_train
+from .framing import chip_samples, require_code
+from .transmitter import (
+    BPAM,
+    ENERGY_PER_BIT,
+    OOK,
+    PPM,
+    check_pulse_fits,
+    delta_samples,
+    place_pulse_train,
+    pulse_layout,
+)
 from .waveform import SampledSignal
 
 
@@ -46,7 +73,7 @@ class ReceiverConfig:
     integration_window: OOK energy window, seconds (defaults to the
         template support).
     threshold: OOK decision threshold in energy units; must be
-        calibrated before demod_ook runs.
+        calibrated before an OOK receiver decodes.
     datapath: None for the floating-point reference, or a
         QuantizerConfig for the quantized mode.
     """
@@ -90,6 +117,14 @@ class ReceiverConfig:
     def frame_len(self):
         return self.params.n_c * self.chip_len
 
+    @property
+    def window_len(self):
+        """Samples per observation window: the OOK integration window,
+        or the template plus the PPM shift."""
+        if self.mod.scheme == OOK:
+            return int(round(self.integration_window * self.sample_rate))
+        return len(self.template) + delta_samples(self.mod, self.sample_rate)
+
     def with_threshold(self, threshold):
         return replace(self, threshold=threshold)
 
@@ -122,35 +157,6 @@ def _datapath_arrays(rx, cfg):
         quantize_array(rx.samples, cfg.datapath),
         quantize_array(cfg.template.samples, cfg.datapath),
     )
-
-
-def _frames(x, offset, frame_len):
-    """View the tail of x from offset as whole frames: (n, frame_len)."""
-    n = (len(x) - offset) // frame_len
-    if n <= 0:
-        return np.zeros((0, frame_len)), 0
-    flat = x[offset:offset + n * frame_len]
-    return flat.reshape(n, frame_len), n
-
-
-def _window_sums(view, starts, width, tpl=None):
-    """Per-frame window statistics.
-
-    With tpl: correlation of each frame's [start, start+width) window
-    against tpl. Without: energy sum of squares over the window.
-    Frames are grouped by start offset so each group is one matrix op.
-    """
-    n, frame_len = view.shape
-    out = np.empty(n, dtype=np.float64)
-    for s in np.unique(starts):
-        rows = np.nonzero(starts == s)[0]
-        w = min(width, frame_len - s)
-        block = view[rows, s:s + w]
-        if tpl is None:
-            out[rows] = np.einsum("ij,ij->i", block, block)
-        else:
-            out[rows] = block @ tpl[:w]
-    return out
 
 
 def synchronize(rx, cfg, search_window, n_sync_frames):
@@ -189,73 +195,232 @@ def synchronize(rx, cfg, search_window, n_sync_frames):
     return SyncEstimate(offset=best, peak_metric=float(metric[best]))
 
 
-def _chip_starts(cfg, n):
-    return chip_offsets_for_frames(cfg.code, n) * cfg.chip_len
+def _window_starts(cfg, frames):
+    """First sample of each given frame's observation window, relative
+    to the frame's start."""
+    offsets = np.asarray(cfg.code.offsets, dtype=np.int64)
+    return offsets[frames % len(offsets)] * cfg.chip_len
+
+
+def _inside(cfg, starts):
+    """Mask of the window samples that lie inside their own frame, for
+    windows at the given in-frame starts; None when all of them do."""
+    width = cfg.window_len
+    if not len(starts) or starts.max() + width <= cfg.frame_len:
+        return None
+    return np.arange(width) < (cfg.frame_len - starts)[:, None]
+
+
+def _windows(x, cfg, offset, frames=None):
+    """Gather the observation windows of the given frames of x counted
+    from offset (default: every whole frame): an (n_frames, W) matrix,
+    plus the mask of its samples that lie inside their own frame (None
+    when all do). Samples past a frame's end hold arbitrary values
+    until _statistics zeroes them."""
+    frame_len = cfg.frame_len
+    if frames is None:
+        frames = np.arange(max((len(x) - offset) // frame_len, 0))
+    starts = _window_starts(cfg, frames)
+    inside = _inside(cfg, starts)
+    idx = (offset + frame_len * frames + starts)[:, None] + np.arange(
+        cfg.window_len
+    )
+    if inside is not None:
+        idx[~inside] = 0
+    return x[idx], inside
+
+
+def _statistics(win, inside, cfg, agc_bits=None):
+    """Per-frame decision statistics of gathered windows; a frame
+    decodes as bit 1 iff its statistic is >= 0 (see decide).
+
+    win is modified in place. agc_bits, when set, quantizes at that
+    width with the full scale at the peak observed sample; otherwise
+    cfg.datapath applies.
+    """
+    if cfg.mod.scheme == OOK and cfg.threshold is None:
+        raise UncalibratedThreshold(
+            "OOK threshold is unset; run calibrate_ook_threshold first"
+        )
+    if inside is not None:
+        win[~inside] = 0.0
+    if agc_bits is not None:
+        peak = float(np.max(np.abs(win), initial=0.0)) or 1.0
+        cfg = replace(cfg, datapath=QuantizerConfig(agc_bits, peak))
+    if cfg.datapath is not None:
+        win = quantize_array(win, cfg.datapath)
+        if inside is not None:
+            win[~inside] = 0.0
+    if cfg.mod.scheme == OOK:
+        energy = np.einsum("ij,ij->i", win, win) / cfg.sample_rate
+        return energy - cfg.threshold
+    tpl = cfg.template.samples
+    if cfg.datapath is not None:
+        tpl = quantize_array(tpl, cfg.datapath)
+    # einsum rather than a BLAS matrix-vector product: BLAS spreads
+    # these small products over threads that cost more CPU than they
+    # save and make the cost depend on what else the host runs
+    nominal = np.einsum("ij,j->i", win[:, :len(tpl)], tpl)
+    if cfg.mod.scheme == BPAM:
+        return nominal
+    return np.einsum("ij,j->i", win[:, -len(tpl):], tpl) - nominal
+
+
+def decide(statistics):
+    """Bits from decision statistics: 1 iff the statistic is >= 0."""
+    return (statistics >= 0.0).astype(np.uint8)
+
+
+def decision_statistics(rx, cfg, sync=GENIE_SYNC):
+    """Decision statistic of every whole frame of rx from sync.offset
+    on: the BPAM correlation, the PPM shifted-minus-nominal
+    correlation, or the OOK window energy minus the threshold."""
+    _check_rx(rx, cfg)
+    return _statistics(*_windows(rx.samples, cfg, sync.offset), cfg)
+
+
+def demodulate(rx, cfg, sync=GENIE_SYNC):
+    """Decode every whole frame of rx for the configured scheme."""
+    return decide(decision_statistics(rx, cfg, sync))
+
+
+def _require_scheme(cfg, scheme):
+    if cfg.mod.scheme != scheme:
+        raise SchemeMismatch(
+            f"{scheme.upper()} demodulator got scheme {cfg.mod.scheme!r}"
+        )
 
 
 def demod_bpam(rx, cfg, sync=GENIE_SYNC):
     """Decode BPAM: bit 1 iff the template correlation at the
     code-predicted position is >= 0."""
-    if cfg.mod.scheme != BPAM:
-        raise SchemeMismatch(f"BPAM demodulator got scheme {cfg.mod.scheme!r}")
-    _check_rx(rx, cfg)
-    rxs, tpl = _datapath_arrays(rx, cfg)
-    view, n = _frames(rxs, sync.offset, cfg.frame_len)
-    if n == 0:
-        return np.zeros(0, dtype=np.uint8)
-    corr = _window_sums(view, _chip_starts(cfg, n), len(tpl), tpl)
-    return (corr >= 0.0).astype(np.uint8)
+    _require_scheme(cfg, BPAM)
+    return demodulate(rx, cfg, sync)
 
 
 def demod_ppm(rx, cfg, sync=GENIE_SYNC):
     """Decode PPM from the double correlation: bit 1 iff the shifted
     position's correlation is >= the nominal one."""
-    if cfg.mod.scheme != PPM:
-        raise SchemeMismatch(f"PPM demodulator got scheme {cfg.mod.scheme!r}")
-    _check_rx(rx, cfg)
-    rxs, tpl = _datapath_arrays(rx, cfg)
-    view, n = _frames(rxs, sync.offset, cfg.frame_len)
-    if n == 0:
-        return np.zeros(0, dtype=np.uint8)
-    starts = _chip_starts(cfg, n)
-    shift = delta_samples(cfg.mod, cfg.sample_rate)
-    r0 = _window_sums(view, starts, len(tpl), tpl)
-    r1 = _window_sums(view, starts + shift, len(tpl), tpl)
-    return (r1 >= r0).astype(np.uint8)
+    _require_scheme(cfg, PPM)
+    return demodulate(rx, cfg, sync)
 
 
 def demod_ook(rx, cfg, sync=GENIE_SYNC):
     """Decode OOK by energy detection: bit 1 iff the windowed energy at
     the code-predicted position is >= the calibrated threshold."""
-    if cfg.mod.scheme != OOK:
-        raise SchemeMismatch(f"OOK demodulator got scheme {cfg.mod.scheme!r}")
-    if cfg.threshold is None:
-        raise UncalibratedThreshold(
-            "OOK threshold is unset; run calibrate_ook_threshold first"
-        )
-    _check_rx(rx, cfg)
-    rxs, _ = _datapath_arrays(rx, cfg)
-    view, n = _frames(rxs, sync.offset, cfg.frame_len)
-    if n == 0:
-        return np.zeros(0, dtype=np.uint8)
-    width = int(round(cfg.integration_window * cfg.sample_rate))
-    energy = _window_sums(view, _chip_starts(cfg, n), width) / cfg.sample_rate
-    return (energy >= cfg.threshold).astype(np.uint8)
+    _require_scheme(cfg, OOK)
+    return demodulate(rx, cfg, sync)
 
 
-_DEMODS = {OOK: demod_ook, BPAM: demod_bpam, PPM: demod_ppm}
+def simulate_block(bits, tx, rx, ebn0_db, noise_seed, channel=None,
+                   agc_bits=None):
+    """Send bits over the link and return the receiver's decision
+    statistics, one per whole receiver frame of the waveform, for at
+    most len(bits) frames: frames past the last bit are never read.
+
+    tx is the transmitting end's configuration (its modulation, frame
+    geometry, code and template place the pulses); rx is the receiving
+    end's, which may differ after a one-sided reconfiguration. channel
+    is an optional ChannelRealization. Noise at the given Eb/N0 (per
+    tx's scheme) is drawn only for the rx windows, from noise_seed.
+    agc_bits selects a quantized datapath whose full scale is the peak
+    observed sample.
+
+    On the floating-point datapath without a channel, a window that no
+    transmitted pulse reaches holds noise alone, and its statistic is
+    drawn from its closed-form law (_noise_statistics) instead of from
+    W noise samples. After a one-sided reconfiguration most windows are
+    such, so the cost of a mismatched segment barely depends on how
+    many frames the receiver's geometry fits into it.
+    """
+    sig = place_pulse_train(bits, tx.mod, tx.params, tx.code, tx.template)
+    if channel is not None:
+        sig = apply_channel(sig, channel)
+    _check_rx(sig, rx)
+    eb = ENERGY_PER_BIT[tx.mod.scheme]
+    sigma = noise_sigma(ebn0_db, eb, sig.sample_rate)
+    frames = np.arange(min(len(sig) // rx.frame_len, len(bits)))
+    if channel is None and agc_bits is None and rx.datapath is None:
+        hit = _reached_by_pulse(bits, tx, rx, frames)
+    else:
+        hit = np.ones(len(frames), dtype=bool)
+    win, inside = _windows(sig.samples, rx, 0, frames[hit])
+    del sig
+    rng = np.random.default_rng(noise_seed)
+    if sigma > 0.0:
+        noise = rng.standard_normal(win.shape)
+        noise *= sigma
+        win += noise
+    stats = np.empty(len(frames))
+    stats[hit] = _statistics(win, inside, rx, agc_bits)
+    stats[~hit] = _noise_statistics(rng, sigma, frames[~hit], rx)
+    return stats
 
 
-def demodulate(rx, cfg, sync=GENIE_SYNC):
-    """Scheme-dispatching demodulator."""
-    return _DEMODS[cfg.mod.scheme](rx, cfg, sync)
+def _reached_by_pulse(bits, tx, rx, frames):
+    """Which rx windows of the given frames overlap the support of a
+    pulse tx sends for bits (no channel)."""
+    starts, amps = pulse_layout(
+        bits, tx.mod, tx.params, tx.code, tx.sample_rate
+    )
+    first = (tx.frame_len * np.arange(len(starts)) + starts)[amps != 0.0]
+    begin = rx.frame_len * frames + _window_starts(rx, frames)
+    if not len(first):
+        return np.zeros(len(frames), dtype=bool)
+    # pulses never overlap, so the last one to start before a window
+    # ends is the last one that can reach into it
+    last = np.searchsorted(first, begin + rx.window_len) - 1
+    return (last >= 0) & (first[np.maximum(last, 0)] + len(tx.template) > begin)
+
+
+def _noise_statistics(rng, sigma, frames, cfg):
+    """Decision statistics of the windows of the given frames when they
+    hold white noise of per-sample deviation sigma and nothing else,
+    drawn from their exact law rather than from W samples each: the
+    energy of w samples is sigma^2 chi2(w), and a correlation with
+    coefficients c is N(0, sigma^2 |c|^2), where c is the template for
+    BPAM and the shifted minus the nominal template for PPM. Samples
+    past a frame's end do not count, as in _statistics."""
+    n = len(frames)
+    width = cfg.window_len
+    inside = _inside(cfg, _window_starts(cfg, frames))
+    if cfg.mod.scheme == OOK:
+        w = width if inside is None else np.count_nonzero(inside, axis=1)
+        energy = _chi2(rng, w, n) * (sigma * sigma / cfg.sample_rate)
+        return energy - cfg.threshold
+    tpl = cfg.template.samples
+    coef = np.zeros(width)
+    coef[width - len(tpl):] = tpl
+    if cfg.mod.scheme == PPM:
+        coef[:len(tpl)] -= tpl
+    power = coef * coef
+    if inside is None:
+        norm2 = power.sum()
+    else:
+        norm2 = np.where(inside, power, 0.0).sum(axis=1)
+    return sigma * np.sqrt(norm2) * rng.standard_normal(n)
+
+
+def _chi2(rng, df, size=None):
+    """Chi-square variates with df >= 0 degrees of freedom."""
+    return 2.0 * rng.standard_gamma(0.5 * df, size)
 
 
 def calibrate_ook_threshold(
     cfg, ebn0_db, energy_per_bit, n_calibration_frames, rng_seed
 ):
     """Pick the OOK threshold as the midpoint between the empirical
-    mean energies of noise-only and pulse-plus-noise windows.
+    mean energies of n noise-only and n pulse-plus-noise windows.
+
+    The two means are drawn from their exact joint law rather than from
+    2 * n * w noise samples. For w-sample windows with unit normals z_i,
+    per-sample noise sigma and template window energy E = |tpl_w|^2:
+
+        sum_i |sigma z_i|^2          = sigma^2 S0,   S0 ~ chi2(n w)
+        sum_i |tpl_w + sigma z_i|^2  = n E + 2 sigma sqrt(E) n u + sigma^2 S1
+
+    where u ~ N(0, 1/n) is the mean projection of the z_i on tpl_w and
+    S1 = n u^2 + chi2(n - 1) + chi2(n (w - 1)). Four variates per call.
 
     Deterministic under a fixed seed. With the no-noise sentinel the
     means are exact, giving half the windowed pulse energy.
@@ -264,23 +429,19 @@ def calibrate_ook_threshold(
         raise InvalidParams(
             f"need at least 100 calibration frames, got {n_calibration_frames}"
         )
-    if not energy_per_bit > 0.0:
-        raise InvalidParams(
-            f"energy_per_bit must be positive, got {energy_per_bit}"
-        )
     rate = cfg.sample_rate
+    sigma = noise_sigma(ebn0_db, energy_per_bit, rate)
     width = int(round(cfg.integration_window * rate))
     tpl = cfg.template.samples[:width]
-    e_w = float(np.dot(tpl, tpl) / rate)
-    if math.isinf(ebn0_db) and ebn0_db > 0:
-        return 0.5 * e_w
-    n0 = energy_per_bit / 10.0 ** (ebn0_db / 10.0)
-    sigma = math.sqrt(0.5 * n0 * rate)
+    energy = float(np.dot(tpl, tpl))
+    if sigma == 0.0 or width == 0:
+        return 0.5 * energy / rate
     rng = np.random.default_rng(rng_seed)
     n = int(n_calibration_frames)
-    noise0 = sigma * rng.standard_normal((n, width))
-    noise1 = sigma * rng.standard_normal((n, width))
-    mean0 = float(np.mean(np.einsum("ij,ij->i", noise0, noise0))) / rate
-    sig1 = tpl + noise1
-    mean1 = float(np.mean(np.einsum("ij,ij->i", sig1, sig1))) / rate
+    s0 = _chi2(rng, n * width)
+    u = rng.standard_normal() / math.sqrt(n)
+    s1 = n * u * u + _chi2(rng, n - 1) + _chi2(rng, n * (width - 1))
+    var = sigma * sigma
+    mean0 = var * s0 / (n * rate)
+    mean1 = (energy + 2.0 * sigma * math.sqrt(energy) * u + var * s1 / n) / rate
     return 0.5 * (mean0 + mean1)

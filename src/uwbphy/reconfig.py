@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import apply_channel, add_awgn
+from .channel import check_ebn0
 from .errors import (
     ConfigConflict,
     FormatError,
@@ -27,14 +27,14 @@ from .errors import (
     StaleRequest,
 )
 from .framing import CodeBank, ThParams, chip_samples, require_code
-from .receiver import ReceiverConfig, calibrate_ook_threshold, demodulate
-from .transmitter import (
-    ENERGY_PER_BIT,
-    OOK,
-    check_pulse_fits,
-    place_pulse_train,
+from .receiver import (
+    ReceiverConfig,
+    calibrate_ook_threshold,
+    decide,
+    simulate_block,
 )
-from .waveform import sample_pulse
+from .transmitter import ENERGY_PER_BIT, OOK, check_pulse_fits
+from .waveform import DEFAULT_SAMPLE_RATE, sample_pulse
 
 # Ceiling on chips per frame: bounds the achievable-rate range the
 # controller will accept, the way fixed-width hardware inputs would.
@@ -57,7 +57,7 @@ class PhyState:
     mod: object
     epoch: int = 0
     pulse: object = None
-    sample_rate: float = 50e9
+    sample_rate: float = DEFAULT_SAMPLE_RATE
 
     def __post_init__(self):
         if self.epoch < 0:
@@ -183,32 +183,30 @@ def _segment_seeds(rng_seed, index):
     return int(noise), int(cal)
 
 
+def _link_end(state):
+    """A ReceiverConfig for one link end: its modulation, frame
+    geometry, active code and sampled pulse."""
+    return ReceiverConfig(
+        mod=state.mod,
+        params=state.params,
+        code=state.active_code,
+        template=sample_pulse(state.pulse, state.sample_rate),
+    )
+
+
 def _decode_segment(index, start, seg_bits, tx_state, rx_state, ebn0_db,
                     channel, rng_seed):
-    rate = tx_state.sample_rate
-    tx_template = sample_pulse(tx_state.pulse, rate)
-    signal = place_pulse_train(
-        seg_bits, tx_state.mod, tx_state.params, tx_state.active_code,
-        tx_template,
-    )
-    if channel is not None:
-        signal = apply_channel(signal, channel)
     noise_seed, cal_seed = _segment_seeds(rng_seed, index)
-    eb = ENERGY_PER_BIT[tx_state.mod.scheme]
-    rx = add_awgn(signal, ebn0_db, eb, noise_seed)
-
-    cfg = ReceiverConfig(
-        mod=rx_state.mod,
-        params=rx_state.params,
-        code=rx_state.active_code,
-        template=sample_pulse(rx_state.pulse, rate),
-    )
-    if rx_state.mod.scheme == OOK:
-        threshold = calibrate_ook_threshold(
-            cfg, ebn0_db, eb, _CAL_FRAMES, cal_seed
+    tx = _link_end(tx_state)
+    rx = _link_end(rx_state)
+    if rx.mod.scheme == OOK:
+        eb = ENERGY_PER_BIT[tx.mod.scheme]
+        rx = rx.with_threshold(
+            calibrate_ook_threshold(rx, ebn0_db, eb, _CAL_FRAMES, cal_seed)
         )
-        cfg = cfg.with_threshold(threshold)
-    decoded = demodulate(rx, cfg)
+    decoded = decide(
+        simulate_block(seg_bits, tx, rx, ebn0_db, noise_seed, channel)
+    )
 
     n = len(seg_bits)
     m = min(n, len(decoded))
@@ -241,9 +239,14 @@ def run_session(bits, schedule, initial_state, ebn0_db=math.inf,
     reproduced. Segment boundaries are exactly the effective frames of
     asserted requests; bits and BER are reported per segment.
 
+    The receiver reads every segment at its own parameters, so after a
+    one-sided reconfiguration it sees the transmitter's waveform through
+    mismatched frames; noise is drawn for the windows it observes.
+
     apply_reconfiguration failures propagate with the offending request
-    index prepended.
+    index prepended. A NaN or -inf ebn0_db raises InvalidParams.
     """
+    check_ebn0(ebn0_db)
     bits_arr = np.asarray(bits, dtype=np.int64).ravel()
     if bits_arr.size and not np.isin(bits_arr, (0, 1)).all():
         raise InvalidParams("bits must contain only 0 and 1")

@@ -77,6 +77,21 @@ def check_pulse_fits(mod, params, template):
         )
 
 
+def pulse_layout(bits, mod, params, code, sample_rate):
+    """Where each bit's pulse goes: its first sample within its frame
+    and its amplitude (0 for an OOK 0), one entry per bit."""
+    bits_arr = _as_bits(bits)
+    starts = chip_offsets_for_frames(code, len(bits_arr)) * chip_samples(
+        params, sample_rate
+    )
+    if mod.scheme == PPM:
+        starts = starts + delta_samples(mod, sample_rate) * bits_arr
+        return starts, np.ones(len(bits_arr))
+    if mod.scheme == BPAM:
+        return starts, 2.0 * bits_arr - 1.0
+    return starts, bits_arr.astype(np.float64)
+
+
 def place_pulse_train(bits, mod, params, code, template):
     """Lay a pre-sampled unit-energy template into a time-hopped frame
     sequence according to the bits. Returns a signal of exactly
@@ -86,22 +101,13 @@ def place_pulse_train(bits, mod, params, code, template):
     require_code(code, params)
     check_pulse_fits(mod, params, template)
     rate = template.sample_rate
-    chip = chip_samples(params, rate)
-    frame = params.n_c * chip
+    frame = params.n_c * chip_samples(params, rate)
     n = len(bits_arr)
     out = np.zeros(n * frame, dtype=np.float64)
     if n == 0:
         return SampledSignal(out, rate)
 
-    starts = chip_offsets_for_frames(code, n) * chip
-    if mod.scheme == PPM:
-        starts = starts + delta_samples(mod, rate) * bits_arr
-        amps = np.ones(n)
-    elif mod.scheme == BPAM:
-        amps = 2.0 * bits_arr - 1.0
-    else:
-        amps = bits_arr.astype(np.float64)
-
+    starts, amps = pulse_layout(bits_arr, mod, params, code, rate)
     tpl = template.samples
     view = out.reshape(n, frame)
     for s in np.unique(starts):

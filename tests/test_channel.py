@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -80,6 +82,15 @@ class TestAddAwgn:
     def test_rejects_nonpositive_energy(self):
         with pytest.raises(InvalidParams):
             add_awgn(ramp_signal(), 6.0, 0.0, rng_seed=0)
+
+    @pytest.mark.parametrize("ebn0_db", [math.nan, -math.inf, -4000.0])
+    def test_rejects_eb_n0_without_finite_noise(self, ebn0_db):
+        with pytest.raises(InvalidParams):
+            add_awgn(ramp_signal(), ebn0_db, 1.0, rng_seed=0)
+
+    def test_unrepresentably_high_eb_n0_is_noiseless(self):
+        sig = ramp_signal()
+        assert add_awgn(sig, 4000.0, 1.0, rng_seed=0) is sig
 
 
 class TestChannelRealization:

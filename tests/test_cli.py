@@ -98,6 +98,14 @@ class TestSweepCommand:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", ["--ebn0=nan", "--ebn0=-inf,0"])
+    def test_non_finite_eb_n0_exits_2(self, grid, capsys):
+        rc = run(["sweep", "--scheme", "bpam", grid, "--bits", "1000"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "Eb/N0" in captured.err
+        assert captured.out == ""
+
     def test_unwritable_output_exits_3(self, capsys):
         rc = run(
             [
@@ -223,6 +231,13 @@ class TestSessionCommand:
         rc = run(["session", "--script", script])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ebn0", ["nan", "-inf"])
+    def test_non_finite_eb_n0_exits_2(self, tmp_path, ebn0, capsys):
+        script = self.write_script(tmp_path, "@10 set tc=20 signal=1\n")
+        rc = run(["session", "--script", script, f"--ebn0={ebn0}"])
+        assert rc == 2
+        assert "Eb/N0" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tmp_path):
         script = self.write_script(tmp_path, "@300 set nc=16 signal=1\n")

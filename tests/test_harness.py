@@ -63,6 +63,11 @@ class TestSweepConfig:
         with pytest.raises(InvalidParams):
             fast_sweep(grid=(4.0, 2.0))
 
+    @pytest.mark.parametrize("grid", [(float("nan"),), (float("-inf"), 0.0)])
+    def test_grid_rejects_nan_and_minus_inf(self, grid):
+        with pytest.raises(InvalidParams):
+            fast_sweep(grid=grid)
+
     def test_minimum_bit_budget(self):
         with pytest.raises(InvalidParams):
             fast_sweep(bits=999)
@@ -74,6 +79,11 @@ class TestSweepConfig:
         with pytest.raises(InvalidParams):
             fast_sweep(quant_bits=65)
         fast_sweep(quant_bits=64)
+
+    def test_quant_bits_must_be_integer(self):
+        with pytest.raises(InvalidParams):
+            fast_sweep(quant_bits=12.5)
+        assert fast_sweep(quant_bits=np.int64(12)).quant_bits == 12
 
     def test_default_code_is_generated(self):
         cfg = SweepConfig(scheme="bpam", ebn0_grid=(0.0,), n_bits_per_point=1000)

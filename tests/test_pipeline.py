@@ -1,0 +1,348 @@
+"""The shared block pipeline against its full-waveform reference.
+
+simulate_block draws noise only for the windows the receiver reads;
+the reference adds noise to every sample with add_awgn and then runs
+the public demodulator. The two agree exactly without noise and in
+distribution with it. OOK calibration draws sufficient statistics
+instead of per-sample noise and is held to a brute-force estimator.
+
+Each statistical test runs once at a fixed alpha under fixed seeds, so
+under the null hypothesis it fails with probability alpha.
+"""
+
+import hashlib
+import math
+import tracemalloc
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from scipy.stats import ks_2samp, levene
+
+from uwbphy import (
+    CM1_LIKE,
+    DEFAULT_PULSE,
+    DEFAULT_SAMPLE_RATE,
+    ENERGY_PER_BIT,
+    ModulationConfig,
+    QuantizerConfig,
+    ReceiverConfig,
+    SampledSignal,
+    SweepConfig,
+    SyncEstimate,
+    ThCode,
+    ThParams,
+    add_awgn,
+    apply_channel,
+    calibrate_ook_threshold,
+    demodulate,
+    draw_channel,
+    place_pulse_train,
+    sample_pulse,
+)
+from uwbphy.channel import quantize_array
+from uwbphy.harness import BLOCK_BITS
+from uwbphy.receiver import decision_statistics, simulate_block
+
+from conftest import FAST_DELTA, FAST_PULSE, RATE, random_bits
+
+KS_ALPHA = 1e-3
+
+FAST_PARAMS = ThParams(t_c=5e-9, n_c=4)
+FAST_CODE = ThCode(offsets=(2, 0, 3, 1), code_id="fast")
+
+# Edge geometry: the 121-sample FAST_PULSE template plus a 60-sample PPM
+# shift spans exactly the 180-sample chip, so a window in the last chip
+# reaches one sample past its frame's end and must be truncated there.
+# BPAM gets the same edge from a 120-sample chip.
+EDGE_PPM_PARAMS = ThParams(t_c=3.6e-9, n_c=3)
+EDGE_BPAM_PARAMS = ThParams(t_c=2.4e-9, n_c=3)
+EDGE_DELTA = 1.2e-9
+EDGE_CODE = ThCode(offsets=(2, 0, 2, 1, 2), code_id="edge")
+
+# Window energy of noise alone (120 samples at 6 dB, Eb = 0.5) plus
+# half a pulse: OOK decisions at 6 dB are then far from all-ones.
+OOK_THRESHOLD = 120 * 0.25 / 10 ** 0.6 + 0.5
+
+def _receiver(scheme, params=FAST_PARAMS, code=FAST_CODE, delta=FAST_DELTA):
+    return ReceiverConfig(
+        mod=ModulationConfig(scheme, delta=delta if scheme == "ppm" else 0.0),
+        params=params,
+        code=code,
+        template=sample_pulse(FAST_PULSE, RATE),
+        threshold=OOK_THRESHOLD if scheme == "ook" else None,
+    )
+
+
+def _edge_receiver(scheme):
+    params = EDGE_BPAM_PARAMS if scheme == "bpam" else EDGE_PPM_PARAMS
+    return _receiver(scheme, params, EDGE_CODE, EDGE_DELTA)
+
+
+def _clean(bits, cfg, channel=None):
+    sig = place_pulse_train(bits, cfg.mod, cfg.params, cfg.code, cfg.template)
+    return sig if channel is None else apply_channel(sig, channel)
+
+
+# sha256 prefixes of demodulate's output on these blocks, computed by
+# the full-frame demodulators that preceded the window gather (same
+# inputs, same add_awgn stream).
+DEMODULATE_DIGESTS = {
+    "ook-float-awgn-fast": "b04fdf8b6304596a",
+    "ook-float-awgn-edge": "1ab0e80549d226dd",
+    "ook-float-cm1-fast": "03dd718a10a58982",
+    "ook-float-cm1-edge": "6c8911e549d8781a",
+    "ook-q12-awgn-fast": "450ddae9e9acbdb8",
+    "ook-q12-awgn-edge": "5002e1cfa267241f",
+    "ook-q12-cm1-fast": "272e9fb4360d7a0b",
+    "ook-q12-cm1-edge": "edd44638dd058185",
+    "bpam-float-awgn-fast": "c45886468b9c2616",
+    "bpam-float-awgn-edge": "be4d1abaee4edf92",
+    "bpam-float-cm1-fast": "31bbdfc6315ba309",
+    "bpam-float-cm1-edge": "6eb8d40518d21080",
+    "bpam-q12-awgn-fast": "11cb188521e68603",
+    "bpam-q12-awgn-edge": "ad7f46b922bf3c67",
+    "bpam-q12-cm1-fast": "344243ac8d22cfaa",
+    "bpam-q12-cm1-edge": "a8c9566822b7f0b6",
+    "ppm-float-awgn-fast": "166ea65d5861a4e8",
+    "ppm-float-awgn-edge": "58823e9eaf6f24ef",
+    "ppm-float-cm1-fast": "b94a1d3dbc812e77",
+    "ppm-float-cm1-edge": "2e95787482b4a72d",
+    "ppm-q12-awgn-fast": "fe4dc76ca6522a62",
+    "ppm-q12-awgn-edge": "0104cc32832535e0",
+    "ppm-q12-cm1-fast": "56dc32c68920df24",
+    "ppm-q12-cm1-edge": "c7d4e61309eb55a9",
+}
+
+
+@pytest.mark.parametrize("key", sorted(DEMODULATE_DIGESTS))
+def test_demodulate_decisions_are_pinned(key):
+    scheme, datapath, channel, geometry = key.split("-")
+    cfg = _edge_receiver(scheme) if geometry == "edge" else _receiver(scheme)
+    seed = sum(map(ord, key))
+    bits = random_bits(seed, 400)
+    ch = draw_channel(CM1_LIKE, seed) if channel == "cm1" else None
+    rx = add_awgn(_clean(bits, cfg, ch), 6.0, ENERGY_PER_BIT[scheme], seed + 1)
+    if datapath == "q12":
+        peak = float(np.max(np.abs(rx.samples)))
+        cfg = replace(cfg, datapath=QuantizerConfig(12, peak))
+    sync = SyncEstimate(offset=seed % 37, peak_metric=1.0)
+    decoded = demodulate(rx, cfg, sync)
+    digest = hashlib.sha256(decoded.astype(np.uint8).tobytes()).hexdigest()
+    assert digest[:16] == DEMODULATE_DIGESTS[key]
+
+
+def _truncated_reference(x, cfg):
+    """Decision statistics by an explicit loop over frames, each window
+    cut at its frame's end, after the configured ADC."""
+    rate = cfg.sample_rate
+    tpl = cfg.template.samples
+    if cfg.datapath is not None:
+        x = quantize_array(x, cfg.datapath)
+        tpl = quantize_array(tpl, cfg.datapath)
+    frame, chip = cfg.frame_len, cfg.chip_len
+    shift = round(cfg.mod.delta * rate)
+    out = []
+    for j in range(len(x) // frame):
+        base = j * frame
+        s = cfg.code.offsets[j % len(cfg.code)] * chip
+
+        def corr(start):
+            w = min(len(tpl), frame - start)
+            return x[base + start:base + start + w] @ tpl[:w]
+
+        if cfg.mod.scheme == "bpam":
+            out.append(corr(s))
+        elif cfg.mod.scheme == "ppm":
+            out.append(corr(s + shift) - corr(s))
+        else:
+            w = cfg.window_len
+            seg = x[base + s:base + s + w]
+            out.append(seg @ seg / rate - cfg.threshold)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("quantized", [False, True], ids=["float", "q12"])
+@pytest.mark.parametrize("scheme", ["ook", "bpam", "ppm"])
+def test_window_truncated_at_frame_end(scheme, quantized):
+    # A ramp template keeps its largest sample last, so the one sample
+    # a last-chip window loses at the frame end carries real weight
+    # (the monocycle's final sample is ~1e-23 of its peak).
+    ramp = np.linspace(1.0, 2.0, 121)
+    ramp *= math.sqrt(RATE / (ramp @ ramp))
+    cfg = replace(_edge_receiver(scheme), template=SampledSignal(ramp, RATE))
+    if scheme != "ook":
+        # the last-chip window really does reach past the frame
+        last = (cfg.params.n_c - 1) * cfg.chip_len
+        assert last + cfg.window_len == cfg.frame_len + 1
+    bits = random_bits(31, 60)
+    clean = _clean(bits, cfg)
+    np.testing.assert_allclose(
+        simulate_block(bits, cfg, cfg, math.inf, noise_seed=0),
+        _truncated_reference(clean.samples, cfg),
+        rtol=1e-12,
+    )
+    noise = np.random.default_rng(32).standard_normal(len(clean))
+    rx = replace(clean, samples=clean.samples + 1e4 * noise)
+    if quantized:
+        peak = float(np.max(np.abs(rx.samples)))
+        cfg = replace(cfg, datapath=QuantizerConfig(12, peak))
+    np.testing.assert_allclose(
+        decision_statistics(rx, cfg),
+        _truncated_reference(rx.samples, cfg),
+        rtol=1e-9,
+        atol=1e-6 * float(np.max(np.abs(rx.samples))),
+    )
+
+
+@pytest.mark.parametrize("multipath", [False, True], ids=["awgn", "cm1"])
+@pytest.mark.parametrize("scheme", ["ook", "bpam", "ppm"])
+def test_window_noise_matches_full_waveform_noise(scheme, multipath):
+    cfg = _receiver(scheme)
+    channel = draw_channel(CM1_LIKE, rng_seed=3) if multipath else None
+    bits = random_bits(4, 5000)
+    clean = _clean(bits, cfg, channel)
+
+    # without noise the pipeline sees exactly the reference's samples;
+    # it stops at the last bit's frame, before the channel's tail
+    noiseless = decision_statistics(clean, cfg)[:len(bits)]
+    np.testing.assert_allclose(
+        simulate_block(bits, cfg, cfg, math.inf, 0, channel),
+        noiseless,
+        rtol=1e-12,
+        atol=1e-12,
+    )
+    # so the two differ only in the noise's contribution; comparing that
+    # part frame by frame keeps the bit mixture out of the KS test
+    ebn0_db = 4.0
+    windowed = simulate_block(bits, cfg, cfg, ebn0_db, 5, channel)
+    full = decision_statistics(
+        add_awgn(clean, ebn0_db, ENERGY_PER_BIT[scheme], 6), cfg
+    )[:len(bits)]
+    assert len(windowed) == len(full) == len(noiseless)
+    assert ks_2samp(windowed - noiseless, full - noiseless).pvalue > KS_ALPHA
+
+
+@pytest.mark.parametrize("scheme", ["ook", "bpam", "ppm"])
+def test_mismatched_receiver_matches_full_waveform_noise(scheme):
+    # After a one-sided reconfiguration the receiver reads the
+    # transmitter's waveform through its own, shorter frames: most of
+    # its windows see no pulse and take the closed-form noise-only
+    # statistic, and its last-chip windows are cut at the frame end.
+    tx = _receiver(scheme)
+    rx = _edge_receiver(scheme)
+    bits = random_bits(11, 5000)
+    clean = _clean(bits, tx)
+    noiseless = decision_statistics(clean, rx)[:len(bits)]
+    np.testing.assert_allclose(
+        simulate_block(bits, tx, rx, math.inf, 0), noiseless, rtol=1e-12
+    )
+    # with noise far below the signal, a window wrongly taken for
+    # noise-only would lose its pulse
+    np.testing.assert_allclose(
+        simulate_block(bits, tx, rx, 200.0, 12),
+        noiseless,
+        rtol=1e-6,
+        atol=1e-6 * float(np.max(np.abs(noiseless))),
+    )
+    ebn0_db = 4.0
+    windowed = simulate_block(bits, tx, rx, ebn0_db, 12)
+    full = decision_statistics(
+        add_awgn(clean, ebn0_db, ENERGY_PER_BIT[scheme], 13), rx
+    )[:len(bits)]
+    assert len(windowed) == len(full) == len(bits)
+    assert ks_2samp(windowed - noiseless, full - noiseless).pvalue > KS_ALPHA
+
+
+# Two chips per frame, every window in the last: the correlator
+# windows (template plus shift for PPM) reach one sample past the
+# frame's end. OOK keeps its 120-sample window inside the chip.
+LAST_CHIP_PARAMS = {
+    "ook": ThParams(t_c=3.6e-9, n_c=2),
+    "bpam": ThParams(t_c=2.4e-9, n_c=2),
+    "ppm": ThParams(t_c=3.6e-9, n_c=2),
+}
+LAST_CHIP_CODE = ThCode(offsets=(1,), code_id="last")
+
+
+@pytest.mark.parametrize("scheme", ["ook", "bpam", "ppm"])
+def test_noise_only_windows_match_full_waveform_noise(scheme):
+    # A silent transmitter (OOK sending zeros) leaves every window with
+    # noise alone, so every statistic takes the closed form. Half the
+    # template's energy sits in its last sample, which the frame end
+    # cuts off, so the cut changes the statistics' spread by a third
+    # or more. Levene's test checks the spread, KS the whole law.
+    tpl = np.zeros(121)
+    tpl[0] = tpl[-1] = math.sqrt(RATE / 2)
+    rx = replace(
+        _receiver(
+            scheme,
+            LAST_CHIP_PARAMS[scheme],
+            LAST_CHIP_CODE,
+            EDGE_DELTA,
+        ),
+        template=SampledSignal(tpl, RATE),
+    )
+    tx = replace(rx, mod=ModulationConfig("ook"))
+    bits = np.zeros(12_000, dtype=np.int64)
+    ebn0_db = 4.0
+    windowed = simulate_block(bits, tx, rx, ebn0_db, 31)
+    full = decision_statistics(
+        add_awgn(_clean(bits, tx), ebn0_db, ENERGY_PER_BIT["ook"], 32), rx
+    )
+    assert len(windowed) == len(full) == len(bits)
+    assert ks_2samp(windowed, full).pvalue > KS_ALPHA
+    assert levene(windowed, full).pvalue > KS_ALPHA
+
+
+def _brute_force_threshold(cfg, ebn0_db, eb, n, seed):
+    """The calibration estimator as defined: midpoint of the mean
+    energies of n noise-only and n pulse-plus-noise windows."""
+    rate = cfg.sample_rate
+    width = round(cfg.integration_window * rate)
+    tpl = cfg.template.samples[:width]
+    sigma = math.sqrt(0.5 * eb / 10 ** (ebn0_db / 10) * rate)
+    rng = np.random.default_rng(seed)
+    noise0 = sigma * rng.standard_normal((n, width))
+    noise1 = sigma * rng.standard_normal((n, width))
+    mean0 = np.mean(np.sum(noise0**2, axis=1)) / rate
+    mean1 = np.mean(np.sum((tpl + noise1) ** 2, axis=1)) / rate
+    return 0.5 * (mean0 + mean1)
+
+
+# At 20 dB the pulse-noise cross term dominates the threshold's spread;
+# at 0 dB the noise energy does.
+@pytest.mark.parametrize("ebn0_db", [0.0, 8.0, 20.0])
+def test_calibration_matches_brute_force_distribution(ebn0_db):
+    cfg = _receiver("ook")
+    reps, n = 1000, 100
+    drawn = [
+        calibrate_ook_threshold(cfg, ebn0_db, 0.5, n, seed)
+        for seed in range(reps)
+    ]
+    brute = [
+        _brute_force_threshold(cfg, ebn0_db, 0.5, n, 50_000 + seed)
+        for seed in range(reps)
+    ]
+    assert ks_2samp(drawn, brute).pvalue > KS_ALPHA
+
+
+def test_block_memory_stays_near_the_clean_waveform():
+    # default geometry: 4000 samples per frame, so the clean waveform of
+    # a block is 32 MB; noise for the whole block would add twice that
+    cfg = SweepConfig(scheme="bpam", ebn0_grid=(4.0,))
+    rcfg = ReceiverConfig(
+        mod=cfg.modulation,
+        params=cfg.params,
+        code=cfg.code,
+        template=sample_pulse(DEFAULT_PULSE, DEFAULT_SAMPLE_RATE),
+    )
+    bits = random_bits(7, BLOCK_BITS)
+    clean_bytes = 8 * BLOCK_BITS * rcfg.frame_len
+    tracemalloc.start()
+    try:
+        simulate_block(bits, rcfg, rcfg, 4.0, noise_seed=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * clean_bytes

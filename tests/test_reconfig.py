@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from uwbphy import (
+    DEFAULT_SAMPLE_RATE,
     CodeBank,
     FormatError,
     InvalidParams,
@@ -56,6 +57,15 @@ class TestPhyState:
                 code_bank=CodeBank(entries={"wide": WIDE}, active_id="wide"),
                 mod=make_mod("bpam"),
             )
+
+    def test_default_sample_rate(self):
+        state = PhyState(
+            params=ThParams(t_c=5e-9, n_c=8),
+            code_bank=CodeBank(entries={"wide": WIDE}, active_id="wide"),
+            mod=make_mod("bpam"),
+            pulse=FAST_PULSE,
+        )
+        assert state.sample_rate == DEFAULT_SAMPLE_RATE
 
     def test_negative_epoch(self):
         with pytest.raises(InvalidParams):
@@ -336,6 +346,11 @@ class TestRunSession:
     def test_non_binary_bits_rejected(self):
         with pytest.raises(InvalidParams):
             run_session([0, 1, 2], [], make_state())
+
+    @pytest.mark.parametrize("ebn0_db", [float("nan"), float("-inf")])
+    def test_non_finite_eb_n0_rejected(self, ebn0_db):
+        with pytest.raises(InvalidParams):
+            run_session([], [], make_state(), ebn0_db=ebn0_db)
 
     def test_ook_session_calibrates_itself(self):
         bits = random_bits(11, 300)
