@@ -234,7 +234,9 @@ def apply_channel(signal, ch):
 
     Tap delays are rounded to the nearest sample period. Sparse
     realizations are applied exactly tap by tap; dense ones via FFT
-    convolution (identical up to float rounding).
+    convolution (identical up to float rounding). The link pipeline,
+    receiver.simulate_block, applies it to the pulse template only;
+    applied to a whole waveform it is that pipeline's reference.
     """
     rate = signal.sample_rate
     d = np.rint(ch.delays() * rate).astype(np.int64)

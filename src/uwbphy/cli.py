@@ -15,8 +15,15 @@ import sys
 import numpy as np
 
 from .channel import CM1_LIKE, load_profile_file
-from .errors import PhyError
-from .framing import CodeBank, ThParams, generate_code, load_code_file, write_code_file
+from .errors import InvalidParams, PhyError
+from .framing import (
+    CodeBank,
+    ThParams,
+    check_seed,
+    generate_code,
+    load_code_file,
+    write_code_file,
+)
 from .harness import (
     PRESETS,
     SweepConfig,
@@ -109,6 +116,9 @@ def _cmd_compare(args):
 
 
 def _cmd_session(args):
+    check_seed(args.seed, "--seed")
+    if args.bits < 0:
+        raise InvalidParams(f"--bits must be >= 0, got {args.bits}")
     params = ThParams(t_c=args.tc * 1e-9, n_c=args.nc)
     if args.code_file is not None:
         bank = load_code_file(args.code_file, params)

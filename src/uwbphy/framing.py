@@ -125,11 +125,19 @@ def require_code(code, params):
         )
 
 
+def check_seed(seed, name="seed"):
+    """Raise InvalidParams for a negative seed, which numpy's seeding
+    would reject with a bare ValueError."""
+    if seed < 0:
+        raise InvalidParams(f"{name} must be >= 0, got {seed}")
+
+
 def generate_code(seed, length, params):
     """Draw a pseudo-random code, uniform over [0, n_c - 1] per frame.
 
     Deterministic: the same seed always yields the same code.
     """
+    check_seed(seed)
     if length < 1:
         raise InvalidParams(f"code length must be >= 1, got {length}")
     rng = np.random.default_rng(seed)

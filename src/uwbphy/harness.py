@@ -6,9 +6,12 @@ calibration random streams are all derived from the base seed, point
 index, and block index, so repeated runs are byte-identical. Work is
 done in blocks of BLOCK_BITS bits, each sent through
 receiver.simulate_block; in multipath mode each block sees a fresh
-channel realization. Noise is drawn only for the receiver's
-observation windows, and in quantized mode the ADC full scale is the
-peak over those observed samples. The receiver is genie-synchronized
+channel realization. The block pipeline builds the receiver's
+observation windows from the pulse layout and the channel-filtered
+pulse, so a block costs memory in proportion to its bits and window
+width, never to its frame length. Noise is drawn only for those
+windows, and in quantized mode the ADC full scale is the peak over
+the observed samples. The receiver is genie-synchronized
 (zero timing offset); matched-filter acquisition is exercised
 separately.
 
@@ -24,7 +27,7 @@ import numpy as np
 
 from .channel import check_ebn0, draw_channel
 from .errors import FormatError, GridMismatch, InvalidParams
-from .framing import DEFAULT_PARAMS, generate_code
+from .framing import DEFAULT_PARAMS, check_seed, generate_code
 from .receiver import (
     ReceiverConfig,
     calibrate_ook_threshold,
@@ -98,6 +101,14 @@ class SweepConfig:
                     f"got {self.quant_bits!r}"
                 )
             object.__setattr__(self, "quant_bits", int(self.quant_bits))
+            # a 1-bit ADC maps every sample to +/- half a step, so every
+            # window has the same energy and OOK cannot tell bits apart
+            if self.scheme == OOK and self.quant_bits == 1:
+                raise InvalidParams(
+                    "OOK needs an ADC of at least 2 bits: at 1 bit every "
+                    "window energy is the same"
+                )
+        check_seed(self.base_seed, "base_seed")
         if self.code is None:
             object.__setattr__(
                 self,

@@ -21,15 +21,20 @@ quantized mode in which the window samples and the template pass
 through the same ADC model before correlation; accumulators stay in
 double precision either way.
 
-simulate_block runs one block over the link: it places the clean
-transmit waveform, applies the channel, gathers the windows at the
-receiver's geometry and adds white noise to those windows only. With
-white noise the window samples are a sufficient statistic for the
-decision, so noise anywhere else would never be read. On the
-floating-point datapath without a channel, a window no pulse reaches
-skips even that: its statistic is drawn from its closed-form law. The
-result equals add_awgn on the whole waveform followed by demodulate
-in distribution, not sample for sample.
+simulate_block runs one block over the link without building the
+block's waveform. The transmitter's pulse layout says where each
+pulse starts; the template, cut where the frame end cuts it and
+convolved once with the channel, is the received pulse g. Each window
+the receiver reads at its own geometry is the sum of the received
+pulses that reach into it, a handful per window even on CM1, and
+white noise is added to those windows only. With white noise the
+window samples are a sufficient statistic for the decision, so noise
+anywhere else would never be read. On the floating-point datapath
+without a channel, a window no pulse reaches skips even that: its
+statistic is drawn from its closed-form law. The result equals
+place_pulse_train, apply_channel, add_awgn and demodulate on the whole
+block in distribution, not sample for sample; without noise it equals
+them up to float rounding in multipath sums.
 """
 
 import math
@@ -211,15 +216,13 @@ def _inside(cfg, starts):
     return np.arange(width) < (cfg.frame_len - starts)[:, None]
 
 
-def _windows(x, cfg, offset, frames=None):
-    """Gather the observation windows of the given frames of x counted
-    from offset (default: every whole frame): an (n_frames, W) matrix,
-    plus the mask of its samples that lie inside their own frame (None
-    when all do). Samples past a frame's end hold arbitrary values
-    until _statistics zeroes them."""
+def _windows(x, cfg, offset):
+    """Gather the observation windows of every whole frame of x counted
+    from offset: an (n_frames, W) matrix, plus the mask of its samples
+    that lie inside their own frame (None when all do). Samples past a
+    frame's end hold arbitrary values until _statistics zeroes them."""
     frame_len = cfg.frame_len
-    if frames is None:
-        frames = np.arange(max((len(x) - offset) // frame_len, 0))
+    frames = np.arange(max((len(x) - offset) // frame_len, 0))
     starts = _window_starts(cfg, frames)
     inside = _inside(cfg, starts)
     idx = (offset + frame_len * frames + starts)[:, None] + np.arange(
@@ -315,8 +318,9 @@ def demod_ook(rx, cfg, sync=GENIE_SYNC):
 def simulate_block(bits, tx, rx, ebn0_db, noise_seed, channel=None,
                    agc_bits=None):
     """Send bits over the link and return the receiver's decision
-    statistics, one per whole receiver frame of the waveform, for at
-    most len(bits) frames: frames past the last bit are never read.
+    statistics, one per whole receiver frame of the received waveform
+    (the transmitted frames plus the channel's spread), for at most
+    len(bits) frames: frames past the last bit are never read.
 
     tx is the transmitting end's configuration (its modulation, frame
     geometry, code and template place the pulses); rx is the receiving
@@ -326,6 +330,13 @@ def simulate_block(bits, tx, rx, ebn0_db, noise_seed, channel=None,
     agc_bits selects a quantized datapath whose full scale is the peak
     observed sample.
 
+    The windows are built from the pulse layout, never from a block
+    waveform: each is the sum of the received pulses that reach into
+    it (see _received_pulses), so the work and memory follow the number
+    of windows and their width, not the frame length. The result
+    equals place_pulse_train, apply_channel and decision_statistics on
+    the whole block, up to float rounding in multipath sums.
+
     On the floating-point datapath without a channel, a window that no
     transmitted pulse reaches holds noise alone, and its statistic is
     drawn from its closed-form law (_noise_statistics) instead of from
@@ -333,44 +344,102 @@ def simulate_block(bits, tx, rx, ebn0_db, noise_seed, channel=None,
     such, so the cost of a mismatched segment barely depends on how
     many frames the receiver's geometry fits into it.
     """
-    sig = place_pulse_train(bits, tx.mod, tx.params, tx.code, tx.template)
-    if channel is not None:
-        sig = apply_channel(sig, channel)
-    _check_rx(sig, rx)
-    eb = ENERGY_PER_BIT[tx.mod.scheme]
-    sigma = noise_sigma(ebn0_db, eb, sig.sample_rate)
-    frames = np.arange(min(len(sig) // rx.frame_len, len(bits)))
+    _check_rx(tx, rx)
+    first, kind, shapes = _received_pulses(bits, tx, channel)
+    reach_len = shapes.shape[1]
+    spread = reach_len - len(tx.template)
+    n_bits = len(bits)
+    frames = np.arange(
+        min((n_bits * tx.frame_len + spread) // rx.frame_len, n_bits)
+    )
+    width = rx.window_len
+    begin = rx.frame_len * frames + _window_starts(rx, frames)
+    # pulse starts q grow with the bit index, so the pulses reaching
+    # into a window [p, p + W) are the run with q + len(g) > p and
+    # q < p + W
+    lo = np.searchsorted(first + reach_len, begin, side="right")
+    reach = np.maximum(np.searchsorted(first, begin + width) - lo, 0)
     if channel is None and agc_bits is None and rx.datapath is None:
-        hit = _reached_by_pulse(bits, tx, rx, frames)
+        hit = reach > 0
     else:
         hit = np.ones(len(frames), dtype=bool)
-    win, inside = _windows(sig.samples, rx, 0, frames[hit])
-    del sig
+    win = _build_windows(
+        first, kind, shapes, begin[hit], lo[hit], reach[hit], width
+    )
+    inside = _inside(rx, _window_starts(rx, frames[hit]))
+    eb = ENERGY_PER_BIT[tx.mod.scheme]
+    sigma = noise_sigma(ebn0_db, eb, rx.sample_rate)
     rng = np.random.default_rng(noise_seed)
     if sigma > 0.0:
         noise = rng.standard_normal(win.shape)
         noise *= sigma
         win += noise
+        del noise
     stats = np.empty(len(frames))
     stats[hit] = _statistics(win, inside, rx, agc_bits)
     stats[~hit] = _noise_statistics(rng, sigma, frames[~hit], rx)
     return stats
 
 
-def _reached_by_pulse(bits, tx, rx, frames):
-    """Which rx windows of the given frames overlap the support of a
-    pulse tx sends for bits (no channel)."""
+def _received_pulses(bits, tx, channel):
+    """The pulses tx sends for bits, as the receiver gets them.
+
+    Returns, for every pulse of nonzero amplitude, its first sample
+    (counted from the block's start) and the row of its received shape,
+    and the shapes: one row per amplitude and width the frame end leaves
+    the template (see place_pulse_train), each put through the channel
+    and zero-padded to the received length of the uncut template.
+    """
     starts, amps = pulse_layout(
         bits, tx.mod, tx.params, tx.code, tx.sample_rate
     )
-    first = (tx.frame_len * np.arange(len(starts)) + starts)[amps != 0.0]
-    begin = rx.frame_len * frames + _window_starts(rx, frames)
-    if not len(first):
-        return np.zeros(len(frames), dtype=bool)
-    # pulses never overlap, so the last one to start before a window
-    # ends is the last one that can reach into it
-    last = np.searchsorted(first, begin + rx.window_len) - 1
-    return (last >= 0) & (first[np.maximum(last, 0)] + len(tx.template) > begin)
+    template = tx.template
+    tpl = template.samples
+    sent = amps != 0.0
+    first = (tx.frame_len * np.arange(len(starts)) + starts)[sent]
+    widths, width_of = np.unique(
+        np.minimum(len(tpl), tx.frame_len - starts[sent]), return_inverse=True
+    )
+    levels, level_of = np.unique(amps[sent], return_inverse=True)
+    full = tpl if channel is None else apply_channel(template, channel).samples
+    shapes = np.zeros((len(widths) * len(levels), len(full)))
+    grid = shapes.reshape(len(widths), len(levels), len(full))
+    for w, rows in zip(widths, grid):
+        if w == len(tpl):
+            g = full
+        elif channel is None:
+            g = tpl[:w]
+        else:
+            g = apply_channel(SampledSignal(tpl[:w], template.sample_rate),
+                              channel).samples
+        np.multiply(levels[:, None], g, out=rows[:, :len(g)])
+    return first, width_of * len(levels) + level_of, shapes
+
+
+def _build_windows(first, kind, shapes, begin, lo, reach, width):
+    """Received signal over the windows [begin, begin + width): an
+    (len(begin), width) matrix. Window r is reached by the pulses
+    lo[r] .. lo[r] + reach[r] - 1 of first/kind (see _received_pulses);
+    a window no pulse reaches is zero."""
+    padded = np.pad(shapes, ((0, 0), (width, width)))
+    # view[k, j] is padded[k, j:j + width]: the received shape k as seen
+    # from a window starting j - width samples after the pulse
+    view = np.lib.stride_tricks.sliding_window_view(padded, width, axis=1)
+
+    def pulse(rows, step):
+        i = lo[rows] + step
+        return view[kind[i], begin[rows] - first[i] + width]
+
+    if reach.all():
+        win = pulse(slice(None), 0)
+    else:
+        win = np.zeros((len(begin), width))
+        rows = np.flatnonzero(reach)
+        win[rows] = pulse(rows, 0)
+    for step in range(1, reach.max(initial=0)):
+        rows = np.flatnonzero(reach > step)
+        win[rows] += pulse(rows, step)
+    return win
 
 
 def _noise_statistics(rng, sigma, frames, cfg):

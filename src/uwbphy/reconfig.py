@@ -26,7 +26,13 @@ from .errors import (
     PhyError,
     StaleRequest,
 )
-from .framing import CodeBank, ThParams, chip_samples, require_code
+from .framing import (
+    CodeBank,
+    ThParams,
+    check_seed,
+    chip_samples,
+    require_code,
+)
 from .receiver import (
     ReceiverConfig,
     calibrate_ook_threshold,
@@ -244,9 +250,11 @@ def run_session(bits, schedule, initial_state, ebn0_db=math.inf,
     mismatched frames; noise is drawn for the windows it observes.
 
     apply_reconfiguration failures propagate with the offending request
-    index prepended. A NaN or -inf ebn0_db raises InvalidParams.
+    index prepended. A NaN or -inf ebn0_db and a negative rng_seed
+    raise InvalidParams.
     """
     check_ebn0(ebn0_db)
+    check_seed(rng_seed, "rng_seed")
     bits_arr = np.asarray(bits, dtype=np.int64).ravel()
     if bits_arr.size and not np.isin(bits_arr, (0, 1)).all():
         raise InvalidParams("bits must contain only 0 and 1")

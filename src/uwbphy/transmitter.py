@@ -67,9 +67,18 @@ def delta_samples(mod, sample_rate):
 
 def check_pulse_fits(mod, params, template):
     """Raise ConfigConflict unless pulse duration + delta <= t_c, i.e.
-    a pulse never leaks outside its chip."""
+    a pulse never leaks outside its chip, and unless a PPM shift spans
+    at least one sample: a shift that rounds to none puts both PPM
+    positions on the same samples, and every bit would decode as 1."""
+    shift = delta_samples(mod, template.sample_rate)
+    if mod.scheme == PPM and shift == 0:
+        raise ConfigConflict(
+            f"PPM shift {mod.delta:g} s rounds to 0 samples at "
+            f"{template.sample_rate:g} S/s; use a shift of at least one "
+            f"sample period"
+        )
     chip = chip_samples(params, template.sample_rate)
-    need = (len(template) - 1) + delta_samples(mod, template.sample_rate)
+    need = (len(template) - 1) + shift
     if need > chip:
         raise ConfigConflict(
             f"pulse support plus PPM shift spans {need} samples but the "
@@ -96,7 +105,8 @@ def place_pulse_train(bits, mod, params, code, template):
     """Lay a pre-sampled unit-energy template into a time-hopped frame
     sequence according to the bits. Returns a signal of exactly
     len(bits) * t_f seconds; see module docstring for the per-scheme
-    placement rules."""
+    placement rules. The link pipeline reads the same placement from
+    pulse_layout without building this waveform."""
     bits_arr = _as_bits(bits)
     require_code(code, params)
     check_pulse_fits(mod, params, template)

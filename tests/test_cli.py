@@ -106,6 +106,15 @@ class TestSweepCommand:
         assert "Eb/N0" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["sweep", "compare"])
+    def test_negative_seed_exits_2(self, command, capsys):
+        rc = run([command, "--scheme", "bpam", "--ebn0", "0", "--bits",
+                  "1000", "--seed", "-1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "base_seed must be >= 0" in captured.err
+        assert captured.out == ""
+
     def test_unwritable_output_exits_3(self, capsys):
         rc = run(
             [
@@ -239,6 +248,22 @@ class TestSessionCommand:
         assert rc == 2
         assert "Eb/N0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            (["--bits", "-5"], "--bits must be >= 0"),
+            (["--seed", "-1"], "--seed must be >= 0"),
+        ],
+    )
+    def test_negative_bits_or_seed_exits_2(self, tmp_path, flag, message,
+                                          capsys):
+        script = self.write_script(tmp_path, "@10 set tc=20 signal=1\n")
+        rc = run(["session", "--script", script] + flag)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
     def test_byte_identical_reruns(self, tmp_path):
         script = self.write_script(tmp_path, "@300 set nc=16 signal=1\n")
         a = tmp_path / "a.csv"
@@ -291,6 +316,12 @@ class TestCodegenCommand:
         with pytest.raises(SystemExit) as exc:
             run(["codegen", "--nc", "4"])
         assert exc.value.code == 2
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        rc = run(["codegen", "--nc", "8", "--seed", "-3",
+                  "--out", str(tmp_path / "codes.txt")])
+        assert rc == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
 
     def test_bad_directory_exits_3(self, capsys):
         rc = run(["codegen", "--nc", "4", "--out", "/no/such/dir/codes.txt"])

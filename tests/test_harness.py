@@ -6,6 +6,7 @@ import pytest
 from uwbphy import (
     BerPoint,
     CM1_LIKE,
+    ConfigConflict,
     FormatError,
     GridMismatch,
     InvalidParams,
@@ -84,6 +85,25 @@ class TestSweepConfig:
         with pytest.raises(InvalidParams):
             fast_sweep(quant_bits=12.5)
         assert fast_sweep(quant_bits=np.int64(12)).quant_bits == 12
+
+    def test_ook_rejects_one_bit_adc(self):
+        # every 1-bit sample is +/- half a step, so every OOK window
+        # energy is the same and the decisions are coin flips
+        with pytest.raises(InvalidParams, match="OOK"):
+            fast_sweep(scheme="ook", quant_bits=1)
+        fast_sweep(scheme="ook", quant_bits=2)
+        fast_sweep(scheme="bpam", quant_bits=1)
+        fast_sweep(scheme="ppm", quant_bits=1)
+
+    def test_base_seed_must_be_non_negative(self):
+        with pytest.raises(InvalidParams, match="base_seed"):
+            fast_sweep(base_seed=-1)
+        fast_sweep(base_seed=0)
+
+    def test_ppm_shift_under_one_sample_is_rejected(self):
+        # a shift that rounds to 0 samples used to decode every bit as 1
+        with pytest.raises(ConfigConflict):
+            run_sweep(fast_sweep(scheme="ppm", grid=(8.0,), delta=1e-12))
 
     def test_default_code_is_generated(self):
         cfg = SweepConfig(scheme="bpam", ebn0_grid=(0.0,), n_bits_per_point=1000)

@@ -21,6 +21,7 @@ from scipy.stats import ks_2samp, levene
 
 from uwbphy import (
     CM1_LIKE,
+    ChannelRealization,
     DEFAULT_PULSE,
     DEFAULT_SAMPLE_RATE,
     ENERGY_PER_BIT,
@@ -346,3 +347,135 @@ def test_block_memory_stays_near_the_clean_waveform():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * clean_bytes
+
+
+# A sparse channel (at most 32 taps: apply_channel's exact tap-by-tap
+# path) and one whose excess delay spans more than five 1000-sample
+# FAST frames, so every window is reached by pulses of several frames.
+SHORT_CHANNEL = ChannelRealization(
+    taps=((0.0, 1.0), (0.9e-9, -0.6), (2.34e-9, 0.45), (5.5e-9, -0.3),
+          (13.1e-9, 0.2)),
+)
+LONG_CHANNEL = ChannelRealization(
+    taps=((0.0, 1.0), (7.3e-9, 0.5), (21.0e-9, -0.7), (48.6e-9, 0.4),
+          (77.7e-9, -0.35), (112.5e-9, 0.3)),
+)
+
+
+def _channel(name, seed=5):
+    if name == "short":
+        return SHORT_CHANNEL
+    return draw_channel(CM1_LIKE, seed)
+
+
+def _cut_receiver(scheme):
+    """The edge geometry with the ramp template: every pulse in the last
+    chip (and every shifted PPM pulse there) runs one sample past its
+    frame's end, and place_pulse_train cuts that sample off."""
+    ramp = np.linspace(1.0, 2.0, 121)
+    ramp *= math.sqrt(RATE / (ramp @ ramp))
+    params = EDGE_PPM_PARAMS if scheme == "ppm" else EDGE_BPAM_PARAMS
+    cfg = replace(
+        _receiver(scheme, params, EDGE_CODE, EDGE_DELTA),
+        template=SampledSignal(ramp, RATE),
+    )
+    last = (cfg.params.n_c - 1) * cfg.chip_len + round(cfg.mod.delta * RATE)
+    assert last + len(ramp) == cfg.frame_len + 1
+    return cfg
+
+
+def _noiseless_reference(bits, tx, rx, channel):
+    """Decision statistics of the whole received block: the clean
+    waveform through apply_channel, read by the public demodulator."""
+    return decision_statistics(_clean(bits, tx, channel), rx)[:len(bits)]
+
+
+def _assert_same_statistics(got, want):
+    assert len(got) == len(want)
+    np.testing.assert_allclose(
+        got, want, rtol=1e-12, atol=1e-12 * float(np.max(np.abs(want)))
+    )
+
+
+@pytest.mark.parametrize("channel", ["short", "cm1"])
+@pytest.mark.parametrize("scheme", ["ook", "bpam", "ppm"])
+def test_cut_pulses_through_channel_match_full_waveform(scheme, channel):
+    cfg = _cut_receiver(scheme)
+    ch = _channel(channel)
+    assert (len(ch.taps) <= 32) == (channel == "short")
+    bits = random_bits(41, 300)
+    _assert_same_statistics(
+        simulate_block(bits, cfg, cfg, math.inf, 0, ch),
+        _noiseless_reference(bits, cfg, cfg, ch),
+    )
+
+
+@pytest.mark.parametrize("rx_frames", ["shorter", "longer"])
+@pytest.mark.parametrize("channel", ["short", "cm1"])
+@pytest.mark.parametrize("scheme", ["ook", "bpam", "ppm"])
+def test_mismatched_receiver_through_channel_matches_full_waveform(
+    scheme, channel, rx_frames
+):
+    # a fault-injected session: the receiver reads the transmitter's
+    # received waveform through its own frames; with longer ones the
+    # channel's spread past the last bit holds whole receiver frames
+    tx, rx = _receiver(scheme), _cut_receiver(scheme)
+    if rx_frames == "longer":
+        tx, rx = rx, tx
+    ch = _channel(channel, seed=8)
+    bits = random_bits(42, 300)
+    _assert_same_statistics(
+        simulate_block(bits, tx, rx, math.inf, 0, ch),
+        _noiseless_reference(bits, tx, rx, ch),
+    )
+
+
+@pytest.mark.parametrize("scheme", ["ook", "bpam", "ppm"])
+def test_channel_spanning_several_frames_matches_full_waveform(scheme):
+    cfg = _receiver(scheme)
+    spread = round(LONG_CHANNEL.delays()[-1] * RATE)
+    assert spread >= 5 * cfg.frame_len
+    bits = random_bits(43, 400)
+    want = _noiseless_reference(bits, cfg, cfg, LONG_CHANNEL)
+    _assert_same_statistics(
+        simulate_block(bits, cfg, cfg, math.inf, 0, LONG_CHANNEL), want
+    )
+    # the same block on the cut edge geometry, through the same channel
+    # (more than twelve of its frames)
+    edge = _cut_receiver(scheme)
+    _assert_same_statistics(
+        simulate_block(bits, edge, edge, math.inf, 0, LONG_CHANNEL),
+        _noiseless_reference(bits, edge, edge, LONG_CHANNEL),
+    )
+
+
+@pytest.mark.parametrize(
+    "scheme, n_c, channel",
+    [("ppm", 8, True), ("bpam", 64, False)],
+    ids=["ppm-cm1", "bpam-nc64"],
+)
+def test_block_memory_follows_the_windows_not_the_frames(scheme, n_c, channel):
+    # at n_c = 64 a 1000-bit block's clean waveform is 256 MB; the
+    # windows it is read through are 1.6 MB
+    cfg = SweepConfig(
+        scheme=scheme,
+        ebn0_grid=(4.0,),
+        params=ThParams(t_c=10e-9, n_c=n_c),
+    )
+    rcfg = ReceiverConfig(
+        mod=cfg.modulation,
+        params=cfg.params,
+        code=cfg.code,
+        template=sample_pulse(DEFAULT_PULSE, DEFAULT_SAMPLE_RATE),
+    )
+    ch = draw_channel(CM1_LIKE, rng_seed=9) if channel else None
+    bits = random_bits(10, BLOCK_BITS)
+    tracemalloc.start()
+    try:
+        stats = simulate_block(bits, rcfg, rcfg, 4.0, 11, ch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    window_bytes = 8 * len(stats) * rcfg.window_len
+    assert len(stats) == BLOCK_BITS
+    assert peak < 6 * window_bytes

@@ -352,6 +352,10 @@ class TestRunSession:
         with pytest.raises(InvalidParams):
             run_session([], [], make_state(), ebn0_db=ebn0_db)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidParams, match="rng_seed"):
+            run_session([0, 1], [], make_state(), ebn0_db=6.0, rng_seed=-1)
+
     def test_ook_session_calibrates_itself(self):
         bits = random_bits(11, 300)
         result = run_session(bits, [], make_state(scheme="ook"))

@@ -200,3 +200,14 @@ class TestConfigConflicts:
                 FAST_PULSE,
                 51e9,  # 270.3 samples per chip: off grid
             )
+
+    def test_ppm_shift_under_one_sample(self, fast_params, fast_code):
+        # 1 ps is 0.05 samples at 50 GS/s: both PPM positions would read
+        # the same samples and every bit would decode as 1
+        mod = ModulationConfig(scheme="ppm", delta=1e-12)
+        assert delta_samples(mod, RATE) == 0
+        with pytest.raises(ConfigConflict, match="rounds to 0 samples"):
+            modulate([1, 0], mod, fast_params, fast_code, FAST_PULSE, RATE)
+        # 0.6 of a sample period rounds to one sample and is accepted
+        one = ModulationConfig(scheme="ppm", delta=0.6 / RATE)
+        modulate([1, 0], one, fast_params, fast_code, FAST_PULSE, RATE)
