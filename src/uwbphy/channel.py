@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import oaconvolve
 
-from .errors import FormatError, InvalidParams
+from .errors import FormatError, InvalidParams, read_lines
 from .waveform import SampledSignal
 
 # At or below this tap count a realization is applied by direct
@@ -66,9 +66,10 @@ class SvProfile:
             "mean_clusters",
             "max_excess_delay",
         ):
-            if not getattr(self, name) > 0.0:
+            if not 0.0 < getattr(self, name) < math.inf:
                 raise InvalidParams(
-                    f"{name} must be positive, got {getattr(self, name)}"
+                    f"{name} must be positive and finite, got "
+                    f"{getattr(self, name)}"
                 )
 
 
@@ -99,8 +100,7 @@ def load_profile_file(path, base=CM1_LIKE):
     Unknown keys are rejected. Blank lines and `#` comments are skipped.
     Values are in the SvProfile units (ns-based).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
+    lines = read_lines(path)
     fields = {k: getattr(base, k) for k in _PROFILE_KEYS}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -294,8 +294,8 @@ def add_awgn(signal, ebn0_db, energy_per_bit, rng_seed):
 
     Per-sample deviation is noise_sigma(). A zero deviation (the +inf
     no-noise sentinel) returns the input unchanged. The link pipeline,
-    receiver.simulate_block, draws noise only for the samples the
-    receiver observes; this full-waveform form is its reference.
+    receiver.simulate_block, adds noise only where the receiver looks;
+    this full-waveform form is its reference.
     """
     sigma = noise_sigma(ebn0_db, energy_per_bit, signal.sample_rate)
     if sigma == 0.0:

@@ -158,6 +158,8 @@ def _cmd_session(args):
 
 
 def _cmd_codegen(args):
+    if args.count < 1:
+        raise InvalidParams(f"--count must be >= 1, got {args.count}")
     params = ThParams(t_c=10e-9, n_c=args.nc)
     codes = [
         generate_code(args.seed + i, args.length, params)

@@ -3,7 +3,8 @@
 Everything raised on purpose by this package derives from PhyError so
 callers can catch configuration and protocol failures with a single
 except clause while letting genuine bugs (TypeError, etc.) propagate.
-I/O failures are deliberately left as OSError.
+I/O failures are deliberately left as OSError; a text file that is not
+UTF-8 is a FormatError (read_lines).
 """
 
 
@@ -57,3 +58,14 @@ class GridMismatch(PhyError):
 class FormatError(PhyError):
     """An external text file (code bank, channel profile, reconfig
     script) failed to parse."""
+
+
+def read_lines(path):
+    """The lines of the UTF-8 text file that a parser reads. A file that
+    does not decode raises FormatError rather than UnicodeDecodeError,
+    a ValueError the parsers' callers would not expect."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None

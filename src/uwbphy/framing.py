@@ -7,12 +7,19 @@ aggregate slot rate is n_c / t_f = 1 / t_c, which is what data_rate
 returns.
 """
 
+import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigConflict, FormatError, InvalidParams, UnknownCode
+from .errors import (
+    ConfigConflict,
+    FormatError,
+    InvalidParams,
+    UnknownCode,
+    read_lines,
+)
 
 # A chip boundary may drift from the sample grid by at most this many
 # samples before the config is rejected as off-grid.
@@ -30,8 +37,10 @@ class ThParams:
     n_c: int
 
     def __post_init__(self):
-        if not self.t_c > 0.0:
-            raise InvalidParams(f"t_c must be positive, got {self.t_c}")
+        if not 0.0 < self.t_c < math.inf:
+            raise InvalidParams(
+                f"t_c must be positive and finite, got {self.t_c}"
+            )
         if not isinstance(self.n_c, (int, np.integer)) or self.n_c < 2:
             raise InvalidParams(f"n_c must be an integer >= 2, got {self.n_c}")
         object.__setattr__(self, "n_c", int(self.n_c))
@@ -213,8 +222,7 @@ def load_code_file(path, params):
     starting with `#` are skipped. Offsets outside [0, n_c - 1] are
     rejected at load time. The first code becomes the active one.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
+    lines = read_lines(path)
     entries = {}
     first_id = None
     for lineno, raw in enumerate(lines, start=1):

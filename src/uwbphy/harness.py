@@ -9,11 +9,13 @@ receiver.simulate_block; in multipath mode each block sees a fresh
 channel realization. The block pipeline builds the receiver's
 observation windows from the pulse layout and the channel-filtered
 pulse, so a block costs memory in proportion to its bits and window
-width, never to its frame length. Noise is drawn only for those
-windows, and in quantized mode the ADC full scale is the peak over
-the observed samples. The receiver is genie-synchronized
-(zero timing offset); matched-filter acquisition is exercised
-separately.
+width, never to its frame length. On the floating-point datapath no
+noise sample is drawn: each frame's statistic gets its noise term from
+the term's exact law, one or two variates per frame. In quantized mode
+noise is drawn for the window samples, which then pass through the ADC
+with its full scale at the peak observed sample. The receiver is
+genie-synchronized (zero timing offset); matched-filter acquisition is
+exercised separately.
 
 The sweep axis is Eb/N0. With unit-energy pulses BPAM and PPM spend one
 energy unit per bit; OOK transmits nothing for a 0, so its
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import check_ebn0, draw_channel
-from .errors import FormatError, GridMismatch, InvalidParams
+from .errors import FormatError, GridMismatch, InvalidParams, read_lines
 from .framing import DEFAULT_PARAMS, check_seed, generate_code
 from .receiver import (
     ReceiverConfig,
@@ -263,8 +265,7 @@ def emit_csv(points, path, meta=None):
 
 def read_csv(path):
     """Parse a file written by emit_csv back into BerPoint objects."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    lines = [ln.rstrip("\n") for ln in read_lines(path)]
     rows = [ln for ln in lines if ln and not ln.startswith("#")]
     if not rows or rows[0] != CSV_HEADER:
         raise FormatError(f"{path}: missing header {CSV_HEADER!r}")

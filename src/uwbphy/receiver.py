@@ -26,15 +26,18 @@ block's waveform. The transmitter's pulse layout says where each
 pulse starts; the template, cut where the frame end cuts it and
 convolved once with the channel, is the received pulse g. Each window
 the receiver reads at its own geometry is the sum of the received
-pulses that reach into it, a handful per window even on CM1, and
-white noise is added to those windows only. With white noise the
-window samples are a sufficient statistic for the decision, so noise
-anywhere else would never be read. On the floating-point datapath
-without a channel, a window no pulse reaches skips even that: its
-statistic is drawn from its closed-form law. The result equals
-place_pulse_train, apply_channel, add_awgn and demodulate on the whole
-block in distribution, not sample for sample; without noise it equals
-them up to float rounding in multipath sums.
+pulses that reach into it, a handful per window even on CM1. With
+white noise the window samples are a sufficient statistic for the
+decision, so noise anywhere else would never be read. On the
+floating-point datapath the statistic is linear in the noise for BPAM
+and PPM and a noncentral chi-square for OOK, so no noise sample is
+drawn at all: each frame's statistic is the clean window's plus a
+noise term from its exact law, one or two variates per frame. The
+quantized datapath adds white noise to the window samples, which then
+pass through the ADC. The result equals place_pulse_train,
+apply_channel, add_awgn and demodulate on the whole block in
+distribution, not sample for sample; without noise it equals them up
+to float rounding in multipath sums.
 """
 
 import math
@@ -337,12 +340,11 @@ def simulate_block(bits, tx, rx, ebn0_db, noise_seed, channel=None,
     equals place_pulse_train, apply_channel and decision_statistics on
     the whole block, up to float rounding in multipath sums.
 
-    On the floating-point datapath without a channel, a window that no
-    transmitted pulse reaches holds noise alone, and its statistic is
-    drawn from its closed-form law (_noise_statistics) instead of from
-    W noise samples. After a one-sided reconfiguration most windows are
-    such, so the cost of a mismatched segment barely depends on how
-    many frames the receiver's geometry fits into it.
+    On the floating-point datapath no noise sample is drawn: each
+    statistic is the clean window's plus its noise term drawn from the
+    exact law (_noise_terms), one normal per frame and, for OOK, one
+    chi-square. The quantized datapath adds W noise samples to each
+    window before the ADC, since quantization is not linear.
     """
     _check_rx(tx, rx)
     first, kind, shapes = _received_pulses(bits, tx, channel)
@@ -359,26 +361,22 @@ def simulate_block(bits, tx, rx, ebn0_db, noise_seed, channel=None,
     # q < p + W
     lo = np.searchsorted(first + reach_len, begin, side="right")
     reach = np.maximum(np.searchsorted(first, begin + width) - lo, 0)
-    if channel is None and agc_bits is None and rx.datapath is None:
-        hit = reach > 0
-    else:
-        hit = np.ones(len(frames), dtype=bool)
-    win = _build_windows(
-        first, kind, shapes, begin[hit], lo[hit], reach[hit], width
-    )
-    inside = _inside(rx, _window_starts(rx, frames[hit]))
+    win = _build_windows(first, kind, shapes, begin, lo, reach, width)
+    inside = _inside(rx, _window_starts(rx, frames))
     eb = ENERGY_PER_BIT[tx.mod.scheme]
     sigma = noise_sigma(ebn0_db, eb, rx.sample_rate)
     rng = np.random.default_rng(noise_seed)
+    if agc_bits is None and rx.datapath is None:
+        stats = _statistics(win, inside, rx)
+        if sigma > 0.0:
+            stats += _noise_terms(rng, sigma, win, inside, rx)
+        return stats
     if sigma > 0.0:
         noise = rng.standard_normal(win.shape)
         noise *= sigma
         win += noise
         del noise
-    stats = np.empty(len(frames))
-    stats[hit] = _statistics(win, inside, rx, agc_bits)
-    stats[~hit] = _noise_statistics(rng, sigma, frames[~hit], rx)
-    return stats
+    return _statistics(win, inside, rx, agc_bits)
 
 
 def _received_pulses(bits, tx, channel):
@@ -442,21 +440,27 @@ def _build_windows(first, kind, shapes, begin, lo, reach, width):
     return win
 
 
-def _noise_statistics(rng, sigma, frames, cfg):
-    """Decision statistics of the windows of the given frames when they
-    hold white noise of per-sample deviation sigma and nothing else,
-    drawn from their exact law rather than from W samples each: the
-    energy of w samples is sigma^2 chi2(w), and a correlation with
-    coefficients c is N(0, sigma^2 |c|^2), where c is the template for
-    BPAM and the shifted minus the nominal template for PPM. Samples
-    past a frame's end do not count, as in _statistics."""
-    n = len(frames)
-    width = cfg.window_len
-    inside = _inside(cfg, _window_starts(cfg, frames))
+def _noise_terms(rng, sigma, win, inside, cfg):
+    """What white noise of per-sample deviation sigma adds to the
+    floating-point decision statistics of the clean windows win, drawn
+    from its exact law rather than from W samples per window. win must
+    have its samples past the frame end zeroed, as _statistics leaves
+    it; those samples do not count here either.
+
+    A correlation with coefficients c gains N(0, sigma^2 |c|^2), where c
+    is the template for BPAM and the shifted minus the nominal template
+    for PPM. The energy of a window s of w samples becomes
+    (|s| + sigma u)^2 + sigma^2 chi2(w - 1), with u ~ N(0, 1) the noise
+    along s. One normal per window, then for OOK one chi-square.
+    """
+    n, width = win.shape
+    z = rng.standard_normal(n)
     if cfg.mod.scheme == OOK:
         w = width if inside is None else np.count_nonzero(inside, axis=1)
-        energy = _chi2(rng, w, n) * (sigma * sigma / cfg.sample_rate)
-        return energy - cfg.threshold
+        norm = np.sqrt(np.einsum("ij,ij->i", win, win))
+        extra = sigma * z * (2.0 * norm + sigma * z)
+        extra += sigma * sigma * _chi2(rng, w - 1, n)
+        return extra / cfg.sample_rate
     tpl = cfg.template.samples
     coef = np.zeros(width)
     coef[width - len(tpl):] = tpl
@@ -467,7 +471,7 @@ def _noise_statistics(rng, sigma, frames, cfg):
         norm2 = power.sum()
     else:
         norm2 = np.where(inside, power, 0.0).sum(axis=1)
-    return sigma * np.sqrt(norm2) * rng.standard_normal(n)
+    return sigma * np.sqrt(norm2) * z
 
 
 def _chi2(rng, df, size=None):

@@ -25,6 +25,7 @@ from .errors import (
     InvalidParams,
     PhyError,
     StaleRequest,
+    read_lines,
 )
 from .framing import (
     CodeBank,
@@ -247,7 +248,8 @@ def run_session(bits, schedule, initial_state, ebn0_db=math.inf,
 
     The receiver reads every segment at its own parameters, so after a
     one-sided reconfiguration it sees the transmitter's waveform through
-    mismatched frames; noise is drawn for the windows it observes.
+    mismatched frames; noise enters only the windows it observes (see
+    receiver.simulate_block).
 
     apply_reconfiguration failures propagate with the offending request
     index prepended. A NaN or -inf ebn0_db and a negative rng_seed
@@ -307,8 +309,7 @@ def load_reconfig_script(path):
     tc is in nanoseconds. Blank lines and `#` comments are skipped.
     Parse errors carry the line number.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
+    lines = read_lines(path)
     requests = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -319,7 +320,6 @@ def load_reconfig_script(path):
             raise FormatError(
                 f"{path}:{lineno}: expected `@<frame> set key=value ...`"
             )
-        frame = int(m.group(1))
         fields = {"tc": None, "nc": None, "code": None, "signal": None}
         for token in m.group(2).split():
             key, sep, value = token.partition("=")
@@ -335,7 +335,7 @@ def load_reconfig_script(path):
             )
         try:
             req = ReconfigRequest(
-                effective_frame=frame,
+                effective_frame=int(m.group(1)),
                 new_t_c=None if fields["tc"] is None else float(fields["tc"]) * 1e-9,
                 new_n_c=None if fields["nc"] is None else int(fields["nc"]),
                 new_code_id=fields["code"],

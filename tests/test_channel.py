@@ -284,6 +284,8 @@ class TestProfiles:
             SvProfile(0.0, 1.0, 1.0, 1.0, 1.0, 1.0)
         with pytest.raises(InvalidParams):
             SvProfile(1.0, 1.0, 1.0, 1.0, 1.0, -5.0)
+        with pytest.raises(InvalidParams, match="finite"):
+            SvProfile(1.0, 1.0, 1.0, 1.0, 1.0, math.inf)
 
     def test_load_partial_override(self, tmp_path):
         path = tmp_path / "p.txt"

@@ -323,7 +323,35 @@ class TestCodegenCommand:
         assert rc == 2
         assert "seed must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_no_codes_exits_2(self, tmp_path, count, capsys):
+        out = tmp_path / "codes.txt"
+        rc = run(["codegen", "--nc", "8", "--count", count, "--out", str(out)])
+        assert rc == 2
+        assert "--count must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_directory_exits_3(self, capsys):
         rc = run(["codegen", "--nc", "4", "--out", "/no/such/dir/codes.txt"])
         assert rc == 3
         assert "i/o error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--script", "--code-file", "--profile-file"])
+def test_input_file_not_utf8_exits_2(tmp_path, flag, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe@10 set tc=20 signal=1\n")
+    script = tmp_path / "plan.txt"
+    script.write_text("@10 set tc=20 signal=1\n")
+    argv = {
+        "--script": ["session", "--script", str(bad)],
+        "--code-file": ["session", "--script", str(script),
+                        "--code-file", str(bad)],
+        "--profile-file": ["sweep", "--scheme", "bpam", "--ebn0", "0",
+                           "--channel", "multipath", "--profile-file",
+                           str(bad)],
+    }[flag]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert "not UTF-8" in captured.err
+    assert captured.out == ""

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -25,6 +27,11 @@ class TestThParams:
     def test_tc_positive(self):
         with pytest.raises(InvalidParams):
             ThParams(t_c=0.0, n_c=4)
+
+    @pytest.mark.parametrize("t_c", [math.inf, math.nan])
+    def test_tc_finite(self, t_c):
+        with pytest.raises(InvalidParams, match="finite"):
+            ThParams(t_c=t_c, n_c=4)
 
     def test_nc_at_least_two(self):
         with pytest.raises(InvalidParams):

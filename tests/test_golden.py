@@ -19,17 +19,17 @@ RUNS = {
     "sweep-ook-awgn": (
         ["sweep", "--scheme", "ook", "--ebn0", "0,4,8", "--bits", "2000",
          "--seed", "5"],
-        "aee1fbcd45ce04e85de7e7552b5094ac2c8dc93c1cb1095d31f43fd4cf6a7430",
+        "397d111575a4365919b75215ecf204343f92cc25804d707c7899e8d2970673cb",
     ),
     "sweep-bpam-awgn": (
         ["sweep", "--scheme", "bpam", "--ebn0", "0,4,8", "--bits", "2000",
          "--seed", "5"],
-        "c886acc79b04721dd69b7bf96a03207b0cd861550d8ecdf3ce1edeca861cc447",
+        "b8222127bdfced818b1f54b845c753ab68213c555ea10fd2f786027b8196d973",
     ),
     "sweep-ppm-awgn": (
         ["sweep", "--scheme", "ppm", "--ebn0", "0,4,8", "--bits", "2000",
          "--seed", "5"],
-        "29a3c1ede3e2c89e596be394c18003f4e2c7005dea30076a1a3e2c16ed9169f5",
+        "4c960e868e677d40fb2d8b6d46c56b2ba48c7d54e5bfbb4669c937fe175e3a6a",
     ),
     "sweep-bpam-cm1-q12": (
         ["sweep", "--scheme", "bpam", "--ebn0", "4,10", "--bits", "2000",
@@ -44,22 +44,22 @@ RUNS = {
     "sweep-ook-cm1": (
         ["sweep", "--scheme", "ook", "--ebn0", "4,10", "--bits", "2000",
          "--seed", "6", "--channel", "multipath"],
-        "65fc5a2de8a0f40997c5d84901eeaacc0fcca77b28e06f3ecc5bba9561b3d9fb",
+        "82ff7b59e26c99b207e0e2189604a12d4a219effec65da469594312df72c2a81",
     ),
     "sweep-bpam-cm1": (
         ["sweep", "--scheme", "bpam", "--ebn0", "4,10", "--bits", "2000",
          "--seed", "6", "--channel", "multipath"],
-        "c5f6e9b53f8958e2a1baa12135a6f2b0dad21d3757e4ded28d7553e89c04233d",
+        "0a00ea693b9ac06b49e8d6d05c676f86911cbe7f8a02bc38d6dfa7408d441b20",
     ),
     "session-ppm-fault": (
         ["session", "--scheme", "ppm", "--ebn0", "8", "--bits", "1200",
          "--seed", "3", "--fault-inject"],
-        "4732096cffe5829552498313ff0287c1324b507d9f90a95eb1418967eb91e40a",
+        "e8c4aa210dd398509cb27c1ec94c48e60571b6dd4248db895c24e1f901b2a062",
     ),
     "session-ook-fault": (
         ["session", "--scheme", "ook", "--ebn0", "8", "--bits", "1200",
          "--seed", "3", "--fault-inject"],
-        "18610e2c11d97de73087eba562adee548bcbde5c5d46c01a033b54ab6eda62d9",
+        "ba9cd938576c43a94fde45bc26f85c79488eecdaaf8ff2ea5a91f0227b08ef8d",
     ),
 }
 

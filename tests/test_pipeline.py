@@ -1,10 +1,14 @@
 """The shared block pipeline against its full-waveform reference.
 
-simulate_block draws noise only for the windows the receiver reads;
-the reference adds noise to every sample with add_awgn and then runs
-the public demodulator. The two agree exactly without noise and in
-distribution with it. OOK calibration draws sufficient statistics
-instead of per-sample noise and is held to a brute-force estimator.
+simulate_block draws no noise sample on the floating-point datapath:
+it adds to each clean statistic a noise term drawn from its exact law
+(a normal for BPAM and PPM; for OOK a normal along the clean window
+plus a chi-square). The quantized datapath draws noise for the window
+samples alone. The reference adds noise to every sample with add_awgn
+and then runs the public demodulator. The two agree exactly without
+noise and in distribution with it. OOK calibration draws sufficient
+statistics instead of per-sample noise and is held to a brute-force
+estimator.
 
 Each statistical test runs once at a fixed alpha under fixed seeds, so
 under the null hypothesis it fails with probability alpha.
@@ -224,12 +228,33 @@ def test_window_noise_matches_full_waveform_noise(scheme, multipath):
     assert ks_2samp(windowed - noiseless, full - noiseless).pvalue > KS_ALPHA
 
 
+def test_ook_pulse_windows_match_full_waveform_noise():
+    # At 15 dB the pulse-noise cross term 2 sigma |s| u of a window that
+    # holds a whole pulse has about 1.5 times the spread of the noise
+    # energy sigma^2 chi2(w), so leaving it out halves the noise term's
+    # spread. Windows with no pulse, or with the share of one that CM1
+    # leaves, would dilute that: only AWGN windows of sent ones count.
+    cfg = _receiver("ook")
+    bits = random_bits(21, 4000)
+    clean = _clean(bits, cfg)
+    noiseless = decision_statistics(clean, cfg)[:len(bits)]
+    ebn0_db = 15.0
+    windowed = simulate_block(bits, cfg, cfg, ebn0_db, 22)
+    full = decision_statistics(
+        add_awgn(clean, ebn0_db, ENERGY_PER_BIT["ook"], 23), cfg
+    )[:len(bits)]
+    sent = bits == 1
+    assert ks_2samp(
+        (windowed - noiseless)[sent], (full - noiseless)[sent]
+    ).pvalue > KS_ALPHA
+
+
 @pytest.mark.parametrize("scheme", ["ook", "bpam", "ppm"])
 def test_mismatched_receiver_matches_full_waveform_noise(scheme):
     # After a one-sided reconfiguration the receiver reads the
     # transmitter's waveform through its own, shorter frames: most of
-    # its windows see no pulse and take the closed-form noise-only
-    # statistic, and its last-chip windows are cut at the frame end.
+    # its windows see no pulse, and its last-chip windows are cut at
+    # the frame end.
     tx = _receiver(scheme)
     rx = _edge_receiver(scheme)
     bits = random_bits(11, 5000)
@@ -238,8 +263,8 @@ def test_mismatched_receiver_matches_full_waveform_noise(scheme):
     np.testing.assert_allclose(
         simulate_block(bits, tx, rx, math.inf, 0), noiseless, rtol=1e-12
     )
-    # with noise far below the signal, a window wrongly taken for
-    # noise-only would lose its pulse
+    # with noise far below the signal, a window whose pulse went
+    # missing would show
     np.testing.assert_allclose(
         simulate_block(bits, tx, rx, 200.0, 12),
         noiseless,
@@ -347,6 +372,21 @@ def test_block_memory_stays_near_the_clean_waveform():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * clean_bytes
+
+
+@pytest.mark.parametrize("scheme", ["ook", "bpam", "ppm"])
+def test_float_datapath_draws_no_window_noise(scheme):
+    # the statistics take their noise terms from one or two variates
+    # per frame; noise samples for the windows would double the peak
+    cfg = _receiver(scheme)
+    bits = random_bits(12, BLOCK_BITS)
+    tracemalloc.start()
+    try:
+        stats = simulate_block(bits, cfg, cfg, 4.0, 13)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * len(stats) * cfg.window_len
 
 
 # A sparse channel (at most 32 taps: apply_channel's exact tap-by-tap

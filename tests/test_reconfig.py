@@ -404,6 +404,13 @@ class TestScriptParsing:
         with pytest.raises(FormatError, match=":2:"):
             load_reconfig_script(path)
 
+    def test_frame_number_past_int_parsing_limit(self, tmp_path):
+        # int() refuses strings of more than 4300 digits with ValueError
+        path = tmp_path / "plan.txt"
+        path.write_text("@" + "1" * 5000 + " set tc=10 signal=1\n")
+        with pytest.raises(FormatError, match=":1:"):
+            load_reconfig_script(path)
+
     def test_signal_required(self, tmp_path):
         path = tmp_path / "plan.txt"
         path.write_text("@100 set tc=10\n")
