@@ -31,6 +31,14 @@ from .waveform import SampledSignal
 # go through FFT convolution with a dense kernel.
 _DIRECT_TAP_LIMIT = 32
 
+# Bounds on a profile, so that a drawn realization stays small: the
+# expected tap count is about mean_clusters * (1 + ray_arrival_rate *
+# max_excess_delay) (CM1_LIKE: about 930), and the dense kernel that
+# apply_channel builds spans the excess delay (10 us, fifty times
+# CM1_LIKE's, is 500 000 samples at 50 GS/s).
+MAX_EXPECTED_TAPS = 100_000
+MAX_EXCESS_DELAY_NS = 1e4
+
 # float64 has 52 mantissa bits: a finer lattice cannot be represented,
 # so quantization at such widths degenerates to clipping.
 _IDENTITY_BITS = 52
@@ -46,7 +54,10 @@ class SvProfile:
     ray_decay: gamma, ray power e-folding time, ns.
     mean_clusters: mean of the Poisson cluster count (at least one
         cluster is always drawn).
-    max_excess_delay: hard truncation of the impulse response, ns.
+    max_excess_delay: hard truncation of the impulse response, ns, at
+        most MAX_EXCESS_DELAY_NS.
+
+    The expected tap count may not exceed MAX_EXPECTED_TAPS.
     """
 
     cluster_arrival_rate: float
@@ -71,6 +82,20 @@ class SvProfile:
                     f"{name} must be positive and finite, got "
                     f"{getattr(self, name)}"
                 )
+        if self.max_excess_delay > MAX_EXCESS_DELAY_NS:
+            raise InvalidParams(
+                f"max_excess_delay must be at most {MAX_EXCESS_DELAY_NS:g} "
+                f"ns, got {self.max_excess_delay:g}"
+            )
+        taps = self.mean_clusters * (
+            1.0 + self.ray_arrival_rate * self.max_excess_delay
+        )
+        if taps > MAX_EXPECTED_TAPS:
+            raise InvalidParams(
+                f"profile expects about {taps:.3g} taps per realization "
+                f"(mean_clusters * (1 + ray_arrival_rate * "
+                f"max_excess_delay)); at most {MAX_EXPECTED_TAPS} allowed"
+            )
 
 
 # Residential-LOS-style parameter set.
@@ -212,19 +237,12 @@ def draw_channel(profile, rng_seed):
 
     order = np.argsort(delay_ns, kind="stable")
     delay_ns = delay_ns[order]
-    amp = amp[order]
     # merge the measure-zero case of coincident delays
-    keep_delays = [delay_ns[0]]
-    keep_amps = [amp[0]]
-    for d, a in zip(delay_ns[1:], amp[1:]):
-        if d == keep_delays[-1]:
-            keep_amps[-1] += a
-        else:
-            keep_delays.append(d)
-            keep_amps.append(a)
-    taps = tuple(
-        (d * 1e-9, a) for d, a in zip(keep_delays, keep_amps) if a != 0.0
-    )
+    run = np.flatnonzero(np.r_[True, delay_ns[1:] != delay_ns[:-1]])
+    amp = np.add.reduceat(amp[order], run)
+    keep = amp != 0.0
+    delay_s = delay_ns[run][keep] * 1e-9
+    taps = tuple(zip(delay_s.tolist(), amp[keep].tolist()))
     return ChannelRealization(taps=taps, profile_id=profile.profile_id)
 
 
@@ -250,8 +268,7 @@ def apply_channel(signal, ch):
         for di, gi in zip(d, g):
             out[di:di + len(x)] += gi * x
         return SampledSignal(out, rate, t0=signal.t0)
-    h = np.zeros(int(d[-1]) + 1, dtype=np.float64)
-    np.add.at(h, d, g)
+    h = np.bincount(d, weights=g)
     return SampledSignal(oaconvolve(x, h), rate, t0=signal.t0)
 
 
@@ -323,15 +340,20 @@ class QuantizerConfig:
             )
 
 
-def quantize_array(x, q):
-    """quantize() on a bare sample array."""
+def quantize_array(x, q, out=None):
+    """quantize() on a bare sample array, into out when given (which
+    may be x itself); one new array otherwise."""
     x = np.asarray(x, dtype=np.float64)
     if q.bits >= _IDENTITY_BITS:
-        return np.clip(x, -q.full_scale, q.full_scale)
+        return np.clip(x, -q.full_scale, q.full_scale, out=out)
     step = 2.0 * q.full_scale / (1 << q.bits)
     half_levels = 1 << (q.bits - 1)
-    idx = np.clip(np.floor(x / step), -half_levels, half_levels - 1)
-    return (idx + 0.5) * step
+    out = np.divide(x, step, out=out)
+    np.floor(out, out=out)
+    np.clip(out, -half_levels, half_levels - 1, out=out)
+    out += 0.5
+    out *= step
+    return out
 
 
 def quantize(signal, q):

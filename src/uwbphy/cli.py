@@ -10,6 +10,7 @@ Exit codes: 0 on success, 2 on configuration errors, 3 on I/O errors.
 """
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -221,8 +222,12 @@ def build_parser():
     return parser
 
 
+# parse_args leaves the parser as it was, so one serves every call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except PhyError as exc:

@@ -9,11 +9,13 @@ receiver.simulate_block; in multipath mode each block sees a fresh
 channel realization. The block pipeline builds the receiver's
 observation windows from the pulse layout and the channel-filtered
 pulse, so a block costs memory in proportion to its bits and window
-width, never to its frame length. On the floating-point datapath no
-noise sample is drawn: each frame's statistic gets its noise term from
-the term's exact law, one or two variates per frame. In quantized mode
-noise is drawn for the window samples, which then pass through the ADC
-with its full scale at the peak observed sample. The receiver is
+width, never to its frame length, and it builds each distinct clean
+window once. On the floating-point datapath no noise sample is drawn:
+each frame's statistic gets its noise term from the term's exact law,
+one or two variates per frame. In quantized mode noise is drawn for
+the window samples into one buffer that takes the clean windows and
+passes through the ADC in place, with its full scale at the peak
+observed sample. The receiver is
 genie-synchronized (zero timing offset); matched-filter acquisition is
 exercised separately.
 

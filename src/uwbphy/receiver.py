@@ -26,18 +26,22 @@ block's waveform. The transmitter's pulse layout says where each
 pulse starts; the template, cut where the frame end cuts it and
 convolved once with the channel, is the received pulse g. Each window
 the receiver reads at its own geometry is the sum of the received
-pulses that reach into it, a handful per window even on CM1. With
-white noise the window samples are a sufficient statistic for the
-decision, so noise anywhere else would never be read. On the
-floating-point datapath the statistic is linear in the noise for BPAM
-and PPM and a noncentral chi-square for OOK, so no noise sample is
-drawn at all: each frame's statistic is the clean window's plus a
-noise term from its exact law, one or two variates per frame. The
-quantized datapath adds white noise to the window samples, which then
-pass through the ADC. The result equals place_pulse_train,
-apply_channel, add_awgn and demodulate on the whole block in
-distribution, not sample for sample; without noise it equals them up
-to float rounding in multipath sums.
+pulses that reach into it, a handful per window even on CM1. Those
+windows repeat: the content of one follows from its in-frame start and
+the offset and shape of each pulse reaching into it, so a block's
+windows are grouped by that key and each distinct one is built once
+(about 70 of 1000 on a default-geometry CM1 block). With white noise
+the window samples are a sufficient statistic for the decision, so
+noise anywhere else would never be read. On the floating-point
+datapath the statistic is linear in the noise for BPAM and PPM and a
+noncentral chi-square for OOK, so no noise sample is drawn at all:
+each frame's statistic is its distinct clean window's plus a noise
+term from its exact law, one or two variates per frame. The quantized
+datapath draws white noise for every window sample, adds the clean
+windows into that one buffer and quantizes it in place. The result
+equals place_pulse_train, apply_channel, add_awgn and demodulate on
+the whole block in distribution, not sample for sample; without noise
+it equals them up to float rounding in multipath sums.
 """
 
 import math
@@ -71,6 +75,10 @@ from .transmitter import (
     pulse_layout,
 )
 from .waveform import SampledSignal
+
+# Rows of the quantized datapath's noise that take their clean windows
+# in one gather.
+_MERGE_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -251,10 +259,10 @@ def _statistics(win, inside, cfg, agc_bits=None):
     if inside is not None:
         win[~inside] = 0.0
     if agc_bits is not None:
-        peak = float(np.max(np.abs(win), initial=0.0)) or 1.0
-        cfg = replace(cfg, datapath=QuantizerConfig(agc_bits, peak))
+        peak = max(win.max(initial=0.0), -win.min(initial=0.0)) or 1.0
+        cfg = replace(cfg, datapath=QuantizerConfig(agc_bits, float(peak)))
     if cfg.datapath is not None:
-        win = quantize_array(win, cfg.datapath)
+        quantize_array(win, cfg.datapath, out=win)
         if inside is not None:
             win[~inside] = 0.0
     if cfg.mod.scheme == OOK:
@@ -336,15 +344,20 @@ def simulate_block(bits, tx, rx, ebn0_db, noise_seed, channel=None,
     The windows are built from the pulse layout, never from a block
     waveform: each is the sum of the received pulses that reach into
     it (see _received_pulses), so the work and memory follow the number
-    of windows and their width, not the frame length. The result
-    equals place_pulse_train, apply_channel and decision_statistics on
-    the whole block, up to float rounding in multipath sums.
+    of windows and their width, not the frame length. Windows with the
+    same key (see _distinct_windows) have the same clean content, which
+    is built once. The result equals place_pulse_train, apply_channel
+    and decision_statistics on the whole block, up to float rounding in
+    multipath sums.
 
-    On the floating-point datapath no noise sample is drawn: each
-    statistic is the clean window's plus its noise term drawn from the
-    exact law (_noise_terms), one normal per frame and, for OOK, one
-    chi-square. The quantized datapath adds W noise samples to each
-    window before the ADC, since quantization is not linear.
+    On the floating-point datapath no noise sample is drawn and no
+    (n_frames, W) matrix is built: the clean statistic and the noise
+    law's coefficients are taken once per distinct window, and each
+    frame adds its noise term drawn from the exact law (_noise_terms),
+    one normal per frame and, for OOK, one chi-square. The quantized
+    datapath draws W noise samples for each window, since quantization
+    is not linear, adds the clean windows into that buffer and passes
+    it through the ADC in place.
     """
     _check_rx(tx, rx)
     first, kind, shapes = _received_pulses(bits, tx, channel)
@@ -355,28 +368,64 @@ def simulate_block(bits, tx, rx, ebn0_db, noise_seed, channel=None,
         min((n_bits * tx.frame_len + spread) // rx.frame_len, n_bits)
     )
     width = rx.window_len
-    begin = rx.frame_len * frames + _window_starts(rx, frames)
+    starts = _window_starts(rx, frames)
+    begin = rx.frame_len * frames + starts
     # pulse starts q grow with the bit index, so the pulses reaching
     # into a window [p, p + W) are the run with q + len(g) > p and
     # q < p + W
     lo = np.searchsorted(first + reach_len, begin, side="right")
     reach = np.maximum(np.searchsorted(first, begin + width) - lo, 0)
-    win = _build_windows(first, kind, shapes, begin, lo, reach, width)
-    inside = _inside(rx, _window_starts(rx, frames))
+    rep, which = _distinct_windows(first, kind, starts, begin, lo, reach)
+    clean = _build_windows(
+        first, kind, shapes, begin[rep], lo[rep], reach[rep], width
+    )
     eb = ENERGY_PER_BIT[tx.mod.scheme]
     sigma = noise_sigma(ebn0_db, eb, rx.sample_rate)
     rng = np.random.default_rng(noise_seed)
     if agc_bits is None and rx.datapath is None:
-        stats = _statistics(win, inside, rx)
+        inside = _inside(rx, starts[rep])
+        stats = _statistics(clean, inside, rx)[which]
         if sigma > 0.0:
-            stats += _noise_terms(rng, sigma, win, inside, rx)
+            stats += _noise_terms(rng, sigma, clean, inside, rx, which)
         return stats
     if sigma > 0.0:
-        noise = rng.standard_normal(win.shape)
-        noise *= sigma
-        win += noise
-        del noise
-    return _statistics(win, inside, rx, agc_bits)
+        noisy = rng.standard_normal((len(frames), width))
+        # in chunks, so the gathered clean rows stay small beside the
+        # block and each chunk is scaled and summed while in cache
+        for at in range(0, len(frames), _MERGE_ROWS):
+            rows = noisy[at:at + _MERGE_ROWS]
+            rows *= sigma
+            rows += clean[which[at:at + _MERGE_ROWS]]
+    else:
+        noisy = clean[which]
+    del clean
+    return _statistics(noisy, _inside(rx, starts), rx, agc_bits)
+
+
+def _distinct_windows(first, kind, starts, begin, lo, reach):
+    """Group the windows by their clean content.
+
+    A window's content and its frame-end cut follow from its key: the
+    in-frame start, the number of reaching pulses and, for each of
+    them, its offset from the window and its received shape. Returns
+    one representative window per distinct key and, for every window,
+    the index of its key among the representatives.
+    """
+    keys = [starts, reach]
+    last = max(len(first) - 1, 0)
+    for step in range(reach.max(initial=0)):
+        hit = reach > step
+        i = np.minimum(lo + step, last)
+        keys.append(np.where(hit, begin - first[i], 0))
+        keys.append(np.where(hit, kind[i], 0))
+    keys = np.stack(keys)
+    order = np.lexsort(keys)
+    ordered = keys[:, order]
+    fresh = np.ones(len(order), dtype=bool)
+    np.any(ordered[:, 1:] != ordered[:, :-1], axis=0, out=fresh[1:])
+    which = np.empty(len(order), dtype=np.intp)
+    which[order] = np.cumsum(fresh) - 1
+    return order[fresh], which
 
 
 def _received_pulses(bits, tx, channel):
@@ -428,24 +477,21 @@ def _build_windows(first, kind, shapes, begin, lo, reach, width):
         i = lo[rows] + step
         return view[kind[i], begin[rows] - first[i] + width]
 
-    if reach.all():
-        win = pulse(slice(None), 0)
-    else:
-        win = np.zeros((len(begin), width))
-        rows = np.flatnonzero(reach)
-        win[rows] = pulse(rows, 0)
+    win = np.zeros((len(begin), width))
+    rows = np.flatnonzero(reach)
+    win[rows] = pulse(rows, 0)
     for step in range(1, reach.max(initial=0)):
         rows = np.flatnonzero(reach > step)
         win[rows] += pulse(rows, step)
     return win
 
 
-def _noise_terms(rng, sigma, win, inside, cfg):
+def _noise_terms(rng, sigma, win, inside, cfg, which):
     """What white noise of per-sample deviation sigma adds to the
-    floating-point decision statistics of the clean windows win, drawn
-    from its exact law rather than from W samples per window. win must
-    have its samples past the frame end zeroed, as _statistics leaves
-    it; those samples do not count here either.
+    floating-point decision statistics of the clean windows win[which],
+    drawn from its exact law rather than from W samples per window. win
+    must have its samples past the frame end zeroed, as _statistics
+    leaves it; those samples do not count here either.
 
     A correlation with coefficients c gains N(0, sigma^2 |c|^2), where c
     is the template for BPAM and the shifted minus the nominal template
@@ -453,11 +499,14 @@ def _noise_terms(rng, sigma, win, inside, cfg):
     (|s| + sigma u)^2 + sigma^2 chi2(w - 1), with u ~ N(0, 1) the noise
     along s. One normal per window, then for OOK one chi-square.
     """
-    n, width = win.shape
+    width = win.shape[1]
+    n = len(which)
     z = rng.standard_normal(n)
     if cfg.mod.scheme == OOK:
-        w = width if inside is None else np.count_nonzero(inside, axis=1)
-        norm = np.sqrt(np.einsum("ij,ij->i", win, win))
+        w = width
+        if inside is not None:
+            w = np.count_nonzero(inside, axis=1)[which]
+        norm = np.sqrt(np.einsum("ij,ij->i", win, win))[which]
         extra = sigma * z * (2.0 * norm + sigma * z)
         extra += sigma * sigma * _chi2(rng, w - 1, n)
         return extra / cfg.sample_rate
@@ -468,10 +517,9 @@ def _noise_terms(rng, sigma, win, inside, cfg):
         coef[:len(tpl)] -= tpl
     power = coef * coef
     if inside is None:
-        norm2 = power.sum()
-    else:
-        norm2 = np.where(inside, power, 0.0).sum(axis=1)
-    return sigma * np.sqrt(norm2) * z
+        return sigma * np.sqrt(power.sum()) * z
+    norm2 = np.where(inside, power, 0.0).sum(axis=1)
+    return (sigma * np.sqrt(norm2))[which] * z
 
 
 def _chi2(rng, df, size=None):

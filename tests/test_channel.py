@@ -1,4 +1,6 @@
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +23,11 @@ from uwbphy import (
     load_profile_file,
     quantize,
 )
-from uwbphy.channel import quantize_array
+from uwbphy.channel import (
+    MAX_EXCESS_DELAY_NS,
+    MAX_EXPECTED_TAPS,
+    quantize_array,
+)
 
 import oracles
 
@@ -35,6 +41,10 @@ SMALL_SV = SvProfile(
     mean_clusters=2.5,
     max_excess_delay=60.0,
     profile_id="test-small",
+)
+
+CM1_TAPS_DIGEST = (
+    "03a20ea9cf5c654cd38459d9874f410441a08707556e039c55671eed2639fac8"
 )
 
 
@@ -137,6 +147,15 @@ class TestDrawChannel:
 
     def test_profile_id_propagates(self):
         assert draw_channel(CM1_LIKE, rng_seed=0).profile_id == "cm1-like"
+
+    def test_taps_are_pinned(self):
+        # sha256 of the taps' repr over a seed range, taken from the
+        # per-tap loops that merged coincident delays and built the taps
+        # before the vectorized form: every delay and gain bit for bit
+        digest = hashlib.sha256()
+        for seed in range(300):
+            digest.update(repr(draw_channel(CM1_LIKE, seed).taps).encode())
+        assert digest.hexdigest() == CM1_TAPS_DIGEST
 
     def test_mean_tap_count_matches_arrival_statistics(self):
         # sample mean over many draws vs the analytic expectation for
@@ -286,6 +305,34 @@ class TestProfiles:
             SvProfile(1.0, 1.0, 1.0, 1.0, 1.0, -5.0)
         with pytest.raises(InvalidParams, match="finite"):
             SvProfile(1.0, 1.0, 1.0, 1.0, 1.0, math.inf)
+
+    # each asked numpy for terabytes in draw_channel before the bounds
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("mean_clusters", 1e12),
+            ("max_excess_delay", 1e12),
+            ("ray_arrival_rate", 1e9),
+        ],
+    )
+    def test_huge_expected_tap_count_rejected(self, field, value):
+        with pytest.raises(InvalidParams, match="at most"):
+            replace(CM1_LIKE, **{field: value})
+
+    def test_excess_delay_bounded(self):
+        # few taps, but clusters far apart and slow to decay: the dense
+        # kernel would span the whole excess delay
+        sparse = dict(cluster_arrival_rate=1e-9, ray_arrival_rate=1e-9,
+                      cluster_decay=1e12, ray_decay=1e12, mean_clusters=3.0)
+        with pytest.raises(InvalidParams, match="max_excess_delay"):
+            SvProfile(max_excess_delay=1e12, **sparse)
+        SvProfile(max_excess_delay=MAX_EXCESS_DELAY_NS, **sparse)
+
+    def test_cm1_like_is_within_the_bounds(self):
+        p = CM1_LIKE
+        taps = p.mean_clusters * (1 + p.ray_arrival_rate * p.max_excess_delay)
+        assert 900 < taps < MAX_EXPECTED_TAPS
+        assert p.max_excess_delay < MAX_EXCESS_DELAY_NS
 
     def test_load_partial_override(self, tmp_path):
         path = tmp_path / "p.txt"

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from uwbphy import SweepConfig, ThParams, load_code_file, read_csv, run_sweep
+from uwbphy import cli
 from uwbphy.cli import main
 from uwbphy.harness import CSV_HEADER, SESSION_CSV_HEADER
 
@@ -170,6 +173,31 @@ class TestCompareCommand:
             assert scheme in head
 
 
+class TestParserReuse:
+    # main parses every call with one parser, built on first use
+
+    def test_parser_is_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_repeated_scheme_does_not_accumulate(self, capsys):
+        for scheme in ("bpam", "ook"):
+            argv = ["compare", "--scheme", scheme, "--ebn0", "inf",
+                    "--bits", "1000"]
+            assert run(argv) == 0
+            head = capsys.readouterr().out.splitlines()[0]
+            assert head.split() == ["ebn0_db", scheme, "ranking"]
+
+    def test_sweep_after_session_parses_its_own_defaults(self):
+        parse = cli._parser().parse_args
+        parse(["session", "--script", "plan.txt", "--ebn0", "3",
+               "--bits", "5", "--seed", "4", "--tc", "20"])
+        args = parse(["sweep", "--scheme", "bpam"])
+        assert args.func is cli._cmd_sweep
+        assert args.ebn0 == cli._grid(cli.DEFAULT_GRID)
+        assert (args.bits, args.seed, args.tc) == (10_000, 0, 10.0)
+        assert not hasattr(args, "script")
+
+
 class TestSessionCommand:
     def write_script(self, tmp_path, text):
         path = tmp_path / "plan.txt"
@@ -335,6 +363,27 @@ class TestCodegenCommand:
         rc = run(["codegen", "--nc", "4", "--out", "/no/such/dir/codes.txt"])
         assert rc == 3
         assert "i/o error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["mean_clusters = 1e12", "max_excess_delay = 1e12",
+     "ray_arrival_rate = 1e9"],
+)
+def test_huge_profile_value_exits_2_before_allocating(tmp_path, line, capsys):
+    profile = tmp_path / "profile.txt"
+    profile.write_text(line + "\n")
+    argv = ["sweep", "--scheme", "bpam", "--ebn0", "4", "--bits", "1000",
+            "--channel", "multipath", "--profile-file", str(profile)]
+    tracemalloc.start()
+    try:
+        rc = run(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert "at most" in capsys.readouterr().err
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("flag", ["--script", "--code-file", "--profile-file"])

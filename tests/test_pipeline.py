@@ -519,3 +519,102 @@ def test_block_memory_follows_the_windows_not_the_frames(scheme, n_c, channel):
     window_bytes = 8 * len(stats) * rcfg.window_len
     assert len(stats) == BLOCK_BITS
     assert peak < 6 * window_bytes
+
+
+def _default_receiver(scheme):
+    cfg = SweepConfig(scheme=scheme, ebn0_grid=(4.0,))
+    return ReceiverConfig(
+        mod=cfg.modulation,
+        params=cfg.params,
+        code=cfg.code,
+        template=sample_pulse(DEFAULT_PULSE, DEFAULT_SAMPLE_RATE),
+        threshold=0.5 if scheme == "ook" else None,
+    )
+
+
+def _block_peak(scheme, channel, agc_bits):
+    """Peak traced bytes of one default-geometry block at 4 dB, as a
+    multiple of its (n_frames, W) window matrix."""
+    cfg = _default_receiver(scheme)
+    ch = draw_channel(CM1_LIKE, rng_seed=9) if channel else None
+    bits = random_bits(12, BLOCK_BITS)
+    tracemalloc.start()
+    try:
+        stats = simulate_block(bits, cfg, cfg, 4.0, 13, ch, agc_bits)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * len(stats) * cfg.window_len)
+
+
+@pytest.mark.parametrize("channel", [False, True], ids=["awgn", "cm1"])
+@pytest.mark.parametrize("scheme", ["ook", "bpam", "ppm"])
+def test_float_block_builds_each_distinct_window_once(scheme, channel):
+    # a block's clean windows repeat: about 70 distinct ones of 1000 on
+    # CM1 and a few dozen without a channel, so the float datapath
+    # never holds a window matrix of the whole block
+    assert _block_peak(scheme, channel, None) < 0.5
+
+
+@pytest.mark.parametrize("scheme", ["ook", "bpam", "ppm"])
+def test_quantized_block_holds_one_window_matrix(scheme):
+    # the noise matrix takes the clean windows in and is quantized in
+    # place: no second matrix of the block's size
+    assert _block_peak(scheme, True, 12) < 1.5
+
+
+# sha256 prefixes of the float64 bytes of simulate_block's statistics
+# over each (scheme, channel) cell of the grid below, taken when every
+# window was built on its own. They pin every statistic bit for bit, so
+# a window given the content of another shows even where no decision
+# and no CSV byte moves.
+BLOCK_DIGESTS = {
+    "ook-none": "4e040b9ea89b9616",
+    "ook-short": "8fc696dc23cdd44f",
+    "ook-cm1": "bc1778c19e829e9f",
+    "bpam-none": "f6ce168b61f4d9a9",
+    "bpam-short": "cfe38fabd0b5922e",
+    "bpam-cm1": "96f53d3badc60170",
+    "ppm-none": "102021167d5eb50c",
+    "ppm-short": "ce178697d1d772d8",
+    "ppm-cm1": "884a730f21df1776",
+}
+
+
+def _block_grid_digest(scheme, channel):
+    """Digest of the statistics of seeded simulate_block calls: matched
+    links at the default, fast and cut edge geometries and a receiver
+    with another n_c and code, on the float datapath, 8- and 12-bit AGC
+    and a fixed 8-bit ADC, with and without noise, for a long and a
+    short block."""
+    ch = {"none": None, "short": SHORT_CHANNEL,
+          "cm1": draw_channel(CM1_LIKE, 14)}[channel]
+    fast, edge = _receiver(scheme), _cut_receiver(scheme)
+    links = [
+        (_default_receiver(scheme),) * 2,
+        (fast, fast),
+        (edge, edge),
+        (fast, edge),
+    ]
+    digest = hashlib.sha256()
+    seed = 0
+    for tx, rx in links:
+        fixed = QuantizerConfig(8, 2.0 * float(np.max(rx.template.samples)))
+        datapaths = [(rx, None), (rx, 8), (rx, 12),
+                     (replace(rx, datapath=fixed), None)]
+        for rx_dp, agc_bits in datapaths:
+            for ebn0_db in (4.0, math.inf):
+                for n_bits in (300, 37):
+                    seed += 1
+                    stats = simulate_block(
+                        random_bits(seed, n_bits), tx, rx_dp, ebn0_db,
+                        seed, ch, agc_bits,
+                    )
+                    digest.update(np.asarray(stats, np.float64).tobytes())
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("key", sorted(BLOCK_DIGESTS))
+def test_block_statistics_are_pinned(key):
+    scheme, channel = key.split("-")
+    assert _block_grid_digest(scheme, channel) == BLOCK_DIGESTS[key]
