@@ -17,7 +17,6 @@ from .channel import (
     apply_channel,
     draw_channel,
     load_profile_file,
-    quantize,
 )
 from .errors import (
     ConfigConflict,
@@ -26,7 +25,6 @@ from .errors import (
     InvalidParams,
     PhyError,
     RateMismatch,
-    SchemeMismatch,
     StaleRequest,
     UncalibratedThreshold,
     UndersampledPulse,
@@ -36,7 +34,6 @@ from .errors import (
 from .framing import (
     DEFAULT_PARAMS,
     CodeBank,
-    CodeValidation,
     ThCode,
     ThParams,
     chip_start_time,
@@ -50,25 +47,19 @@ from .harness import (
     PRESETS,
     BerPoint,
     ComparisonTable,
-    Preset,
     SweepConfig,
     compare_architectures,
-    emit_csv,
     format_csv,
     point_seeds,
     read_csv,
     run_sweep,
     sweep_metadata,
-    write_session_csv,
 )
 from .receiver import (
     GENIE_SYNC,
     ReceiverConfig,
     SyncEstimate,
     calibrate_ook_threshold,
-    demod_bpam,
-    demod_ook,
-    demod_ppm,
     demodulate,
     synchronize,
 )

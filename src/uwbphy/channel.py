@@ -28,7 +28,9 @@ from .waveform import SampledSignal
 
 # At or below this tap count a realization is applied by direct
 # superposition (exact, testable sample-by-sample); denser realizations
-# go through FFT convolution with a dense kernel.
+# go through FFT convolution with a dense kernel. Both paths stay
+# because the pinned block statistics depend on each: short channels
+# on the direct sums, CM1 draws on oaconvolve's rounding.
 _DIRECT_TAP_LIMIT = 32
 
 # Bounds on a profile, so that a drawn realization stays small: the
@@ -149,39 +151,41 @@ def load_profile_file(path, base=CM1_LIKE):
         raise FormatError(f"{path}: {exc}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelRealization:
     """A discrete multipath channel: (delay seconds, gain) taps.
 
-    Delays are nonnegative and strictly increasing; gains are
-    normalized to unit energy at construction.
+    taps is given as (delay, gain) pairs and held as a read-only (n, 2)
+    float64 array. Delays are nonnegative and strictly increasing;
+    gains are normalized to unit energy at construction.
     """
 
-    taps: tuple
+    taps: np.ndarray
     profile_id: str = "manual"
 
     def __post_init__(self):
-        taps = tuple((float(d), float(g)) for d, g in self.taps)
-        if not taps:
+        taps = np.array(self.taps, dtype=np.float64).reshape(-1, 2)
+        if not len(taps):
             raise InvalidParams("channel needs at least one tap")
-        delays = [d for d, _ in taps]
-        if delays[0] < 0.0 or any(
-            b <= a for a, b in zip(delays, delays[1:])
-        ):
+        d, g = taps.T
+        if d[0] < 0.0 or np.any(d[1:] <= d[:-1]):
             raise InvalidParams(
                 "tap delays must be nonnegative and strictly increasing"
             )
-        norm = math.sqrt(sum(g * g for _, g in taps))
+        # a sequential sum, so the normalized gains round as they
+        # always have
+        norm = math.sqrt(sum((g * g).tolist()))
         if norm == 0.0:
             raise InvalidParams("channel gains are all zero")
-        taps = tuple((d, g / norm) for d, g in taps)
+        g /= norm
+        taps.flags.writeable = False
         object.__setattr__(self, "taps", taps)
 
     def delays(self):
-        return np.array([d for d, _ in self.taps])
+        return self.taps[:, 0]
 
     def gains(self):
-        return np.array([g for _, g in self.taps])
+        return self.taps[:, 1]
 
 
 IDENTITY_CHANNEL = ChannelRealization(taps=((0.0, 1.0),), profile_id="identity")
@@ -241,8 +245,7 @@ def draw_channel(profile, rng_seed):
     run = np.flatnonzero(np.r_[True, delay_ns[1:] != delay_ns[:-1]])
     amp = np.add.reduceat(amp[order], run)
     keep = amp != 0.0
-    delay_s = delay_ns[run][keep] * 1e-9
-    taps = tuple(zip(delay_s.tolist(), amp[keep].tolist()))
+    taps = np.column_stack((delay_ns[run][keep] * 1e-9, amp[keep]))
     return ChannelRealization(taps=taps, profile_id=profile.profile_id)
 
 
@@ -260,16 +263,15 @@ def apply_channel(signal, ch):
     d = np.rint(ch.delays() * rate).astype(np.int64)
     g = ch.gains()
     x = signal.samples
-    out_len = len(x) + int(d[-1]) if len(x) else 0
     if len(x) == 0:
-        return SampledSignal(np.zeros(0), rate, t0=signal.t0)
+        return SampledSignal(np.zeros(0), rate)
     if len(d) <= _DIRECT_TAP_LIMIT:
-        out = np.zeros(out_len, dtype=np.float64)
+        out = np.zeros(len(x) + int(d[-1]), dtype=np.float64)
         for di, gi in zip(d, g):
             out[di:di + len(x)] += gi * x
-        return SampledSignal(out, rate, t0=signal.t0)
+        return SampledSignal(out, rate)
     h = np.bincount(d, weights=g)
-    return SampledSignal(oaconvolve(x, h), rate, t0=signal.t0)
+    return SampledSignal(oaconvolve(x, h), rate)
 
 
 def check_ebn0(ebn0_db):
@@ -319,7 +321,7 @@ def add_awgn(signal, ebn0_db, energy_per_bit, rng_seed):
         return signal
     rng = np.random.default_rng(rng_seed)
     noisy = signal.samples + sigma * rng.standard_normal(len(signal))
-    return SampledSignal(noisy, signal.sample_rate, t0=signal.t0)
+    return SampledSignal(noisy, signal.sample_rate)
 
 
 @dataclass(frozen=True)
@@ -341,8 +343,12 @@ class QuantizerConfig:
 
 
 def quantize_array(x, q, out=None):
-    """quantize() on a bare sample array, into out when given (which
-    may be x itself); one new array otherwise."""
+    """Quantize samples onto the mid-rise lattice of the config, into
+    out when given (which may be x itself); one new array otherwise.
+
+    Output samples are reconstruction values (still floats); the
+    operation is idempotent and clips outside +/- full_scale.
+    """
     x = np.asarray(x, dtype=np.float64)
     if q.bits >= _IDENTITY_BITS:
         return np.clip(x, -q.full_scale, q.full_scale, out=out)
@@ -354,14 +360,3 @@ def quantize_array(x, q, out=None):
     out += 0.5
     out *= step
     return out
-
-
-def quantize(signal, q):
-    """Quantize a signal onto the mid-rise lattice of the config.
-
-    Output samples are reconstruction values (still floats); the
-    operation is idempotent and clips outside +/- full_scale.
-    """
-    return SampledSignal(
-        quantize_array(signal.samples, q), signal.sample_rate, t0=signal.t0
-    )

@@ -87,18 +87,21 @@ def _channel_profile(args):
 
 
 def _sweep_config(args, scheme=None, preset=None):
-    kwargs = dict(
+    quant_bits = args.quant_bits
+    if preset is not None:
+        scheme, adc_bits = PRESETS[preset]
+        if quant_bits is None:
+            quant_bits = adc_bits
+    return SweepConfig(
+        scheme=scheme,
         ebn0_grid=args.ebn0,
         n_bits_per_point=args.bits,
         channel=_channel_profile(args),
+        quant_bits=quant_bits,
         base_seed=args.seed,
+        preset_id=preset,
         params=ThParams(t_c=args.tc * 1e-9, n_c=args.nc),
     )
-    if args.quant_bits is not None:
-        kwargs["quant_bits"] = args.quant_bits
-    if preset is not None:
-        return PRESETS[preset].to_sweep_config(**kwargs)
-    return SweepConfig(scheme=scheme, **kwargs)
 
 
 def _cmd_sweep(args):
@@ -180,7 +183,10 @@ def build_parser():
     p_sweep = sub.add_parser("sweep", help="run a BER-vs-Eb/N0 sweep")
     pick = p_sweep.add_mutually_exclusive_group(required=True)
     pick.add_argument("--scheme", choices=SCHEMES)
-    pick.add_argument("--preset", choices=sorted(PRESETS))
+    pick.add_argument("--preset", choices=sorted(PRESETS),
+                      help="scheme and ADC width of a named receiver; "
+                           "th-bpam-v1/v2, th-ppm-v1/v2 and th-ppm-v3/v4 "
+                           "run identical sweeps")
     _add_link_flags(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -30,10 +30,6 @@ class ConfigConflict(PhyError):
     offsets out of range for the frame)."""
 
 
-class SchemeMismatch(PhyError):
-    """A demodulator was invoked with a config for a different scheme."""
-
-
 class UncalibratedThreshold(PhyError):
     """Energy detection was attempted without a decision threshold."""
 

@@ -104,33 +104,24 @@ class ThCode:
         return len(self.offsets)
 
 
-@dataclass(frozen=True)
-class CodeValidation:
-    """Result of checking a code against frame geometry."""
-
-    ok: bool
-    violations: tuple  # indices of offending offsets
-
-
 def validate_code(code, params):
     """Check every offset against [0, n_c - 1].
 
-    Returns a CodeValidation whose violations list the offending
-    indices; never raises.
+    Returns the tuple of the offending offsets' indices, empty for a
+    valid code; never raises.
     """
-    bad = tuple(
+    return tuple(
         i for i, c in enumerate(code.offsets) if not 0 <= c < params.n_c
     )
-    return CodeValidation(ok=not bad, violations=bad)
 
 
 def require_code(code, params):
     """Raise ConfigConflict unless the code is valid for these params."""
-    report = validate_code(code, params)
-    if not report.ok:
+    bad = validate_code(code, params)
+    if bad:
         raise ConfigConflict(
             f"code {code.code_id!r} has offsets out of [0, {params.n_c - 1}] "
-            f"at indices {list(report.violations)}"
+            f"at indices {list(bad)}"
         )
 
 
@@ -245,11 +236,11 @@ def load_code_file(path, params):
             code = ThCode(offsets=offsets, code_id=code_id)
         except InvalidParams as exc:
             raise FormatError(f"{path}:{lineno}: {exc}") from None
-        report = validate_code(code, params)
-        if not report.ok:
+        bad = validate_code(code, params)
+        if bad:
             raise FormatError(
                 f"{path}:{lineno}: offsets out of [0, {params.n_c - 1}] "
-                f"at indices {list(report.violations)}"
+                f"at indices {list(bad)}"
             )
         entries[code_id] = code
         if first_id is None:

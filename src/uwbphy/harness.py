@@ -5,19 +5,10 @@ A sweep is a pure function of its SweepConfig: bit, noise, channel, and
 calibration random streams are all derived from the base seed, point
 index, and block index, so repeated runs are byte-identical. Work is
 done in blocks of BLOCK_BITS bits, each sent through
-receiver.simulate_block; in multipath mode each block sees a fresh
-channel realization. The block pipeline builds the receiver's
-observation windows from the pulse layout and the channel-filtered
-pulse, so a block costs memory in proportion to its bits and window
-width, never to its frame length, and it builds each distinct clean
-window once. On the floating-point datapath no noise sample is drawn:
-each frame's statistic gets its noise term from the term's exact law,
-one or two variates per frame. In quantized mode noise is drawn for
-the window samples into one buffer that takes the clean windows and
-passes through the ADC in place, with its full scale at the peak
-observed sample. The receiver is
-genie-synchronized (zero timing offset); matched-filter acquisition is
-exercised separately.
+receiver.simulate_block, whose docstring describes the pipeline; in
+multipath mode each block sees a fresh channel realization. The
+receiver is genie-synchronized (zero timing offset); matched-filter
+acquisition is exercised separately.
 
 The sweep axis is Eb/N0. With unit-energy pulses BPAM and PPM spend one
 energy unit per bit; OOK transmits nothing for a 0, so its
@@ -242,31 +233,29 @@ def sweep_metadata(cfg):
     }
 
 
+def _csv(header, rows, meta):
+    """CSV text: `#` metadata comments sorted by key, the header, the
+    rows, final newline."""
+    lines = [f"# {key} = {meta[key]}" for key in sorted(meta or {})]
+    lines.append(header)
+    lines.extend(rows)
+    return "\n".join(lines) + "\n"
+
+
 def format_csv(points, meta=None):
     """Render BER points as CSV text: `#` metadata comments, then the
     header `ebn0_db,errors,bits,ber,ci95`, one row per point, final
     newline. Floats use repr so a round-trip parse is exact."""
-    lines = []
-    for key in sorted(meta or {}):
-        lines.append(f"# {key} = {meta[key]}")
-    lines.append(CSV_HEADER)
-    for p in points:
-        lines.append(
-            f"{_fmt(p.ebn0_db)},{p.errors},{p.bits},"
-            f"{_fmt(p.ber)},{_fmt(p.ci95_halfwidth)}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def emit_csv(points, path, meta=None):
-    """Write format_csv output to a file. File system failures
-    propagate as OSError with the path attached."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_csv(points, meta))
+    return _csv(CSV_HEADER, (
+        f"{_fmt(p.ebn0_db)},{p.errors},{p.bits},"
+        f"{_fmt(p.ber)},{_fmt(p.ci95_halfwidth)}"
+        for p in points
+    ), meta)
 
 
 def read_csv(path):
-    """Parse a file written by emit_csv back into BerPoint objects."""
+    """Parse the text of format_csv, read from a file, back into
+    BerPoint objects."""
     lines = [ln.rstrip("\n") for ln in read_lines(path)]
     rows = [ln for ln in lines if ln and not ln.startswith("#")]
     if not rows or rows[0] != CSV_HEADER:
@@ -292,22 +281,11 @@ def read_csv(path):
 def format_session_csv(result, meta=None):
     """Render per-segment session reports as CSV text (same
     conventions as format_csv)."""
-    lines = []
-    for key in sorted(meta or {}):
-        lines.append(f"# {key} = {meta[key]}")
-    lines.append(SESSION_CSV_HEADER)
-    for s in result.segments:
-        lines.append(
-            f"{s.index},{s.start_frame},{s.n_bits},{s.errors},"
-            f"{_fmt(s.ber)},{_fmt(s.t_c)},{_fmt(s.throughput_bps)}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def write_session_csv(result, path, meta=None):
-    """Write format_session_csv output to a file."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_session_csv(result, meta))
+    return _csv(SESSION_CSV_HEADER, (
+        f"{s.index},{s.start_frame},{s.n_bits},{s.errors},"
+        f"{_fmt(s.ber)},{_fmt(s.t_c)},{_fmt(s.throughput_bps)}"
+        for s in result.segments
+    ), meta)
 
 
 @dataclass(frozen=True)
@@ -396,42 +374,15 @@ def compare_architectures(cfgs):
     )
 
 
-@dataclass(frozen=True)
-class Preset:
-    """A named receiver implementation variant.
-
-    sample_size_bits maps to the quantized datapath width; n_channels
-    and the ranging flag are descriptive (a second reception channel
-    and the ranging mechanism are out of simulation scope).
-    """
-
-    preset_id: str
-    scheme: str
-    sample_size_bits: int
-    n_channels: int
-    reconfigurable: bool
-    ranging: bool = False
-
-    def to_sweep_config(self, ebn0_grid, **overrides):
-        overrides.setdefault("quant_bits", self.sample_size_bits)
-        return SweepConfig(
-            scheme=self.scheme,
-            ebn0_grid=ebn0_grid,
-            preset_id=self.preset_id,
-            **overrides,
-        )
-
-
+# Named receiver variants: preset id -> (scheme, ADC word width).
+# th-bpam-v1/v2, th-ppm-v1/v2 and th-ppm-v3/v4 run identical sweeps.
 PRESETS = {
-    p.preset_id: p
-    for p in (
-        Preset("th-ook-v1", "ook", 64, 1, reconfigurable=False),
-        Preset("th-ook-v2", "ook", 32, 1, reconfigurable=False),
-        Preset("th-bpam-v1", "bpam", 32, 1, reconfigurable=False),
-        Preset("th-bpam-v2", "bpam", 32, 1, reconfigurable=False),
-        Preset("th-ppm-v1", "ppm", 32, 1, reconfigurable=False),
-        Preset("th-ppm-v2", "ppm", 32, 1, reconfigurable=False, ranging=True),
-        Preset("th-ppm-v3", "ppm", 64, 1, reconfigurable=True),
-        Preset("th-ppm-v4", "ppm", 64, 2, reconfigurable=True),
-    )
+    "th-ook-v1": ("ook", 64),
+    "th-ook-v2": ("ook", 32),
+    "th-bpam-v1": ("bpam", 32),
+    "th-bpam-v2": ("bpam", 32),
+    "th-ppm-v1": ("ppm", 32),
+    "th-ppm-v2": ("ppm", 32),
+    "th-ppm-v3": ("ppm", 64),
+    "th-ppm-v4": ("ppm", 64),
 }

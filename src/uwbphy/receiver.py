@@ -1,5 +1,5 @@
-"""Matched-filter synchronization, the three demodulators, and the
-block pipeline that sweeps and sessions share.
+"""Matched-filter synchronization, demodulation of the three schemes,
+and the block pipeline that sweeps and sessions share.
 
 A receiver looks only at the code-predicted chip of each frame. It
 gathers each frame's observation window into one row of an
@@ -59,11 +59,10 @@ from .channel import (
 from .errors import (
     InvalidParams,
     RateMismatch,
-    SchemeMismatch,
     UncalibratedThreshold,
     WindowTooSmall,
 )
-from .framing import chip_samples, require_code
+from .framing import chip_samples, frame_samples, require_code
 from .transmitter import (
     BPAM,
     ENERGY_PER_BIT,
@@ -131,7 +130,7 @@ class ReceiverConfig:
 
     @property
     def frame_len(self):
-        return self.params.n_c * self.chip_len
+        return frame_samples(self.params, self.sample_rate)
 
     @property
     def window_len(self):
@@ -165,16 +164,6 @@ def _check_rx(rx, cfg):
         )
 
 
-def _datapath_arrays(rx, cfg):
-    """Received and template sample arrays after the configured ADC."""
-    if cfg.datapath is None:
-        return rx.samples, cfg.template.samples
-    return (
-        quantize_array(rx.samples, cfg.datapath),
-        quantize_array(cfg.template.samples, cfg.datapath),
-    )
-
-
 def synchronize(rx, cfg, search_window, n_sync_frames):
     """Estimate the timing offset with a matched filter.
 
@@ -192,7 +181,10 @@ def synchronize(rx, cfg, search_window, n_sync_frames):
         raise WindowTooSmall(
             f"search_window must cover at least one lag, got {search_window}"
         )
-    rxs, tpl = _datapath_arrays(rx, cfg)
+    rxs, tpl = rx.samples, cfg.template.samples
+    if cfg.datapath is not None:
+        rxs = quantize_array(rxs, cfg.datapath)
+        tpl = quantize_array(tpl, cfg.datapath)
     preamble = place_pulse_train(
         np.ones(int(n_sync_frames), dtype=np.int64),
         cfg.mod,
@@ -298,34 +290,6 @@ def demodulate(rx, cfg, sync=GENIE_SYNC):
     return decide(decision_statistics(rx, cfg, sync))
 
 
-def _require_scheme(cfg, scheme):
-    if cfg.mod.scheme != scheme:
-        raise SchemeMismatch(
-            f"{scheme.upper()} demodulator got scheme {cfg.mod.scheme!r}"
-        )
-
-
-def demod_bpam(rx, cfg, sync=GENIE_SYNC):
-    """Decode BPAM: bit 1 iff the template correlation at the
-    code-predicted position is >= 0."""
-    _require_scheme(cfg, BPAM)
-    return demodulate(rx, cfg, sync)
-
-
-def demod_ppm(rx, cfg, sync=GENIE_SYNC):
-    """Decode PPM from the double correlation: bit 1 iff the shifted
-    position's correlation is >= the nominal one."""
-    _require_scheme(cfg, PPM)
-    return demodulate(rx, cfg, sync)
-
-
-def demod_ook(rx, cfg, sync=GENIE_SYNC):
-    """Decode OOK by energy detection: bit 1 iff the windowed energy at
-    the code-predicted position is >= the calibrated threshold."""
-    _require_scheme(cfg, OOK)
-    return demodulate(rx, cfg, sync)
-
-
 def simulate_block(bits, tx, rx, ebn0_db, noise_seed, channel=None,
                    agc_bits=None):
     """Send bits over the link and return the receiver's decision
@@ -358,7 +322,16 @@ def simulate_block(bits, tx, rx, ebn0_db, noise_seed, channel=None,
     datapath draws W noise samples for each window, since quantization
     is not linear, adds the clean windows into that buffer and passes
     it through the ADC in place.
+
+    Raises InvalidParams when the sample positions of len(bits) frames
+    of the longer frame length do not fit a 64-bit integer.
     """
+    frame_len = max(tx.frame_len, rx.frame_len)
+    if len(bits) * frame_len > np.iinfo(np.int64).max:
+        raise InvalidParams(
+            f"{len(bits)} frames of {frame_len} samples overflow the "
+            f"64-bit sample index; shorten the frame or send fewer bits"
+        )
     _check_rx(tx, rx)
     first, kind, shapes = _received_pulses(bits, tx, channel)
     reach_len = shapes.shape[1]

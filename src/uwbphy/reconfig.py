@@ -27,20 +27,14 @@ from .errors import (
     StaleRequest,
     read_lines,
 )
-from .framing import (
-    CodeBank,
-    ThParams,
-    check_seed,
-    chip_samples,
-    require_code,
-)
+from .framing import CodeBank, ThParams, check_seed
 from .receiver import (
     ReceiverConfig,
     calibrate_ook_threshold,
     decide,
     simulate_block,
 )
-from .transmitter import ENERGY_PER_BIT, OOK, check_pulse_fits
+from .transmitter import ENERGY_PER_BIT, OOK
 from .waveform import DEFAULT_SAMPLE_RATE, sample_pulse
 
 # Ceiling on chips per frame: bounds the achievable-rate range the
@@ -77,11 +71,7 @@ class PhyState:
                 f"of {MAX_N_C}"
             )
         try:
-            chip_samples(self.params, self.sample_rate)
-            require_code(self.active_code, self.params)
-            check_pulse_fits(
-                self.mod, self.params, sample_pulse(self.pulse, self.sample_rate)
-            )
+            _link_end(self)
         except ConfigConflict as exc:
             raise InvalidParams(str(exc)) from None
 

@@ -14,7 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigConflict, InvalidParams
-from .framing import chip_offsets_for_frames, chip_samples, require_code
+from .framing import (
+    chip_offsets_for_frames,
+    chip_samples,
+    frame_samples,
+    require_code,
+)
 from .waveform import SampledSignal, sample_pulse
 
 OOK = "ook"
@@ -111,7 +116,7 @@ def place_pulse_train(bits, mod, params, code, template):
     require_code(code, params)
     check_pulse_fits(mod, params, template)
     rate = template.sample_rate
-    frame = params.n_c * chip_samples(params, rate)
+    frame = frame_samples(params, rate)
     n = len(bits_arr)
     out = np.zeros(n * frame, dtype=np.float64)
     if n == 0:

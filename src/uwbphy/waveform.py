@@ -12,7 +12,7 @@ Sampled pulses are normalized to unit discrete energy so correlation
 outputs read directly in energy units.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,12 +66,10 @@ class SampledSignal:
 
     samples: amplitude array (treated as immutable once constructed).
     sample_rate: samples per second.
-    t0: time of the first sample, seconds.
     """
 
     samples: np.ndarray
     sample_rate: float
-    t0: float = 0.0
 
     def __post_init__(self):
         if not self.sample_rate > 0.0:
@@ -127,9 +125,8 @@ def sample_pulse(shape, sample_rate=DEFAULT_SAMPLE_RATE):
     half = int(round(0.5 * shape.duration * sample_rate))
     t = np.arange(-half, half + 1, dtype=np.float64) / sample_rate
     s = pulse_value(shape, t)
-    sig = SampledSignal(s, sample_rate, t0=-half / sample_rate)
     return SampledSignal(
-        s / np.sqrt(sig.energy()), sample_rate, t0=-half / sample_rate
+        s / np.sqrt(SampledSignal(s, sample_rate).energy()), sample_rate
     )
 
 

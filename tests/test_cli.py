@@ -86,6 +86,18 @@ class TestSweepCommand:
         assert "# preset = th-bpam-v1" in out
         assert "# datapath = quantized32" in out
 
+    @pytest.mark.parametrize(
+        "extra, datapath",
+        [([], "quantized32"), (["--quant-bits", "12"], "quantized12")],
+    )
+    def test_preset_word_width_unless_given(self, extra, datapath, capsys):
+        rc = run(["sweep", "--preset", "th-ook-v2", "--ebn0", "inf",
+                  "--bits", "1000"] + extra)
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "# scheme = ook" in out
+        assert f"# datapath = {datapath}" in out
+
     def test_scheme_and_preset_are_exclusive(self):
         with pytest.raises(SystemExit) as exc:
             run(["sweep", "--scheme", "bpam", "--preset", "th-ook-v1"])
@@ -384,6 +396,29 @@ def test_huge_profile_value_exits_2_before_allocating(tmp_path, line, capsys):
     assert rc == 2
     assert "at most" in capsys.readouterr().err
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep", "--scheme", "bpam", "--bits", "1000", "--nc", str(10**15)],
+     ["sweep", "--scheme", "ook", "--bits", "1000", "--tc", "1e15"],
+     ["session", "--tc", "1e15", "--script", "plan.txt"]],
+)
+def test_sample_index_overflow_exits_2(tmp_path, monkeypatch, argv, capsys):
+    # bits times the frame length in samples is past the int64 range
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "plan.txt").write_text("@500 set tc=20 signal=1\n")
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "64-bit" in captured.err
+    assert captured.out == ""
+
+
+def test_long_frames_below_the_overflow_bound_run(capsys):
+    rc = run(["sweep", "--scheme", "bpam", "--ebn0", "4", "--bits", "1000",
+              "--nc", "100000"])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("4.0,")
 
 
 @pytest.mark.parametrize("flag", ["--script", "--code-file", "--profile-file"])

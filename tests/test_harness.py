@@ -15,7 +15,6 @@ from uwbphy import (
     ThCode,
     ThParams,
     compare_architectures,
-    emit_csv,
     format_csv,
     point_seeds,
     read_csv,
@@ -226,7 +225,9 @@ class TestCsv:
             BerPoint(8.0, 2, 10_000),
         ]
         path = tmp_path / "curve.csv"
-        emit_csv(points, path, meta={"scheme": "bpam", "base_seed": 0})
+        path.write_text(
+            format_csv(points, meta={"scheme": "bpam", "base_seed": 0})
+        )
         back = read_csv(path)
         assert [(p.ebn0_db, p.errors, p.bits) for p in back] == [
             (p.ebn0_db, p.errors, p.bits) for p in points
@@ -246,7 +247,7 @@ class TestCsv:
 
     def test_empty_points_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        emit_csv([], path)
+        path.write_text(format_csv([]))
         assert read_csv(path) == []
 
     def test_deterministic_text(self):
@@ -368,34 +369,20 @@ class TestPresets:
         }
 
     def test_known_rows(self):
-        ook1 = PRESETS["th-ook-v1"]
-        assert (ook1.scheme, ook1.sample_size_bits, ook1.n_channels) == (
-            "ook",
-            64,
-            1,
-        )
-        assert not ook1.reconfigurable and not ook1.ranging
-        assert PRESETS["th-ook-v2"].sample_size_bits == 32
-        assert PRESETS["th-bpam-v1"].scheme == "bpam"
-        assert PRESETS["th-ppm-v2"].ranging
-        v3 = PRESETS["th-ppm-v3"]
-        assert v3.reconfigurable and v3.sample_size_bits == 64
-        v4 = PRESETS["th-ppm-v4"]
-        assert v4.n_channels == 2 and v4.reconfigurable
-
-    def test_to_sweep_config_maps_word_width(self):
-        cfg = PRESETS["th-ook-v2"].to_sweep_config((0.0, 4.0))
-        assert cfg.scheme == "ook"
-        assert cfg.quant_bits == 32
-        assert cfg.preset_id == "th-ook-v2"
-
-    def test_explicit_float_override(self):
-        cfg = PRESETS["th-ook-v2"].to_sweep_config((0.0,), quant_bits=None)
-        assert cfg.quant_bits is None
+        # (scheme, ADC word width)
+        assert PRESETS["th-ook-v1"] == ("ook", 64)
+        assert PRESETS["th-ook-v2"] == ("ook", 32)
+        assert PRESETS["th-bpam-v1"] == PRESETS["th-bpam-v2"] == ("bpam", 32)
+        assert PRESETS["th-ppm-v1"] == PRESETS["th-ppm-v2"] == ("ppm", 32)
+        assert PRESETS["th-ppm-v3"] == PRESETS["th-ppm-v4"] == ("ppm", 64)
 
     def test_preset_sweep_runs(self):
-        cfg = PRESETS["th-bpam-v1"].to_sweep_config(
-            (math.inf,),
+        scheme, adc_bits = PRESETS["th-bpam-v1"]
+        cfg = SweepConfig(
+            scheme=scheme,
+            ebn0_grid=(math.inf,),
+            quant_bits=adc_bits,
+            preset_id="th-bpam-v1",
             n_bits_per_point=1000,
             params=FAST_PARAMS,
             pulse=FAST_PULSE,

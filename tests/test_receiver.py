@@ -6,15 +6,11 @@ from uwbphy import (
     QuantizerConfig,
     RateMismatch,
     SampledSignal,
-    SchemeMismatch,
     ThCode,
     UncalibratedThreshold,
     WindowTooSmall,
     add_awgn,
     calibrate_ook_threshold,
-    demod_bpam,
-    demod_ook,
-    demod_ppm,
     demodulate,
     place_pulse_train,
     synchronize,
@@ -159,33 +155,22 @@ class TestSynchronize:
 
 
 class TestGuards:
-    def test_scheme_mismatch(self, fast_params, fast_code, fast_template):
-        bpam_cfg = make_receiver("bpam", fast_params, fast_code, fast_template)
-        ppm_cfg = make_receiver("ppm", fast_params, fast_code, fast_template)
-        rx = transmit("bpam", [1, 0], fast_params, fast_code, fast_template)
-        with pytest.raises(SchemeMismatch):
-            demod_bpam(rx, ppm_cfg)
-        with pytest.raises(SchemeMismatch):
-            demod_ppm(rx, bpam_cfg)
-        with pytest.raises(SchemeMismatch):
-            demod_ook(rx, bpam_cfg)
-
     def test_uncalibrated_threshold(self, fast_params, fast_code, fast_template):
         cfg = make_receiver("ook", fast_params, fast_code, fast_template)
         rx = transmit("ook", [1, 0], fast_params, fast_code, fast_template)
         with pytest.raises(UncalibratedThreshold):
-            demod_ook(rx, cfg)
+            demodulate(rx, cfg)
 
     def test_rate_mismatch(self, fast_params, fast_code, fast_template):
         cfg = make_receiver("bpam", fast_params, fast_code, fast_template)
         rx = SampledSignal(np.zeros(4000), 25e9)
         with pytest.raises(RateMismatch):
-            demod_bpam(rx, cfg)
+            demodulate(rx, cfg)
 
     def test_empty_rx_decodes_nothing(self, fast_params, fast_code, fast_template):
         cfg = make_receiver("bpam", fast_params, fast_code, fast_template)
         rx = SampledSignal(np.zeros(10), RATE)  # less than one frame
-        assert len(demod_bpam(rx, cfg)) == 0
+        assert len(demodulate(rx, cfg)) == 0
 
 
 class TestBpam:
@@ -193,21 +178,21 @@ class TestBpam:
         bits = random_bits(5, 200)
         rx = transmit("bpam", bits, fast_params, fast_code, fast_template)
         cfg = make_receiver("bpam", fast_params, fast_code, fast_template)
-        np.testing.assert_array_equal(demod_bpam(rx, cfg), bits)
+        np.testing.assert_array_equal(demodulate(rx, cfg), bits)
 
     def test_negated_rx_flips_every_bit(self, fast_params, fast_code, fast_template):
         bits = random_bits(6, 100)
         rx = transmit("bpam", bits, fast_params, fast_code, fast_template)
         neg = SampledSignal(-rx.samples, RATE)
         cfg = make_receiver("bpam", fast_params, fast_code, fast_template)
-        np.testing.assert_array_equal(demod_bpam(neg, cfg), 1 - bits)
+        np.testing.assert_array_equal(demodulate(neg, cfg), 1 - bits)
 
     def test_all_zero_rx_decodes_ones(self, fast_params, fast_code, fast_template):
         # zero correlation is a tie and ties decode as 1
         cfg = make_receiver("bpam", fast_params, fast_code, fast_template)
         frame = frame_samples(fast_params, RATE)
         rx = SampledSignal(np.zeros(frame * 5), RATE)
-        np.testing.assert_array_equal(demod_bpam(rx, cfg), np.ones(5))
+        np.testing.assert_array_equal(demodulate(rx, cfg), np.ones(5))
 
 
 class TestPpm:
@@ -215,7 +200,7 @@ class TestPpm:
         bits = random_bits(8, 200)
         rx = transmit("ppm", bits, fast_params, fast_code, fast_template)
         cfg = make_receiver("ppm", fast_params, fast_code, fast_template)
-        np.testing.assert_array_equal(demod_ppm(rx, cfg), bits)
+        np.testing.assert_array_equal(demodulate(rx, cfg), bits)
 
     def test_nominal_position_only(self, fast_params, fast_code, fast_template):
         rx = transmit(
@@ -223,7 +208,7 @@ class TestPpm:
         )
         cfg = make_receiver("ppm", fast_params, fast_code, fast_template)
         np.testing.assert_array_equal(
-            demod_ppm(rx, cfg), np.zeros(50, dtype=np.uint8)
+            demodulate(rx, cfg), np.zeros(50, dtype=np.uint8)
         )
 
     def test_shifted_position_only(self, fast_params, fast_code, fast_template):
@@ -232,7 +217,7 @@ class TestPpm:
         )
         cfg = make_receiver("ppm", fast_params, fast_code, fast_template)
         np.testing.assert_array_equal(
-            demod_ppm(rx, cfg), np.ones(50, dtype=np.uint8)
+            demodulate(rx, cfg), np.ones(50, dtype=np.uint8)
         )
 
 
@@ -243,7 +228,7 @@ class TestOok:
         theta = calibrate_ook_threshold(cfg, np.inf, 0.5, 1000, rng_seed=0)
         rx = transmit("ook", bits, fast_params, fast_code, fast_template)
         np.testing.assert_array_equal(
-            demod_ook(rx, cfg.with_threshold(theta)), bits
+            demodulate(rx, cfg.with_threshold(theta)), bits
         )
 
     def test_all_zero_rx_decodes_zeros(self, fast_params, fast_code, fast_template):
@@ -252,7 +237,7 @@ class TestOok:
         )
         frame = frame_samples(fast_params, RATE)
         rx = SampledSignal(np.zeros(frame * 7), RATE)
-        np.testing.assert_array_equal(demod_ook(rx, cfg), np.zeros(7))
+        np.testing.assert_array_equal(demodulate(rx, cfg), np.zeros(7))
 
     def test_short_integration_window(self, fast_params, fast_code, fast_template):
         # a 1 ns window captures the bulk of the pulse energy; with a
@@ -269,7 +254,7 @@ class TestOok:
         assert 0.0 < theta < 0.5
         rx = transmit("ook", bits, fast_params, fast_code, fast_template)
         np.testing.assert_array_equal(
-            demod_ook(rx, cfg.with_threshold(theta)), bits
+            demodulate(rx, cfg.with_threshold(theta)), bits
         )
 
     def test_demodulate_dispatch(self, fast_params, fast_code, fast_template):
@@ -293,14 +278,14 @@ class TestCodeMismatch:
             "bpam", bits, wide_params, wide_code, fast_template, ebn0_db=10.0, seed=3
         )
         cfg = make_receiver("bpam", wide_params, UNCORRELATED_WIDE, fast_template)
-        ber = float(np.mean(demod_bpam(rx, cfg) != bits))
+        ber = float(np.mean(demodulate(rx, cfg) != bits))
         assert 0.4 <= ber <= 0.6
 
     def test_right_code_still_fine(self, wide_params, wide_code, fast_template):
         bits = random_bits(13, 2000)
         rx = transmit("bpam", bits, wide_params, wide_code, fast_template)
         cfg = make_receiver("bpam", wide_params, wide_code, fast_template)
-        assert np.array_equal(demod_bpam(rx, cfg), bits)
+        assert np.array_equal(demodulate(rx, cfg), bits)
 
 
 class TestQuantizedDatapath:
@@ -335,7 +320,7 @@ class TestQuantizedDatapath:
         quant_cfg = make_receiver(
             "bpam", fast_params, fast_code, fast_template, datapath=q
         )
-        agree = np.mean(demod_bpam(rx, float_cfg) == demod_bpam(rx, quant_cfg))
+        agree = np.mean(demodulate(rx, float_cfg) == demodulate(rx, quant_cfg))
         assert agree >= 0.995
 
     def test_one_bit_is_worse_than_twelve(
@@ -354,7 +339,7 @@ class TestQuantizedDatapath:
             cfg = make_receiver(
                 "bpam", fast_params, fast_code, fast_template, datapath=q
             )
-            errors[b] = int(np.sum(demod_bpam(rx, cfg) != bits))
+            errors[b] = int(np.sum(demodulate(rx, cfg) != bits))
         assert errors[1] > errors[12]
 
 

@@ -72,7 +72,6 @@ class TestSamplePulse:
         sig = sample_pulse(SHAPE, RATE)
         assert len(sig) % 2 == 1
         assert np.argmax(sig.samples) == len(sig) // 2
-        assert sig.t0 == pytest.approx(-(len(sig) // 2) / RATE)
 
     def test_undersampled_rejected(self):
         with pytest.raises(UndersampledPulse):
