@@ -4,17 +4,19 @@ emission, and side-by-side architecture comparison.
 A sweep is a pure function of its SweepConfig: bit, noise, channel, and
 calibration random streams are all derived from the base seed, point
 index, and block index, so repeated runs are byte-identical. Work is
-done in blocks of BLOCK_BITS bits, each sent through
-receiver.simulate_block, whose docstring describes the pipeline; in
-multipath mode each block sees a fresh channel realization. The
-receiver is genie-synchronized (zero timing offset); matched-filter
-acquisition is exercised separately.
+done in blocks of BLOCK_BITS bits, each with its own bit, noise and
+channel streams; in multipath mode each block sees a fresh channel
+realization. A point's blocks go to one receiver.simulate_block call,
+which runs several blocks per pass and whose docstring describes the
+pipeline. The receiver is genie-synchronized (zero timing offset);
+matched-filter acquisition is exercised separately.
 
 The sweep axis is Eb/N0. With unit-energy pulses BPAM and PPM spend one
 energy unit per bit; OOK transmits nothing for a 0, so its
 prior-averaged Eb is half a pulse energy.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -164,31 +166,36 @@ def point_seeds(base_seed, point_index):
     return tuple(int(s) for s in state)
 
 
-def _run_point(cfg, rcfg, ebn0_db, seeds):
-    bits_base, noise_base, chan_base, cal_base = seeds
-    if cfg.scheme == OOK:
-        rcfg = rcfg.with_threshold(
-            calibrate_ook_threshold(
-                rcfg, ebn0_db, ENERGY_PER_BIT[OOK], CALIBRATION_FRAMES,
-                cal_base,
-            )
-        )
-    errors = 0
+def _blocks(cfg, seeds):
+    """Each BLOCK_BITS block of a point as simulate_block takes it: its
+    bits, its noise seed and its channel realization (None for AWGN)."""
+    bits_base, noise_base, chan_base, _ = seeds
     n_bits = cfg.n_bits_per_point
     for block, done in enumerate(range(0, n_bits, BLOCK_BITS)):
-        nb = min(BLOCK_BITS, n_bits - done)
         bits = np.random.default_rng(bits_base ^ block).integers(
-            0, 2, size=nb, dtype=np.int64
+            0, 2, size=min(BLOCK_BITS, n_bits - done), dtype=np.int64
         )
         channel = None
         if cfg.channel is not None:
             channel = draw_channel(cfg.channel, chan_base ^ block)
-        stats = simulate_block(
-            bits, rcfg, rcfg, ebn0_db, noise_base ^ block, channel,
-            cfg.quant_bits,
+        yield bits, noise_base ^ block, channel
+
+
+def _run_point(cfg, rcfg, ebn0_db, seeds):
+    if cfg.scheme == OOK:
+        rcfg = rcfg.with_threshold(
+            calibrate_ook_threshold(
+                rcfg, ebn0_db, ENERGY_PER_BIT[OOK], CALIBRATION_FRAMES,
+                seeds[3],
+            )
         )
-        errors += int(np.count_nonzero(decide(stats[:nb]) != bits))
-    return BerPoint(ebn0_db=ebn0_db, errors=errors, bits=n_bits)
+    # simulate_block reads a pass of blocks ahead of the statistics it
+    # yields; tee keeps those blocks' bits until they are scored
+    sent, blocks = itertools.tee(_blocks(cfg, seeds))
+    stats = simulate_block(blocks, rcfg, rcfg, ebn0_db, cfg.quant_bits)
+    errors = sum(np.count_nonzero(decide(s) != bits)
+                 for (bits, _, _), s in zip(sent, stats))
+    return BerPoint(ebn0_db=ebn0_db, errors=errors, bits=cfg.n_bits_per_point)
 
 
 def run_sweep(cfg):

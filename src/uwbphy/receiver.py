@@ -21,16 +21,19 @@ quantized mode in which the window samples and the template pass
 through the same ADC model before correlation; accumulators stay in
 double precision either way.
 
-simulate_block runs one block over the link without building the
-block's waveform. The transmitter's pulse layout says where each
-pulse starts; the template, cut where the frame end cuts it and
-convolved once with the channel, is the received pulse g. Each window
-the receiver reads at its own geometry is the sum of the received
-pulses that reach into it, a handful per window even on CM1. Those
-windows repeat: the content of one follows from its in-frame start and
-the offset and shape of each pulse reaching into it, so a block's
-windows are grouped by that key and each distinct one is built once
-(about 70 of 1000 on a default-geometry CM1 block). With white noise
+simulate_block runs blocks over the link without building their
+waveforms, several blocks (a sweep point's) in one pass. The
+transmitter's pulse table says where the pulse of each bit at each
+code position starts; the template, cut where the frame end cuts it
+and convolved once with the block's channel, is the received pulse g.
+Each window the receiver reads at its own geometry is the sum of the
+received pulses that reach into it, a handful per window even on CM1.
+Those windows repeat: the content of one follows from its in-frame
+start and the offset and shape of each pulse reaching into it, so a
+pass's windows are grouped by that key and each distinct one is built
+once (about 70 of 1000 on a default-geometry CM1 block; about a dozen
+for all the blocks of an AWGN point). The random streams stay per
+block: each block draws its noise from its own seed. With white noise
 the window samples are a sufficient statistic for the decision, so
 noise anywhere else would never be read. On the floating-point
 datapath the statistic is linear in the noise for BPAM and PPM and a
@@ -68,6 +71,7 @@ from .transmitter import (
     ENERGY_PER_BIT,
     OOK,
     PPM,
+    _as_bits,
     check_pulse_fits,
     delta_samples,
     place_pulse_train,
@@ -78,6 +82,16 @@ from .waveform import SampledSignal
 # Rows of the quantized datapath's noise that take their clean windows
 # in one gather.
 _MERGE_ROWS = 64
+
+# Blocks that simulate_block runs through one pass: enough to share a
+# pass's fixed cost, few enough that its per-frame arrays stay small
+# beside one block's windows however many bits a sweep point has.
+_PASS_BLOCKS = 8
+
+# Range of one packed word of window-grouping keys; sample positions
+# are bounded by the int64 range.
+_WORD_RANGE = 1 << 62
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -290,137 +304,106 @@ def demodulate(rx, cfg, sync=GENIE_SYNC):
     return decide(decision_statistics(rx, cfg, sync))
 
 
-def simulate_block(bits, tx, rx, ebn0_db, noise_seed, channel=None,
-                   agc_bits=None):
-    """Send bits over the link and return the receiver's decision
-    statistics, one per whole receiver frame of the received waveform
-    (the transmitted frames plus the channel's spread), for at most
-    len(bits) frames: frames past the last bit are never read.
+def simulate_block(blocks, tx, rx, ebn0_db, agc_bits=None):
+    """Send blocks of bits over the link and yield each block's decision
+    statistics, in order: one per whole receiver frame of the block's
+    received waveform (its transmitted frames plus the channel's
+    spread), for at most len(bits) frames, since frames past the last
+    bit are never read.
 
-    tx is the transmitting end's configuration (its modulation, frame
-    geometry, code and template place the pulses); rx is the receiving
-    end's, which may differ after a one-sided reconfiguration. channel
-    is an optional ChannelRealization. Noise at the given Eb/N0 (per
-    tx's scheme) is drawn only for the rx windows, from noise_seed.
-    agc_bits selects a quantized datapath whose full scale is the peak
-    observed sample.
+    blocks is an iterable of (bits, noise_seed, channel) triples, read
+    as the statistics are taken. Each block is its own transmission,
+    with noise drawn from its own noise_seed and its own channel (None
+    or a ChannelRealization). tx is the transmitting end's
+    configuration (its modulation, frame geometry, code and template
+    place the pulses); rx is the receiving end's, which may differ
+    after a one-sided reconfiguration. Noise at the given Eb/N0 (per
+    tx's scheme) is drawn only for the rx windows. agc_bits selects a
+    quantized datapath whose full scale is the peak observed sample of
+    each block.
+
+    Up to _PASS_BLOCKS blocks go through one pass, fewer where their
+    sample positions would pass the int64 range, laid end to end so
+    far apart that no pulse of one reaches another's windows: what
+    follows from the link (the pulse table, the shapes, the grouping of
+    the windows) is worked out once per pass, while each block draws
+    its noise from its own stream in the order a pass of that block
+    alone would. The statistics equal those of one call per block, bit
+    for bit.
 
     The windows are built from the pulse layout, never from a block
     waveform: each is the sum of the received pulses that reach into
-    it (see _received_pulses), so the work and memory follow the number
-    of windows and their width, not the frame length. Windows with the
+    it (see _run_pass), so the work and memory follow the number of
+    windows and their width, not the frame length. Windows with the
     same key (see _distinct_windows) have the same clean content, which
     is built once. The result equals place_pulse_train, apply_channel
-    and decision_statistics on the whole block, up to float rounding in
-    multipath sums.
+    and decision_statistics on each whole block, up to float rounding
+    in multipath sums.
 
     On the floating-point datapath no noise sample is drawn and no
     (n_frames, W) matrix is built: the clean statistic and the noise
-    law's coefficients are taken once per distinct window, and each
-    frame adds its noise term drawn from the exact law (_noise_terms),
-    one normal per frame and, for OOK, one chi-square. The quantized
-    datapath draws W noise samples for each window, since quantization
-    is not linear, adds the clean windows into that buffer and passes
-    it through the ADC in place.
+    law are taken once per distinct window (_noise_law), and each frame
+    adds its noise term drawn from that law (_noise_terms), one normal
+    per frame and, for OOK, one chi-square. The quantized datapath
+    draws W noise samples for each window of a block, since
+    quantization is not linear, adds the clean windows into that buffer
+    and passes it through the ADC in place, one block at a time.
 
-    Raises InvalidParams when the sample positions of len(bits) frames
-    of the longer frame length do not fit a 64-bit integer.
+    Raises InvalidParams when a block's sample positions do not fit a
+    64-bit integer.
     """
-    frame_len = max(tx.frame_len, rx.frame_len)
-    if len(bits) * frame_len > np.iinfo(np.int64).max:
-        raise InvalidParams(
-            f"{len(bits)} frames of {frame_len} samples overflow the "
-            f"64-bit sample index; shorten the frame or send fewer bits"
-        )
     _check_rx(tx, rx)
-    first, kind, shapes = _received_pulses(bits, tx, channel)
-    reach_len = shapes.shape[1]
-    spread = reach_len - len(tx.template)
-    n_bits = len(bits)
-    frames = np.arange(
-        min((n_bits * tx.frame_len + spread) // rx.frame_len, n_bits)
-    )
-    width = rx.window_len
-    starts = _window_starts(rx, frames)
-    begin = rx.frame_len * frames + starts
-    # pulse starts q grow with the bit index, so the pulses reaching
-    # into a window [p, p + W) are the run with q + len(g) > p and
-    # q < p + W
-    lo = np.searchsorted(first + reach_len, begin, side="right")
-    reach = np.maximum(np.searchsorted(first, begin + width) - lo, 0)
-    rep, which = _distinct_windows(first, kind, starts, begin, lo, reach)
-    clean = _build_windows(
-        first, kind, shapes, begin[rep], lo[rep], reach[rep], width
-    )
-    eb = ENERGY_PER_BIT[tx.mod.scheme]
-    sigma = noise_sigma(ebn0_db, eb, rx.sample_rate)
-    rng = np.random.default_rng(noise_seed)
-    if agc_bits is None and rx.datapath is None:
-        inside = _inside(rx, starts[rep])
-        stats = _statistics(clean, inside, rx)[which]
-        if sigma > 0.0:
-            stats += _noise_terms(rng, sigma, clean, inside, rx, which)
-        return stats
-    if sigma > 0.0:
-        noisy = rng.standard_normal((len(frames), width))
-        # in chunks, so the gathered clean rows stay small beside the
-        # block and each chunk is scaled and summed while in cache
-        for at in range(0, len(frames), _MERGE_ROWS):
-            rows = noisy[at:at + _MERGE_ROWS]
-            rows *= sigma
-            rows += clean[which[at:at + _MERGE_ROWS]]
-    else:
-        noisy = clean[which]
-    del clean
-    return _statistics(noisy, _inside(rx, starts), rx, agc_bits)
+    table = _pulse_table(tx)
+    shared = _shapes(tx, table, None)
+    sigma = noise_sigma(ebn0_db, ENERGY_PER_BIT[tx.mod.scheme], rx.sample_rate)
+    frame_len = max(tx.frame_len, rx.frame_len)
+    # a pass's blocks and their first samples in it: a block spans its
+    # frames, then its received pulse and a window, so the next block's
+    # windows and pulses start past its own
+    batch, end = [], 0
+    for bits, noise_seed, channel in blocks:
+        bits = _as_bits(bits)
+        shapes = shared if channel is None else _shapes(tx, table, channel)
+        extent = len(bits) * frame_len + shapes.shape[1] + rx.window_len
+        if extent > _INT64_MAX:
+            raise InvalidParams(
+                f"{len(bits)} frames of {frame_len} samples overflow the "
+                f"64-bit sample index; shorten the frame or send fewer bits")
+        if len(batch) == _PASS_BLOCKS or end + extent > _INT64_MAX:
+            yield from _run_pass(batch, tx, rx, table, sigma, agc_bits)
+            batch, end = [], 0
+        batch.append((bits, noise_seed, shapes, end))
+        end += extent
+    if batch:
+        yield from _run_pass(batch, tx, rx, table, sigma, agc_bits)
 
 
-def _distinct_windows(first, kind, starts, begin, lo, reach):
-    """Group the windows by their clean content.
-
-    A window's content and its frame-end cut follow from its key: the
-    in-frame start, the number of reaching pulses and, for each of
-    them, its offset from the window and its received shape. Returns
-    one representative window per distinct key and, for every window,
-    the index of its key among the representatives.
-    """
-    keys = [starts, reach]
-    last = max(len(first) - 1, 0)
-    for step in range(reach.max(initial=0)):
-        hit = reach > step
-        i = np.minimum(lo + step, last)
-        keys.append(np.where(hit, begin - first[i], 0))
-        keys.append(np.where(hit, kind[i], 0))
-    keys = np.stack(keys)
-    order = np.lexsort(keys)
-    ordered = keys[:, order]
-    fresh = np.ones(len(order), dtype=bool)
-    np.any(ordered[:, 1:] != ordered[:, :-1], axis=0, out=fresh[1:])
-    which = np.empty(len(order), dtype=np.intp)
-    which[order] = np.cumsum(fresh) - 1
-    return order[fresh], which
+def _pulse_table(tx):
+    """The pulse tx sends for each bit at each code position, at entry
+    bit * len(code) + position: its first sample within its frame and
+    its shape row (-1 for an OOK 0, which sends nothing). Also returns
+    the widths the frame end leaves the template and the amplitudes;
+    row r has width r // len(levels) and amplitude r % len(levels)."""
+    bits = np.repeat([0, 1], len(tx.code))
+    starts, amps = pulse_layout(bits, tx.mod, tx.params, tx.code,
+                                tx.sample_rate)
+    sent = amps != 0.0
+    cut = np.minimum(len(tx.template), tx.frame_len - starts[sent])
+    widths, width_of = np.unique(cut, return_inverse=True)
+    levels, level_of = np.unique(amps[sent], return_inverse=True)
+    kind = np.full(len(starts), -1)
+    kind[sent] = width_of * len(levels) + level_of
+    return starts, kind, widths, levels
 
 
-def _received_pulses(bits, tx, channel):
-    """The pulses tx sends for bits, as the receiver gets them.
-
-    Returns, for every pulse of nonzero amplitude, its first sample
-    (counted from the block's start) and the row of its received shape,
-    and the shapes: one row per amplitude and width the frame end leaves
-    the template (see place_pulse_train), each put through the channel
-    and zero-padded to the received length of the uncut template.
-    """
-    starts, amps = pulse_layout(
-        bits, tx.mod, tx.params, tx.code, tx.sample_rate
-    )
+def _shapes(tx, table, channel):
+    """The received shape of each row of the pulse table: the template
+    cut to the row's width (see place_pulse_train), scaled by its
+    amplitude, put through the channel and zero-padded to the received
+    length of the uncut template."""
+    widths, levels = table[2:]
     template = tx.template
     tpl = template.samples
-    sent = amps != 0.0
-    first = (tx.frame_len * np.arange(len(starts)) + starts)[sent]
-    widths, width_of = np.unique(
-        np.minimum(len(tpl), tx.frame_len - starts[sent]), return_inverse=True
-    )
-    levels, level_of = np.unique(amps[sent], return_inverse=True)
     full = tpl if channel is None else apply_channel(template, channel).samples
     shapes = np.zeros((len(widths) * len(levels), len(full)))
     grid = shapes.reshape(len(widths), len(levels), len(full))
@@ -430,18 +413,138 @@ def _received_pulses(bits, tx, channel):
         elif channel is None:
             g = tpl[:w]
         else:
-            g = apply_channel(SampledSignal(tpl[:w], template.sample_rate),
+            g = apply_channel(SampledSignal(tpl[:w], tx.sample_rate),
                               channel).samples
         np.multiply(levels[:, None], g, out=rows[:, :len(g)])
-    return first, width_of * len(levels) + level_of, shapes
+    return shapes
 
 
-def _build_windows(first, kind, shapes, begin, lo, reach, width):
+def _run_pass(batch, tx, rx, table, sigma, agc_bits):
+    """Yield the statistics of each block of one pass. batch holds a
+    (bits, noise_seed, shapes, base) tuple per block: its received
+    shapes (one array shared by the blocks without a channel) and its
+    first sample in the pass.
+
+    The pulses of all blocks are laid out in one sequence of first
+    samples, and so are the rx windows. Pulse starts grow along it, so
+    the pulses reaching into a window [p, p + W) are the run whose
+    received end lies past p and whose start lies before p + W.
+    """
+    width = rx.window_len
+    # one set of shape rows per distinct shapes array, each row padded
+    # by a window of zeros on either side (see _build_windows)
+    sets = {id(shapes): shapes for _, _, shapes, _ in batch}
+    index = {key: k for k, key in enumerate(sets)}
+    rows = len(batch[0][2])
+    reach_len = max(shapes.shape[1] for shapes in sets.values())
+    padded = np.concatenate([
+        np.pad(s, ((0, 0), (width, width + reach_len - s.shape[1])))
+        for s in sets.values()
+    ])
+    n, length, base, offset = np.array([
+        (len(bits), shapes.shape[1], base, rows * index[id(shapes)])
+        for bits, _, shapes, base in batch
+    ], dtype=np.int64).T
+    frame = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    entry = np.concatenate([b[0] for b in batch]) * len(tx.code)
+    entry += frame % len(tx.code)
+    kind = table[1][entry]
+    sent = kind >= 0
+    first = np.repeat(base, n) + tx.frame_len * frame + table[0][entry]
+    first, kind = first[sent], (kind + np.repeat(offset, n))[sent]
+    ends = first + np.repeat(length, n)[sent]
+    # each block's rx frames: its tx frames plus the channel's spread,
+    # at most one per bit
+    spread = length - len(tx.template)
+    m = np.minimum((n * tx.frame_len + spread) // rx.frame_len, n)
+    frame = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
+    starts = _window_starts(rx, frame)
+    begin = np.repeat(base, m) + rx.frame_len * frame + starts
+    lo = np.searchsorted(ends, begin, side="right")
+    reach = np.maximum(np.searchsorted(first, begin + width) - lo, 0)
+    rep, which = _distinct_windows(
+        first, kind, starts, begin, lo, reach, len(padded), rx.frame_len,
+        reach_len, width,
+    )
+    clean = _build_windows(
+        first, kind, padded, begin[rep], lo[rep], reach[rep], width
+    )
+    quantized = agc_bits is not None or rx.datapath is not None
+    if not quantized:
+        inside = _inside(rx, starts[rep])
+        clean_stats = _statistics(clean, inside, rx)
+        law = _noise_law(sigma, clean, inside, rx)
+    for (_, seed, _, _), stop, count in zip(batch, np.cumsum(m), m):
+        block = slice(stop - count, stop)
+        rng = np.random.default_rng(seed)
+        if not quantized:
+            stats = clean_stats[which[block]]
+            if sigma > 0.0:
+                stats += _noise_terms(rng, sigma, law, rx, which[block])
+            yield stats
+            continue
+        if sigma == 0.0:
+            noisy = clean[which[block]]
+        else:
+            noisy = rng.standard_normal((count, width))
+            # in chunks, so the gathered clean rows stay small beside the
+            # block and each chunk is scaled and summed while in cache
+            for at in range(0, count, _MERGE_ROWS):
+                part = slice(at, at + _MERGE_ROWS)
+                noisy[part] *= sigma
+                noisy[part] += clean[which[block][part]]
+        yield _statistics(noisy, _inside(rx, starts[block]), rx, agc_bits)
+        # one block's noise at a time: no view of it may outlive it
+        del noisy
+
+
+def _distinct_windows(first, kind, starts, begin, lo, reach, n_kinds,
+                      frame_len, reach_len, width):
+    """Group the windows by their clean content.
+
+    A window's content and its frame-end cut follow from its key: the
+    in-frame start, the number of reaching pulses and, for each of
+    them, its offset from the window and its received shape. Each
+    column of the key is a digit of known range: the start lies in the
+    frame, and a pulse of one of n_kinds shapes of at most reach_len
+    samples reaches a window of width samples at one of
+    reach_len + width - 1 offsets. The digits are packed by exact mixed
+    radix into int64 words of at most _WORD_RANGE values each. Returns
+    one representative window per distinct key and, for every window,
+    the index of its key among the representatives.
+    """
+    steps = int(reach.max(initial=0))
+    digits = [(starts, frame_len), (reach, steps + 1)]
+    last = max(len(first) - 1, 0)
+    # 0 for no pulse, else the offset and the shape
+    pulse_radix = (reach_len + width - 1) * n_kinds + 1
+    for step in range(steps):
+        i = np.minimum(lo + step, last)
+        digit = (begin - first[i] + width - 1) * n_kinds + kind[i] + 1
+        digits.append((np.where(reach > step, digit, 0), pulse_radix))
+    words, span = [], _WORD_RANGE + 1
+    for value, radix in digits:
+        if span * radix > _WORD_RANGE:
+            words.append(value)
+            span = radix
+        else:
+            words[-1] = words[-1] * radix + value
+            span *= radix
+    order = np.lexsort(words)
+    ordered = np.stack(words)[:, order]
+    fresh = np.ones(len(order), dtype=bool)
+    np.any(ordered[:, 1:] != ordered[:, :-1], axis=0, out=fresh[1:])
+    which = np.empty(len(order), dtype=np.intp)
+    which[order] = np.cumsum(fresh) - 1
+    return order[fresh], which
+
+
+def _build_windows(first, kind, padded, begin, lo, reach, width):
     """Received signal over the windows [begin, begin + width): an
     (len(begin), width) matrix. Window r is reached by the pulses
-    lo[r] .. lo[r] + reach[r] - 1 of first/kind (see _received_pulses);
-    a window no pulse reaches is zero."""
-    padded = np.pad(shapes, ((0, 0), (width, width)))
+    lo[r] .. lo[r] + reach[r] - 1 of first/kind, whose received shapes
+    are the rows of padded, each with width zeros on either side (see
+    _run_pass); a window no pulse reaches is zero."""
     # view[k, j] is padded[k, j:j + width]: the received shape k as seen
     # from a window starting j - width samples after the pulse
     view = np.lib.stride_tricks.sliding_window_view(padded, width, axis=1)
@@ -459,40 +562,43 @@ def _build_windows(first, kind, shapes, begin, lo, reach, width):
     return win
 
 
-def _noise_terms(rng, sigma, win, inside, cfg, which):
-    """What white noise of per-sample deviation sigma adds to the
-    floating-point decision statistics of the clean windows win[which],
-    drawn from its exact law rather than from W samples per window. win
-    must have its samples past the frame end zeroed, as _statistics
-    leaves it; those samples do not count here either.
+def _noise_law(sigma, win, inside, cfg):
+    """The law of what white noise of per-sample deviation sigma adds
+    to the floating-point decision statistic of each clean window of
+    win. win must have its samples past the frame end zeroed, as
+    _statistics leaves it; those samples do not count here either.
 
     A correlation with coefficients c gains N(0, sigma^2 |c|^2), where c
     is the template for BPAM and the shifted minus the nominal template
-    for PPM. The energy of a window s of w samples becomes
-    (|s| + sigma u)^2 + sigma^2 chi2(w - 1), with u ~ N(0, 1) the noise
-    along s. One normal per window, then for OOK one chi-square.
+    for PPM; the law is (sigma |c|, None). The energy of a window s of
+    w samples becomes (|s| + sigma u)^2 + sigma^2 chi2(w - 1), with
+    u ~ N(0, 1) the noise along s; the law is (|s|, w - 1).
     """
-    width = win.shape[1]
-    n = len(which)
-    z = rng.standard_normal(n)
+    if inside is None:
+        inside = np.ones(win.shape, dtype=bool)
     if cfg.mod.scheme == OOK:
-        w = width
-        if inside is not None:
-            w = np.count_nonzero(inside, axis=1)[which]
-        norm = np.sqrt(np.einsum("ij,ij->i", win, win))[which]
-        extra = sigma * z * (2.0 * norm + sigma * z)
-        extra += sigma * sigma * _chi2(rng, w - 1, n)
-        return extra / cfg.sample_rate
+        return (np.sqrt(np.einsum("ij,ij->i", win, win)),
+                np.count_nonzero(inside, axis=1) - 1)
     tpl = cfg.template.samples
-    coef = np.zeros(width)
-    coef[width - len(tpl):] = tpl
+    coef = np.zeros(win.shape[1])
+    coef[-len(tpl):] = tpl
     if cfg.mod.scheme == PPM:
         coef[:len(tpl)] -= tpl
     power = coef * coef
-    if inside is None:
-        return sigma * np.sqrt(power.sum()) * z
-    norm2 = np.where(inside, power, 0.0).sum(axis=1)
-    return (sigma * np.sqrt(norm2))[which] * z
+    return sigma * np.sqrt(np.where(inside, power, 0.0).sum(axis=1)), None
+
+
+def _noise_terms(rng, sigma, law, cfg, which):
+    """Noise terms of the statistics of the windows which, drawn from
+    their law (see _noise_law) rather than from W samples per window:
+    one normal per window, then for OOK one chi-square."""
+    scale, dof = law
+    z = rng.standard_normal(len(which))
+    if cfg.mod.scheme != OOK:
+        return scale[which] * z
+    extra = sigma * z * (2.0 * scale[which] + sigma * z)
+    extra += sigma * sigma * _chi2(rng, dof[which], len(which))
+    return extra / cfg.sample_rate
 
 
 def _chi2(rng, df, size=None):

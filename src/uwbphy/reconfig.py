@@ -15,6 +15,7 @@ signal is asserted.
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .receiver import (
     decide,
     simulate_block,
 )
-from .transmitter import ENERGY_PER_BIT, OOK
+from .transmitter import ENERGY_PER_BIT, OOK, _as_bits
 from .waveform import DEFAULT_SAMPLE_RATE, sample_pulse
 
 # Ceiling on chips per frame: bounds the achievable-rate range the
@@ -71,13 +72,25 @@ class PhyState:
                 f"of {MAX_N_C}"
             )
         try:
-            _link_end(self)
+            self.link_end
         except ConfigConflict as exc:
             raise InvalidParams(str(exc)) from None
 
     @property
     def active_code(self):
         return self.code_bank.active()
+
+    @cached_property
+    def link_end(self):
+        """A ReceiverConfig for a link end in this state: its
+        modulation, frame geometry, active code and sampled pulse.
+        Built once, when the state is validated."""
+        return ReceiverConfig(
+            mod=self.mod,
+            params=self.params,
+            code=self.active_code,
+            template=sample_pulse(self.pulse, self.sample_rate),
+        )
 
 
 @dataclass(frozen=True)
@@ -180,30 +193,17 @@ def _segment_seeds(rng_seed, index):
     return int(noise), int(cal)
 
 
-def _link_end(state):
-    """A ReceiverConfig for one link end: its modulation, frame
-    geometry, active code and sampled pulse."""
-    return ReceiverConfig(
-        mod=state.mod,
-        params=state.params,
-        code=state.active_code,
-        template=sample_pulse(state.pulse, state.sample_rate),
-    )
-
-
 def _decode_segment(index, start, seg_bits, tx_state, rx_state, ebn0_db,
                     channel, rng_seed):
     noise_seed, cal_seed = _segment_seeds(rng_seed, index)
-    tx = _link_end(tx_state)
-    rx = _link_end(rx_state)
+    tx, rx = tx_state.link_end, rx_state.link_end
     if rx.mod.scheme == OOK:
         eb = ENERGY_PER_BIT[tx.mod.scheme]
         rx = rx.with_threshold(
             calibrate_ook_threshold(rx, ebn0_db, eb, _CAL_FRAMES, cal_seed)
         )
-    decoded = decide(
-        simulate_block(seg_bits, tx, rx, ebn0_db, noise_seed, channel)
-    )
+    block = (seg_bits, noise_seed, channel)
+    [decoded] = map(decide, simulate_block([block], tx, rx, ebn0_db))
 
     n = len(seg_bits)
     m = min(n, len(decoded))
@@ -247,9 +247,7 @@ def run_session(bits, schedule, initial_state, ebn0_db=math.inf,
     """
     check_ebn0(ebn0_db)
     check_seed(rng_seed, "rng_seed")
-    bits_arr = np.asarray(bits, dtype=np.int64).ravel()
-    if bits_arr.size and not np.isin(bits_arr, (0, 1)).all():
-        raise InvalidParams("bits must contain only 0 and 1")
+    bits_arr = _as_bits(bits)
     frames = [req.effective_frame for req in schedule if req.reconfig_signal]
     if any(b <= a for a, b in zip(frames, frames[1:])):
         raise InvalidParams(

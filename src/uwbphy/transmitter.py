@@ -60,7 +60,7 @@ class ModulationConfig:
 
 def _as_bits(bits):
     arr = np.asarray(bits, dtype=np.int64).ravel()
-    if arr.size and not np.isin(arr, (0, 1)).all():
+    if (arr & ~1).any():
         raise InvalidParams("bits must contain only 0 and 1")
     return arr
 

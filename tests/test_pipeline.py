@@ -46,8 +46,12 @@ from uwbphy import (
     sample_pulse,
 )
 from uwbphy.channel import quantize_array
-from uwbphy.harness import BLOCK_BITS
-from uwbphy.receiver import decision_statistics, simulate_block
+from uwbphy.harness import BLOCK_BITS, run_sweep
+from uwbphy.receiver import (
+    _distinct_windows,
+    decision_statistics,
+    simulate_block,
+)
 
 from conftest import FAST_DELTA, FAST_PULSE, RATE, random_bits
 
@@ -68,6 +72,14 @@ EDGE_CODE = ThCode(offsets=(2, 0, 2, 1, 2), code_id="edge")
 # Window energy of noise alone (120 samples at 6 dB, Eb = 0.5) plus
 # half a pulse: OOK decisions at 6 dB are then far from all-ones.
 OOK_THRESHOLD = 120 * 0.25 / 10 ** 0.6 + 0.5
+
+def _block(bits, tx, rx, ebn0_db, noise_seed, channel=None, agc_bits=None):
+    """The statistics of one block passed to simulate_block alone."""
+    [stats] = simulate_block(
+        [(bits, noise_seed, channel)], tx, rx, ebn0_db, agc_bits
+    )
+    return stats
+
 
 def _receiver(scheme, params=FAST_PARAMS, code=FAST_CODE, delta=FAST_DELTA):
     return ReceiverConfig(
@@ -183,7 +195,7 @@ def test_window_truncated_at_frame_end(scheme, quantized):
     bits = random_bits(31, 60)
     clean = _clean(bits, cfg)
     np.testing.assert_allclose(
-        simulate_block(bits, cfg, cfg, math.inf, noise_seed=0),
+        _block(bits, cfg, cfg, math.inf, noise_seed=0),
         _truncated_reference(clean.samples, cfg),
         rtol=1e-12,
     )
@@ -212,7 +224,7 @@ def test_window_noise_matches_full_waveform_noise(scheme, multipath):
     # it stops at the last bit's frame, before the channel's tail
     noiseless = decision_statistics(clean, cfg)[:len(bits)]
     np.testing.assert_allclose(
-        simulate_block(bits, cfg, cfg, math.inf, 0, channel),
+        _block(bits, cfg, cfg, math.inf, 0, channel),
         noiseless,
         rtol=1e-12,
         atol=1e-12,
@@ -220,7 +232,7 @@ def test_window_noise_matches_full_waveform_noise(scheme, multipath):
     # so the two differ only in the noise's contribution; comparing that
     # part frame by frame keeps the bit mixture out of the KS test
     ebn0_db = 4.0
-    windowed = simulate_block(bits, cfg, cfg, ebn0_db, 5, channel)
+    windowed = _block(bits, cfg, cfg, ebn0_db, 5, channel)
     full = decision_statistics(
         add_awgn(clean, ebn0_db, ENERGY_PER_BIT[scheme], 6), cfg
     )[:len(bits)]
@@ -239,7 +251,7 @@ def test_ook_pulse_windows_match_full_waveform_noise():
     clean = _clean(bits, cfg)
     noiseless = decision_statistics(clean, cfg)[:len(bits)]
     ebn0_db = 15.0
-    windowed = simulate_block(bits, cfg, cfg, ebn0_db, 22)
+    windowed = _block(bits, cfg, cfg, ebn0_db, 22)
     full = decision_statistics(
         add_awgn(clean, ebn0_db, ENERGY_PER_BIT["ook"], 23), cfg
     )[:len(bits)]
@@ -261,18 +273,18 @@ def test_mismatched_receiver_matches_full_waveform_noise(scheme):
     clean = _clean(bits, tx)
     noiseless = decision_statistics(clean, rx)[:len(bits)]
     np.testing.assert_allclose(
-        simulate_block(bits, tx, rx, math.inf, 0), noiseless, rtol=1e-12
+        _block(bits, tx, rx, math.inf, 0), noiseless, rtol=1e-12
     )
     # with noise far below the signal, a window whose pulse went
     # missing would show
     np.testing.assert_allclose(
-        simulate_block(bits, tx, rx, 200.0, 12),
+        _block(bits, tx, rx, 200.0, 12),
         noiseless,
         rtol=1e-6,
         atol=1e-6 * float(np.max(np.abs(noiseless))),
     )
     ebn0_db = 4.0
-    windowed = simulate_block(bits, tx, rx, ebn0_db, 12)
+    windowed = _block(bits, tx, rx, ebn0_db, 12)
     full = decision_statistics(
         add_awgn(clean, ebn0_db, ENERGY_PER_BIT[scheme], 13), rx
     )[:len(bits)]
@@ -312,7 +324,7 @@ def test_noise_only_windows_match_full_waveform_noise(scheme):
     tx = replace(rx, mod=ModulationConfig("ook"))
     bits = np.zeros(12_000, dtype=np.int64)
     ebn0_db = 4.0
-    windowed = simulate_block(bits, tx, rx, ebn0_db, 31)
+    windowed = _block(bits, tx, rx, ebn0_db, 31)
     full = decision_statistics(
         add_awgn(_clean(bits, tx), ebn0_db, ENERGY_PER_BIT["ook"], 32), rx
     )
@@ -367,7 +379,7 @@ def test_block_memory_stays_near_the_clean_waveform():
     clean_bytes = 8 * BLOCK_BITS * rcfg.frame_len
     tracemalloc.start()
     try:
-        simulate_block(bits, rcfg, rcfg, 4.0, noise_seed=8)
+        _block(bits, rcfg, rcfg, 4.0, noise_seed=8)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -382,7 +394,7 @@ def test_float_datapath_draws_no_window_noise(scheme):
     bits = random_bits(12, BLOCK_BITS)
     tracemalloc.start()
     try:
-        stats = simulate_block(bits, cfg, cfg, 4.0, 13)
+        stats = _block(bits, cfg, cfg, 4.0, 13)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -445,7 +457,7 @@ def test_cut_pulses_through_channel_match_full_waveform(scheme, channel):
     assert (len(ch.taps) <= 32) == (channel == "short")
     bits = random_bits(41, 300)
     _assert_same_statistics(
-        simulate_block(bits, cfg, cfg, math.inf, 0, ch),
+        _block(bits, cfg, cfg, math.inf, 0, ch),
         _noiseless_reference(bits, cfg, cfg, ch),
     )
 
@@ -465,7 +477,7 @@ def test_mismatched_receiver_through_channel_matches_full_waveform(
     ch = _channel(channel, seed=8)
     bits = random_bits(42, 300)
     _assert_same_statistics(
-        simulate_block(bits, tx, rx, math.inf, 0, ch),
+        _block(bits, tx, rx, math.inf, 0, ch),
         _noiseless_reference(bits, tx, rx, ch),
     )
 
@@ -478,13 +490,13 @@ def test_channel_spanning_several_frames_matches_full_waveform(scheme):
     bits = random_bits(43, 400)
     want = _noiseless_reference(bits, cfg, cfg, LONG_CHANNEL)
     _assert_same_statistics(
-        simulate_block(bits, cfg, cfg, math.inf, 0, LONG_CHANNEL), want
+        _block(bits, cfg, cfg, math.inf, 0, LONG_CHANNEL), want
     )
     # the same block on the cut edge geometry, through the same channel
     # (more than twelve of its frames)
     edge = _cut_receiver(scheme)
     _assert_same_statistics(
-        simulate_block(bits, edge, edge, math.inf, 0, LONG_CHANNEL),
+        _block(bits, edge, edge, math.inf, 0, LONG_CHANNEL),
         _noiseless_reference(bits, edge, edge, LONG_CHANNEL),
     )
 
@@ -512,7 +524,7 @@ def test_block_memory_follows_the_windows_not_the_frames(scheme, n_c, channel):
     bits = random_bits(10, BLOCK_BITS)
     tracemalloc.start()
     try:
-        stats = simulate_block(bits, rcfg, rcfg, 4.0, 11, ch)
+        stats = _block(bits, rcfg, rcfg, 4.0, 11, ch)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -540,7 +552,7 @@ def _block_peak(scheme, channel, agc_bits):
     bits = random_bits(12, BLOCK_BITS)
     tracemalloc.start()
     try:
-        stats = simulate_block(bits, cfg, cfg, 4.0, 13, ch, agc_bits)
+        stats = _block(bits, cfg, cfg, 4.0, 13, ch, agc_bits)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -606,7 +618,7 @@ def _block_grid_digest(scheme, channel):
             for ebn0_db in (4.0, math.inf):
                 for n_bits in (300, 37):
                     seed += 1
-                    stats = simulate_block(
+                    stats = _block(
                         random_bits(seed, n_bits), tx, rx_dp, ebn0_db,
                         seed, ch, agc_bits,
                     )
@@ -618,3 +630,128 @@ def _block_grid_digest(scheme, channel):
 def test_block_statistics_are_pinned(key):
     scheme, channel = key.split("-")
     assert _block_grid_digest(scheme, channel) == BLOCK_DIGESTS[key]
+
+
+def _block_channels(channel, n_blocks):
+    """One realization per block: a fresh CM1 draw for each, or the same
+    fixed channel (or None) for all."""
+    if channel == "cm1":
+        return [draw_channel(CM1_LIKE, 60 + b) for b in range(n_blocks)]
+    fixed = {"none": None, "short": SHORT_CHANNEL, "long": LONG_CHANNEL}
+    return [fixed[channel]] * n_blocks
+
+
+def _assert_one_pass_equals_one_call_per_block(blocks, tx, rx, ebn0_db,
+                                               agc_bits):
+    one_pass = list(simulate_block(blocks, tx, rx, ebn0_db, agc_bits))
+    assert len(one_pass) == len(blocks)
+    for stats, (bits, noise_seed, channel) in zip(one_pass, blocks):
+        alone = _block(bits, tx, rx, ebn0_db, noise_seed, channel, agc_bits)
+        assert stats.tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("link", ["matched", "mismatched"])
+@pytest.mark.parametrize("datapath", ["float", "agc8", "agc12", "fixed8"])
+@pytest.mark.parametrize("channel", ["none", "short", "cm1", "long"])
+@pytest.mark.parametrize("scheme", ["ook", "bpam", "ppm"])
+def test_one_pass_equals_one_call_per_block(scheme, channel, datapath, link):
+    # a sweep point of 2345 bits: blocks of 1000, 1000 and 345, each
+    # with its own noise stream and channel
+    if link == "matched":
+        tx = rx = _default_receiver(scheme)
+    else:
+        tx, rx = _receiver(scheme), _cut_receiver(scheme)
+    agc_bits = int(datapath[3:]) if datapath.startswith("agc") else None
+    if datapath == "fixed8":
+        peak = float(np.max(rx.template.samples))
+        rx = replace(rx, datapath=QuantizerConfig(8, 2.0 * peak))
+    bits = random_bits(50, 2345)
+    bits = [bits[at:at + BLOCK_BITS] for at in range(0, 2345, BLOCK_BITS)]
+    assert [len(b) for b in bits] == [1000, 1000, 345]
+    channels = _block_channels(channel, len(bits))
+    blocks = [(b, 70 + i, ch) for i, (b, ch) in enumerate(zip(bits, channels))]
+    for ebn0_db in (4.0, math.inf):
+        _assert_one_pass_equals_one_call_per_block(
+            blocks, tx, rx, ebn0_db, agc_bits
+        )
+
+
+@pytest.mark.parametrize("agc_bits", [None, 12], ids=["float", "agc12"])
+@pytest.mark.parametrize("scheme", ["ook", "bpam", "ppm"])
+def test_passes_of_mixed_blocks_equal_one_call_per_block(scheme, agc_bits):
+    # more blocks than one pass holds, with and without a channel; a
+    # one-bit block reads only code position 0, whose window stays in
+    # its frame, while the others also read the cut last chip
+    cfg = replace(_cut_receiver(scheme), code=ThCode((0, 2), "late"))
+    channels = [None, SHORT_CHANNEL, draw_channel(CM1_LIKE, 61), None,
+                LONG_CHANNEL]
+    sizes = [1, 300, 2, 37]
+    blocks = [
+        (random_bits(80 + i, sizes[i % 4]), 90 + i, channels[i % 5])
+        for i in range(20)
+    ]
+    _assert_one_pass_equals_one_call_per_block(blocks, cfg, cfg, 4.0, agc_bits)
+
+
+def test_blocks_past_the_int64_range_split_into_passes():
+    # 3e18-sample frames: three one-bit blocks fit the int64 sample
+    # index, four do not, so eight blocks take three passes
+    cfg = _receiver("bpam", ThParams(t_c=5e-9, n_c=12 * 10**15))
+    assert 3 * cfg.frame_len < np.iinfo(np.int64).max < 4 * cfg.frame_len
+    blocks = [(np.array([b % 2]), b, None) for b in range(8)]
+    _assert_one_pass_equals_one_call_per_block(blocks, cfg, cfg, 4.0, None)
+
+
+def test_window_keys_of_a_long_channel_take_several_words(monkeypatch):
+    # six or more pulses reach each window through LONG_CHANNEL, each at
+    # one of about 6000 offsets, so a key spans more than one int64 word
+    sorted_words = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(
+        np, "lexsort",
+        lambda keys: sorted_words.append(len(keys)) or lexsort(keys),
+    )
+    cfg = _receiver("bpam")
+    bits = random_bits(44, 900)
+    blocks = [(b, 0, LONG_CHANNEL) for b in np.split(bits, 3)]
+    stats = list(simulate_block(blocks, cfg, cfg, math.inf))
+    assert sorted_words == [max(sorted_words)] and sorted_words[0] > 1
+    for got, (b, _, ch) in zip(stats, blocks):
+        _assert_same_statistics(got, _noiseless_reference(b, cfg, cfg, ch))
+
+
+def test_packed_window_keys_stay_exact_past_one_word():
+    # four reaching pulses, each at one of 2**16 offsets, fill the 64
+    # bits of a word on their own: packed into one word, the in-frame
+    # start would be lost and windows 0 and 1 would share a key
+    first = np.array([0, 1, 2, 3, 100, 101, 102, 103, 200, 201, 202, 203])
+    rep, which = _distinct_windows(
+        first,
+        kind=np.zeros(len(first), dtype=np.int64),
+        starts=np.array([0, 5, 0]),
+        begin=np.array([3, 103, 203]),
+        lo=np.array([0, 4, 8]),
+        reach=np.array([4, 4, 4]),
+        n_kinds=1,
+        frame_len=10,
+        reach_len=2**16 - 1,
+        width=1,
+    )
+    assert len(rep) == 2
+    assert which[0] == which[2] != which[1]
+
+
+def test_sweep_point_memory_stays_at_one_pass():
+    # a 100-block float point: simulate_block takes its blocks a few per
+    # pass, so the per-frame arrays of a pass (about 20 values per bit)
+    # never cover the whole point
+    cfg = SweepConfig(
+        scheme="bpam", ebn0_grid=(4.0,), n_bits_per_point=100 * BLOCK_BITS
+    )
+    tracemalloc.start()
+    try:
+        run_sweep(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 8 * cfg.n_bits_per_point

@@ -20,6 +20,8 @@ from uwbphy import (
     run_session,
 )
 
+from uwbphy import reconfig
+
 from conftest import FAST_PULSE, RATE, make_mod, random_bits
 
 WIDE = ThCode(offsets=(2, 0, 3, 1, 7, 4, 6, 5), code_id="wide")
@@ -281,6 +283,28 @@ class TestRunSession:
         assert [s.start_frame for s in result.segments] == [0, 200, 500, 900]
         assert [s.n_bits for s in result.segments] == [200, 300, 400, 100]
         assert result.total_errors == 0
+
+    @pytest.mark.parametrize("fault_inject", [False, True])
+    def test_pulse_sampled_once_per_state(self, monkeypatch, fault_inject):
+        # a state's link end is built when the state is validated and
+        # serves every segment it sends or receives: four states here
+        calls = []
+        sample = reconfig.sample_pulse
+        monkeypatch.setattr(
+            reconfig, "sample_pulse",
+            lambda *args: calls.append(args) or sample(*args),
+        )
+        schedule = [
+            asserted(200, new_t_c=10e-9),
+            asserted(500, new_code_id="narrow"),
+            asserted(900, new_n_c=16),
+        ]
+        result = run_session(
+            random_bits(5, 1000), schedule, make_state(), ebn0_db=8.0,
+            fault_inject=fault_inject,
+        )
+        assert len(result.segments) == 4
+        assert len(calls) == 4
 
     def test_throughput_tracks_chip_time(self):
         bits = random_bits(6, 500)
