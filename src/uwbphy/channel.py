@@ -21,16 +21,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import oaconvolve
 
 from .errors import FormatError, InvalidParams, read_lines
 from .waveform import SampledSignal
 
 # At or below this tap count a realization is applied by direct
 # superposition (exact, testable sample-by-sample); denser realizations
-# go through FFT convolution with a dense kernel. Both paths stay
-# because the pinned block statistics depend on each: short channels
-# on the direct sums, CM1 draws on oaconvolve's rounding.
+# are convolved with a dense kernel by overlap-add (_fft_convolve).
+# Both paths stay because the pinned block statistics depend on each:
+# short channels on the direct sums, CM1 draws on the FFT's rounding.
 _DIRECT_TAP_LIMIT = 32
 
 # Bounds on a profile, so that a drawn realization stays small: the
@@ -249,13 +248,39 @@ def draw_channel(profile, rng_seed):
     return ChannelRealization(taps=taps, profile_id=profile.profile_id)
 
 
+def _fft_convolve(a, b):
+    """Full linear convolution of two nonempty float64 arrays by
+    overlap-add. With m the length of the shorter and n the smallest
+    power of two of at least 2m - 1, the longer is cut into blocks of
+    n - m + 1 samples, all blocks go through one batched real FFT of
+    length n, and the m - 1 sample tail of each block's product lands
+    in the head of the next block's span."""
+    if len(a) < len(b):
+        a, b = b, a
+    m = len(b)
+    n = 1 << (2 * m - 2).bit_length()
+    step = n - m + 1
+    blocks = -(-len(a) // step)
+    cut = np.zeros(blocks * step)
+    cut[:len(a)] = a
+    spec = np.fft.rfft(cut.reshape(blocks, step), n)
+    spec *= np.fft.rfft(b, n)
+    seg = np.fft.irfft(spec, n)
+    out = np.zeros((blocks + 1) * step)
+    span = out.reshape(blocks + 1, step)
+    span[:-1] = seg[:, :step]
+    span[1:, :m - 1] += seg[:, step:]
+    return out[:len(a) + m - 1]
+
+
 def apply_channel(signal, ch):
     """Convolve a signal with the realization: the superposition of
     delayed, scaled copies. Output is extended by the largest delay.
 
     Tap delays are rounded to the nearest sample period. Sparse
-    realizations are applied exactly tap by tap; dense ones via FFT
-    convolution (identical up to float rounding). The link pipeline,
+    realizations (at most _DIRECT_TAP_LIMIT taps) are applied exactly
+    tap by tap; dense ones by FFT overlap-add against a dense kernel
+    (identical up to float rounding). The link pipeline,
     receiver.simulate_block, applies it to the pulse template only;
     applied to a whole waveform it is that pipeline's reference.
     """
@@ -271,7 +296,7 @@ def apply_channel(signal, ch):
             out[di:di + len(x)] += gi * x
         return SampledSignal(out, rate)
     h = np.bincount(d, weights=g)
-    return SampledSignal(oaconvolve(x, h), rate)
+    return SampledSignal(_fft_convolve(x, h), rate)
 
 
 def check_ebn0(ebn0_db):

@@ -59,10 +59,13 @@ class ModulationConfig:
 
 
 def _as_bits(bits):
-    arr = np.asarray(bits, dtype=np.int64).ravel()
-    if (arr & ~1).any():
+    """bits as a flat int64 array. Raises InvalidParams unless every
+    value is a real 0 or 1 exactly: a cast alone would truncate 0.5 or
+    1.7 into a bit."""
+    arr = np.asarray(bits)
+    if arr.dtype.kind not in "biuf" or not ((arr == 0) | (arr == 1)).all():
         raise InvalidParams("bits must contain only 0 and 1")
-    return arr
+    return arr.astype(np.int64, copy=False).ravel()
 
 
 def delta_samples(mod, sample_rate):

@@ -25,6 +25,7 @@ from uwbphy import (
 from uwbphy.channel import (
     MAX_EXCESS_DELAY_NS,
     MAX_EXPECTED_TAPS,
+    _fft_convolve,
     quantize_array,
 )
 
@@ -240,6 +241,67 @@ class TestApplyChannel:
     def test_empty_signal(self):
         out = apply_channel(SampledSignal(np.zeros(0), 1e9), IDENTITY_CHANNEL)
         assert len(out) == 0
+
+
+def _oa_step(m):
+    """Block length _fft_convolve cuts the longer input into when the
+    shorter has m samples."""
+    n = 1 << (2 * m - 2).bit_length()
+    return n - m + 1
+
+
+@st.composite
+def _convolution_lengths(draw):
+    """(len(a), len(b)) with len(a) in 1..4000 and len(b) in 1..3000,
+    biased toward one-sample inputs, equal lengths and lengths at a
+    block boundary of the overlap-add."""
+    la = draw(st.one_of(st.just(1), st.integers(1, 4000)))
+    kind = draw(st.sampled_from(["free", "equal", "boundary"]))
+    if kind == "free":
+        lb = draw(st.one_of(st.just(1), st.integers(1, 3000)))
+    elif kind == "equal":
+        lb = min(la, 3000)
+        la = lb
+    else:
+        # the longer input ends exactly at, or one sample either side
+        # of, the end of a block cut for the shorter
+        lb = draw(st.integers(1, 3000))
+        step = _oa_step(lb)
+        k = draw(st.integers(1, max(1, 4000 // step)))
+        la = min(4000, max(1, k * step + draw(st.sampled_from([-1, 0, 1]))))
+    return la, lb
+
+
+class TestFftConvolve:
+    @given(lengths=_convolution_lengths(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_direct_convolution(self, lengths, seed):
+        rng = np.random.default_rng(seed)
+        a, b = (rng.standard_normal(n) for n in lengths)
+        expected = np.convolve(a, b)
+        out = _fft_convolve(a, b)
+        assert len(out) == len(expected)
+        np.testing.assert_allclose(
+            out, expected, rtol=0, atol=1e-12 * np.abs(expected).max()
+        )
+
+    @pytest.mark.parametrize(
+        "la, lb",
+        [(1, 1), (1, 3000), (4000, 1), (3000, 3000), (201, 10001),
+         (_oa_step(201), 201), (_oa_step(201) + 1, 201),
+         (3 * _oa_step(1500), 1500), (3000, 1025)],
+    )
+    def test_edge_lengths(self, la, lb):
+        # one-sample and equal inputs, the pipeline's template against a
+        # CM1 kernel, block boundaries, and a shorter input of 2^10 + 1
+        # samples, the smallest length to need n = 4096
+        rng = np.random.default_rng(la + lb)
+        a, b = rng.standard_normal(la), rng.standard_normal(lb)
+        expected = np.convolve(a, b)
+        for out in (_fft_convolve(a, b), _fft_convolve(b, a)):
+            assert len(out) == len(expected)
+            np.testing.assert_allclose(
+                out, expected, rtol=0, atol=1e-12 * np.abs(expected).max()
+            )
 
 
 class TestQuantizer:

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -439,3 +443,19 @@ def test_input_file_not_utf8_exits_2(tmp_path, flag, capsys):
     captured = capsys.readouterr()
     assert "not UTF-8" in captured.err
     assert captured.out == ""
+
+
+def test_import_loads_no_scipy():
+    # scipy.signal alone cost most of the CLI's start-up; src/ needs
+    # numpy only, and any later scipy use there must import lazily
+    code = (
+        "import sys, uwbphy.cli; "
+        "print(sorted(m for m in sys.modules"
+        " if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, timeout=120, check=True,
+    )
+    assert proc.stdout.strip() == "[]"

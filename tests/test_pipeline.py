@@ -29,6 +29,7 @@ from uwbphy import (
     DEFAULT_PULSE,
     DEFAULT_SAMPLE_RATE,
     ENERGY_PER_BIT,
+    InvalidParams,
     ModulationConfig,
     QuantizerConfig,
     ReceiverConfig,
@@ -579,17 +580,18 @@ def test_quantized_block_holds_one_window_matrix(scheme):
 # over each (scheme, channel) cell of the grid below, taken when every
 # window was built on its own. They pin every statistic bit for bit, so
 # a window given the content of another shows even where no decision
-# and no CSV byte moves.
+# and no CSV byte moves. The cm1 cells also pin the float rounding of
+# apply_channel's dense (overlap-add) path.
 BLOCK_DIGESTS = {
     "ook-none": "4e040b9ea89b9616",
     "ook-short": "8fc696dc23cdd44f",
-    "ook-cm1": "bc1778c19e829e9f",
+    "ook-cm1": "8c2780b9a0ddf8a5",
     "bpam-none": "f6ce168b61f4d9a9",
     "bpam-short": "cfe38fabd0b5922e",
-    "bpam-cm1": "96f53d3badc60170",
+    "bpam-cm1": "39319da0033b8d3e",
     "ppm-none": "102021167d5eb50c",
     "ppm-short": "ce178697d1d772d8",
-    "ppm-cm1": "884a730f21df1776",
+    "ppm-cm1": "0e92296c20f83d90",
 }
 
 
@@ -700,6 +702,25 @@ def test_blocks_past_the_int64_range_split_into_passes():
     assert 3 * cfg.frame_len < np.iinfo(np.int64).max < 4 * cfg.frame_len
     blocks = [(np.array([b % 2]), b, None) for b in range(8)]
     _assert_one_pass_equals_one_call_per_block(blocks, cfg, cfg, 4.0, None)
+
+
+@pytest.mark.parametrize(
+    "bits", [[0.5, 1.7, 0.2, 1.0] * 50, [1.0, 0.0, float("inf")], [0, 1, 2]]
+)
+def test_non_binary_bits_rejected(bits):
+    # a cast to int64 alone would run 0.5, 1.7, 0.2, 1.0 as 0, 1, 0, 1
+    cfg = _receiver("bpam")
+    with pytest.raises(InvalidParams, match="only 0 and 1"):
+        _block(bits, cfg, cfg, 4.0, 0)
+
+
+def test_integral_float_bits_equal_int_bits():
+    cfg = _receiver("ppm")
+    bits = random_bits(5, 200)
+    np.testing.assert_array_equal(
+        _block(bits.astype(float), cfg, cfg, 4.0, 7),
+        _block(bits, cfg, cfg, 4.0, 7),
+    )
 
 
 def test_window_keys_of_a_long_channel_take_several_words(monkeypatch):

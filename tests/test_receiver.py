@@ -15,6 +15,8 @@ from uwbphy import (
     place_pulse_train,
     synchronize,
 )
+from uwbphy import receiver
+from uwbphy.channel import quantize_array
 from uwbphy.framing import frame_samples
 
 from conftest import RATE, make_mod, make_receiver, random_bits
@@ -152,6 +154,105 @@ class TestSynchronize:
         assert est.offset == 31
         decoded = demodulate(rx, cfg, est)
         np.testing.assert_array_equal(decoded[8:], bits)
+
+
+def _brute_force_sync(rx, cfg, search_window, n_sync_frames):
+    """(offset, peak metric) by direct correlation of the whole received
+    signal, quantized whole on the quantized datapath."""
+    rxs, tpl = rx.samples, cfg.template.samples
+    if cfg.datapath is not None:
+        rxs = quantize_array(rxs, cfg.datapath)
+        tpl = quantize_array(tpl, cfg.datapath)
+    preamble = place_pulse_train(
+        np.ones(n_sync_frames, dtype=int), cfg.mod, cfg.params, cfg.code,
+        SampledSignal(tpl, cfg.sample_rate),
+    ).samples
+    metric = np.correlate(rxs, preamble, mode="valid") / cfg.sample_rate
+    metric = metric[:search_window + 1]
+    best = int(np.argmax(metric))
+    return best, metric[best]
+
+
+class TestSynchronizeReference:
+    """synchronize correlates only the samples that lags
+    0..search_window reach, directly for a few lags and by FFT for
+    many (receiver._DIRECT_SYNC_LAGS); either way it must agree with
+    direct correlation of the whole signal."""
+
+    def _noisy_rx(self, cfg, shift, tail_frames, seed):
+        tx = place_pulse_train(
+            np.ones(8 + tail_frames, dtype=int), cfg.mod, cfg.params,
+            cfg.code, cfg.template,
+        )
+        return add_awgn(shifted(tx, shift), 6.0, 1.0, rng_seed=seed)
+
+    def _assert_matches_reference(self, rx, cfg, search_window):
+        est = synchronize(rx, cfg, search_window, n_sync_frames=8)
+        best, peak = _brute_force_sync(rx, cfg, search_window, 8)
+        assert est.offset == best
+        assert est.peak_metric == pytest.approx(peak, rel=1e-9)
+
+    @pytest.mark.parametrize("search_window", [12, 1500])
+    def test_long_signal(
+        self, search_window, fast_params, fast_code, fast_template
+    ):
+        cfg = make_receiver("bpam", fast_params, fast_code, fast_template)
+        rx = self._noisy_rx(cfg, 9, tail_frames=12, seed=search_window)
+        self._assert_matches_reference(rx, cfg, search_window)
+
+    @pytest.mark.parametrize(
+        "tail_frames, search_window, lags", [(0, 400, 5), (2, 5000, 2005)]
+    )
+    def test_window_past_the_last_lag_clamps(
+        self, tail_frames, search_window, lags, fast_params, fast_code,
+        fast_template,
+    ):
+        # the signal ends `lags` samples past the preamble; a wider
+        # window reads those lags and no more
+        cfg = make_receiver("ppm", fast_params, fast_code, fast_template)
+        rx = self._noisy_rx(cfg, 5, tail_frames, seed=1)
+        assert len(rx) == 8 * cfg.frame_len + lags
+        self._assert_matches_reference(rx, cfg, search_window)
+
+    @pytest.mark.parametrize("search_window", [30, 1500])
+    @pytest.mark.parametrize("bits", [3, 8])
+    def test_quantized_datapath(
+        self, bits, search_window, fast_params, fast_code, fast_template
+    ):
+        q = QuantizerConfig(bits, 1.5 * float(np.max(fast_template.samples)))
+        cfg = make_receiver(
+            "bpam", fast_params, fast_code, fast_template, datapath=q
+        )
+        rx = self._noisy_rx(cfg, 7, tail_frames=4, seed=bits)
+        self._assert_matches_reference(rx, cfg, search_window)
+
+    def test_quantizes_only_the_correlated_samples(
+        self, monkeypatch, fast_params, fast_code, fast_template
+    ):
+        q = QuantizerConfig(8, float(np.max(fast_template.samples)))
+        cfg = make_receiver(
+            "bpam", fast_params, fast_code, fast_template, datapath=q
+        )
+        rx = self._noisy_rx(cfg, 2, tail_frames=500, seed=3)
+        sizes = []
+
+        def spy(x, *args, **kwargs):
+            sizes.append(len(x))
+            return quantize_array(x, *args, **kwargs)
+
+        monkeypatch.setattr(receiver, "quantize_array", spy)
+        synchronize(rx, cfg, search_window=20, n_sync_frames=8)
+        preamble_len = 8 * cfg.frame_len
+        assert sorted(sizes) == [len(fast_template), preamble_len + 20]
+
+    @pytest.mark.parametrize("n_sync_frames", [0, -1, 2.5, float("nan")])
+    def test_preamble_length_must_be_a_positive_integer(
+        self, n_sync_frames, fast_params, fast_code, fast_template
+    ):
+        cfg = make_receiver("bpam", fast_params, fast_code, fast_template)
+        rx = self._noisy_rx(cfg, 0, tail_frames=4, seed=0)
+        with pytest.raises(InvalidParams, match="n_sync_frames"):
+            synchronize(rx, cfg, search_window=10, n_sync_frames=n_sync_frames)
 
 
 class TestGuards:

@@ -371,6 +371,21 @@ class TestRunSession:
         with pytest.raises(InvalidParams):
             run_session([0, 1, 2], [], make_state())
 
+    @pytest.mark.parametrize(
+        "bits",
+        [[0.5, 1.7, 0.2, 1.0] * 50, [0.0, 1.0, float("nan")], [1, 1 + 1e-9]],
+    )
+    def test_fractional_bits_rejected(self, bits):
+        # a cast to int64 would run 0.5, 1.7, 0.2, 1.0 as 0, 1, 0, 1
+        with pytest.raises(InvalidParams, match="only 0 and 1"):
+            run_session(bits, [], make_state())
+
+    def test_integral_float_bits_run_as_ints(self):
+        bits = random_bits(4, 64)
+        [as_floats] = run_session(bits.astype(float), [], make_state()).segments
+        [as_ints] = run_session(bits, [], make_state()).segments
+        np.testing.assert_array_equal(as_floats.decoded, as_ints.decoded)
+
     @pytest.mark.parametrize("ebn0_db", [float("nan"), float("-inf")])
     def test_non_finite_eb_n0_rejected(self, ebn0_db):
         with pytest.raises(InvalidParams):
