@@ -18,11 +18,18 @@ else in the package.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, InvalidParams, read_lines
+from .errors import (
+    FormatError,
+    InvalidParams,
+    check_int,
+    check_positive,
+    read_lines,
+)
 from .waveform import SampledSignal
 
 # At or below this tap count a realization is applied by direct
@@ -43,6 +50,15 @@ MAX_EXCESS_DELAY_NS = 1e4
 # float64 has 52 mantissa bits: a finer lattice cannot be represented,
 # so quantization at such widths degenerates to clipping.
 _IDENTITY_BITS = 52
+
+_PROFILE_KEYS = (
+    "cluster_arrival_rate",
+    "ray_arrival_rate",
+    "cluster_decay",
+    "ray_decay",
+    "mean_clusters",
+    "max_excess_delay",
+)
 
 
 @dataclass(frozen=True)
@@ -70,19 +86,10 @@ class SvProfile:
     profile_id: str = "custom"
 
     def __post_init__(self):
-        for name in (
-            "cluster_arrival_rate",
-            "ray_arrival_rate",
-            "cluster_decay",
-            "ray_decay",
-            "mean_clusters",
-            "max_excess_delay",
-        ):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise InvalidParams(
-                    f"{name} must be positive and finite, got "
-                    f"{getattr(self, name)}"
-                )
+        for name in _PROFILE_KEYS:
+            object.__setattr__(
+                self, name, check_positive(getattr(self, name), name)
+            )
         if self.max_excess_delay > MAX_EXCESS_DELAY_NS:
             raise InvalidParams(
                 f"max_excess_delay must be at most {MAX_EXCESS_DELAY_NS:g} "
@@ -110,15 +117,6 @@ CM1_LIKE = SvProfile(
     profile_id="cm1-like",
 )
 
-_PROFILE_KEYS = (
-    "cluster_arrival_rate",
-    "ray_arrival_rate",
-    "cluster_decay",
-    "ray_decay",
-    "mean_clusters",
-    "max_excess_delay",
-)
-
 
 def load_profile_file(path, base=CM1_LIKE):
     """Parse a `key = value` profile file, overriding fields of base.
@@ -126,12 +124,8 @@ def load_profile_file(path, base=CM1_LIKE):
     Unknown keys are rejected. Blank lines and `#` comments are skipped.
     Values are in the SvProfile units (ns-based).
     """
-    lines = read_lines(path)
     fields = {k: getattr(base, k) for k in _PROFILE_KEYS}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in read_lines(path):
         key, sep, value = line.partition("=")
         key = key.strip()
         if not sep:
@@ -300,10 +294,11 @@ def apply_channel(signal, ch):
 
 
 def check_ebn0(ebn0_db):
-    """Raise InvalidParams unless ebn0_db is finite or +inf (the
-    no-noise sentinel)."""
-    if math.isnan(ebn0_db) or ebn0_db == -math.inf:
-        raise InvalidParams(f"Eb/N0 must be finite or +inf, got {ebn0_db}")
+    """ebn0_db as a float. Raises InvalidParams unless it is a real
+    number, finite or +inf (the no-noise sentinel)."""
+    if isinstance(ebn0_db, numbers.Real) and -math.inf < ebn0_db:
+        return float(ebn0_db)
+    raise InvalidParams(f"Eb/N0 must be finite or +inf, got {ebn0_db!r}")
 
 
 def noise_sigma(ebn0_db, energy_per_bit, sample_rate):
@@ -314,10 +309,7 @@ def noise_sigma(ebn0_db, energy_per_bit, sample_rate):
     Raises InvalidParams for a non-positive energy_per_bit, for NaN or
     -inf, and for an Eb/N0 so low that sigma overflows.
     """
-    if not energy_per_bit > 0.0:
-        raise InvalidParams(
-            f"energy_per_bit must be positive, got {energy_per_bit}"
-        )
+    check_positive(energy_per_bit, "energy_per_bit")
     check_ebn0(ebn0_db)
     if ebn0_db == math.inf:
         return 0.0
@@ -358,13 +350,10 @@ class QuantizerConfig:
     full_scale: float
 
     def __post_init__(self):
-        if not isinstance(self.bits, (int, np.integer)) or not 1 <= self.bits <= 64:
-            raise InvalidParams(f"bits must be an integer in [1, 64], got {self.bits}")
-        object.__setattr__(self, "bits", int(self.bits))
-        if not self.full_scale > 0.0:
-            raise InvalidParams(
-                f"full_scale must be positive, got {self.full_scale}"
-            )
+        object.__setattr__(self, "bits", check_int(self.bits, "bits", 1, 64))
+        object.__setattr__(
+            self, "full_scale", check_positive(self.full_scale, "full_scale")
+        )
 
 
 def quantize_array(x, q, out=None):

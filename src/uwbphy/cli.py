@@ -16,11 +16,10 @@ import sys
 import numpy as np
 
 from .channel import CM1_LIKE, load_profile_file
-from .errors import InvalidParams, PhyError
+from .errors import PhyError, check_int
 from .framing import (
     CodeBank,
     ThParams,
-    check_seed,
     generate_code,
     load_code_file,
     write_code_file,
@@ -120,9 +119,8 @@ def _cmd_compare(args):
 
 
 def _cmd_session(args):
-    check_seed(args.seed, "--seed")
-    if args.bits < 0:
-        raise InvalidParams(f"--bits must be >= 0, got {args.bits}")
+    check_int(args.seed, "--seed", 0)
+    check_int(args.bits, "--bits", 0)
     params = ThParams(t_c=args.tc * 1e-9, n_c=args.nc)
     if args.code_file is not None:
         bank = load_code_file(args.code_file, params)
@@ -162,8 +160,7 @@ def _cmd_session(args):
 
 
 def _cmd_codegen(args):
-    if args.count < 1:
-        raise InvalidParams(f"--count must be >= 1, got {args.count}")
+    check_int(args.count, "--count", 1)
     params = ThParams(t_c=10e-9, n_c=args.nc)
     codes = [
         generate_code(args.seed + i, args.length, params)

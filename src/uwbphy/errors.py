@@ -1,11 +1,19 @@
-"""Exception hierarchy for the PHY simulator.
+"""Exception hierarchy for the PHY simulator, and the rules that admit
+outside input.
 
 Everything raised on purpose by this package derives from PhyError so
 callers can catch configuration and protocol failures with a single
 except clause while letting genuine bugs (TypeError, etc.) propagate.
-I/O failures are deliberately left as OSError; a text file that is not
-UTF-8 is a FormatError (read_lines).
+I/O failures are deliberately left as OSError.
+
+Each kind of outside input has one rule: check_int for counts, sizes,
+indices and seeds, check_positive for physical quantities, and
+read_lines for the text files the parsers read (a file that is not
+UTF-8 is a FormatError).
 """
+
+import math
+import numbers
 
 
 class PhyError(Exception):
@@ -56,12 +64,36 @@ class FormatError(PhyError):
     script) failed to parse."""
 
 
+def check_int(value, name, lo, hi=math.inf):
+    """value as an int. Raises InvalidParams unless it is a real number
+    with an integral value in [lo, hi]: 8, np.int64(8) and 8.0 give 8,
+    while 2.5, NaN, inf, "3" and None are refused."""
+    if isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer()
+    ):
+        if lo <= int(value) <= hi:
+            return int(value)
+    bound = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+    raise InvalidParams(f"{name} must be {bound} and integral, got {value!r}")
+
+
+def check_positive(value, name):
+    """value as a float. Raises InvalidParams unless it is a real number
+    in (0, inf)."""
+    if isinstance(value, numbers.Real) and 0.0 < value < math.inf:
+        return float(value)
+    raise InvalidParams(f"{name} must be positive and finite, got {value!r}")
+
+
 def read_lines(path):
-    """The lines of the UTF-8 text file that a parser reads. A file that
-    does not decode raises FormatError rather than UnicodeDecodeError,
-    a ValueError the parsers' callers would not expect."""
+    """(line number, stripped text) for each line of the UTF-8 text file
+    at path that is neither blank nor a `#` comment. A file that does
+    not decode raises FormatError rather than UnicodeDecodeError, a
+    ValueError the parsers' callers would not expect."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.readlines()
+            lines = [line.strip() for line in fh]
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return [(n, line) for n, line in enumerate(lines, start=1)
+            if line and not line.startswith("#")]

@@ -7,7 +7,6 @@ aggregate slot rate is n_c / t_f = 1 / t_c, which is what data_rate
 returns.
 """
 
-import math
 import re
 from dataclasses import dataclass
 
@@ -18,6 +17,8 @@ from .errors import (
     FormatError,
     InvalidParams,
     UnknownCode,
+    check_int,
+    check_positive,
     read_lines,
 )
 
@@ -37,13 +38,8 @@ class ThParams:
     n_c: int
 
     def __post_init__(self):
-        if not 0.0 < self.t_c < math.inf:
-            raise InvalidParams(
-                f"t_c must be positive and finite, got {self.t_c}"
-            )
-        if not isinstance(self.n_c, (int, np.integer)) or self.n_c < 2:
-            raise InvalidParams(f"n_c must be an integer >= 2, got {self.n_c}")
-        object.__setattr__(self, "n_c", int(self.n_c))
+        object.__setattr__(self, "t_c", check_positive(self.t_c, "t_c"))
+        object.__setattr__(self, "n_c", check_int(self.n_c, "n_c", 2))
 
     @property
     def t_f(self):
@@ -93,11 +89,9 @@ class ThCode:
     code_id: str
 
     def __post_init__(self):
-        offs = tuple(int(c) for c in self.offsets)
+        offs = tuple(check_int(c, "code offset", 0) for c in self.offsets)
         if len(offs) < 1:
             raise InvalidParams("code must contain at least one offset")
-        if any(c < 0 for c in offs):
-            raise InvalidParams(f"code offsets must be >= 0, got {offs}")
         object.__setattr__(self, "offsets", offs)
 
     def __len__(self):
@@ -125,21 +119,13 @@ def require_code(code, params):
         )
 
 
-def check_seed(seed, name="seed"):
-    """Raise InvalidParams for a negative seed, which numpy's seeding
-    would reject with a bare ValueError."""
-    if seed < 0:
-        raise InvalidParams(f"{name} must be >= 0, got {seed}")
-
-
 def generate_code(seed, length, params):
     """Draw a pseudo-random code, uniform over [0, n_c - 1] per frame.
 
     Deterministic: the same seed always yields the same code.
     """
-    check_seed(seed)
-    if length < 1:
-        raise InvalidParams(f"code length must be >= 1, got {length}")
+    seed = check_int(seed, "seed", 0)
+    length = check_int(length, "code length", 1)
     rng = np.random.default_rng(seed)
     offsets = tuple(int(c) for c in rng.integers(0, params.n_c, size=length))
     return ThCode(offsets=offsets, code_id=f"gen{seed}")
@@ -148,17 +134,9 @@ def generate_code(seed, length, params):
 def chip_start_time(frame_index, code, params):
     """Transmit instant of the pulse in a frame, seconds:
     frame_index * t_f + c_{frame_index mod len} * t_c."""
-    if frame_index < 0:
-        raise InvalidParams(f"frame_index must be >= 0, got {frame_index}")
+    frame_index = check_int(frame_index, "frame_index", 0)
     c = code.offsets[frame_index % len(code)]
     return frame_index * params.t_f + c * params.t_c
-
-
-def chip_offsets_for_frames(code, n_frames):
-    """Per-frame chip offsets for frames 0..n_frames-1 (cyclic code)."""
-    offs = np.asarray(code.offsets, dtype=np.int64)
-    reps = -(-n_frames // len(offs))
-    return np.tile(offs, reps)[:n_frames]
 
 
 @dataclass(frozen=True)
@@ -213,13 +191,8 @@ def load_code_file(path, params):
     starting with `#` are skipped. Offsets outside [0, n_c - 1] are
     rejected at load time. The first code becomes the active one.
     """
-    lines = read_lines(path)
     entries = {}
-    first_id = None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in read_lines(path):
         m = _CODE_LINE.match(line)
         if m is None:
             raise FormatError(f"{path}:{lineno}: expected `code <id>: n,n,...`")
@@ -243,11 +216,9 @@ def load_code_file(path, params):
                 f"at indices {list(bad)}"
             )
         entries[code_id] = code
-        if first_id is None:
-            first_id = code_id
     if not entries:
         raise FormatError(f"{path}: no codes found")
-    return CodeBank(entries=entries, active_id=first_id)
+    return CodeBank(entries=entries, active_id=next(iter(entries)))
 
 
 def write_code_file(path, codes):

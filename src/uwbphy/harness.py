@@ -23,15 +23,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import check_ebn0, draw_channel
-from .errors import FormatError, GridMismatch, InvalidParams, read_lines
-from .framing import DEFAULT_PARAMS, check_seed, generate_code
+from .errors import (
+    FormatError,
+    GridMismatch,
+    InvalidParams,
+    check_int,
+    check_positive,
+    read_lines,
+)
+from .framing import DEFAULT_PARAMS, generate_code
 from .receiver import (
     ReceiverConfig,
     calibrate_ook_threshold,
     decide,
     simulate_block,
 )
-from .transmitter import ENERGY_PER_BIT, OOK, PPM, SCHEMES, ModulationConfig
+from .transmitter import ENERGY_PER_BIT, OOK, PPM, ModulationConfig
 from .waveform import DEFAULT_PULSE, DEFAULT_SAMPLE_RATE, sample_pulse
 
 BLOCK_BITS = 1000
@@ -72,32 +79,25 @@ class SweepConfig:
     delta: float = None
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise InvalidParams(
-                f"scheme must be one of {SCHEMES}, got {self.scheme!r}"
+        if self.delta is None:
+            object.__setattr__(
+                self,
+                "delta",
+                self.pulse.duration if self.scheme == PPM else 0.0,
             )
-        grid = tuple(float(x) for x in self.ebn0_grid)
+        ModulationConfig(self.scheme, delta=self.delta)  # checks both
+        check_positive(self.sample_rate, "sample_rate")
+        grid = tuple(check_ebn0(x) for x in self.ebn0_grid)
         if not grid:
             raise InvalidParams("ebn0_grid must be non-empty")
-        for ebn0_db in grid:
-            check_ebn0(ebn0_db)
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise InvalidParams("ebn0_grid must be strictly increasing")
         object.__setattr__(self, "ebn0_grid", grid)
-        if self.n_bits_per_point < 1000:
-            raise InvalidParams(
-                f"n_bits_per_point must be >= 1000, got {self.n_bits_per_point}"
-            )
+        object.__setattr__(self, "n_bits_per_point", check_int(
+            self.n_bits_per_point, "n_bits_per_point", 1000))
         if self.quant_bits is not None:
-            if not (
-                isinstance(self.quant_bits, (int, np.integer))
-                and 1 <= self.quant_bits <= 64
-            ):
-                raise InvalidParams(
-                    f"quant_bits must be an integer in [1, 64], "
-                    f"got {self.quant_bits!r}"
-                )
-            object.__setattr__(self, "quant_bits", int(self.quant_bits))
+            object.__setattr__(self, "quant_bits", check_int(
+                self.quant_bits, "quant_bits", 1, 64))
             # a 1-bit ADC maps every sample to +/- half a step, so every
             # window has the same energy and OOK cannot tell bits apart
             if self.scheme == OOK and self.quant_bits == 1:
@@ -105,18 +105,14 @@ class SweepConfig:
                     "OOK needs an ADC of at least 2 bits: at 1 bit every "
                     "window energy is the same"
                 )
-        check_seed(self.base_seed, "base_seed")
+        object.__setattr__(
+            self, "base_seed", check_int(self.base_seed, "base_seed", 0)
+        )
         if self.code is None:
             object.__setattr__(
                 self,
                 "code",
                 generate_code(DEFAULT_CODE_SEED, DEFAULT_CODE_LENGTH, self.params),
-            )
-        if self.delta is None:
-            object.__setattr__(
-                self,
-                "delta",
-                self.pulse.duration if self.scheme == PPM else 0.0,
             )
 
     @property
@@ -133,12 +129,11 @@ class BerPoint:
     bits: int
 
     def __post_init__(self):
-        if self.bits <= 0:
-            raise InvalidParams(f"bits must be positive, got {self.bits}")
-        if not 0 <= self.errors <= self.bits:
-            raise InvalidParams(
-                f"errors must be in [0, {self.bits}], got {self.errors}"
-            )
+        object.__setattr__(self, "ebn0_db", check_ebn0(self.ebn0_db))
+        object.__setattr__(self, "bits", check_int(self.bits, "bits", 1))
+        object.__setattr__(
+            self, "errors", check_int(self.errors, "errors", 0, self.bits)
+        )
 
     @property
     def ber(self):
@@ -147,8 +142,7 @@ class BerPoint:
     @property
     def ci95_halfwidth(self):
         """Binomial 95% half-interval 1.96 * sqrt(p(1-p)/n)."""
-        p = self.ber
-        return 1.96 * math.sqrt(p * (1.0 - p) / self.bits)
+        return 1.96 * self.sigma()
 
     def sigma(self):
         """One binomial standard deviation of the BER estimate."""
@@ -263,12 +257,11 @@ def format_csv(points, meta=None):
 def read_csv(path):
     """Parse the text of format_csv, read from a file, back into
     BerPoint objects."""
-    lines = [ln.rstrip("\n") for ln in read_lines(path)]
-    rows = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not rows or rows[0] != CSV_HEADER:
+    rows = read_lines(path)
+    if not rows or rows[0][1] != CSV_HEADER:
         raise FormatError(f"{path}: missing header {CSV_HEADER!r}")
     points = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         parts = row.split(",")
         if len(parts) != 5:
             raise FormatError(f"{path}:{lineno}: expected 5 columns")
@@ -280,8 +273,8 @@ def read_csv(path):
                     bits=int(parts[2]),
                 )
             )
-        except ValueError:
-            raise FormatError(f"{path}:{lineno}: malformed row") from None
+        except (ValueError, InvalidParams) as exc:
+            raise FormatError(f"{path}:{lineno}: malformed row ({exc})") from None
     return points
 
 

@@ -64,6 +64,8 @@ from .errors import (
     RateMismatch,
     UncalibratedThreshold,
     WindowTooSmall,
+    check_int,
+    check_positive,
 )
 from .framing import chip_samples, frame_samples, require_code
 from .transmitter import (
@@ -75,7 +77,7 @@ from .transmitter import (
     check_pulse_fits,
     delta_samples,
     place_pulse_train,
-    pulse_layout,
+    pulse_table,
 )
 from .waveform import SampledSignal
 
@@ -131,14 +133,17 @@ class ReceiverConfig:
                 "integration_window",
                 (len(self.template) - 1) / self.template.sample_rate,
             )
-        if not 0.0 < self.integration_window <= self.params.t_c * (1 + 1e-12):
+        window = check_positive(self.integration_window, "integration_window")
+        if window > self.params.t_c * (1 + 1e-12):
             raise InvalidParams(
-                f"integration_window {self.integration_window:g} s must be "
+                f"integration_window {window:g} s must be "
                 f"in (0, t_c = {self.params.t_c:g}]"
             )
-        if self.threshold is not None and self.threshold < 0.0:
-            raise InvalidParams(
-                f"threshold must be >= 0, got {self.threshold}"
+        object.__setattr__(self, "integration_window", window)
+        # zero is a valid threshold: a sub-sample window calibrates to it
+        if self.threshold not in (None, 0.0):
+            object.__setattr__(
+                self, "threshold", check_positive(self.threshold, "threshold")
             )
 
     @property
@@ -193,25 +198,23 @@ def synchronize(rx, cfg, search_window, n_sync_frames):
     0..search_window, and returns the argmax (ties broken toward the
     smallest lag).
 
-    Raises WindowTooSmall for search_window < 1 and InvalidParams for
-    an n_sync_frames that is not a positive integer or when the signal
-    cannot even contain the preamble.
+    Raises WindowTooSmall for search_window < 1, InvalidParams for a
+    search_window that is not an integer, for an n_sync_frames that is
+    not a positive integer, and when the signal cannot even contain the
+    preamble.
     """
     _check_rx(rx, cfg)
-    search_window = int(search_window)
+    search_window = check_int(search_window, "search_window", -math.inf)
     if search_window < 1:
         raise WindowTooSmall(
             f"search_window must cover at least one lag, got {search_window}"
         )
-    if not float(n_sync_frames).is_integer() or n_sync_frames < 1:
-        raise InvalidParams(
-            f"n_sync_frames must be a positive integer, got {n_sync_frames}"
-        )
+    n_sync_frames = check_int(n_sync_frames, "n_sync_frames", 1)
     tpl = cfg.template.samples
     if cfg.datapath is not None:
         tpl = quantize_array(tpl, cfg.datapath)
     preamble = place_pulse_train(
-        np.ones(int(n_sync_frames), dtype=np.int64),
+        np.ones(n_sync_frames, dtype=np.int64),
         cfg.mod,
         cfg.params,
         cfg.code,
@@ -350,7 +353,7 @@ def simulate_block(blocks, tx, rx, ebn0_db, agc_bits=None):
     alone would. The statistics equal those of one call per block, bit
     for bit.
 
-    The windows are built from the pulse layout, never from a block
+    The windows are built from the pulse table, never from a block
     waveform: each is the sum of the received pulses that reach into
     it (see _run_pass), so the work and memory follow the number of
     windows and their width, not the frame length. Windows with the
@@ -372,7 +375,7 @@ def simulate_block(blocks, tx, rx, ebn0_db, agc_bits=None):
     64-bit integer.
     """
     _check_rx(tx, rx)
-    table = _pulse_table(tx)
+    table = pulse_table(tx.mod, tx.params, tx.code, tx.template)
     shared = _shapes(tx, table, None)
     sigma = noise_sigma(ebn0_db, ENERGY_PER_BIT[tx.mod.scheme], rx.sample_rate)
     frame_len = max(tx.frame_len, rx.frame_len)
@@ -397,27 +400,9 @@ def simulate_block(blocks, tx, rx, ebn0_db, agc_bits=None):
         yield from _run_pass(batch, tx, rx, table, sigma, agc_bits)
 
 
-def _pulse_table(tx):
-    """The pulse tx sends for each bit at each code position, at entry
-    bit * len(code) + position: its first sample within its frame and
-    its shape row (-1 for an OOK 0, which sends nothing). Also returns
-    the widths the frame end leaves the template and the amplitudes;
-    row r has width r // len(levels) and amplitude r % len(levels)."""
-    bits = np.repeat([0, 1], len(tx.code))
-    starts, amps = pulse_layout(bits, tx.mod, tx.params, tx.code,
-                                tx.sample_rate)
-    sent = amps != 0.0
-    cut = np.minimum(len(tx.template), tx.frame_len - starts[sent])
-    widths, width_of = np.unique(cut, return_inverse=True)
-    levels, level_of = np.unique(amps[sent], return_inverse=True)
-    kind = np.full(len(starts), -1)
-    kind[sent] = width_of * len(levels) + level_of
-    return starts, kind, widths, levels
-
-
 def _shapes(tx, table, channel):
     """The received shape of each row of the pulse table: the template
-    cut to the row's width (see place_pulse_train), scaled by its
+    cut to the row's width (see pulse_table), scaled by its
     amplitude, put through the channel and zero-padded to the received
     length of the uncut template."""
     widths, levels = table[2:]
@@ -644,19 +629,15 @@ def calibrate_ook_threshold(
     Deterministic under a fixed seed. With the no-noise sentinel the
     means are exact, giving half the windowed pulse energy.
     """
-    if n_calibration_frames < 100:
-        raise InvalidParams(
-            f"need at least 100 calibration frames, got {n_calibration_frames}"
-        )
+    n = check_int(n_calibration_frames, "n_calibration_frames", 100)
     rate = cfg.sample_rate
     sigma = noise_sigma(ebn0_db, energy_per_bit, rate)
-    width = int(round(cfg.integration_window * rate))
+    width = cfg.window_len
     tpl = cfg.template.samples[:width]
     energy = float(np.dot(tpl, tpl))
     if sigma == 0.0 or width == 0:
         return 0.5 * energy / rate
     rng = np.random.default_rng(rng_seed)
-    n = int(n_calibration_frames)
     s0 = _chi2(rng, n * width)
     u = rng.standard_normal() / math.sqrt(n)
     s1 = n * u * u + _chi2(rng, n - 1) + _chi2(rng, n * (width - 1))

@@ -26,9 +26,10 @@ from .errors import (
     InvalidParams,
     PhyError,
     StaleRequest,
+    check_int,
     read_lines,
 )
-from .framing import CodeBank, ThParams, check_seed
+from .framing import CodeBank, ThParams
 from .receiver import (
     ReceiverConfig,
     calibrate_ook_threshold,
@@ -62,15 +63,10 @@ class PhyState:
     sample_rate: float = DEFAULT_SAMPLE_RATE
 
     def __post_init__(self):
-        if self.epoch < 0:
-            raise InvalidParams(f"epoch must be >= 0, got {self.epoch}")
+        object.__setattr__(self, "epoch", check_int(self.epoch, "epoch", 0))
         if self.pulse is None:
             raise InvalidParams("PhyState needs a pulse shape")
-        if self.params.n_c > MAX_N_C:
-            raise InvalidParams(
-                f"n_c = {self.params.n_c} exceeds the controller limit "
-                f"of {MAX_N_C}"
-            )
+        check_int(self.params.n_c, "n_c", 2, MAX_N_C)
         try:
             self.link_end
         except ConfigConflict as exc:
@@ -108,10 +104,8 @@ class ReconfigRequest:
     reconfig_signal: bool = False
 
     def __post_init__(self):
-        if self.effective_frame < 0:
-            raise InvalidParams(
-                f"effective_frame must be >= 0, got {self.effective_frame}"
-            )
+        object.__setattr__(self, "effective_frame", check_int(
+            self.effective_frame, "effective_frame", 0))
         if self.reconfig_signal and (
             self.new_t_c is None
             and self.new_n_c is None
@@ -246,7 +240,7 @@ def run_session(bits, schedule, initial_state, ebn0_db=math.inf,
     raise InvalidParams.
     """
     check_ebn0(ebn0_db)
-    check_seed(rng_seed, "rng_seed")
+    check_int(rng_seed, "rng_seed", 0)
     bits_arr = _as_bits(bits)
     frames = [req.effective_frame for req in schedule if req.reconfig_signal]
     if any(b <= a for a, b in zip(frames, frames[1:])):
@@ -297,12 +291,8 @@ def load_reconfig_script(path):
     tc is in nanoseconds. Blank lines and `#` comments are skipped.
     Parse errors carry the line number.
     """
-    lines = read_lines(path)
     requests = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in read_lines(path):
         m = _SCRIPT_LINE.match(line)
         if m is None:
             raise FormatError(

@@ -13,13 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigConflict, InvalidParams
-from .framing import (
-    chip_offsets_for_frames,
-    chip_samples,
-    frame_samples,
-    require_code,
-)
+from .errors import ConfigConflict, InvalidParams, check_positive
+from .framing import chip_samples, frame_samples, require_code
 from .waveform import SampledSignal, sample_pulse
 
 OOK = "ook"
@@ -50,8 +45,9 @@ class ModulationConfig:
                 f"scheme must be one of {SCHEMES}, got {self.scheme!r}"
             )
         if self.scheme == PPM:
-            if not self.delta > 0.0:
-                raise InvalidParams(f"PPM needs delta > 0, got {self.delta}")
+            object.__setattr__(
+                self, "delta", check_positive(self.delta, "PPM delta")
+            )
         elif self.delta != 0.0:
             raise InvalidParams(
                 f"delta is PPM-only; got {self.delta} for {self.scheme}"
@@ -94,49 +90,53 @@ def check_pulse_fits(mod, params, template):
         )
 
 
-def pulse_layout(bits, mod, params, code, sample_rate):
-    """Where each bit's pulse goes: its first sample within its frame
-    and its amplitude (0 for an OOK 0), one entry per bit."""
-    bits_arr = _as_bits(bits)
-    starts = chip_offsets_for_frames(code, len(bits_arr)) * chip_samples(
-        params, sample_rate
-    )
+def pulse_table(mod, params, code, template):
+    """The pulse sent for each bit at each code position, at entry
+    bit * len(code) + position: its first sample within its frame and
+    its shape row (-1 for an OOK 0, which sends nothing). Also returns
+    the widths the frame end leaves the template and the levels; row r
+    is the template cut to widths[r // len(levels)] samples and scaled
+    by levels[r % len(levels)]. A pulse ending exactly on the frame
+    boundary loses its final sample, which the truncated monocycle
+    makes vanishingly small."""
+    rate = template.sample_rate
+    bits = np.repeat([0, 1], len(code))
+    starts = np.tile(code.offsets, 2) * chip_samples(params, rate)
     if mod.scheme == PPM:
-        starts = starts + delta_samples(mod, sample_rate) * bits_arr
-        return starts, np.ones(len(bits_arr))
-    if mod.scheme == BPAM:
-        return starts, 2.0 * bits_arr - 1.0
-    return starts, bits_arr.astype(np.float64)
+        starts += delta_samples(mod, rate) * bits
+        amps = np.ones(len(bits))
+    elif mod.scheme == BPAM:
+        amps = 2.0 * bits - 1.0
+    else:
+        amps = bits.astype(np.float64)
+    sent = amps != 0.0
+    cut = np.minimum(len(template), frame_samples(params, rate) - starts[sent])
+    widths, width_of = np.unique(cut, return_inverse=True)
+    levels, level_of = np.unique(amps[sent], return_inverse=True)
+    kind = np.full(len(starts), -1)
+    kind[sent] = width_of * len(levels) + level_of
+    return starts, kind, widths, levels
 
 
 def place_pulse_train(bits, mod, params, code, template):
     """Lay a pre-sampled unit-energy template into a time-hopped frame
     sequence according to the bits. Returns a signal of exactly
     len(bits) * t_f seconds; see module docstring for the per-scheme
-    placement rules. The link pipeline reads the same placement from
-    pulse_layout without building this waveform."""
+    placement rules. Each frame takes its pulse from pulse_table, which
+    the link pipeline reads without building this waveform."""
     bits_arr = _as_bits(bits)
     require_code(code, params)
     check_pulse_fits(mod, params, template)
     rate = template.sample_rate
-    frame = frame_samples(params, rate)
-    n = len(bits_arr)
-    out = np.zeros(n * frame, dtype=np.float64)
-    if n == 0:
-        return SampledSignal(out, rate)
-
-    starts, amps = pulse_layout(bits_arr, mod, params, code, rate)
-    tpl = template.samples
-    view = out.reshape(n, frame)
-    for s in np.unique(starts):
-        rows = np.nonzero((starts == s) & (amps != 0.0))[0]
-        if rows.size == 0:
-            continue
-        # a pulse ending exactly on the frame boundary loses its final
-        # sample (which the truncated monocycle makes vanishingly small)
-        w = min(len(tpl), frame - s)
-        view[rows, s:s + w] += amps[rows, None] * tpl[:w]
-    return SampledSignal(out, rate)
+    out = np.zeros((len(bits_arr), frame_samples(params, rate)))
+    starts, kind, widths, levels = pulse_table(mod, params, code, template)
+    entry = bits_arr * len(code) + np.arange(len(bits_arr)) % len(code)
+    for e in np.unique(entry):
+        if kind[e] >= 0:
+            s, w = starts[e], widths[kind[e] // len(levels)]
+            level = levels[kind[e] % len(levels)]
+            out[entry == e, s:s + w] += level * template.samples[:w]
+    return SampledSignal(out.ravel(), rate)
 
 
 def modulate(bits, mod, params, code, pulse, sample_rate):

@@ -12,11 +12,18 @@ Sampled pulses are normalized to unit discrete energy so correlation
 outputs read directly in energy units.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, RateMismatch, UndersampledPulse
+from .errors import (
+    InvalidParams,
+    RateMismatch,
+    UndersampledPulse,
+    check_int,
+    check_positive,
+)
 
 GAUSSIAN_SECOND_DERIVATIVE = "gaussian-second-derivative"
 
@@ -48,8 +55,10 @@ class PulseShape:
     def __post_init__(self):
         if self.kind != GAUSSIAN_SECOND_DERIVATIVE:
             raise InvalidParams(f"unsupported pulse kind {self.kind!r}")
-        if not self.tau > 0.0:
-            raise InvalidParams(f"pulse tau must be positive, got {self.tau}")
+        object.__setattr__(self, "tau", check_positive(self.tau, "pulse tau"))
+        object.__setattr__(
+            self, "duration", check_positive(self.duration, "pulse duration")
+        )
         if self.duration < 6.0 * self.tau * (1.0 - _REL_EPS):
             raise InvalidParams(
                 f"pulse duration {self.duration} shorter than 6*tau "
@@ -72,10 +81,9 @@ class SampledSignal:
     sample_rate: float
 
     def __post_init__(self):
-        if not self.sample_rate > 0.0:
-            raise InvalidParams(
-                f"sample_rate must be positive, got {self.sample_rate}"
-            )
+        object.__setattr__(
+            self, "sample_rate", check_positive(self.sample_rate, "sample_rate")
+        )
         object.__setattr__(
             self, "samples", np.asarray(self.samples, dtype=np.float64)
         )
@@ -115,8 +123,7 @@ def sample_pulse(shape, sample_rate=DEFAULT_SAMPLE_RATE):
 
     Raises UndersampledPulse below 20 samples per tau.
     """
-    if not sample_rate > 0.0:
-        raise InvalidParams(f"sample_rate must be positive, got {sample_rate}")
+    sample_rate = check_positive(sample_rate, "sample_rate")
     if sample_rate * shape.tau < MIN_SAMPLES_PER_TAU * (1.0 - _REL_EPS):
         raise UndersampledPulse(
             f"sample_rate {sample_rate:g} gives {sample_rate * shape.tau:.2f} "
@@ -143,7 +150,7 @@ def inner_product(a, b, lag=0):
         raise RateMismatch(
             f"sample rates differ: {a.sample_rate:g} vs {b.sample_rate:g}"
         )
-    lag = int(lag)
+    lag = check_int(lag, "lag", -math.inf)
     lo = max(0, lag)
     hi = min(len(a), len(b) + lag)
     if hi <= lo:

@@ -1,0 +1,211 @@
+"""Outside input is either used as given or refused with a PhyError:
+integer inputs follow check_int, positive reals check_positive, and the
+text readers report the file line of a bad row."""
+
+import math
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from uwbphy import (
+    DEFAULT_PULSE,
+    BerPoint,
+    CodeBank,
+    FormatError,
+    ModulationConfig,
+    PhyError,
+    PhyState,
+    PulseShape,
+    QuantizerConfig,
+    ReconfigRequest,
+    SampledSignal,
+    SweepConfig,
+    ThCode,
+    ThParams,
+    apply_reconfiguration,
+    calibrate_ook_threshold,
+    generate_code,
+    place_pulse_train,
+    read_csv,
+    run_sweep,
+    sample_pulse,
+    synchronize,
+)
+from uwbphy.cli import main
+from uwbphy.harness import CSV_HEADER
+
+from conftest import FAST_PULSE, RATE, make_mod, make_receiver
+
+NAN, INF = math.nan, math.inf
+PARAMS = ThParams(t_c=5e-9, n_c=4)
+CODE = ThCode(offsets=(2, 0, 3, 1), code_id="fast")
+TEMPLATE = sample_pulse(FAST_PULSE, RATE)
+
+
+def _sync(search_window=10, n_sync_frames=8):
+    cfg = make_receiver("bpam", PARAMS, CODE, TEMPLATE)
+    tx = place_pulse_train(np.ones(8, dtype=int), make_mod("bpam"), PARAMS,
+                           CODE, TEMPLATE)
+    rx = SampledSignal(np.concatenate((tx.samples, np.zeros(100))), RATE)
+    return synchronize(rx, cfg, search_window, n_sync_frames)
+
+
+def _calibrate(n):
+    cfg = make_receiver("ook", PARAMS, CODE, TEMPLATE)
+    return calibrate_ook_threshold(cfg, 8.0, 0.5, n, rng_seed=0)
+
+
+# Each of these was accepted, truncated or crashed with a non-PhyError
+# exception before integer and positive inputs shared one rule.
+REFUSED = {
+    "ook threshold nan": lambda: make_receiver(
+        "ook", PARAMS, CODE, TEMPLATE, threshold=NAN),
+    "quantizer full_scale inf": lambda: QuantizerConfig(12, full_scale=INF),
+    "pulse tau inf": lambda: PulseShape(tau=INF, duration=INF),
+    "pulse duration inf": lambda: PulseShape(tau=0.5e-9, duration=INF),
+    "ppm delta inf": lambda: ModulationConfig("ppm", delta=INF),
+    "code offset 1.5": lambda: ThCode((1.5, 2), code_id="c"),
+    "sweep bits 1500.5": lambda: SweepConfig(
+        "bpam", (0.0,), n_bits_per_point=1500.5),
+    "sweep base_seed 1.5": lambda: SweepConfig(
+        "bpam", (0.0,), n_bits_per_point=1000, base_seed=1.5),
+    "sync window 2.5": lambda: _sync(search_window=2.5),
+    "sync window nan": lambda: _sync(search_window=NAN),
+    "sync window inf": lambda: _sync(search_window=INF),
+    "calibration frames 100.5": lambda: _calibrate(100.5),
+    "calibration frames nan": lambda: _calibrate(NAN),
+    "code length 2.5": lambda: generate_code(0, 2.5, PARAMS),
+    "request frame 2.5": lambda: ReconfigRequest(effective_frame=2.5),
+    "ber errors 2.5": lambda: BerPoint(ebn0_db=0.0, errors=2.5, bits=10),
+    "signal rate inf": lambda: SampledSignal(np.zeros(3), INF),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_malformed_input_raises_phy_error(case):
+    with pytest.raises(PhyError):
+        REFUSED[case]()
+
+
+def test_integral_floats_count_as_integers():
+    assert ThParams(t_c=5e-9, n_c=8.0).n_c == 8
+    assert type(QuantizerConfig(12.0, full_scale=1.0).bits) is int
+    assert _sync(search_window=10.0) == _sync()
+    as_float = SweepConfig("bpam", (4.0,), n_bits_per_point=1500.0)
+    [point] = run_sweep(as_float)
+    assert point.bits == 1500
+    assert [point] == run_sweep(SweepConfig("bpam", (4.0,), 1500))
+
+
+def _state(**kw):
+    bank = CodeBank(entries={CODE.code_id: CODE}, active_id=CODE.code_id)
+    kw = {"params": PARAMS, "code_bank": bank, "mod": make_mod("bpam"),
+          "pulse": FAST_PULSE, "sample_rate": RATE, **kw}
+    return PhyState(**kw)
+
+
+def _apply(**kw):
+    req = ReconfigRequest(effective_frame=10, reconfig_signal=True, **kw)
+    return apply_reconfiguration(_state(), req, current_frame=0)
+
+
+def _sweep(**kw):
+    return SweepConfig(**{"scheme": "bpam", "ebn0_grid": (0.0,),
+                          "n_bits_per_point": 1000, **kw})
+
+
+# (field, kind, build): build(value) makes the object with the field set
+# to value. A kind names the values the field must refuse.
+FIELDS = [
+    ("ThParams.t_c", "positive", lambda v: ThParams(t_c=v, n_c=4)),
+    ("ThParams.n_c", "int", lambda v: ThParams(t_c=5e-9, n_c=v)),
+    ("ThCode.offsets", "int", lambda v: ThCode((v, 1), code_id="c")),
+    ("PulseShape.tau", "positive",
+     lambda v: PulseShape(tau=v, duration=4e-9)),
+    ("PulseShape.duration", "positive",
+     lambda v: PulseShape(tau=0.5e-9, duration=v)),
+    ("SampledSignal.sample_rate", "positive",
+     lambda v: SampledSignal(np.zeros(3), v)),
+    ("ModulationConfig.delta (ppm)", "positive",
+     lambda v: ModulationConfig("ppm", delta=v)),
+    ("ModulationConfig.delta (bpam)", "int",
+     lambda v: ModulationConfig("bpam", delta=v)),
+    ("QuantizerConfig.bits", "int",
+     lambda v: QuantizerConfig(bits=v, full_scale=1.0)),
+    ("QuantizerConfig.full_scale", "positive",
+     lambda v: QuantizerConfig(bits=12, full_scale=v)),
+    ("ReceiverConfig.integration_window", "optional positive",
+     lambda v: make_receiver("ook", PARAMS, CODE, TEMPLATE,
+                             integration_window=v)),
+    ("ReceiverConfig.threshold", "threshold",
+     lambda v: make_receiver("ook", PARAMS, CODE, TEMPLATE, threshold=v)),
+    ("SweepConfig.ebn0_grid", "ebn0", lambda v: _sweep(ebn0_grid=(v,))),
+    ("SweepConfig.n_bits_per_point", "int",
+     lambda v: _sweep(n_bits_per_point=v)),
+    ("SweepConfig.quant_bits", "optional int",
+     lambda v: _sweep(quant_bits=v)),
+    ("SweepConfig.base_seed", "int", lambda v: _sweep(base_seed=v)),
+    ("SweepConfig.sample_rate", "positive", lambda v: _sweep(sample_rate=v)),
+    ("SweepConfig.delta", "optional positive",
+     lambda v: _sweep(scheme="ppm", delta=v)),
+    ("BerPoint.ebn0_db", "ebn0",
+     lambda v: BerPoint(ebn0_db=v, errors=1, bits=10)),
+    ("BerPoint.errors", "int",
+     lambda v: BerPoint(ebn0_db=0.0, errors=v, bits=10)),
+    ("BerPoint.bits", "int", lambda v: BerPoint(ebn0_db=0.0, errors=0, bits=v)),
+    ("ReconfigRequest.effective_frame", "int",
+     lambda v: ReconfigRequest(effective_frame=v)),
+    ("ReconfigRequest.new_t_c", "optional positive",
+     lambda v: _apply(new_t_c=v)),
+    ("ReconfigRequest.new_n_c", "optional int", lambda v: _apply(new_n_c=v)),
+    ("PhyState.epoch", "int", lambda v: _state(epoch=v)),
+    ("PhyState.sample_rate", "positive", lambda v: _state(sample_rate=v)),
+]
+
+_NOT_A_NUMBER = st.sampled_from([NAN, "3"])
+_NOT_INTEGRAL = st.floats().filter(lambda x: not float(x).is_integer())
+_NOT_POSITIVE = st.floats(max_value=0.0) | st.just(INF) | _NOT_A_NUMBER
+REFUSE = {
+    "int": _NOT_INTEGRAL | _NOT_A_NUMBER | st.sampled_from([INF, -INF, None]),
+    "optional int": _NOT_INTEGRAL | _NOT_A_NUMBER | st.just(INF),
+    "positive": _NOT_POSITIVE | st.none(),
+    "optional positive": _NOT_POSITIVE,
+    "threshold": st.floats(max_value=0.0, exclude_max=True)
+    | st.just(INF) | _NOT_A_NUMBER,
+    "ebn0": st.sampled_from([NAN, -INF, "3", None]),
+}
+
+
+@pytest.mark.parametrize("field, kind, build", FIELDS,
+                         ids=[f[0] for f in FIELDS])
+@given(data=st.data())
+def test_numeric_fields_refuse_malformed_values(field, kind, build, data):
+    value = data.draw(REFUSE[kind], label=field)
+    with pytest.raises(PhyError):
+        build(value)
+
+
+@pytest.fixture
+def cli_csv(tmp_path):
+    """The lines of a CSV that `uwbphy sweep` wrote, and the file line
+    number of its last row."""
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--scheme", "bpam", "--ebn0", "0,4",
+                 "--bits", "1000", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines.index(CSV_HEADER) > 0
+    return lines, len(lines)
+
+
+@pytest.mark.parametrize("row", ["4.0,two,1000,0.0,0.0",
+                                 "4.0,1001,1000,1.001,0.0"])
+def test_read_csv_reports_the_file_line(cli_csv, tmp_path, row):
+    lines, last = cli_csv
+    lines[last - 1] = row
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match=re.escape(f"{path}:{last}:")):
+        read_csv(path)
