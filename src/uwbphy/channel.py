@@ -33,10 +33,13 @@ from .errors import (
 from .waveform import SampledSignal
 
 # At or below this tap count a realization is applied by direct
-# superposition (exact, testable sample-by-sample); denser realizations
-# are convolved with a dense kernel by overlap-add (_fft_convolve).
-# Both paths stay because the pinned block statistics depend on each:
-# short channels on the direct sums, CM1 draws on the FFT's rounding.
+# superposition; denser realizations are convolved with a dense kernel
+# by overlap-add (_fft_convolve). Each path does what the other cannot.
+# The direct sums are exact: through the FFT a delayed tap leaves
+# rounding dust (about 1e-16) where its zeros are due. The FFT is fast:
+# on a 201-sample template and CM1 draws of 267 to 1396 taps it takes
+# 0.08-0.13 ms, a tap loop 0.3-1.5 ms and one bincount over every
+# tap's copy 0.1-1.4 ms (2-core x86_64, numpy 2.4).
 _DIRECT_TAP_LIMIT = 32
 
 # Bounds on a profile, so that a drawn realization stays small: the
@@ -206,9 +209,10 @@ def draw_channel(profile, rng_seed):
     Cluster count is Poisson(mean_clusters) floored at 1; the first
     cluster starts at delay 0 and each cluster's first ray sits at its
     start. Everything past max_excess_delay is discarded, then gains
-    are energy-normalized. Deterministic under a fixed seed.
+    are energy-normalized. Deterministic under a fixed seed, which
+    must be an integer >= 0.
     """
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(check_int(rng_seed, "rng_seed", 0))
     window = profile.max_excess_delay
     n_clusters = max(1, int(rng.poisson(profile.mean_clusters)))
     cluster_gaps = rng.exponential(
@@ -331,8 +335,10 @@ def add_awgn(signal, ebn0_db, energy_per_bit, rng_seed):
     Per-sample deviation is noise_sigma(). A zero deviation (the +inf
     no-noise sentinel) returns the input unchanged. The link pipeline,
     receiver.simulate_block, adds noise only where the receiver looks;
-    this full-waveform form is its reference.
+    this full-waveform form is its reference. rng_seed must be an
+    integer >= 0.
     """
+    rng_seed = check_int(rng_seed, "rng_seed", 0)
     sigma = noise_sigma(ebn0_db, energy_per_bit, signal.sample_rate)
     if sigma == 0.0:
         return signal

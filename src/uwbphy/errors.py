@@ -7,9 +7,9 @@ except clause while letting genuine bugs (TypeError, etc.) propagate.
 I/O failures are deliberately left as OSError.
 
 Each kind of outside input has one rule: check_int for counts, sizes,
-indices and seeds, check_positive for physical quantities, and
-read_lines for the text files the parsers read (a file that is not
-UTF-8 is a FormatError).
+indices and seeds, check_positive for physical quantities, check_type
+for the config objects a config holds, and read_lines for the text
+files the parsers read (a file that is not UTF-8 is a FormatError).
 """
 
 import math
@@ -83,6 +83,17 @@ def check_positive(value, name):
     if isinstance(value, numbers.Real) and 0.0 < value < math.inf:
         return float(value)
     raise InvalidParams(f"{name} must be positive and finite, got {value!r}")
+
+
+def check_type(value, name, *kinds):
+    """value, if it is an instance of one of kinds, None in kinds
+    admitting None. Raises InvalidParams otherwise, rather than leave a
+    wrong object to fail with an AttributeError where it is used."""
+    if any(value is None if k is None else isinstance(value, k)
+           for k in kinds):
+        return value
+    names = " or ".join("None" if k is None else k.__name__ for k in kinds)
+    raise InvalidParams(f"{name} must be {names}, got {type(value).__name__}")
 
 
 def read_lines(path):

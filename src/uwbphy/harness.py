@@ -22,16 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import check_ebn0, draw_channel
+from .channel import SvProfile, check_ebn0, draw_channel
 from .errors import (
     FormatError,
     GridMismatch,
     InvalidParams,
     check_int,
     check_positive,
+    check_type,
     read_lines,
 )
-from .framing import DEFAULT_PARAMS, generate_code
+from .framing import DEFAULT_PARAMS, ThCode, ThParams, generate_code
 from .receiver import (
     ReceiverConfig,
     calibrate_ook_threshold,
@@ -39,7 +40,12 @@ from .receiver import (
     simulate_block,
 )
 from .transmitter import ENERGY_PER_BIT, OOK, PPM, ModulationConfig
-from .waveform import DEFAULT_PULSE, DEFAULT_SAMPLE_RATE, sample_pulse
+from .waveform import (
+    DEFAULT_PULSE,
+    DEFAULT_SAMPLE_RATE,
+    PulseShape,
+    sample_pulse,
+)
 
 BLOCK_BITS = 1000
 CALIBRATION_FRAMES = 20000
@@ -79,6 +85,10 @@ class SweepConfig:
     delta: float = None
 
     def __post_init__(self):
+        check_type(self.params, "params", ThParams)
+        check_type(self.pulse, "pulse", PulseShape)
+        check_type(self.channel, "channel", SvProfile, None)
+        check_type(self.code, "code", ThCode, None)
         if self.delta is None:
             object.__setattr__(
                 self,

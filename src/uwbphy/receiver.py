@@ -5,16 +5,18 @@ A receiver looks only at the code-predicted chip of each frame. It
 gathers each frame's observation window into one row of an
 (n_frames, W) matrix and decides the bit from a per-row statistic:
 
-    BPAM: correlation against the template (W = template); bit 1 iff
+    BPAM: correlation against the chip pulse (W = pulse); bit 1 iff
           it is >= 0.
     PPM : correlations at the nominal and the delta-shifted position
-          (W = template + delta); bit 1 iff shifted >= nominal.
+          (W = pulse + delta); bit 1 iff shifted >= nominal.
     OOK : energy over the integration window (W = the window); bit 1
           iff it is >= a calibrated threshold.
 
-A window that runs past its frame's end is truncated there. Ties
-decode as bit 1 so the quantized datapath, where ties are reachable,
-stays deterministic.
+The chip pulse is the template as transmitter.chip_pulse cuts it to
+fit its chip, so every window fits its chip too: W = min(template +
+delta, chip) for BPAM and PPM, and the OOK window is at most t_c. No
+window reaches past its frame. Ties decode as bit 1 so the quantized
+datapath, where ties are reachable, stays deterministic.
 
 The datapath field selects between the floating-point reference and a
 quantized mode in which the window samples and the template pass
@@ -24,27 +26,26 @@ double precision either way.
 simulate_block runs blocks over the link without building their
 waveforms, several blocks (a sweep point's) in one pass. The
 transmitter's pulse table says where the pulse of each bit at each
-code position starts; the template, cut where the frame end cuts it
-and convolved once with the block's channel, is the received pulse g.
-Each window the receiver reads at its own geometry is the sum of the
-received pulses that reach into it, a handful per window even on CM1.
-Those windows repeat: the content of one follows from its in-frame
-start and the offset and shape of each pulse reaching into it, so a
-pass's windows are grouped by that key and each distinct one is built
-once (about 70 of 1000 on a default-geometry CM1 block; about a dozen
-for all the blocks of an AWGN point). The random streams stay per
-block: each block draws its noise from its own seed. With white noise
-the window samples are a sufficient statistic for the decision, so
-noise anywhere else would never be read. On the floating-point
-datapath the statistic is linear in the noise for BPAM and PPM and a
-noncentral chi-square for OOK, so no noise sample is drawn at all:
-each frame's statistic is its distinct clean window's plus a noise
-term from its exact law, one or two variates per frame. The quantized
-datapath draws white noise for every window sample, adds the clean
-windows into that one buffer and quantizes it in place. The result
-equals place_pulse_train, apply_channel, add_awgn and demodulate on
-the whole block in distribution, not sample for sample; without noise
-it equals them up to float rounding in multipath sums.
+code position starts; the chip pulse, convolved once with the block's
+channel, is the received pulse g. Each window the receiver reads at
+its own geometry is the sum of the received pulses that reach into it,
+a handful per window even on CM1. Those windows repeat: the content of
+one follows from the offset and shape of each pulse reaching into it,
+so a pass's windows are grouped by that key and each distinct one is
+built once (about 70 of 1000 on a default-geometry CM1 block; two for
+a whole pass of AWGN blocks). The random streams stay per block: each
+block draws its noise from its own seed. With white noise the window
+samples are a sufficient statistic for the decision, so noise anywhere
+else would never be read. On the floating-point datapath the statistic
+is linear in the noise for BPAM and PPM and a noncentral chi-square
+for OOK, so no noise sample is drawn at all: each frame's statistic is
+its distinct clean window's plus a noise term from its exact law, one
+or two variates per frame. The quantized datapath draws white noise
+for every window sample, adds the clean windows into that one buffer
+and quantizes it in place. The result equals place_pulse_train,
+apply_channel, add_awgn and demodulate on the whole block in
+distribution, not sample for sample; without noise it equals them up
+to float rounding in multipath sums.
 """
 
 import math
@@ -66,15 +67,24 @@ from .errors import (
     WindowTooSmall,
     check_int,
     check_positive,
+    check_type,
 )
-from .framing import chip_samples, frame_samples, require_code
+from .framing import (
+    ThCode,
+    ThParams,
+    chip_samples,
+    frame_samples,
+    require_code,
+)
 from .transmitter import (
     BPAM,
     ENERGY_PER_BIT,
     OOK,
     PPM,
+    ModulationConfig,
     _as_bits,
     check_pulse_fits,
+    chip_pulse,
     delta_samples,
     place_pulse_train,
     pulse_table,
@@ -95,19 +105,13 @@ _PASS_BLOCKS = 8
 _WORD_RANGE = 1 << 62
 _INT64_MAX = np.iinfo(np.int64).max
 
-# Below this many candidate lags synchronize correlates directly, one
-# preamble-length dot product per lag; at or above it by FFT, whose
-# cost hardly grows with the lag count. np.correlate and _fft_convolve
-# cost the same at 300 to 1500 lags for preambles of 1000 to 64 000
-# samples (2-core x86_64, numpy 2.4).
-_DIRECT_SYNC_LAGS = 1024
-
 
 @dataclass(frozen=True)
 class ReceiverConfig:
     """Everything a receiver needs to know about the link.
 
-    template: unit-energy sampled pulse at the received sample rate.
+    template: unit-energy sampled pulse at the received sample rate;
+        the receiver correlates against its chip pulse (see pulse).
     integration_window: OOK energy window, seconds (defaults to the
         template support).
     threshold: OOK decision threshold in energy units; must be
@@ -125,6 +129,10 @@ class ReceiverConfig:
     datapath: object = None
 
     def __post_init__(self):
+        check_type(self.mod, "mod", ModulationConfig)
+        check_type(self.params, "params", ThParams)
+        check_type(self.code, "code", ThCode)
+        check_type(self.template, "template", SampledSignal)
         require_code(self.code, self.params)
         check_pulse_fits(self.mod, self.params, self.template)
         if self.integration_window is None:
@@ -159,12 +167,17 @@ class ReceiverConfig:
         return frame_samples(self.params, self.sample_rate)
 
     @property
+    def pulse(self):
+        """The template samples that fit a chip (transmitter.chip_pulse)."""
+        return chip_pulse(self.mod, self.params, self.template)
+
+    @property
     def window_len(self):
-        """Samples per observation window: the OOK integration window,
-        or the template plus the PPM shift."""
+        """Samples per observation window, at most a chip: the OOK
+        integration window, or the chip pulse plus the PPM shift."""
         if self.mod.scheme == OOK:
             return int(round(self.integration_window * self.sample_rate))
-        return len(self.template) + delta_samples(self.mod, self.sample_rate)
+        return len(self.pulse) + delta_samples(self.mod, self.sample_rate)
 
     def with_threshold(self, threshold):
         return replace(self, threshold=threshold)
@@ -230,10 +243,7 @@ def synchronize(rx, cfg, search_window, n_sync_frames):
     rxs = rx.samples[:len(preamble) + search_window]
     if cfg.datapath is not None:
         rxs = quantize_array(rxs, cfg.datapath)
-    if len(rxs) - len(preamble) < _DIRECT_SYNC_LAGS:
-        metric = np.correlate(rxs, preamble, mode="valid")
-    else:
-        metric = _fft_convolve(rxs, preamble[::-1])[len(preamble) - 1:len(rxs)]
+    metric = _fft_convolve(rxs, preamble[::-1])[len(preamble) - 1:len(rxs)]
     metric = metric / cfg.sample_rate
     best = int(np.argmax(metric))
     return SyncEstimate(offset=best, peak_metric=float(metric[best]))
@@ -246,33 +256,16 @@ def _window_starts(cfg, frames):
     return offsets[frames % len(offsets)] * cfg.chip_len
 
 
-def _inside(cfg, starts):
-    """Mask of the window samples that lie inside their own frame, for
-    windows at the given in-frame starts; None when all of them do."""
-    width = cfg.window_len
-    if not len(starts) or starts.max() + width <= cfg.frame_len:
-        return None
-    return np.arange(width) < (cfg.frame_len - starts)[:, None]
-
-
 def _windows(x, cfg, offset):
     """Gather the observation windows of every whole frame of x counted
-    from offset: an (n_frames, W) matrix, plus the mask of its samples
-    that lie inside their own frame (None when all do). Samples past a
-    frame's end hold arbitrary values until _statistics zeroes them."""
+    from offset: an (n_frames, W) matrix."""
     frame_len = cfg.frame_len
     frames = np.arange(max((len(x) - offset) // frame_len, 0))
-    starts = _window_starts(cfg, frames)
-    inside = _inside(cfg, starts)
-    idx = (offset + frame_len * frames + starts)[:, None] + np.arange(
-        cfg.window_len
-    )
-    if inside is not None:
-        idx[~inside] = 0
-    return x[idx], inside
+    starts = offset + frame_len * frames + _window_starts(cfg, frames)
+    return x[starts[:, None] + np.arange(cfg.window_len)]
 
 
-def _statistics(win, inside, cfg, agc_bits=None):
+def _statistics(win, cfg, agc_bits=None):
     """Per-frame decision statistics of gathered windows; a frame
     decodes as bit 1 iff its statistic is >= 0 (see decide).
 
@@ -284,19 +277,15 @@ def _statistics(win, inside, cfg, agc_bits=None):
         raise UncalibratedThreshold(
             "OOK threshold is unset; run calibrate_ook_threshold first"
         )
-    if inside is not None:
-        win[~inside] = 0.0
     if agc_bits is not None:
         peak = max(win.max(initial=0.0), -win.min(initial=0.0)) or 1.0
         cfg = replace(cfg, datapath=QuantizerConfig(agc_bits, float(peak)))
     if cfg.datapath is not None:
         quantize_array(win, cfg.datapath, out=win)
-        if inside is not None:
-            win[~inside] = 0.0
     if cfg.mod.scheme == OOK:
         energy = np.einsum("ij,ij->i", win, win) / cfg.sample_rate
         return energy - cfg.threshold
-    tpl = cfg.template.samples
+    tpl = cfg.pulse
     if cfg.datapath is not None:
         tpl = quantize_array(tpl, cfg.datapath)
     # einsum rather than a BLAS matrix-vector product: BLAS spreads
@@ -318,7 +307,7 @@ def decision_statistics(rx, cfg, sync=GENIE_SYNC):
     on: the BPAM correlation, the PPM shifted-minus-nominal
     correlation, or the OOK window energy minus the threshold."""
     _check_rx(rx, cfg)
-    return _statistics(*_windows(rx.samples, cfg, sync.offset), cfg)
+    return _statistics(_windows(rx.samples, cfg, sync.offset), cfg)
 
 
 def demodulate(rx, cfg, sync=GENIE_SYNC):
@@ -376,7 +365,7 @@ def simulate_block(blocks, tx, rx, ebn0_db, agc_bits=None):
     """
     _check_rx(tx, rx)
     table = pulse_table(tx.mod, tx.params, tx.code, tx.template)
-    shared = _shapes(tx, table, None)
+    shared = _shapes(tx, table[2], None)
     sigma = noise_sigma(ebn0_db, ENERGY_PER_BIT[tx.mod.scheme], rx.sample_rate)
     frame_len = max(tx.frame_len, rx.frame_len)
     # a pass's blocks and their first samples in it: a block spans its
@@ -385,7 +374,7 @@ def simulate_block(blocks, tx, rx, ebn0_db, agc_bits=None):
     batch, end = [], 0
     for bits, noise_seed, channel in blocks:
         bits = _as_bits(bits)
-        shapes = shared if channel is None else _shapes(tx, table, channel)
+        shapes = shared if channel is None else _shapes(tx, table[2], channel)
         extent = len(bits) * frame_len + shapes.shape[1] + rx.window_len
         if extent > _INT64_MAX:
             raise InvalidParams(
@@ -400,27 +389,13 @@ def simulate_block(blocks, tx, rx, ebn0_db, agc_bits=None):
         yield from _run_pass(batch, tx, rx, table, sigma, agc_bits)
 
 
-def _shapes(tx, table, channel):
-    """The received shape of each row of the pulse table: the template
-    cut to the row's width (see pulse_table), scaled by its
-    amplitude, put through the channel and zero-padded to the received
-    length of the uncut template."""
-    widths, levels = table[2:]
-    template = tx.template
-    tpl = template.samples
-    full = tpl if channel is None else apply_channel(template, channel).samples
-    shapes = np.zeros((len(widths) * len(levels), len(full)))
-    grid = shapes.reshape(len(widths), len(levels), len(full))
-    for w, rows in zip(widths, grid):
-        if w == len(tpl):
-            g = full
-        elif channel is None:
-            g = tpl[:w]
-        else:
-            g = apply_channel(SampledSignal(tpl[:w], tx.sample_rate),
-                              channel).samples
-        np.multiply(levels[:, None], g, out=rows[:, :len(g)])
-    return shapes
+def _shapes(tx, levels, channel):
+    """The received shape of each kind of the pulse table: the chip
+    pulse scaled by the kind's level and put through the channel."""
+    g = SampledSignal(tx.pulse, tx.sample_rate)
+    if channel is not None:
+        g = apply_channel(g, channel)
+    return levels[:, None] * g.samples
 
 
 def _run_pass(batch, tx, rx, table, sigma, agc_bits):
@@ -459,25 +434,23 @@ def _run_pass(batch, tx, rx, table, sigma, agc_bits):
     ends = first + np.repeat(length, n)[sent]
     # each block's rx frames: its tx frames plus the channel's spread,
     # at most one per bit
-    spread = length - len(tx.template)
+    spread = length - len(tx.pulse)
     m = np.minimum((n * tx.frame_len + spread) // rx.frame_len, n)
     frame = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
-    starts = _window_starts(rx, frame)
-    begin = np.repeat(base, m) + rx.frame_len * frame + starts
+    begin = np.repeat(base, m) + rx.frame_len * frame
+    begin += _window_starts(rx, frame)
     lo = np.searchsorted(ends, begin, side="right")
     reach = np.maximum(np.searchsorted(first, begin + width) - lo, 0)
     rep, which = _distinct_windows(
-        first, kind, starts, begin, lo, reach, len(padded), rx.frame_len,
-        reach_len, width,
+        first, kind, begin, lo, reach, len(padded), reach_len, width
     )
     clean = _build_windows(
         first, kind, padded, begin[rep], lo[rep], reach[rep], width
     )
     quantized = agc_bits is not None or rx.datapath is not None
     if not quantized:
-        inside = _inside(rx, starts[rep])
-        clean_stats = _statistics(clean, inside, rx)
-        law = _noise_law(sigma, clean, inside, rx)
+        clean_stats = _statistics(clean, rx)
+        law = _noise_law(sigma, clean, rx)
     for (_, seed, _, _), stop, count in zip(batch, np.cumsum(m), m):
         block = slice(stop - count, stop)
         rng = np.random.default_rng(seed)
@@ -497,28 +470,27 @@ def _run_pass(batch, tx, rx, table, sigma, agc_bits):
                 part = slice(at, at + _MERGE_ROWS)
                 noisy[part] *= sigma
                 noisy[part] += clean[which[block][part]]
-        yield _statistics(noisy, _inside(rx, starts[block]), rx, agc_bits)
+        yield _statistics(noisy, rx, agc_bits)
         # one block's noise at a time: no view of it may outlive it
         del noisy
 
 
-def _distinct_windows(first, kind, starts, begin, lo, reach, n_kinds,
-                      frame_len, reach_len, width):
+def _distinct_windows(first, kind, begin, lo, reach, n_kinds, reach_len,
+                      width):
     """Group the windows by their clean content.
 
-    A window's content and its frame-end cut follow from its key: the
-    in-frame start, the number of reaching pulses and, for each of
-    them, its offset from the window and its received shape. Each
-    column of the key is a digit of known range: the start lies in the
-    frame, and a pulse of one of n_kinds shapes of at most reach_len
-    samples reaches a window of width samples at one of
-    reach_len + width - 1 offsets. The digits are packed by exact mixed
-    radix into int64 words of at most _WORD_RANGE values each. Returns
-    one representative window per distinct key and, for every window,
-    the index of its key among the representatives.
+    A window's content follows from its key: the number of reaching
+    pulses and, for each of them, its offset from the window and its
+    received shape. Each column of the key is a digit of known range: a
+    pulse of one of n_kinds shapes of at most reach_len samples reaches
+    a window of width samples at one of reach_len + width - 1 offsets.
+    The digits are packed by exact mixed radix into int64 words of at
+    most _WORD_RANGE values each. Returns one representative window per
+    distinct key and, for every window, the index of its key among the
+    representatives.
     """
     steps = int(reach.max(initial=0))
-    digits = [(starts, frame_len), (reach, steps + 1)]
+    digits = [(reach, steps + 1)]
     last = max(len(first) - 1, 0)
     # 0 for no pulse, else the offset and the shape
     pulse_radix = (reach_len + width - 1) * n_kinds + 1
@@ -566,30 +538,26 @@ def _build_windows(first, kind, padded, begin, lo, reach, width):
     return win
 
 
-def _noise_law(sigma, win, inside, cfg):
+def _noise_law(sigma, win, cfg):
     """The law of what white noise of per-sample deviation sigma adds
     to the floating-point decision statistic of each clean window of
-    win. win must have its samples past the frame end zeroed, as
-    _statistics leaves it; those samples do not count here either.
+    win.
 
     A correlation with coefficients c gains N(0, sigma^2 |c|^2), where c
-    is the template for BPAM and the shifted minus the nominal template
-    for PPM; the law is (sigma |c|, None). The energy of a window s of
-    w samples becomes (|s| + sigma u)^2 + sigma^2 chi2(w - 1), with
-    u ~ N(0, 1) the noise along s; the law is (|s|, w - 1).
+    is the chip pulse for BPAM and the shifted minus the nominal pulse
+    for PPM; the law is (sigma |c|, None), one scale for every window.
+    The energy of a window s of w samples becomes
+    (|s| + sigma u)^2 + sigma^2 chi2(w - 1), with u ~ N(0, 1) the noise
+    along s; the law is (|s|, w - 1).
     """
-    if inside is None:
-        inside = np.ones(win.shape, dtype=bool)
     if cfg.mod.scheme == OOK:
-        return (np.sqrt(np.einsum("ij,ij->i", win, win)),
-                np.count_nonzero(inside, axis=1) - 1)
-    tpl = cfg.template.samples
+        return np.sqrt(np.einsum("ij,ij->i", win, win)), win.shape[1] - 1
+    tpl = cfg.pulse
     coef = np.zeros(win.shape[1])
     coef[-len(tpl):] = tpl
     if cfg.mod.scheme == PPM:
         coef[:len(tpl)] -= tpl
-    power = coef * coef
-    return sigma * np.sqrt(np.where(inside, power, 0.0).sum(axis=1)), None
+    return sigma * math.sqrt((coef * coef).sum()), None
 
 
 def _noise_terms(rng, sigma, law, cfg, which):
@@ -599,9 +567,9 @@ def _noise_terms(rng, sigma, law, cfg, which):
     scale, dof = law
     z = rng.standard_normal(len(which))
     if cfg.mod.scheme != OOK:
-        return scale[which] * z
+        return scale * z
     extra = sigma * z * (2.0 * scale[which] + sigma * z)
-    extra += sigma * sigma * _chi2(rng, dof[which], len(which))
+    extra += sigma * sigma * _chi2(rng, dof, len(which))
     return extra / cfg.sample_rate
 
 
@@ -626,10 +594,12 @@ def calibrate_ook_threshold(
     where u ~ N(0, 1/n) is the mean projection of the z_i on tpl_w and
     S1 = n u^2 + chi2(n - 1) + chi2(n (w - 1)). Four variates per call.
 
-    Deterministic under a fixed seed. With the no-noise sentinel the
-    means are exact, giving half the windowed pulse energy.
+    Deterministic under a fixed seed, which must be an integer >= 0.
+    With the no-noise sentinel the means are exact, giving half the
+    windowed pulse energy.
     """
     n = check_int(n_calibration_frames, "n_calibration_frames", 100)
+    rng_seed = check_int(rng_seed, "rng_seed", 0)
     rate = cfg.sample_rate
     sigma = noise_sigma(ebn0_db, energy_per_bit, rate)
     width = cfg.window_len

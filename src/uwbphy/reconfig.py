@@ -27,6 +27,7 @@ from .errors import (
     PhyError,
     StaleRequest,
     check_int,
+    check_type,
     read_lines,
 )
 from .framing import CodeBank, ThParams
@@ -36,8 +37,8 @@ from .receiver import (
     decide,
     simulate_block,
 )
-from .transmitter import ENERGY_PER_BIT, OOK, _as_bits
-from .waveform import DEFAULT_SAMPLE_RATE, sample_pulse
+from .transmitter import ENERGY_PER_BIT, OOK, ModulationConfig, _as_bits
+from .waveform import DEFAULT_SAMPLE_RATE, PulseShape, sample_pulse
 
 # Ceiling on chips per frame: bounds the achievable-rate range the
 # controller will accept, the way fixed-width hardware inputs would.
@@ -64,8 +65,10 @@ class PhyState:
 
     def __post_init__(self):
         object.__setattr__(self, "epoch", check_int(self.epoch, "epoch", 0))
-        if self.pulse is None:
-            raise InvalidParams("PhyState needs a pulse shape")
+        check_type(self.params, "params", ThParams)
+        check_type(self.code_bank, "code_bank", CodeBank)
+        check_type(self.mod, "mod", ModulationConfig)
+        check_type(self.pulse, "pulse", PulseShape)
         check_int(self.params.n_c, "n_c", 2, MAX_N_C)
         try:
             self.link_end

@@ -7,6 +7,10 @@ delta later than a bit-0 pulse within the same chip.
     OOK : pulse present for 1, absent for 0
     BPAM: +pulse for 1, -pulse for 0
     PPM : pulse at the chip start for 0, shifted by delta for 1
+
+Every pulse fits its chip (chip_pulse): where pulse plus shift span
+exactly one chip, the sampled template reaches one sample into the
+next chip, and that last sample is not sent.
 """
 
 from dataclasses import dataclass
@@ -70,10 +74,11 @@ def delta_samples(mod, sample_rate):
 
 
 def check_pulse_fits(mod, params, template):
-    """Raise ConfigConflict unless pulse duration + delta <= t_c, i.e.
-    a pulse never leaks outside its chip, and unless a PPM shift spans
-    at least one sample: a shift that rounds to none puts both PPM
-    positions on the same samples, and every bit would decode as 1."""
+    """Raise ConfigConflict unless pulse duration + delta <= t_c, so
+    that chip_pulse loses at most the template's last sample, and
+    unless a PPM shift spans at least one sample: a shift that rounds
+    to none puts both PPM positions on the same samples, and every bit
+    would decode as 1."""
     shift = delta_samples(mod, template.sample_rate)
     if mod.scheme == PPM and shift == 0:
         raise ConfigConflict(
@@ -90,15 +95,22 @@ def check_pulse_fits(mod, params, template):
         )
 
 
+def chip_pulse(mod, params, template):
+    """The template samples a pulse is sent as, and a receiver
+    correlates against: those that fit the chip with the PPM shift.
+    That is the whole template, or all but its last sample where pulse
+    plus shift span exactly one chip (the default monocycle's last
+    sample is 4e-42 of its peak)."""
+    rate = template.sample_rate
+    return template.samples[:chip_samples(params, rate)
+                            - delta_samples(mod, rate)]
+
+
 def pulse_table(mod, params, code, template):
     """The pulse sent for each bit at each code position, at entry
     bit * len(code) + position: its first sample within its frame and
-    its shape row (-1 for an OOK 0, which sends nothing). Also returns
-    the widths the frame end leaves the template and the levels; row r
-    is the template cut to widths[r // len(levels)] samples and scaled
-    by levels[r % len(levels)]. A pulse ending exactly on the frame
-    boundary loses its final sample, which the truncated monocycle
-    makes vanishingly small."""
+    its kind, the row of levels it is scaled by (-1 for an OOK 0, which
+    sends nothing). Returns (starts, kind, levels)."""
     rate = template.sample_rate
     bits = np.repeat([0, 1], len(code))
     starts = np.tile(code.offsets, 2) * chip_samples(params, rate)
@@ -110,12 +122,10 @@ def pulse_table(mod, params, code, template):
     else:
         amps = bits.astype(np.float64)
     sent = amps != 0.0
-    cut = np.minimum(len(template), frame_samples(params, rate) - starts[sent])
-    widths, width_of = np.unique(cut, return_inverse=True)
     levels, level_of = np.unique(amps[sent], return_inverse=True)
     kind = np.full(len(starts), -1)
-    kind[sent] = width_of * len(levels) + level_of
-    return starts, kind, widths, levels
+    kind[sent] = level_of
+    return starts, kind, levels
 
 
 def place_pulse_train(bits, mod, params, code, template):
@@ -128,14 +138,14 @@ def place_pulse_train(bits, mod, params, code, template):
     require_code(code, params)
     check_pulse_fits(mod, params, template)
     rate = template.sample_rate
+    pulse = chip_pulse(mod, params, template)
     out = np.zeros((len(bits_arr), frame_samples(params, rate)))
-    starts, kind, widths, levels = pulse_table(mod, params, code, template)
+    starts, kind, levels = pulse_table(mod, params, code, template)
     entry = bits_arr * len(code) + np.arange(len(bits_arr)) % len(code)
     for e in np.unique(entry):
         if kind[e] >= 0:
-            s, w = starts[e], widths[kind[e] // len(levels)]
-            level = levels[kind[e] % len(levels)]
-            out[entry == e, s:s + w] += level * template.samples[:w]
+            s = starts[e]
+            out[entry == e, s:s + len(pulse)] += levels[kind[e]] * pulse
     return SampledSignal(out.ravel(), rate)
 
 

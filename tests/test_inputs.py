@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from uwbphy import (
+    CM1_LIKE,
     DEFAULT_PULSE,
     BerPoint,
     CodeBank,
@@ -20,13 +21,16 @@ from uwbphy import (
     PhyState,
     PulseShape,
     QuantizerConfig,
+    ReceiverConfig,
     ReconfigRequest,
     SampledSignal,
     SweepConfig,
     ThCode,
     ThParams,
+    add_awgn,
     apply_reconfiguration,
     calibrate_ook_threshold,
+    draw_channel,
     generate_code,
     place_pulse_train,
     read_csv,
@@ -53,13 +57,21 @@ def _sync(search_window=10, n_sync_frames=8):
     return synchronize(rx, cfg, search_window, n_sync_frames)
 
 
-def _calibrate(n):
+def _calibrate(n, rng_seed=0):
     cfg = make_receiver("ook", PARAMS, CODE, TEMPLATE)
-    return calibrate_ook_threshold(cfg, 8.0, 0.5, n, rng_seed=0)
+    return calibrate_ook_threshold(cfg, 8.0, 0.5, n, rng_seed)
+
+
+def _receiver(**kw):
+    kw = {"mod": make_mod("bpam"), "params": PARAMS, "code": CODE,
+          "template": TEMPLATE, **kw}
+    return ReceiverConfig(**kw)
 
 
 # Each of these was accepted, truncated or crashed with a non-PhyError
-# exception before integer and positive inputs shared one rule.
+# exception (a wrongly typed config object with an AttributeError where
+# it was used) before integer inputs, positive inputs and config
+# objects each had one rule.
 REFUSED = {
     "ook threshold nan": lambda: make_receiver(
         "ook", PARAMS, CODE, TEMPLATE, threshold=NAN),
@@ -81,6 +93,24 @@ REFUSED = {
     "request frame 2.5": lambda: ReconfigRequest(effective_frame=2.5),
     "ber errors 2.5": lambda: BerPoint(ebn0_db=0.0, errors=2.5, bits=10),
     "signal rate inf": lambda: SampledSignal(np.zeros(3), INF),
+    "awgn seed -1": lambda: add_awgn(TEMPLATE, 4.0, 1.0, rng_seed=-1),
+    "awgn seed 2.5": lambda: add_awgn(TEMPLATE, 4.0, 1.0, rng_seed=2.5),
+    "channel seed -1": lambda: draw_channel(CM1_LIKE, rng_seed=-1),
+    "channel seed 2.5": lambda: draw_channel(CM1_LIKE, rng_seed=2.5),
+    "calibration seed -1": lambda: _calibrate(100, rng_seed=-1),
+    "calibration seed 2.5": lambda: _calibrate(100, rng_seed=2.5),
+    "sweep params str": lambda: _sweep(params="x"),
+    "sweep pulse str": lambda: _sweep(pulse="x"),
+    "sweep channel str": lambda: _sweep(channel="x"),
+    "sweep code str": lambda: _sweep(code="x"),
+    "state params str": lambda: _state(params="x"),
+    "state code_bank str": lambda: _state(code_bank="x"),
+    "state mod str": lambda: _state(mod="x"),
+    "state pulse str": lambda: _state(pulse="x"),
+    "receiver mod str": lambda: _receiver(mod="x"),
+    "receiver params str": lambda: _receiver(params="x"),
+    "receiver code str": lambda: _receiver(code="x"),
+    "receiver template str": lambda: _receiver(template="x"),
 }
 
 

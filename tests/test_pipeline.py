@@ -47,6 +47,7 @@ from uwbphy import (
     sample_pulse,
 )
 from uwbphy.channel import quantize_array
+from uwbphy import receiver
 from uwbphy.harness import BLOCK_BITS, run_sweep
 from uwbphy.receiver import (
     _distinct_windows,
@@ -62,9 +63,10 @@ FAST_PARAMS = ThParams(t_c=5e-9, n_c=4)
 FAST_CODE = ThCode(offsets=(2, 0, 3, 1), code_id="fast")
 
 # Edge geometry: the 121-sample FAST_PULSE template plus a 60-sample PPM
-# shift spans exactly the 180-sample chip, so a window in the last chip
-# reaches one sample past its frame's end and must be truncated there.
-# BPAM gets the same edge from a 120-sample chip.
+# shift spans exactly the 180-sample chip plus one sample, so every
+# pulse and every window is cut to its chip and one in the last chip
+# stops at its frame's end. BPAM gets the same edge from a 120-sample
+# chip.
 EDGE_PPM_PARAMS = ThParams(t_c=3.6e-9, n_c=3)
 EDGE_BPAM_PARAMS = ThParams(t_c=2.4e-9, n_c=3)
 EDGE_DELTA = 1.2e-9
@@ -151,8 +153,9 @@ def test_demodulate_decisions_are_pinned(key):
 
 
 def _truncated_reference(x, cfg):
-    """Decision statistics by an explicit loop over frames, each window
-    cut at its frame's end, after the configured ADC."""
+    """Decision statistics by an explicit loop over frames, each
+    correlation against the template cut so that it and its shift fit
+    the chip, after the configured ADC."""
     rate = cfg.sample_rate
     tpl = cfg.template.samples
     if cfg.datapath is not None:
@@ -160,14 +163,14 @@ def _truncated_reference(x, cfg):
         tpl = quantize_array(tpl, cfg.datapath)
     frame, chip = cfg.frame_len, cfg.chip_len
     shift = round(cfg.mod.delta * rate)
+    tpl = tpl[:chip - shift]
     out = []
     for j in range(len(x) // frame):
         base = j * frame
         s = cfg.code.offsets[j % len(cfg.code)] * chip
 
         def corr(start):
-            w = min(len(tpl), frame - start)
-            return x[base + start:base + start + w] @ tpl[:w]
+            return x[base + start:base + start + len(tpl)] @ tpl
 
         if cfg.mod.scheme == "bpam":
             out.append(corr(s))
@@ -183,16 +186,20 @@ def _truncated_reference(x, cfg):
 @pytest.mark.parametrize("quantized", [False, True], ids=["float", "q12"])
 @pytest.mark.parametrize("scheme", ["ook", "bpam", "ppm"])
 def test_window_truncated_at_frame_end(scheme, quantized):
-    # A ramp template keeps its largest sample last, so the one sample
-    # a last-chip window loses at the frame end carries real weight
+    # For BPAM and PPM, pulse plus shift span the chip plus one sample:
+    # each pulse and each window is cut to its chip, so a last-chip
+    # window stops at the frame end. A ramp template keeps its largest
+    # sample last, so the sample the cut takes off carries real weight
     # (the monocycle's final sample is ~1e-23 of its peak).
     ramp = np.linspace(1.0, 2.0, 121)
     ramp *= math.sqrt(RATE / (ramp @ ramp))
     cfg = replace(_edge_receiver(scheme), template=SampledSignal(ramp, RATE))
     if scheme != "ook":
-        # the last-chip window really does reach past the frame
+        # the last-chip template really does reach past the frame
         last = (cfg.params.n_c - 1) * cfg.chip_len
-        assert last + cfg.window_len == cfg.frame_len + 1
+        shift = round(cfg.mod.delta * RATE)
+        assert last + len(ramp) + shift == cfg.frame_len + 1
+        assert cfg.window_len == cfg.chip_len
     bits = random_bits(31, 60)
     clean = _clean(bits, cfg)
     np.testing.assert_allclose(
@@ -266,8 +273,8 @@ def test_ook_pulse_windows_match_full_waveform_noise():
 def test_mismatched_receiver_matches_full_waveform_noise(scheme):
     # After a one-sided reconfiguration the receiver reads the
     # transmitter's waveform through its own, shorter frames: most of
-    # its windows see no pulse, and its last-chip windows are cut at
-    # the frame end.
+    # its windows see no pulse, and pulse plus shift exactly fill its
+    # chips, so its windows are cut to them.
     tx = _receiver(scheme)
     rx = _edge_receiver(scheme)
     bits = random_bits(11, 5000)
@@ -293,9 +300,10 @@ def test_mismatched_receiver_matches_full_waveform_noise(scheme):
     assert ks_2samp(windowed - noiseless, full - noiseless).pvalue > KS_ALPHA
 
 
-# Two chips per frame, every window in the last: the correlator
-# windows (template plus shift for PPM) reach one sample past the
-# frame's end. OOK keeps its 120-sample window inside the chip.
+# Two chips per frame, every window in the last: the template plus the
+# PPM shift spans the chip plus one sample, so the correlator windows
+# are cut to the chip and end at the frame's end. OOK keeps its
+# 120-sample window inside the chip.
 LAST_CHIP_PARAMS = {
     "ook": ThParams(t_c=3.6e-9, n_c=2),
     "bpam": ThParams(t_c=2.4e-9, n_c=2),
@@ -308,9 +316,10 @@ LAST_CHIP_CODE = ThCode(offsets=(1,), code_id="last")
 def test_noise_only_windows_match_full_waveform_noise(scheme):
     # A silent transmitter (OOK sending zeros) leaves every window with
     # noise alone, so every statistic takes the closed form. Half the
-    # template's energy sits in its last sample, which the frame end
-    # cuts off, so the cut changes the statistics' spread by a third
-    # or more. Levene's test checks the spread, KS the whole law.
+    # template's energy sits in its last sample, which the chip rule
+    # cuts off: a noise law that kept it would change the statistics'
+    # spread by a third or more. Levene's test checks the spread, KS
+    # the whole law.
     tpl = np.zeros(121)
     tpl[0] = tpl[-1] = math.sqrt(RATE / 2)
     rx = replace(
@@ -422,9 +431,9 @@ def _channel(name, seed=5):
 
 
 def _cut_receiver(scheme):
-    """The edge geometry with the ramp template: every pulse in the last
-    chip (and every shifted PPM pulse there) runs one sample past its
-    frame's end, and place_pulse_train cuts that sample off."""
+    """The edge geometry with the ramp template: ramp plus shift span
+    the chip plus one sample, so every pulse is sent, and correlated
+    against, without its last and largest sample."""
     ramp = np.linspace(1.0, 2.0, 121)
     ramp *= math.sqrt(RATE / (ramp @ ramp))
     params = EDGE_PPM_PARAMS if scheme == "ppm" else EDGE_BPAM_PARAMS
@@ -577,61 +586,120 @@ def test_quantized_block_holds_one_window_matrix(scheme):
 
 
 # sha256 prefixes of the float64 bytes of simulate_block's statistics
-# over each (scheme, channel) cell of the grid below, taken when every
-# window was built on its own. They pin every statistic bit for bit, so
-# a window given the content of another shows even where no decision
-# and no CSV byte moves. The cm1 cells also pin the float rounding of
-# apply_channel's dense (overlap-add) path.
+# for each (scheme, channel) cell of the grid below and each link in
+# it, taken when every window was built on its own. They pin every
+# statistic bit for bit, so a window given the content of another shows
+# even where no decision and no CSV byte moves. The cm1 cells also pin
+# the float rounding of apply_channel's dense (overlap-add) path. The
+# default and fast links have no exact-fit pulse; the cut, fast>cut and
+# edge links send and read pulses cut to their chip.
 BLOCK_DIGESTS = {
-    "ook-none": "4e040b9ea89b9616",
-    "ook-short": "8fc696dc23cdd44f",
-    "ook-cm1": "8c2780b9a0ddf8a5",
-    "bpam-none": "f6ce168b61f4d9a9",
-    "bpam-short": "cfe38fabd0b5922e",
-    "bpam-cm1": "39319da0033b8d3e",
-    "ppm-none": "102021167d5eb50c",
-    "ppm-short": "ce178697d1d772d8",
-    "ppm-cm1": "0e92296c20f83d90",
+    "ook-none": {
+        "default": "f562b3965216b8f9",
+        "fast": "bbd385e165d001d3",
+        "cut": "c017b4d031669f48",
+        "fast>cut": "c21a14c7896978b7",
+        "edge": "e8e8096dcbee0381",
+    },
+    "ook-short": {
+        "default": "c6d93d7c82d8fe90",
+        "fast": "8eff98d2863fb57b",
+        "cut": "db4c80a2275d57a4",
+        "fast>cut": "a5e0316ae232f2da",
+        "edge": "3c7f34d5071e841d",
+    },
+    "ook-cm1": {
+        "default": "30d5b90212ad53dc",
+        "fast": "437231eb07779f7f",
+        "cut": "922e1129366f41c5",
+        "fast>cut": "24ceddbb9d985bed",
+        "edge": "4dbf9b69a5e83c9f",
+    },
+    "bpam-none": {
+        "default": "7ca4e98362e485e5",
+        "fast": "d8a1291f8ed4da96",
+        "cut": "884a84a1ef0f9a89",
+        "fast>cut": "f363276b58658320",
+        "edge": "f77aa7462d451a28",
+    },
+    "bpam-short": {
+        "default": "5741af05fd2a2e89",
+        "fast": "8f2a4c2011917db6",
+        "cut": "a4697e9d03f2045a",
+        "fast>cut": "af0632144dd0b53b",
+        "edge": "d146e8bc539d0507",
+    },
+    "bpam-cm1": {
+        "default": "25817a1851b7832b",
+        "fast": "5c83bc995ed89cdf",
+        "cut": "a9b8245368db7690",
+        "fast>cut": "6788dc4df1cc2e6e",
+        "edge": "7d5ce16699f0a3ee",
+    },
+    "ppm-none": {
+        "default": "22fa0a29e2605372",
+        "fast": "e7660462785e6f90",
+        "cut": "e5167c12155d4890",
+        "fast>cut": "9727a47198f8f1a5",
+        "edge": "be9a1926ce46d598",
+    },
+    "ppm-short": {
+        "default": "9e5d98f9b29d8f8b",
+        "fast": "59e70f36d4dc9fd2",
+        "cut": "72e8291e78056066",
+        "fast>cut": "0b2d22245f704b89",
+        "edge": "4bb0686b2418da7e",
+    },
+    "ppm-cm1": {
+        "default": "c23d616897daee53",
+        "fast": "2e4c93076b9cc9ac",
+        "cut": "a97bb150cb55d50c",
+        "fast>cut": "07ac47ce3915a5cb",
+        "edge": "3fa374ae4a3fda6b",
+    },
 }
 
+# Each link by name: "a>b" sends at geometry a and receives at b.
+BLOCK_LINKS = ("default", "fast", "cut", "fast>cut", "edge")
 
-def _block_grid_digest(scheme, channel):
-    """Digest of the statistics of seeded simulate_block calls: matched
-    links at the default, fast and cut edge geometries and a receiver
-    with another n_c and code, on the float datapath, 8- and 12-bit AGC
-    and a fixed 8-bit ADC, with and without noise, for a long and a
-    short block."""
+
+def _block_link(scheme, name):
+    make = {"default": _default_receiver, "fast": _receiver,
+            "cut": _cut_receiver, "edge": _edge_receiver}
+    tx, _, rx = name.rpartition(">")
+    return make[tx or rx](scheme), make[rx](scheme)
+
+
+def _block_link_digest(scheme, channel, link):
+    """Digest of the statistics of seeded simulate_block calls over one
+    link: on the float datapath, 8- and 12-bit AGC and a fixed 8-bit
+    ADC, with and without noise, for a long and a short block."""
     ch = {"none": None, "short": SHORT_CHANNEL,
           "cm1": draw_channel(CM1_LIKE, 14)}[channel]
-    fast, edge = _receiver(scheme), _cut_receiver(scheme)
-    links = [
-        (_default_receiver(scheme),) * 2,
-        (fast, fast),
-        (edge, edge),
-        (fast, edge),
-    ]
+    tx, rx = _block_link(scheme, link)
+    fixed = QuantizerConfig(8, 2.0 * float(np.max(rx.template.samples)))
+    datapaths = [(rx, None), (rx, 8), (rx, 12),
+                 (replace(rx, datapath=fixed), None)]
     digest = hashlib.sha256()
-    seed = 0
-    for tx, rx in links:
-        fixed = QuantizerConfig(8, 2.0 * float(np.max(rx.template.samples)))
-        datapaths = [(rx, None), (rx, 8), (rx, 12),
-                     (replace(rx, datapath=fixed), None)]
-        for rx_dp, agc_bits in datapaths:
-            for ebn0_db in (4.0, math.inf):
-                for n_bits in (300, 37):
-                    seed += 1
-                    stats = _block(
-                        random_bits(seed, n_bits), tx, rx_dp, ebn0_db,
-                        seed, ch, agc_bits,
-                    )
-                    digest.update(np.asarray(stats, np.float64).tobytes())
+    seed = 16 * BLOCK_LINKS.index(link)
+    for rx_dp, agc_bits in datapaths:
+        for ebn0_db in (4.0, math.inf):
+            for n_bits in (300, 37):
+                seed += 1
+                stats = _block(
+                    random_bits(seed, n_bits), tx, rx_dp, ebn0_db, seed, ch,
+                    agc_bits,
+                )
+                digest.update(np.asarray(stats, np.float64).tobytes())
     return digest.hexdigest()[:16]
 
 
 @pytest.mark.parametrize("key", sorted(BLOCK_DIGESTS))
 def test_block_statistics_are_pinned(key):
     scheme, channel = key.split("-")
-    assert _block_grid_digest(scheme, channel) == BLOCK_DIGESTS[key]
+    got = {link: _block_link_digest(scheme, channel, link)
+           for link in BLOCK_LINKS}
+    assert got == BLOCK_DIGESTS[key]
 
 
 def _block_channels(channel, n_blocks):
@@ -742,24 +810,46 @@ def test_window_keys_of_a_long_channel_take_several_words(monkeypatch):
 
 
 def test_packed_window_keys_stay_exact_past_one_word():
-    # four reaching pulses, each at one of 2**16 offsets, fill the 64
-    # bits of a word on their own: packed into one word, the in-frame
-    # start would be lost and windows 0 and 1 would share a key
+    # the reach count and four reaching pulses, each at one of 2**16
+    # offsets and of two kinds, take more than the 64 bits of a word:
+    # the key spans two, and window 1, whose last pulse alone differs
+    # (in its kind), must keep its own
     first = np.array([0, 1, 2, 3, 100, 101, 102, 103, 200, 201, 202, 203])
+    kind = np.zeros(len(first), dtype=np.int64)
+    kind[7] = 1
     rep, which = _distinct_windows(
         first,
-        kind=np.zeros(len(first), dtype=np.int64),
-        starts=np.array([0, 5, 0]),
+        kind=kind,
         begin=np.array([3, 103, 203]),
         lo=np.array([0, 4, 8]),
         reach=np.array([4, 4, 4]),
-        n_kinds=1,
-        frame_len=10,
+        n_kinds=2,
         reach_len=2**16 - 1,
         width=1,
     )
     assert len(rep) == 2
     assert which[0] == which[2] != which[1]
+
+
+@pytest.mark.parametrize("scheme", ["ook", "bpam", "ppm"])
+def test_awgn_pass_builds_two_distinct_windows(scheme, monkeypatch):
+    # without a channel a window holds its bit's pulse (none for an OOK
+    # 0) at the same offset wherever it sits in its frame: a pass of
+    # eight 1000-bit blocks builds two windows
+    built = []
+    distinct = receiver._distinct_windows
+
+    def spy(*args):
+        rep, which = distinct(*args)
+        built.append(len(rep))
+        return rep, which
+
+    monkeypatch.setattr(receiver, "_distinct_windows", spy)
+    cfg = _default_receiver(scheme)
+    blocks = [(random_bits(b, BLOCK_BITS), b, None) for b in range(8)]
+    stats = list(simulate_block(blocks, cfg, cfg, 4.0))
+    assert sum(map(len, stats)) == 8000
+    assert built == [2]
 
 
 def test_sweep_point_memory_stays_at_one_pass():

@@ -175,9 +175,8 @@ def _brute_force_sync(rx, cfg, search_window, n_sync_frames):
 
 class TestSynchronizeReference:
     """synchronize correlates only the samples that lags
-    0..search_window reach, directly for a few lags and by FFT for
-    many (receiver._DIRECT_SYNC_LAGS); either way it must agree with
-    direct correlation of the whole signal."""
+    0..search_window reach, by FFT for any lag count; it must agree
+    with direct correlation of the whole signal."""
 
     def _noisy_rx(self, cfg, shift, tail_frames, seed):
         tx = place_pulse_train(
