@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .channel import CM1_LIKE, load_profile_file
-from .errors import PhyError, check_int
+from .errors import PhyError, check_int, write_text
 from .framing import (
     CodeBank,
     ThParams,
@@ -53,8 +53,7 @@ def _write_or_print(text, out):
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        write_text(out, text)
 
 
 def _add_link_flags(sub):

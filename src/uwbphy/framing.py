@@ -20,6 +20,7 @@ from .errors import (
     check_int,
     check_positive,
     read_lines,
+    write_text,
 )
 
 # A chip boundary may drift from the sample grid by at most this many
@@ -223,7 +224,6 @@ def load_code_file(path, params):
 
 def write_code_file(path, codes):
     """Write codes in the `code <id>: n,n,...` format, one per line."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for code in codes:
-            body = ",".join(str(c) for c in code.offsets)
-            fh.write(f"code {code.code_id}: {body}\n")
+    write_text(path, "".join(
+        f"code {code.code_id}: {','.join(map(str, code.offsets))}\n"
+        for code in codes))

@@ -6,17 +6,17 @@ calibration random streams are all derived from the base seed, point
 index, and block index, so repeated runs are byte-identical. Work is
 done in blocks of BLOCK_BITS bits, each with its own bit, noise and
 channel streams; in multipath mode each block sees a fresh channel
-realization. A point's blocks go to one receiver.simulate_block call,
-which runs several blocks per pass and whose docstring describes the
-pipeline. The receiver is genie-synchronized (zero timing offset);
-matched-filter acquisition is exercised separately.
+realization. A point's blocks go to one receiver.simulate_block call
+(the receiver module's docstring describes the pipeline), and its
+errors are the sum of the errors of the records that call yields. The
+receiver is genie-synchronized (zero timing offset); matched-filter
+acquisition is exercised separately.
 
 The sweep axis is Eb/N0. With unit-energy pulses BPAM and PPM spend one
 energy unit per bit; OOK transmits nothing for a 0, so its
 prior-averaged Eb is half a pulse energy.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,13 +33,8 @@ from .errors import (
     read_lines,
 )
 from .framing import DEFAULT_PARAMS, ThCode, ThParams, generate_code
-from .receiver import (
-    ReceiverConfig,
-    calibrate_ook_threshold,
-    decide,
-    simulate_block,
-)
-from .transmitter import ENERGY_PER_BIT, OOK, PPM, ModulationConfig
+from .receiver import ReceiverConfig, calibrated, simulate_block
+from .transmitter import OOK, PPM, ModulationConfig
 from .waveform import (
     DEFAULT_PULSE,
     DEFAULT_SAMPLE_RATE,
@@ -186,19 +181,10 @@ def _blocks(cfg, seeds):
 
 
 def _run_point(cfg, rcfg, ebn0_db, seeds):
-    if cfg.scheme == OOK:
-        rcfg = rcfg.with_threshold(
-            calibrate_ook_threshold(
-                rcfg, ebn0_db, ENERGY_PER_BIT[OOK], CALIBRATION_FRAMES,
-                seeds[3],
-            )
-        )
-    # simulate_block reads a pass of blocks ahead of the statistics it
-    # yields; tee keeps those blocks' bits until they are scored
-    sent, blocks = itertools.tee(_blocks(cfg, seeds))
-    stats = simulate_block(blocks, rcfg, rcfg, ebn0_db, cfg.quant_bits)
-    errors = sum(np.count_nonzero(decide(s) != bits)
-                 for (bits, _, _), s in zip(sent, stats))
+    rcfg = calibrated(rcfg, rcfg, ebn0_db, CALIBRATION_FRAMES, seeds[3])
+    blocks = simulate_block(
+        _blocks(cfg, seeds), rcfg, rcfg, ebn0_db, cfg.quant_bits)
+    errors = sum(block.errors for block in blocks)
     return BerPoint(ebn0_db=ebn0_db, errors=errors, bits=cfg.n_bits_per_point)
 
 

@@ -24,7 +24,16 @@ through the same ADC model before correlation; accumulators stay in
 double precision either way.
 
 simulate_block runs blocks over the link without building their
-waveforms, several blocks (a sweep point's) in one pass. The
+waveforms, and scores them: sweeps and sessions only calibrate OOK
+(calibrated) and sum or report the records. Each block yields one
+ScoredBlock: the statistic of each whole rx frame of its received
+waveform (its frames plus the channel's spread, at most one per bit),
+the decisions, and the errors against its bits, where each bit the
+receiver never produced (a longer rx frame after a one-sided
+reconfiguration) is one. A sweep point's blocks run up to eight per
+pass, fewer where their sample positions would pass the int64 range,
+laid end to end so far apart that no pulse of one reaches another's
+windows; what follows from the link is worked out once per pass. The
 transmitter's pulse table says where the pulse of each bit at each
 code position starts; the chip pulse, convolved once with the block's
 channel, is the received pulse g. Each window the receiver reads at
@@ -50,6 +59,7 @@ to float rounding in multipath sums.
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -158,20 +168,20 @@ class ReceiverConfig:
     def sample_rate(self):
         return self.template.sample_rate
 
-    @property
+    @cached_property
     def chip_len(self):
         return chip_samples(self.params, self.sample_rate)
 
-    @property
+    @cached_property
     def frame_len(self):
         return frame_samples(self.params, self.sample_rate)
 
-    @property
+    @cached_property
     def pulse(self):
         """The template samples that fit a chip (transmitter.chip_pulse)."""
         return chip_pulse(self.mod, self.params, self.template)
 
-    @property
+    @cached_property
     def window_len(self):
         """Samples per observation window, at most a chip: the OOK
         integration window, or the chip pulse plus the PPM shift."""
@@ -315,53 +325,57 @@ def demodulate(rx, cfg, sync=GENIE_SYNC):
     return decide(decision_statistics(rx, cfg, sync))
 
 
+@dataclass(frozen=True)
+class ScoredBlock:
+    """One block through the link, scored: statistics has the decision
+    statistic of each frame the receiver read (at most one per bit),
+    decoded is decide(statistics), and errors counts the wrong
+    decisions against the block's bits plus each bit the receiver never
+    produced."""
+
+    statistics: np.ndarray
+    decoded: np.ndarray
+    errors: int
+
+
+def _score(bits, statistics):
+    decoded = decide(statistics)
+    m = len(decoded)
+    # bits the receiver never produced (mismatched frame length after a
+    # one-sided reconfiguration) count as errors
+    errors = int(np.count_nonzero(decoded != bits[:m])) + len(bits) - m
+    return ScoredBlock(statistics, decoded, errors)
+
+
+def calibrated(tx, rx, ebn0_db, n_frames, seed):
+    """rx ready to decode what tx sends at ebn0_db: an OOK receiver
+    takes the threshold calibrate_ook_threshold picks from n_frames
+    frames of stream seed, with Eb of tx's scheme; others are returned
+    as they are."""
+    if rx.mod.scheme != OOK:
+        return rx
+    eb = ENERGY_PER_BIT[tx.mod.scheme]
+    return rx.with_threshold(
+        calibrate_ook_threshold(rx, ebn0_db, eb, n_frames, seed))
+
+
 def simulate_block(blocks, tx, rx, ebn0_db, agc_bits=None):
-    """Send blocks of bits over the link and yield each block's decision
-    statistics, in order: one per whole receiver frame of the block's
-    received waveform (its transmitted frames plus the channel's
-    spread), for at most len(bits) frames, since frames past the last
-    bit are never read.
+    """Send blocks of bits from tx to rx at ebn0_db (Eb of tx's scheme)
+    and yield a ScoredBlock for each, in order.
 
     blocks is an iterable of (bits, noise_seed, channel) triples, read
-    as the statistics are taken. Each block is its own transmission,
-    with noise drawn from its own noise_seed and its own channel (None
-    or a ChannelRealization). tx is the transmitting end's
-    configuration (its modulation, frame geometry, code and template
-    place the pulses); rx is the receiving end's, which may differ
-    after a one-sided reconfiguration. Noise at the given Eb/N0 (per
-    tx's scheme) is drawn only for the rx windows. agc_bits selects a
-    quantized datapath whose full scale is the peak observed sample of
-    each block.
+    a pass of up to _PASS_BLOCKS ahead of what is yielded; each block
+    draws its noise from its own noise_seed and sees its own channel
+    (None or a ChannelRealization). tx and rx are the two link ends'
+    configurations, which may differ after a one-sided reconfiguration.
+    agc_bits selects a quantized datapath whose full scale is the peak
+    observed sample of each block. The records equal those of one call
+    per block, bit for bit.
 
-    Up to _PASS_BLOCKS blocks go through one pass, fewer where their
-    sample positions would pass the int64 range, laid end to end so
-    far apart that no pulse of one reaches another's windows: what
-    follows from the link (the pulse table, the shapes, the grouping of
-    the windows) is worked out once per pass, while each block draws
-    its noise from its own stream in the order a pass of that block
-    alone would. The statistics equal those of one call per block, bit
-    for bit.
-
-    The windows are built from the pulse table, never from a block
-    waveform: each is the sum of the received pulses that reach into
-    it (see _run_pass), so the work and memory follow the number of
-    windows and their width, not the frame length. Windows with the
-    same key (see _distinct_windows) have the same clean content, which
-    is built once. The result equals place_pulse_train, apply_channel
-    and decision_statistics on each whole block, up to float rounding
-    in multipath sums.
-
-    On the floating-point datapath no noise sample is drawn and no
-    (n_frames, W) matrix is built: the clean statistic and the noise
-    law are taken once per distinct window (_noise_law), and each frame
-    adds its noise term drawn from that law (_noise_terms), one normal
-    per frame and, for OOK, one chi-square. The quantized datapath
-    draws W noise samples for each window of a block, since
-    quantization is not linear, adds the clean windows into that buffer
-    and passes it through the ADC in place, one block at a time.
-
-    Raises InvalidParams when a block's sample positions do not fit a
-    64-bit integer.
+    Raises RateMismatch when tx and rx differ in sample rate,
+    UncalibratedThreshold for an OOK rx without a threshold, and
+    InvalidParams for bits other than 0 and 1 or a block whose sample
+    positions do not fit a 64-bit integer.
     """
     _check_rx(tx, rx)
     table = pulse_table(tx.mod, tx.params, tx.code, tx.template)
@@ -399,7 +413,7 @@ def _shapes(tx, levels, channel):
 
 
 def _run_pass(batch, tx, rx, table, sigma, agc_bits):
-    """Yield the statistics of each block of one pass. batch holds a
+    """Yield the ScoredBlock of each block of one pass. batch holds a
     (bits, noise_seed, shapes, base) tuple per block: its received
     shapes (one array shared by the blocks without a channel) and its
     first sample in the pass.
@@ -416,10 +430,9 @@ def _run_pass(batch, tx, rx, table, sigma, agc_bits):
     index = {key: k for k, key in enumerate(sets)}
     rows = len(batch[0][2])
     reach_len = max(shapes.shape[1] for shapes in sets.values())
-    padded = np.concatenate([
-        np.pad(s, ((0, 0), (width, width + reach_len - s.shape[1])))
-        for s in sets.values()
-    ])
+    padded = np.zeros((rows * len(sets), reach_len + 2 * width))
+    for k, shapes in enumerate(sets.values()):
+        padded[k * rows:(k + 1) * rows, width:width + shapes.shape[1]] = shapes
     n, length, base, offset = np.array([
         (len(bits), shapes.shape[1], base, rows * index[id(shapes)])
         for bits, _, shapes, base in batch
@@ -451,14 +464,14 @@ def _run_pass(batch, tx, rx, table, sigma, agc_bits):
     if not quantized:
         clean_stats = _statistics(clean, rx)
         law = _noise_law(sigma, clean, rx)
-    for (_, seed, _, _), stop, count in zip(batch, np.cumsum(m), m):
+    for (bits, seed, _, _), stop, count in zip(batch, np.cumsum(m), m):
         block = slice(stop - count, stop)
         rng = np.random.default_rng(seed)
         if not quantized:
             stats = clean_stats[which[block]]
             if sigma > 0.0:
                 stats += _noise_terms(rng, sigma, law, rx, which[block])
-            yield stats
+            yield _score(bits, stats)
             continue
         if sigma == 0.0:
             noisy = clean[which[block]]
@@ -470,7 +483,7 @@ def _run_pass(batch, tx, rx, table, sigma, agc_bits):
                 part = slice(at, at + _MERGE_ROWS)
                 noisy[part] *= sigma
                 noisy[part] += clean[which[block][part]]
-        yield _statistics(noisy, rx, agc_bits)
+        yield _score(bits, _statistics(noisy, rx, agc_bits))
         # one block's noise at a time: no view of it may outlive it
         del noisy
 

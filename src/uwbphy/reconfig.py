@@ -10,6 +10,10 @@ Requests carry an explicit reconfig_signal gate. When it is false the
 payload is ignored outright and the state object is returned as-is,
 mirroring hardware that latches new parameter inputs only while the
 signal is asserted.
+
+A session is a run of constant-parameter segments. Each segment is one
+block of receiver.simulate_block, whose record carries its decisions
+and its errors; an OOK receiver is calibrated afresh for each segment.
 """
 
 import math
@@ -31,13 +35,8 @@ from .errors import (
     read_lines,
 )
 from .framing import CodeBank, ThParams
-from .receiver import (
-    ReceiverConfig,
-    calibrate_ook_threshold,
-    decide,
-    simulate_block,
-)
-from .transmitter import ENERGY_PER_BIT, OOK, ModulationConfig, _as_bits
+from .receiver import ReceiverConfig, calibrated, simulate_block
+from .transmitter import ModulationConfig, _as_bits
 from .waveform import DEFAULT_SAMPLE_RATE, PulseShape, sample_pulse
 
 # Ceiling on chips per frame: bounds the achievable-rate range the
@@ -194,27 +193,17 @@ def _decode_segment(index, start, seg_bits, tx_state, rx_state, ebn0_db,
                     channel, rng_seed):
     noise_seed, cal_seed = _segment_seeds(rng_seed, index)
     tx, rx = tx_state.link_end, rx_state.link_end
-    if rx.mod.scheme == OOK:
-        eb = ENERGY_PER_BIT[tx.mod.scheme]
-        rx = rx.with_threshold(
-            calibrate_ook_threshold(rx, ebn0_db, eb, _CAL_FRAMES, cal_seed)
-        )
-    block = (seg_bits, noise_seed, channel)
-    [decoded] = map(decide, simulate_block([block], tx, rx, ebn0_db))
-
+    rx = calibrated(tx, rx, ebn0_db, _CAL_FRAMES, cal_seed)
+    [block] = simulate_block([(seg_bits, noise_seed, channel)], tx, rx, ebn0_db)
     n = len(seg_bits)
-    m = min(n, len(decoded))
-    # bits the receiver never produced (mismatched frame length after a
-    # one-sided reconfiguration) count as errors
-    errors = int(np.count_nonzero(decoded[:m] != seg_bits[:m])) + (n - m)
     t_c = tx_state.params.t_c
     return SegmentReport(
         index=index,
         start_frame=start,
         n_bits=n,
-        decoded=decoded[:m],
-        errors=errors,
-        ber=errors / n,
+        decoded=block.decoded,
+        errors=block.errors,
+        ber=block.errors / n,
         t_c=t_c,
         n_c=tx_state.params.n_c,
         code_id=tx_state.code_bank.active_id,

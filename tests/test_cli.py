@@ -445,6 +445,29 @@ def test_input_file_not_utf8_exits_2(tmp_path, flag, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", [
+    ["sweep", "--scheme", "bpam", "--ebn0", "4", "--bits", "1000"],
+    ["codegen", "--nc", "4", "--count", "2"],
+], ids=["sweep", "codegen"])
+def test_rewrite_over_a_longer_file_leaves_only_the_new_bytes(tmp_path,
+                                                              command):
+    # --out is rewritten in place and cut to length, not truncated on
+    # open: none of the old file's tail may remain
+    fresh = tmp_path / "fresh.txt"
+    assert run(command + ["--out", str(fresh)]) == 0
+    out = tmp_path / "out.txt"
+    out.write_bytes(b"x" * (3 * fresh.stat().st_size))
+    assert run(command + ["--out", str(out)]) == 0
+    assert out.read_bytes() == fresh.read_bytes()
+
+
+def test_out_may_be_a_device():
+    # a device has no tail to cut, and cannot be truncated
+    rc = run(["sweep", "--scheme", "bpam", "--ebn0", "4", "--bits", "1000",
+              "--out", os.devnull])
+    assert rc == 0
+
+
 def test_import_loads_no_scipy():
     # scipy.signal alone cost most of the CLI's start-up; src/ needs
     # numpy only, and any later scipy use there must import lazily

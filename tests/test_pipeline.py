@@ -51,6 +51,7 @@ from uwbphy import receiver
 from uwbphy.harness import BLOCK_BITS, run_sweep
 from uwbphy.receiver import (
     _distinct_windows,
+    decide,
     decision_statistics,
     simulate_block,
 )
@@ -76,12 +77,19 @@ EDGE_CODE = ThCode(offsets=(2, 0, 2, 1, 2), code_id="edge")
 # half a pulse: OOK decisions at 6 dB are then far from all-ones.
 OOK_THRESHOLD = 120 * 0.25 / 10 ** 0.6 + 0.5
 
-def _block(bits, tx, rx, ebn0_db, noise_seed, channel=None, agc_bits=None):
-    """The statistics of one block passed to simulate_block alone."""
-    [stats] = simulate_block(
+def _record(bits, tx, rx, ebn0_db, noise_seed, channel=None, agc_bits=None):
+    """The record of one block passed to simulate_block alone."""
+    [record] = simulate_block(
         [(bits, noise_seed, channel)], tx, rx, ebn0_db, agc_bits
     )
-    return stats
+    return record
+
+
+def _block(bits, tx, rx, ebn0_db, noise_seed, channel=None, agc_bits=None):
+    """The statistics of one block passed to simulate_block alone."""
+    return _record(
+        bits, tx, rx, ebn0_db, noise_seed, channel, agc_bits
+    ).statistics
 
 
 def _receiver(scheme, params=FAST_PARAMS, code=FAST_CODE, delta=FAST_DELTA):
@@ -715,9 +723,16 @@ def _assert_one_pass_equals_one_call_per_block(blocks, tx, rx, ebn0_db,
                                                agc_bits):
     one_pass = list(simulate_block(blocks, tx, rx, ebn0_db, agc_bits))
     assert len(one_pass) == len(blocks)
-    for stats, (bits, noise_seed, channel) in zip(one_pass, blocks):
-        alone = _block(bits, tx, rx, ebn0_db, noise_seed, channel, agc_bits)
-        assert stats.tobytes() == alone.tobytes()
+    for got, (bits, noise_seed, channel) in zip(one_pass, blocks):
+        alone = _record(bits, tx, rx, ebn0_db, noise_seed, channel, agc_bits)
+        assert got.statistics.tobytes() == alone.statistics.tobytes()
+        np.testing.assert_array_equal(got.decoded, alone.decoded)
+        assert got.errors == alone.errors
+        # the decisions and their errors against the block's bits, each
+        # bit the receiver never produced counting as one
+        n, m = len(bits), len(got.decoded)
+        np.testing.assert_array_equal(got.decoded, decide(got.statistics))
+        assert got.errors == np.count_nonzero(got.decoded != bits[:m]) + n - m
 
 
 @pytest.mark.parametrize("link", ["matched", "mismatched"])
@@ -744,6 +759,29 @@ def test_one_pass_equals_one_call_per_block(scheme, channel, datapath, link):
         _assert_one_pass_equals_one_call_per_block(
             blocks, tx, rx, ebn0_db, agc_bits
         )
+
+
+@pytest.mark.parametrize("case", ["cut>fast", "cm1-agc12"])
+def test_block_records_score_their_bits(case):
+    # cut>fast receives 7.2 ns frames in 20 ns ones, so it decides about
+    # a third of each block's bits and the rest count as errors
+    if case == "cut>fast":
+        tx, rx = _cut_receiver("bpam"), _receiver("bpam")
+        channel, agc_bits = None, None
+    else:
+        tx = rx = _default_receiver("ppm")
+        channel, agc_bits = draw_channel(CM1_LIKE, 62), 12
+    bits = random_bits(51, 2345)
+    blocks = [(bits[at:at + BLOCK_BITS], 75 + at, channel)
+              for at in range(0, len(bits), BLOCK_BITS)]
+    _assert_one_pass_equals_one_call_per_block(blocks, tx, rx, 4.0, agc_bits)
+    records = list(simulate_block(blocks, tx, rx, 4.0, agc_bits))
+    unread = [len(b) - len(r.decoded) for r, (b, _, _) in zip(records, blocks)]
+    if case == "cut>fast":
+        assert all(0 < u < len(b) for u, (b, _, _) in zip(unread, blocks))
+    else:
+        assert unread == [0, 0, 0]
+    assert all(0 < r.errors < len(b) for r, (b, _, _) in zip(records, blocks))
 
 
 @pytest.mark.parametrize("agc_bits", [None, 12], ids=["float", "agc12"])
@@ -803,10 +841,11 @@ def test_window_keys_of_a_long_channel_take_several_words(monkeypatch):
     cfg = _receiver("bpam")
     bits = random_bits(44, 900)
     blocks = [(b, 0, LONG_CHANNEL) for b in np.split(bits, 3)]
-    stats = list(simulate_block(blocks, cfg, cfg, math.inf))
+    records = list(simulate_block(blocks, cfg, cfg, math.inf))
     assert sorted_words == [max(sorted_words)] and sorted_words[0] > 1
-    for got, (b, _, ch) in zip(stats, blocks):
-        _assert_same_statistics(got, _noiseless_reference(b, cfg, cfg, ch))
+    for got, (b, _, ch) in zip(records, blocks):
+        _assert_same_statistics(
+            got.statistics, _noiseless_reference(b, cfg, cfg, ch))
 
 
 def test_packed_window_keys_stay_exact_past_one_word():
@@ -847,8 +886,8 @@ def test_awgn_pass_builds_two_distinct_windows(scheme, monkeypatch):
     monkeypatch.setattr(receiver, "_distinct_windows", spy)
     cfg = _default_receiver(scheme)
     blocks = [(random_bits(b, BLOCK_BITS), b, None) for b in range(8)]
-    stats = list(simulate_block(blocks, cfg, cfg, 4.0))
-    assert sum(map(len, stats)) == 8000
+    records = list(simulate_block(blocks, cfg, cfg, 4.0))
+    assert sum(len(r.statistics) for r in records) == 8000
     assert built == [2]
 
 
