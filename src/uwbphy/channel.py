@@ -350,26 +350,44 @@ def add_awgn(signal, ebn0_db, energy_per_bit, rng_seed):
 @dataclass(frozen=True)
 class QuantizerConfig:
     """Mid-rise uniform quantizer: 2^bits levels over
-    [-full_scale, +full_scale], clipping outside."""
+    [-full_scale, +full_scale], clipping outside.
+
+    A quantizer without a full scale is an AGC: when it samples x, its
+    full scale is the peak |x| (1.0 if x is all zeros), and a receiver
+    quantizes its template at that same scale. for_samples gives the
+    quantizer with that scale.
+    """
 
     bits: int
-    full_scale: float
+    full_scale: float = None
 
     def __post_init__(self):
         object.__setattr__(self, "bits", check_int(self.bits, "bits", 1, 64))
-        object.__setattr__(
-            self, "full_scale", check_positive(self.full_scale, "full_scale")
-        )
+        if self.full_scale is not None:
+            object.__setattr__(
+                self, "full_scale", check_positive(self.full_scale, "full_scale")
+            )
+
+    def for_samples(self, x):
+        """The quantizer that samples x: this one at a fixed full scale,
+        else the one whose full scale is the peak |x|."""
+        if self.full_scale is not None:
+            return self
+        peak = max(x.max(initial=0.0), -x.min(initial=0.0)) or 1.0
+        return QuantizerConfig(self.bits, float(peak))
 
 
 def quantize_array(x, q, out=None):
-    """Quantize samples onto the mid-rise lattice of the config, into
-    out when given (which may be x itself); one new array otherwise.
+    """Quantize samples onto the mid-rise lattice of q.for_samples(x),
+    into out when given (which may be x itself); one new array
+    otherwise.
 
-    Output samples are reconstruction values (still floats); the
-    operation is idempotent and clips outside +/- full_scale.
+    Output samples are reconstruction values (still floats); at a fixed
+    full scale the operation is idempotent and clips outside
+    +/- full_scale.
     """
     x = np.asarray(x, dtype=np.float64)
+    q = q.for_samples(x)
     if q.bits >= _IDENTITY_BITS:
         return np.clip(x, -q.full_scale, q.full_scale, out=out)
     step = 2.0 * q.full_scale / (1 << q.bits)

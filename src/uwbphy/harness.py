@@ -19,10 +19,11 @@ prior-averaged Eb is half a pulse energy.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .channel import SvProfile, check_ebn0, draw_channel
+from .channel import QuantizerConfig, SvProfile, check_ebn0, draw_channel
 from .errors import (
     FormatError,
     GridMismatch,
@@ -34,7 +35,7 @@ from .errors import (
 )
 from .framing import DEFAULT_PARAMS, ThCode, ThParams, generate_code
 from .receiver import ReceiverConfig, calibrated, simulate_block
-from .transmitter import OOK, PPM, ModulationConfig
+from .transmitter import PPM, ModulationConfig
 from .waveform import (
     DEFAULT_PULSE,
     DEFAULT_SAMPLE_RATE,
@@ -60,8 +61,8 @@ class SweepConfig:
     channel: None for AWGN-only, or an SvProfile for multipath on top
         of AWGN.
     quant_bits: None for the floating-point datapath, or the ADC word
-        width (an integer); full scale tracks the per-block peak of the
-        observed samples.
+        width (an integer): the receiver then holds the AGC
+        QuantizerConfig(quant_bits) (see QuantizerConfig).
     code/delta: default to a seed-derived code and an orthogonal PPM
         shift of one pulse duration.
     """
@@ -103,13 +104,6 @@ class SweepConfig:
         if self.quant_bits is not None:
             object.__setattr__(self, "quant_bits", check_int(
                 self.quant_bits, "quant_bits", 1, 64))
-            # a 1-bit ADC maps every sample to +/- half a step, so every
-            # window has the same energy and OOK cannot tell bits apart
-            if self.scheme == OOK and self.quant_bits == 1:
-                raise InvalidParams(
-                    "OOK needs an ADC of at least 2 bits: at 1 bit every "
-                    "window energy is the same"
-                )
         object.__setattr__(
             self, "base_seed", check_int(self.base_seed, "base_seed", 0)
         )
@@ -119,10 +113,25 @@ class SweepConfig:
                 "code",
                 generate_code(DEFAULT_CODE_SEED, DEFAULT_CODE_LENGTH, self.params),
             )
+        self.receiver  # checks the link, once
 
     @property
     def modulation(self):
         return ModulationConfig(self.scheme, delta=self.delta)
+
+    @cached_property
+    def receiver(self):
+        """The ReceiverConfig of the swept link, both its ends: its
+        modulation, geometry, code, sampled pulse and ADC. Built once,
+        when the sweep is checked."""
+        return ReceiverConfig(
+            mod=self.modulation,
+            params=self.params,
+            code=self.code,
+            template=sample_pulse(self.pulse, self.sample_rate),
+            datapath=None if self.quant_bits is None
+            else QuantizerConfig(self.quant_bits),
+        )
 
 
 @dataclass(frozen=True)
@@ -180,10 +189,10 @@ def _blocks(cfg, seeds):
         yield bits, noise_base ^ block, channel
 
 
-def _run_point(cfg, rcfg, ebn0_db, seeds):
-    rcfg = calibrated(rcfg, rcfg, ebn0_db, CALIBRATION_FRAMES, seeds[3])
-    blocks = simulate_block(
-        _blocks(cfg, seeds), rcfg, rcfg, ebn0_db, cfg.quant_bits)
+def _run_point(cfg, ebn0_db, seeds):
+    rcfg = calibrated(
+        cfg.receiver, cfg.receiver, ebn0_db, CALIBRATION_FRAMES, seeds[3])
+    blocks = simulate_block(_blocks(cfg, seeds), rcfg, rcfg, ebn0_db)
     errors = sum(block.errors for block in blocks)
     return BerPoint(ebn0_db=ebn0_db, errors=errors, bits=cfg.n_bits_per_point)
 
@@ -193,19 +202,8 @@ def run_sweep(cfg):
 
     Deterministic: the output is a pure function of cfg.
     """
-    template = sample_pulse(cfg.pulse, cfg.sample_rate)
-    rcfg = ReceiverConfig(
-        mod=cfg.modulation,
-        params=cfg.params,
-        code=cfg.code,
-        template=template,
-    )
-    points = []
-    for index, ebn0_db in enumerate(cfg.ebn0_grid):
-        points.append(
-            _run_point(cfg, rcfg, ebn0_db, point_seeds(cfg.base_seed, index))
-        )
-    return points
+    return [_run_point(cfg, ebn0_db, point_seeds(cfg.base_seed, index))
+            for index, ebn0_db in enumerate(cfg.ebn0_grid)]
 
 
 def _fmt(x):

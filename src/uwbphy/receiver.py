@@ -20,8 +20,9 @@ datapath, where ties are reachable, stays deterministic.
 
 The datapath field selects between the floating-point reference and a
 quantized mode in which the window samples and the template pass
-through the same ADC model before correlation; accumulators stay in
-double precision either way.
+through the same ADC before correlation (QuantizerConfig's docstring
+states the rule for an AGC); accumulators stay in double precision
+either way.
 
 simulate_block runs blocks over the link without building their
 waveforms, and scores them: sweeps and sessions only calibrate OOK
@@ -126,8 +127,9 @@ class ReceiverConfig:
         template support).
     threshold: OOK decision threshold in energy units; must be
         calibrated before an OOK receiver decodes.
-    datapath: None for the floating-point reference, or a
-        QuantizerConfig for the quantized mode.
+    datapath: None for the floating-point reference, or the
+        QuantizerConfig of the ADC (one without a full scale is an AGC,
+        see QuantizerConfig).
     """
 
     mod: object
@@ -143,6 +145,15 @@ class ReceiverConfig:
         check_type(self.params, "params", ThParams)
         check_type(self.code, "code", ThCode)
         check_type(self.template, "template", SampledSignal)
+        check_type(self.datapath, "datapath", QuantizerConfig, None)
+        # a 1-bit ADC maps every sample to +/- half a step, so every
+        # window has the same energy and OOK cannot tell bits apart
+        if (self.mod.scheme == OOK and self.datapath is not None
+                and self.datapath.bits == 1):
+            raise InvalidParams(
+                "OOK needs an ADC of at least 2 bits: at 1 bit every "
+                "window energy is the same"
+            )
         require_code(self.code, self.params)
         check_pulse_fits(self.mod, self.params, self.template)
         if self.integration_window is None:
@@ -233,9 +244,19 @@ def synchronize(rx, cfg, search_window, n_sync_frames):
             f"search_window must cover at least one lag, got {search_window}"
         )
     n_sync_frames = check_int(n_sync_frames, "n_sync_frames", 1)
+    length = n_sync_frames * cfg.frame_len
+    if len(rx) < length:
+        raise InvalidParams(
+            f"received signal ({len(rx)} samples) shorter than the "
+            f"{length}-sample preamble"
+        )
+    # only lags 0..search_window are read (fewer if rx ends first):
+    # correlate, and quantize, just the samples they reach
+    rxs = rx.samples[:length + search_window]
     tpl = cfg.template.samples
     if cfg.datapath is not None:
-        tpl = quantize_array(tpl, cfg.datapath)
+        adc = cfg.datapath.for_samples(rxs)
+        rxs, tpl = quantize_array(rxs, adc), quantize_array(tpl, adc)
     preamble = place_pulse_train(
         np.ones(n_sync_frames, dtype=np.int64),
         cfg.mod,
@@ -243,16 +264,6 @@ def synchronize(rx, cfg, search_window, n_sync_frames):
         cfg.code,
         SampledSignal(tpl, cfg.sample_rate),
     ).samples
-    if len(rx) < len(preamble):
-        raise InvalidParams(
-            f"received signal ({len(rx)} samples) shorter than the "
-            f"{len(preamble)}-sample preamble"
-        )
-    # only lags 0..search_window are read (fewer if rx ends first):
-    # correlate, and quantize, just the samples they reach
-    rxs = rx.samples[:len(preamble) + search_window]
-    if cfg.datapath is not None:
-        rxs = quantize_array(rxs, cfg.datapath)
     metric = _fft_convolve(rxs, preamble[::-1])[len(preamble) - 1:len(rxs)]
     metric = metric / cfg.sample_rate
     best = int(np.argmax(metric))
@@ -275,29 +286,25 @@ def _windows(x, cfg, offset):
     return x[starts[:, None] + np.arange(cfg.window_len)]
 
 
-def _statistics(win, cfg, agc_bits=None):
+def _statistics(win, cfg):
     """Per-frame decision statistics of gathered windows; a frame
     decodes as bit 1 iff its statistic is >= 0 (see decide).
 
-    win is modified in place. agc_bits, when set, quantizes at that
-    width with the full scale at the peak observed sample; otherwise
-    cfg.datapath applies.
+    win is modified in place; the ADC of cfg.datapath, if any, samples
+    the windows and quantizes the template at the same full scale.
     """
     if cfg.mod.scheme == OOK and cfg.threshold is None:
         raise UncalibratedThreshold(
             "OOK threshold is unset; run calibrate_ook_threshold first"
         )
-    if agc_bits is not None:
-        peak = max(win.max(initial=0.0), -win.min(initial=0.0)) or 1.0
-        cfg = replace(cfg, datapath=QuantizerConfig(agc_bits, float(peak)))
+    tpl = cfg.pulse
     if cfg.datapath is not None:
-        quantize_array(win, cfg.datapath, out=win)
+        adc = cfg.datapath.for_samples(win)
+        quantize_array(win, adc, out=win)
+        tpl = quantize_array(tpl, adc)
     if cfg.mod.scheme == OOK:
         energy = np.einsum("ij,ij->i", win, win) / cfg.sample_rate
         return energy - cfg.threshold
-    tpl = cfg.pulse
-    if cfg.datapath is not None:
-        tpl = quantize_array(tpl, cfg.datapath)
     # einsum rather than a BLAS matrix-vector product: BLAS spreads
     # these small products over threads that cost more CPU than they
     # save and make the cost depend on what else the host runs
@@ -359,7 +366,7 @@ def calibrated(tx, rx, ebn0_db, n_frames, seed):
         calibrate_ook_threshold(rx, ebn0_db, eb, n_frames, seed))
 
 
-def simulate_block(blocks, tx, rx, ebn0_db, agc_bits=None):
+def simulate_block(blocks, tx, rx, ebn0_db):
     """Send blocks of bits from tx to rx at ebn0_db (Eb of tx's scheme)
     and yield a ScoredBlock for each, in order.
 
@@ -367,9 +374,9 @@ def simulate_block(blocks, tx, rx, ebn0_db, agc_bits=None):
     a pass of up to _PASS_BLOCKS ahead of what is yielded; each block
     draws its noise from its own noise_seed and sees its own channel
     (None or a ChannelRealization). tx and rx are the two link ends'
-    configurations, which may differ after a one-sided reconfiguration.
-    agc_bits selects a quantized datapath whose full scale is the peak
-    observed sample of each block. The records equal those of one call
+    configurations, which may differ after a one-sided reconfiguration;
+    rx.datapath, if set, is the ADC, and an AGC (see QuantizerConfig)
+    samples each block's windows. The records equal those of one call
     per block, bit for bit.
 
     Raises RateMismatch when tx and rx differ in sample rate,
@@ -395,12 +402,12 @@ def simulate_block(blocks, tx, rx, ebn0_db, agc_bits=None):
                 f"{len(bits)} frames of {frame_len} samples overflow the "
                 f"64-bit sample index; shorten the frame or send fewer bits")
         if len(batch) == _PASS_BLOCKS or end + extent > _INT64_MAX:
-            yield from _run_pass(batch, tx, rx, table, sigma, agc_bits)
+            yield from _run_pass(batch, tx, rx, table, sigma)
             batch, end = [], 0
         batch.append((bits, noise_seed, shapes, end))
         end += extent
     if batch:
-        yield from _run_pass(batch, tx, rx, table, sigma, agc_bits)
+        yield from _run_pass(batch, tx, rx, table, sigma)
 
 
 def _shapes(tx, levels, channel):
@@ -412,7 +419,7 @@ def _shapes(tx, levels, channel):
     return levels[:, None] * g.samples
 
 
-def _run_pass(batch, tx, rx, table, sigma, agc_bits):
+def _run_pass(batch, tx, rx, table, sigma):
     """Yield the ScoredBlock of each block of one pass. batch holds a
     (bits, noise_seed, shapes, base) tuple per block: its received
     shapes (one array shared by the blocks without a channel) and its
@@ -460,7 +467,7 @@ def _run_pass(batch, tx, rx, table, sigma, agc_bits):
     clean = _build_windows(
         first, kind, padded, begin[rep], lo[rep], reach[rep], width
     )
-    quantized = agc_bits is not None or rx.datapath is not None
+    quantized = rx.datapath is not None
     if not quantized:
         clean_stats = _statistics(clean, rx)
         law = _noise_law(sigma, clean, rx)
@@ -483,7 +490,7 @@ def _run_pass(batch, tx, rx, table, sigma, agc_bits):
                 part = slice(at, at + _MERGE_ROWS)
                 noisy[part] *= sigma
                 noisy[part] += clean[which[block][part]]
-        yield _score(bits, _statistics(noisy, rx, agc_bits))
+        yield _score(bits, _statistics(noisy, rx))
         # one block's noise at a time: no view of it may outlive it
         del noisy
 

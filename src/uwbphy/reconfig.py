@@ -189,13 +189,14 @@ def _segment_seeds(rng_seed, index):
     return int(noise), int(cal)
 
 
-def _decode_segment(index, start, seg_bits, tx_state, rx_state, ebn0_db,
-                    channel, rng_seed):
+def _decode_segment(index, span, bits, ebn0_db, channel, rng_seed):
+    start, end, tx_state, rx_state = span
     noise_seed, cal_seed = _segment_seeds(rng_seed, index)
     tx, rx = tx_state.link_end, rx_state.link_end
     rx = calibrated(tx, rx, ebn0_db, _CAL_FRAMES, cal_seed)
-    [block] = simulate_block([(seg_bits, noise_seed, channel)], tx, rx, ebn0_db)
-    n = len(seg_bits)
+    [block] = simulate_block(
+        [(bits[start:end], noise_seed, channel)], tx, rx, ebn0_db)
+    n = end - start
     t_c = tx_state.params.t_c
     return SegmentReport(
         index=index,
@@ -241,7 +242,8 @@ def run_session(bits, schedule, initial_state, ebn0_db=math.inf,
         )
     n_bits = len(bits_arr)
     tx_state = rx_state = initial_state
-    segments = []
+    # (start, end, tx_state, rx_state) of each non-empty segment
+    spans = []
     seg_start = 0
     for i, req in enumerate(schedule):
         try:
@@ -252,24 +254,16 @@ def run_session(bits, schedule, initial_state, ebn0_db=math.inf,
             continue  # gated off: no boundary, no change
         end = min(req.effective_frame, n_bits)
         if end > seg_start:
-            segments.append(
-                _decode_segment(
-                    len(segments), seg_start, bits_arr[seg_start:end],
-                    tx_state, rx_state, ebn0_db, channel, rng_seed,
-                )
-            )
+            spans.append((seg_start, end, tx_state, rx_state))
             seg_start = end
         tx_state = new_state
         if not fault_inject:
             rx_state = new_state
     if n_bits > seg_start:
-        segments.append(
-            _decode_segment(
-                len(segments), seg_start, bits_arr[seg_start:],
-                tx_state, rx_state, ebn0_db, channel, rng_seed,
-            )
-        )
-    return SessionResult(segments=tuple(segments))
+        spans.append((seg_start, n_bits, tx_state, rx_state))
+    return SessionResult(segments=tuple(
+        _decode_segment(index, span, bits_arr, ebn0_db, channel, rng_seed)
+        for index, span in enumerate(spans)))
 
 
 _SCRIPT_LINE = re.compile(r"^@(\d+)\s+set\s+(.*)$")

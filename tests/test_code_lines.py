@@ -39,3 +39,12 @@ def test_prints_each_module_and_the_total(tmp_path, capsys):
     assert code_lines.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out.split("\n") == [
         "    6 a", "    1 b", "    7 total", ""]
+
+
+# The line budget of src/uwbphy: its code lines may not grow past this
+# count. A change that raises it says why in CHANGES.md.
+SRC_CODE_LINES = 1694
+
+
+def test_src_stays_within_its_line_budget():
+    assert sum(code_lines.module_lines().values()) <= SRC_CODE_LINES

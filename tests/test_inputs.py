@@ -71,7 +71,9 @@ def _receiver(**kw):
 # Each of these was accepted, truncated or crashed with a non-PhyError
 # exception (a wrongly typed config object with an AttributeError where
 # it was used) before integer inputs, positive inputs and config
-# objects each had one rule.
+# objects each had one rule, and before the receiver held the rule that
+# OOK needs an ADC of at least 2 bits (at 1 bit every window energy is
+# the same, so a 30 dB link decodes coin flips).
 REFUSED = {
     "ook threshold nan": lambda: make_receiver(
         "ook", PARAMS, CODE, TEMPLATE, threshold=NAN),
@@ -111,6 +113,11 @@ REFUSED = {
     "receiver params str": lambda: _receiver(params="x"),
     "receiver code str": lambda: _receiver(code="x"),
     "receiver template str": lambda: _receiver(template="x"),
+    "receiver datapath str": lambda: _receiver(datapath="x"),
+    "ook receiver 1-bit adc": lambda: make_receiver(
+        "ook", PARAMS, CODE, TEMPLATE, datapath=QuantizerConfig(1, 1.0)),
+    "ook receiver 1-bit agc": lambda: make_receiver(
+        "ook", PARAMS, CODE, TEMPLATE, datapath=QuantizerConfig(1)),
 }
 
 
@@ -165,7 +172,7 @@ FIELDS = [
      lambda v: ModulationConfig("bpam", delta=v)),
     ("QuantizerConfig.bits", "int",
      lambda v: QuantizerConfig(bits=v, full_scale=1.0)),
-    ("QuantizerConfig.full_scale", "positive",
+    ("QuantizerConfig.full_scale", "optional positive",
      lambda v: QuantizerConfig(bits=12, full_scale=v)),
     ("ReceiverConfig.integration_window", "optional positive",
      lambda v: make_receiver("ook", PARAMS, CODE, TEMPLATE,

@@ -21,6 +21,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp, levene
 
 from uwbphy import (
@@ -77,19 +79,15 @@ EDGE_CODE = ThCode(offsets=(2, 0, 2, 1, 2), code_id="edge")
 # half a pulse: OOK decisions at 6 dB are then far from all-ones.
 OOK_THRESHOLD = 120 * 0.25 / 10 ** 0.6 + 0.5
 
-def _record(bits, tx, rx, ebn0_db, noise_seed, channel=None, agc_bits=None):
+def _record(bits, tx, rx, ebn0_db, noise_seed, channel=None):
     """The record of one block passed to simulate_block alone."""
-    [record] = simulate_block(
-        [(bits, noise_seed, channel)], tx, rx, ebn0_db, agc_bits
-    )
+    [record] = simulate_block([(bits, noise_seed, channel)], tx, rx, ebn0_db)
     return record
 
 
-def _block(bits, tx, rx, ebn0_db, noise_seed, channel=None, agc_bits=None):
+def _block(bits, tx, rx, ebn0_db, noise_seed, channel=None):
     """The statistics of one block passed to simulate_block alone."""
-    return _record(
-        bits, tx, rx, ebn0_db, noise_seed, channel, agc_bits
-    ).statistics
+    return _record(bits, tx, rx, ebn0_db, noise_seed, channel).statistics
 
 
 def _receiver(scheme, params=FAST_PARAMS, code=FAST_CODE, delta=FAST_DELTA):
@@ -519,6 +517,99 @@ def test_channel_spanning_several_frames_matches_full_waveform(scheme):
     )
 
 
+def _pulse_gap(bits, tx):
+    """Fewest samples between the end of a sent pulse and the start of
+    the next, at most 400."""
+    frames = np.arange(len(bits))
+    starts = (frames * tx.frame_len
+              + np.take(tx.code.offsets, frames % len(tx.code)) * tx.chip_len)
+    if tx.mod.scheme == "ppm":
+        starts = starts + bits * round(tx.mod.delta * RATE)
+    if tx.mod.scheme == "ook":
+        starts = starts[bits == 1]
+    return int(np.min(np.diff(starts), initial=400 + len(tx.pulse))
+               - len(tx.pulse))
+
+
+@st.composite
+def _drawn_links(draw):
+    """A drawn noiseless link: a scheme and PPM shift, the tx end's chip
+    (often an exact fit: pulse plus shift fill it), chips per frame and
+    code, an rx end that is the same or drawn alike, up to 40 bits, the
+    rx datapath (float, a fixed ADC or an AGC) and a channel (none, up
+    to four taps, or CM1)."""
+    template = sample_pulse(FAST_PULSE, RATE)
+    scheme = draw(st.sampled_from(["ook", "bpam", "ppm"]))
+    shift = draw(st.integers(1, 80)) if scheme == "ppm" else 0
+    mod = ModulationConfig(scheme, delta=shift / RATE)
+
+    def end():
+        chip = len(template) - 1 + shift + draw(st.just(0) | st.integers(0, 90))
+        n_c = draw(st.integers(2, 5))
+        offsets = draw(st.lists(st.integers(0, n_c - 1), min_size=1,
+                                max_size=6))
+        return ReceiverConfig(
+            mod=mod, params=ThParams(t_c=chip / RATE, n_c=n_c),
+            code=ThCode(tuple(offsets), "drawn"), template=template,
+            threshold=0.5 if scheme == "ook" else None,
+        )
+
+    tx = end()
+    rx = tx if draw(st.booleans()) else end()
+    bits = np.array(draw(st.lists(st.integers(0, 1), min_size=1,
+                                  max_size=40)))
+    datapath = draw(st.sampled_from(["float", "fixed", "agc"]))
+    if datapath != "float":
+        scale = draw(st.sampled_from([0.5, 1.0, 2.0])) * float(
+            np.max(template.samples))
+        rx = replace(rx, datapath=QuantizerConfig(
+            draw(st.integers(2 if scheme == "ook" else 1, 12)),
+            scale if datapath == "fixed" else None))
+    # Through an ADC, no CM1: its overlap-add leaves rounding dust where
+    # the received pulse is due to be zero, and the ADC maps the dust by
+    # its sign. Nor may two received pulses meet: the two paths add them
+    # in another order, and where they cancel (the monocycle is
+    # symmetric) the ADC maps what rounding leaves by its sign too.
+    reach = 400 if datapath == "float" else _pulse_gap(bits, tx)
+    kinds = ["none"]
+    if reach > 0:
+        kinds.append("short")
+    if datapath == "float":
+        kinds.append("cm1")
+    channel = draw(st.sampled_from(kinds))
+    if channel == "cm1":
+        return bits, tx, rx, draw_channel(CM1_LIKE, draw(st.integers(0, 999)))
+    if channel == "none":
+        return bits, tx, rx, None
+    delays = draw(st.lists(st.integers(1, reach), max_size=3, unique=True))
+    gains = draw(st.lists(st.sampled_from([-0.8, -0.3, 0.4, 0.7]),
+                          min_size=len(delays), max_size=len(delays)))
+    taps = [(0.0, 1.0)] + [(d / RATE, g) for d, g in zip(sorted(delays), gains)]
+    return bits, tx, rx, ChannelRealization(taps=taps)
+
+
+@settings(max_examples=200)
+@given(_drawn_links())
+def test_block_matches_full_waveform_on_drawn_links(link):
+    # the noiseless pipeline against place_pulse_train, apply_channel
+    # and decision_statistics over the frames the receiver reads (at
+    # most one per bit), with the same rx: bit for bit through an ADC,
+    # whose AGC then sees the same windows, and to float rounding in
+    # multipath sums on the float datapath
+    bits, tx, rx, channel = link
+    got = _block(bits, tx, rx, math.inf, 0, channel)
+    x = _clean(bits, tx, channel).samples[:len(bits) * rx.frame_len]
+    want = decision_statistics(SampledSignal(x, RATE), rx)
+    if rx.datapath is None:
+        # rounding scales with the statistic of one whole pulse, also
+        # where a window holds only the dust of CM1's overlap-add
+        unit = float(rx.pulse @ rx.pulse) / (RATE if rx.mod.scheme == "ook"
+                                             else 1.0)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * unit)
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize(
     "scheme, n_c, channel",
     [("ppm", 8, True), ("bpam", 64, False)],
@@ -562,15 +653,15 @@ def _default_receiver(scheme):
     )
 
 
-def _block_peak(scheme, channel, agc_bits):
+def _block_peak(scheme, channel, datapath):
     """Peak traced bytes of one default-geometry block at 4 dB, as a
     multiple of its (n_frames, W) window matrix."""
-    cfg = _default_receiver(scheme)
+    cfg = replace(_default_receiver(scheme), datapath=datapath)
     ch = draw_channel(CM1_LIKE, rng_seed=9) if channel else None
     bits = random_bits(12, BLOCK_BITS)
     tracemalloc.start()
     try:
-        stats = _block(bits, cfg, cfg, 4.0, 13, ch, agc_bits)
+        stats = _block(bits, cfg, cfg, 4.0, 13, ch)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -590,7 +681,7 @@ def test_float_block_builds_each_distinct_window_once(scheme, channel):
 def test_quantized_block_holds_one_window_matrix(scheme):
     # the noise matrix takes the clean windows in and is quantized in
     # place: no second matrix of the block's size
-    assert _block_peak(scheme, True, 12) < 1.5
+    assert _block_peak(scheme, True, QuantizerConfig(12)) < 1.5
 
 
 # sha256 prefixes of the float64 bytes of simulate_block's statistics
@@ -686,17 +777,16 @@ def _block_link_digest(scheme, channel, link):
           "cm1": draw_channel(CM1_LIKE, 14)}[channel]
     tx, rx = _block_link(scheme, link)
     fixed = QuantizerConfig(8, 2.0 * float(np.max(rx.template.samples)))
-    datapaths = [(rx, None), (rx, 8), (rx, 12),
-                 (replace(rx, datapath=fixed), None)]
+    datapaths = [None, QuantizerConfig(8), QuantizerConfig(12), fixed]
     digest = hashlib.sha256()
     seed = 16 * BLOCK_LINKS.index(link)
-    for rx_dp, agc_bits in datapaths:
+    for datapath in datapaths:
+        rx_dp = replace(rx, datapath=datapath)
         for ebn0_db in (4.0, math.inf):
             for n_bits in (300, 37):
                 seed += 1
                 stats = _block(
-                    random_bits(seed, n_bits), tx, rx_dp, ebn0_db, seed, ch,
-                    agc_bits,
+                    random_bits(seed, n_bits), tx, rx_dp, ebn0_db, seed, ch
                 )
                 digest.update(np.asarray(stats, np.float64).tobytes())
     return digest.hexdigest()[:16]
@@ -719,12 +809,11 @@ def _block_channels(channel, n_blocks):
     return [fixed[channel]] * n_blocks
 
 
-def _assert_one_pass_equals_one_call_per_block(blocks, tx, rx, ebn0_db,
-                                               agc_bits):
-    one_pass = list(simulate_block(blocks, tx, rx, ebn0_db, agc_bits))
+def _assert_one_pass_equals_one_call_per_block(blocks, tx, rx, ebn0_db):
+    one_pass = list(simulate_block(blocks, tx, rx, ebn0_db))
     assert len(one_pass) == len(blocks)
     for got, (bits, noise_seed, channel) in zip(one_pass, blocks):
-        alone = _record(bits, tx, rx, ebn0_db, noise_seed, channel, agc_bits)
+        alone = _record(bits, tx, rx, ebn0_db, noise_seed, channel)
         assert got.statistics.tobytes() == alone.statistics.tobytes()
         np.testing.assert_array_equal(got.decoded, alone.decoded)
         assert got.errors == alone.errors
@@ -746,7 +835,8 @@ def test_one_pass_equals_one_call_per_block(scheme, channel, datapath, link):
         tx = rx = _default_receiver(scheme)
     else:
         tx, rx = _receiver(scheme), _cut_receiver(scheme)
-    agc_bits = int(datapath[3:]) if datapath.startswith("agc") else None
+    if datapath.startswith("agc"):
+        rx = replace(rx, datapath=QuantizerConfig(int(datapath[3:])))
     if datapath == "fixed8":
         peak = float(np.max(rx.template.samples))
         rx = replace(rx, datapath=QuantizerConfig(8, 2.0 * peak))
@@ -756,9 +846,7 @@ def test_one_pass_equals_one_call_per_block(scheme, channel, datapath, link):
     channels = _block_channels(channel, len(bits))
     blocks = [(b, 70 + i, ch) for i, (b, ch) in enumerate(zip(bits, channels))]
     for ebn0_db in (4.0, math.inf):
-        _assert_one_pass_equals_one_call_per_block(
-            blocks, tx, rx, ebn0_db, agc_bits
-        )
+        _assert_one_pass_equals_one_call_per_block(blocks, tx, rx, ebn0_db)
 
 
 @pytest.mark.parametrize("case", ["cut>fast", "cm1-agc12"])
@@ -767,15 +855,16 @@ def test_block_records_score_their_bits(case):
     # a third of each block's bits and the rest count as errors
     if case == "cut>fast":
         tx, rx = _cut_receiver("bpam"), _receiver("bpam")
-        channel, agc_bits = None, None
+        channel = None
     else:
-        tx = rx = _default_receiver("ppm")
-        channel, agc_bits = draw_channel(CM1_LIKE, 62), 12
+        tx = _default_receiver("ppm")
+        rx = replace(tx, datapath=QuantizerConfig(12))
+        channel = draw_channel(CM1_LIKE, 62)
     bits = random_bits(51, 2345)
     blocks = [(bits[at:at + BLOCK_BITS], 75 + at, channel)
               for at in range(0, len(bits), BLOCK_BITS)]
-    _assert_one_pass_equals_one_call_per_block(blocks, tx, rx, 4.0, agc_bits)
-    records = list(simulate_block(blocks, tx, rx, 4.0, agc_bits))
+    _assert_one_pass_equals_one_call_per_block(blocks, tx, rx, 4.0)
+    records = list(simulate_block(blocks, tx, rx, 4.0))
     unread = [len(b) - len(r.decoded) for r, (b, _, _) in zip(records, blocks)]
     if case == "cut>fast":
         assert all(0 < u < len(b) for u, (b, _, _) in zip(unread, blocks))
@@ -784,13 +873,15 @@ def test_block_records_score_their_bits(case):
     assert all(0 < r.errors < len(b) for r, (b, _, _) in zip(records, blocks))
 
 
-@pytest.mark.parametrize("agc_bits", [None, 12], ids=["float", "agc12"])
+@pytest.mark.parametrize("datapath", [None, QuantizerConfig(12)],
+                         ids=["float", "agc12"])
 @pytest.mark.parametrize("scheme", ["ook", "bpam", "ppm"])
-def test_passes_of_mixed_blocks_equal_one_call_per_block(scheme, agc_bits):
+def test_passes_of_mixed_blocks_equal_one_call_per_block(scheme, datapath):
     # more blocks than one pass holds, with and without a channel; a
     # one-bit block reads only code position 0, whose window stays in
     # its frame, while the others also read the cut last chip
-    cfg = replace(_cut_receiver(scheme), code=ThCode((0, 2), "late"))
+    cfg = replace(_cut_receiver(scheme), code=ThCode((0, 2), "late"),
+                  datapath=datapath)
     channels = [None, SHORT_CHANNEL, draw_channel(CM1_LIKE, 61), None,
                 LONG_CHANNEL]
     sizes = [1, 300, 2, 37]
@@ -798,7 +889,7 @@ def test_passes_of_mixed_blocks_equal_one_call_per_block(scheme, agc_bits):
         (random_bits(80 + i, sizes[i % 4]), 90 + i, channels[i % 5])
         for i in range(20)
     ]
-    _assert_one_pass_equals_one_call_per_block(blocks, cfg, cfg, 4.0, agc_bits)
+    _assert_one_pass_equals_one_call_per_block(blocks, cfg, cfg, 4.0)
 
 
 def test_blocks_past_the_int64_range_split_into_passes():
@@ -807,7 +898,7 @@ def test_blocks_past_the_int64_range_split_into_passes():
     cfg = _receiver("bpam", ThParams(t_c=5e-9, n_c=12 * 10**15))
     assert 3 * cfg.frame_len < np.iinfo(np.int64).max < 4 * cfg.frame_len
     blocks = [(np.array([b % 2]), b, None) for b in range(8)]
-    _assert_one_pass_equals_one_call_per_block(blocks, cfg, cfg, 4.0, None)
+    _assert_one_pass_equals_one_call_per_block(blocks, cfg, cfg, 4.0)
 
 
 @pytest.mark.parametrize(

@@ -158,11 +158,13 @@ class TestSynchronize:
 
 def _brute_force_sync(rx, cfg, search_window, n_sync_frames):
     """(offset, peak metric) by direct correlation of the whole received
-    signal, quantized whole on the quantized datapath."""
+    signal, quantized whole on the quantized datapath, the template at
+    the same full scale."""
     rxs, tpl = rx.samples, cfg.template.samples
     if cfg.datapath is not None:
-        rxs = quantize_array(rxs, cfg.datapath)
-        tpl = quantize_array(tpl, cfg.datapath)
+        adc = cfg.datapath.for_samples(rxs)
+        rxs = quantize_array(rxs, adc)
+        tpl = quantize_array(tpl, adc)
     preamble = place_pulse_train(
         np.ones(n_sync_frames, dtype=int), cfg.mod, cfg.params, cfg.code,
         SampledSignal(tpl, cfg.sample_rate),
@@ -224,6 +226,23 @@ class TestSynchronizeReference:
         )
         rx = self._noisy_rx(cfg, 7, tail_frames=4, seed=bits)
         self._assert_matches_reference(rx, cfg, search_window)
+
+    def test_agc_acquires_where_the_float_receiver_does(
+        self, fast_params, fast_code, fast_template
+    ):
+        # an 8-bit AGC takes the peak of the samples it correlates as its
+        # full scale; rx ends at the last lag read, so the reference,
+        # which quantizes all of rx, sees the same full scale
+        float_cfg = make_receiver("bpam", fast_params, fast_code, fast_template)
+        agc = make_receiver("bpam", fast_params, fast_code, fast_template,
+                            datapath=QuantizerConfig(8))
+        tx = transmit("bpam", np.ones(8, dtype=int), fast_params, fast_code,
+                      fast_template)
+        rx = add_awgn(shifted(tx, 137, pad=163), 10.0, 1.0, rng_seed=11)
+        assert len(rx) == 8 * agc.frame_len + 300
+        for cfg in (float_cfg, agc):
+            assert synchronize(rx, cfg, 300, n_sync_frames=8).offset == 137
+        self._assert_matches_reference(rx, agc, 300)
 
     def test_quantizes_only_the_correlated_samples(
         self, monkeypatch, fast_params, fast_code, fast_template

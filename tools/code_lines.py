@@ -43,14 +43,20 @@ def code_lines(source):
     return len(lines - skip)
 
 
+SRC = Path(__file__).parent.parent / "src/uwbphy"
+
+
+def module_lines(root=SRC):
+    """{module name: code lines} for each module directly in root."""
+    return {path.stem: code_lines(path.read_text(encoding="utf-8"))
+            for path in sorted(root.glob("*.py"))}
+
+
 def main(argv):
-    root = Path(argv[0]) if argv else Path(__file__).parent.parent / "src/uwbphy"
-    total = 0
-    for path in sorted(root.glob("*.py")):
-        n = code_lines(path.read_text(encoding="utf-8"))
-        total += n
-        print(f"{n:5d} {path.stem}")
-    print(f"{total:5d} total")
+    counts = module_lines(Path(argv[0]) if argv else SRC)
+    for name, n in counts.items():
+        print(f"{n:5d} {name}")
+    print(f"{sum(counts.values()):5d} total")
     return 0
 
 
