@@ -171,9 +171,8 @@ class CodeBank:
     def with_active(self, code_id):
         """A new bank with a different active code; the original is
         untouched."""
-        if code_id not in self.entries:
-            raise UnknownCode(f"no code {code_id!r} in bank")
-        return CodeBank(entries=self.entries, active_id=code_id)
+        return CodeBank(
+            entries=self.entries, active_id=self.get(code_id).code_id)
 
     def with_entry(self, code):
         """A new bank with one more (or replaced) code."""
@@ -208,14 +207,9 @@ def load_code_file(path, params):
             ) from None
         try:
             code = ThCode(offsets=offsets, code_id=code_id)
-        except InvalidParams as exc:
+            require_code(code, params)
+        except (InvalidParams, ConfigConflict) as exc:
             raise FormatError(f"{path}:{lineno}: {exc}") from None
-        bad = validate_code(code, params)
-        if bad:
-            raise FormatError(
-                f"{path}:{lineno}: offsets out of [0, {params.n_c - 1}] "
-                f"at indices {list(bad)}"
-            )
         entries[code_id] = code
     if not entries:
         raise FormatError(f"{path}: no codes found")

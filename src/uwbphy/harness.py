@@ -29,7 +29,6 @@ from .errors import (
     GridMismatch,
     InvalidParams,
     check_int,
-    check_positive,
     check_type,
     read_lines,
 )
@@ -91,8 +90,6 @@ class SweepConfig:
                 "delta",
                 self.pulse.duration if self.scheme == PPM else 0.0,
             )
-        ModulationConfig(self.scheme, delta=self.delta)  # checks both
-        check_positive(self.sample_rate, "sample_rate")
         grid = tuple(check_ebn0(x) for x in self.ebn0_grid)
         if not grid:
             raise InvalidParams("ebn0_grid must be non-empty")

@@ -156,13 +156,10 @@ class ReceiverConfig:
             )
         require_code(self.code, self.params)
         check_pulse_fits(self.mod, self.params, self.template)
-        if self.integration_window is None:
-            object.__setattr__(
-                self,
-                "integration_window",
-                (len(self.template) - 1) / self.template.sample_rate,
-            )
-        window = check_positive(self.integration_window, "integration_window")
+        window = self.integration_window
+        if window is None:
+            window = (len(self.template) - 1) / self.template.sample_rate
+        window = check_positive(window, "integration_window")
         if window > self.params.t_c * (1 + 1e-12):
             raise InvalidParams(
                 f"integration_window {window:g} s must be "
@@ -480,16 +477,14 @@ def _run_pass(batch, tx, rx, table, sigma):
                 stats += _noise_terms(rng, sigma, law, rx, which[block])
             yield _score(bits, stats)
             continue
-        if sigma == 0.0:
-            noisy = clean[which[block]]
-        else:
-            noisy = rng.standard_normal((count, width))
-            # in chunks, so the gathered clean rows stay small beside the
-            # block and each chunk is scaled and summed while in cache
-            for at in range(0, count, _MERGE_ROWS):
-                part = slice(at, at + _MERGE_ROWS)
-                noisy[part] *= sigma
-                noisy[part] += clean[which[block][part]]
+        noisy = (rng.standard_normal((count, width)) if sigma > 0.0
+                 else np.zeros((count, width)))
+        # in chunks, so the gathered clean rows stay small beside the
+        # block and each chunk is scaled and summed while in cache
+        for at in range(0, count, _MERGE_ROWS):
+            part = slice(at, at + _MERGE_ROWS)
+            noisy[part] *= sigma
+            noisy[part] += clean[which[block][part]]
         yield _score(bits, _statistics(noisy, rx))
         # one block's noise at a time: no view of it may outlive it
         del noisy

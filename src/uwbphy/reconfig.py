@@ -34,9 +34,10 @@ from .errors import (
     check_type,
     read_lines,
 )
-from .framing import CodeBank, ThParams
+from .framing import CodeBank, ThParams, data_rate
+from .harness import point_seeds
 from .receiver import ReceiverConfig, calibrated, simulate_block
-from .transmitter import ModulationConfig, _as_bits
+from .transmitter import _as_bits
 from .waveform import DEFAULT_SAMPLE_RATE, PulseShape, sample_pulse
 
 # Ceiling on chips per frame: bounds the achievable-rate range the
@@ -64,15 +65,13 @@ class PhyState:
 
     def __post_init__(self):
         object.__setattr__(self, "epoch", check_int(self.epoch, "epoch", 0))
-        check_type(self.params, "params", ThParams)
         check_type(self.code_bank, "code_bank", CodeBank)
-        check_type(self.mod, "mod", ModulationConfig)
         check_type(self.pulse, "pulse", PulseShape)
-        check_int(self.params.n_c, "n_c", 2, MAX_N_C)
         try:
             self.link_end
         except ConfigConflict as exc:
             raise InvalidParams(str(exc)) from None
+        check_int(self.params.n_c, "n_c", 2, MAX_N_C)
 
     @property
     def active_code(self):
@@ -182,22 +181,14 @@ class SessionResult:
         return sum(s.errors for s in self.segments)
 
 
-def _segment_seeds(rng_seed, index):
-    noise, cal = np.random.SeedSequence([rng_seed, index]).generate_state(
-        2, dtype=np.uint64
-    )
-    return int(noise), int(cal)
-
-
 def _decode_segment(index, span, bits, ebn0_db, channel, rng_seed):
     start, end, tx_state, rx_state = span
-    noise_seed, cal_seed = _segment_seeds(rng_seed, index)
+    noise_seed, cal_seed = point_seeds(rng_seed, index)[:2]
     tx, rx = tx_state.link_end, rx_state.link_end
     rx = calibrated(tx, rx, ebn0_db, _CAL_FRAMES, cal_seed)
     [block] = simulate_block(
         [(bits[start:end], noise_seed, channel)], tx, rx, ebn0_db)
     n = end - start
-    t_c = tx_state.params.t_c
     return SegmentReport(
         index=index,
         start_frame=start,
@@ -205,10 +196,10 @@ def _decode_segment(index, span, bits, ebn0_db, channel, rng_seed):
         decoded=block.decoded,
         errors=block.errors,
         ber=block.errors / n,
-        t_c=t_c,
+        t_c=tx_state.params.t_c,
         n_c=tx_state.params.n_c,
         code_id=tx_state.code_bank.active_id,
-        throughput_bps=n / (n * t_c),
+        throughput_bps=data_rate(tx_state.params),
     )
 
 

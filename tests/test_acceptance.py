@@ -106,13 +106,7 @@ def ook_curve():
 
 @pytest.fixture(scope="module")
 def ook_receiver():
-    cfg = sweep_cfg("ook", SEED_OOK)
-    return ReceiverConfig(
-        mod=cfg.modulation,
-        params=cfg.params,
-        code=cfg.code,
-        template=sample_pulse(cfg.pulse, cfg.sample_rate),
-    )
+    return sweep_cfg("ook", SEED_OOK).receiver
 
 
 def test_acceptance_1_noiseless_loopback(capsys):

@@ -28,8 +28,6 @@ from scipy.stats import ks_2samp, levene
 from uwbphy import (
     CM1_LIKE,
     ChannelRealization,
-    DEFAULT_PULSE,
-    DEFAULT_SAMPLE_RATE,
     ENERGY_PER_BIT,
     InvalidParams,
     ModulationConfig,
@@ -384,13 +382,7 @@ def test_calibration_matches_brute_force_distribution(ebn0_db):
 def test_block_memory_stays_near_the_clean_waveform():
     # default geometry: 4000 samples per frame, so the clean waveform of
     # a block is 32 MB; noise for the whole block would add twice that
-    cfg = SweepConfig(scheme="bpam", ebn0_grid=(4.0,))
-    rcfg = ReceiverConfig(
-        mod=cfg.modulation,
-        params=cfg.params,
-        code=cfg.code,
-        template=sample_pulse(DEFAULT_PULSE, DEFAULT_SAMPLE_RATE),
-    )
+    rcfg = SweepConfig(scheme="bpam", ebn0_grid=(4.0,)).receiver
     bits = random_bits(7, BLOCK_BITS)
     clean_bytes = 8 * BLOCK_BITS * rcfg.frame_len
     tracemalloc.start()
@@ -430,25 +422,24 @@ LONG_CHANNEL = ChannelRealization(
 )
 
 
-def _channel(name, seed=5):
-    if name == "short":
-        return SHORT_CHANNEL
-    return draw_channel(CM1_LIKE, seed)
+def _ramp_template():
+    """A unit-energy ramp as long as FAST_PULSE's template, whose last
+    sample is its largest, so a pulse cut to its chip loses weight."""
+    ramp = np.linspace(1.0, 2.0, 121)
+    return SampledSignal(ramp * math.sqrt(RATE / (ramp @ ramp)), RATE)
 
 
 def _cut_receiver(scheme):
     """The edge geometry with the ramp template: ramp plus shift span
     the chip plus one sample, so every pulse is sent, and correlated
     against, without its last and largest sample."""
-    ramp = np.linspace(1.0, 2.0, 121)
-    ramp *= math.sqrt(RATE / (ramp @ ramp))
     params = EDGE_PPM_PARAMS if scheme == "ppm" else EDGE_BPAM_PARAMS
     cfg = replace(
         _receiver(scheme, params, EDGE_CODE, EDGE_DELTA),
-        template=SampledSignal(ramp, RATE),
+        template=_ramp_template(),
     )
     last = (cfg.params.n_c - 1) * cfg.chip_len + round(cfg.mod.delta * RATE)
-    assert last + len(ramp) == cfg.frame_len + 1
+    assert last + len(cfg.template) == cfg.frame_len + 1
     return cfg
 
 
@@ -462,58 +453,6 @@ def _assert_same_statistics(got, want):
     assert len(got) == len(want)
     np.testing.assert_allclose(
         got, want, rtol=1e-12, atol=1e-12 * float(np.max(np.abs(want)))
-    )
-
-
-@pytest.mark.parametrize("channel", ["short", "cm1"])
-@pytest.mark.parametrize("scheme", ["ook", "bpam", "ppm"])
-def test_cut_pulses_through_channel_match_full_waveform(scheme, channel):
-    cfg = _cut_receiver(scheme)
-    ch = _channel(channel)
-    assert (len(ch.taps) <= 32) == (channel == "short")
-    bits = random_bits(41, 300)
-    _assert_same_statistics(
-        _block(bits, cfg, cfg, math.inf, 0, ch),
-        _noiseless_reference(bits, cfg, cfg, ch),
-    )
-
-
-@pytest.mark.parametrize("rx_frames", ["shorter", "longer"])
-@pytest.mark.parametrize("channel", ["short", "cm1"])
-@pytest.mark.parametrize("scheme", ["ook", "bpam", "ppm"])
-def test_mismatched_receiver_through_channel_matches_full_waveform(
-    scheme, channel, rx_frames
-):
-    # a fault-injected session: the receiver reads the transmitter's
-    # received waveform through its own frames; with longer ones the
-    # channel's spread past the last bit holds whole receiver frames
-    tx, rx = _receiver(scheme), _cut_receiver(scheme)
-    if rx_frames == "longer":
-        tx, rx = rx, tx
-    ch = _channel(channel, seed=8)
-    bits = random_bits(42, 300)
-    _assert_same_statistics(
-        _block(bits, tx, rx, math.inf, 0, ch),
-        _noiseless_reference(bits, tx, rx, ch),
-    )
-
-
-@pytest.mark.parametrize("scheme", ["ook", "bpam", "ppm"])
-def test_channel_spanning_several_frames_matches_full_waveform(scheme):
-    cfg = _receiver(scheme)
-    spread = round(LONG_CHANNEL.delays()[-1] * RATE)
-    assert spread >= 5 * cfg.frame_len
-    bits = random_bits(43, 400)
-    want = _noiseless_reference(bits, cfg, cfg, LONG_CHANNEL)
-    _assert_same_statistics(
-        _block(bits, cfg, cfg, math.inf, 0, LONG_CHANNEL), want
-    )
-    # the same block on the cut edge geometry, through the same channel
-    # (more than twelve of its frames)
-    edge = _cut_receiver(scheme)
-    _assert_same_statistics(
-        _block(bits, edge, edge, math.inf, 0, LONG_CHANNEL),
-        _noiseless_reference(bits, edge, edge, LONG_CHANNEL),
     )
 
 
@@ -533,12 +472,15 @@ def _pulse_gap(bits, tx):
 
 @st.composite
 def _drawn_links(draw):
-    """A drawn noiseless link: a scheme and PPM shift, the tx end's chip
-    (often an exact fit: pulse plus shift fill it), chips per frame and
-    code, an rx end that is the same or drawn alike, up to 40 bits, the
-    rx datapath (float, a fixed ADC or an AGC) and a channel (none, up
-    to four taps, or CM1)."""
-    template = sample_pulse(FAST_PULSE, RATE)
+    """A drawn noiseless link: a template (FAST_PULSE's or the ramp,
+    whose cut last sample carries weight), a scheme and PPM shift, the
+    tx end's chip (often an exact fit: pulse plus shift fill it), chips
+    per frame and code, an rx end that is the same or drawn alike, up to
+    40 bits, the rx datapath (float, a fixed ADC or an AGC) and a
+    channel (none, up to four taps, or CM1, whose spread covers several
+    frames)."""
+    template = draw(st.sampled_from(
+        [sample_pulse(FAST_PULSE, RATE), _ramp_template()]))
     scheme = draw(st.sampled_from(["ook", "bpam", "ppm"]))
     shift = draw(st.integers(1, 80)) if scheme == "ppm" else 0
     mod = ModulationConfig(scheme, delta=shift / RATE)
@@ -605,7 +547,7 @@ def test_block_matches_full_waveform_on_drawn_links(link):
         # where a window holds only the dust of CM1's overlap-add
         unit = float(rx.pulse @ rx.pulse) / (RATE if rx.mod.scheme == "ook"
                                              else 1.0)
-        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * unit)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * unit)
     else:
         assert got.tobytes() == want.tobytes()
 
@@ -618,17 +560,11 @@ def test_block_matches_full_waveform_on_drawn_links(link):
 def test_block_memory_follows_the_windows_not_the_frames(scheme, n_c, channel):
     # at n_c = 64 a 1000-bit block's clean waveform is 256 MB; the
     # windows it is read through are 1.6 MB
-    cfg = SweepConfig(
+    rcfg = SweepConfig(
         scheme=scheme,
         ebn0_grid=(4.0,),
         params=ThParams(t_c=10e-9, n_c=n_c),
-    )
-    rcfg = ReceiverConfig(
-        mod=cfg.modulation,
-        params=cfg.params,
-        code=cfg.code,
-        template=sample_pulse(DEFAULT_PULSE, DEFAULT_SAMPLE_RATE),
-    )
+    ).receiver
     ch = draw_channel(CM1_LIKE, rng_seed=9) if channel else None
     bits = random_bits(10, BLOCK_BITS)
     tracemalloc.start()
@@ -643,14 +579,8 @@ def test_block_memory_follows_the_windows_not_the_frames(scheme, n_c, channel):
 
 
 def _default_receiver(scheme):
-    cfg = SweepConfig(scheme=scheme, ebn0_grid=(4.0,))
-    return ReceiverConfig(
-        mod=cfg.modulation,
-        params=cfg.params,
-        code=cfg.code,
-        template=sample_pulse(DEFAULT_PULSE, DEFAULT_SAMPLE_RATE),
-        threshold=0.5 if scheme == "ook" else None,
-    )
+    rcfg = SweepConfig(scheme=scheme, ebn0_grid=(4.0,)).receiver
+    return rcfg.with_threshold(0.5) if scheme == "ook" else rcfg
 
 
 def _block_peak(scheme, channel, datapath):

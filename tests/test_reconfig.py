@@ -4,7 +4,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from uwbphy import (
+    CM1_LIKE,
     DEFAULT_SAMPLE_RATE,
+    IDENTITY_CHANNEL,
     CodeBank,
     FormatError,
     InvalidParams,
@@ -16,11 +18,14 @@ from uwbphy import (
     UnknownCode,
     apply_reconfiguration,
     data_rate,
+    draw_channel,
     load_reconfig_script,
+    point_seeds,
     run_session,
 )
 
 from uwbphy import reconfig
+from uwbphy.receiver import simulate_block
 
 from conftest import FAST_PULSE, RATE, make_mod, random_bits
 
@@ -320,6 +325,43 @@ class TestRunSession:
         for seg, t_c in zip(result.segments, expected_tc):
             assert seg.throughput_bps == pytest.approx(1.0 / t_c, rel=1e-12)
         assert result.total_errors == 0
+
+    def test_throughput_is_the_data_rate(self):
+        # n / (n * t_c) would read 99999999.99999999 here
+        state = make_state(t_c=10e-9)
+        [seg] = run_session(random_bits(13, 2000), [], state).segments
+        assert seg.throughput_bps == data_rate(state.params)
+
+    def test_identity_channel_changes_nothing(self):
+        bits = random_bits(14, 600)
+        schedule = [asserted(300, new_code_id="other")]
+        kw = dict(ebn0_db=6.0, rng_seed=5)
+        plain = run_session(bits, schedule, make_state(), **kw)
+        through = run_session(
+            bits, schedule, make_state(), channel=IDENTITY_CHANNEL, **kw)
+        assert len(through.segments) == 2
+        for a, b in zip(plain.segments, through.segments):
+            np.testing.assert_array_equal(a.decoded, b.decoded)
+            assert a.errors == b.errors
+
+    def test_segments_are_blocks_under_the_sweep_seed_rule(self):
+        # segment i is one simulate_block block through the session's
+        # channel, its noise seed the first of point_seeds(rng_seed, i)
+        bits = random_bits(15, 1000)
+        channel = draw_channel(CM1_LIKE, 4)
+        schedule = [asserted(400, new_code_id="other")]
+        first = make_state()
+        states = [first, apply_reconfiguration(first, schedule[0], 0)]
+        result = run_session(bits, schedule, first, ebn0_db=8.0,
+                             channel=channel, rng_seed=7)
+        assert result.total_errors > 0
+        for seg, state in zip(result.segments, states):
+            noise_seed, _ = point_seeds(7, seg.index)[:2]
+            sent = bits[seg.start_frame:seg.start_frame + seg.n_bits]
+            [block] = simulate_block([(sent, noise_seed, channel)],
+                                     state.link_end, state.link_end, 8.0)
+            assert seg.errors == block.errors
+            np.testing.assert_array_equal(seg.decoded, block.decoded)
 
     def test_request_beyond_bits_just_flushes(self):
         bits = random_bits(7, 300)
