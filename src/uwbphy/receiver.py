@@ -31,31 +31,41 @@ ScoredBlock: the statistic of each whole rx frame of its received
 waveform (its frames plus the channel's spread, at most one per bit),
 the decisions, and the errors against its bits, where each bit the
 receiver never produced (a longer rx frame after a one-sided
-reconfiguration) is one. A sweep point's blocks run up to eight per
-pass, fewer where their sample positions would pass the int64 range,
-laid end to end so far apart that no pulse of one reaches another's
-windows; what follows from the link is worked out once per pass. The
-transmitter's pulse table says where the pulse of each bit at each
-code position starts; the chip pulse, convolved once with the block's
-channel, is the received pulse g. Each window the receiver reads at
-its own geometry is the sum of the received pulses that reach into it,
-a handful per window even on CM1. Those windows repeat: the content of
-one follows from the offset and shape of each pulse reaching into it,
-so a pass's windows are grouped by that key and each distinct one is
-built once (about 70 of 1000 on a default-geometry CM1 block; two for
-a whole pass of AWGN blocks). The random streams stay per block: each
-block draws its noise from its own seed. With white noise the window
-samples are a sufficient statistic for the decision, so noise anywhere
-else would never be read. On the floating-point datapath the statistic
-is linear in the noise for BPAM and PPM and a noncentral chi-square
-for OOK, so no noise sample is drawn at all: each frame's statistic is
-its distinct clean window's plus a noise term from its exact law, one
-or two variates per frame. The quantized datapath draws white noise
-for every window sample, adds the clean windows into that one buffer
-and quantizes it in place. The result equals place_pulse_train,
-apply_channel, add_awgn and demodulate on the whole block in
-distribution, not sample for sample; without noise it equals them up
-to float rounding in multipath sums.
+reconfiguration) is one.
+
+Every frame sends from its code position's chip start whatever its bit
+(transmitter.pulse_table); the bit selects a row. The chip pulse,
+convolved once with the block's channel, is the received pulse g, and
+its rows (transmitter.bit_rows) are the block's shape set. Which pulses
+reach which of a block's windows, and at what offsets, is the block's
+geometry. It follows from the link, the block's length and its shape
+set alone, counted from the block's own start, so it is worked out once
+per distinct pair in a call: once for all the blocks of an AWGN point,
+and once per block with a channel, whose shape set is its own and is
+dropped with its pass. A point's blocks run up to eight per pass, which
+joins their geometries window by window and gives each reaching pulse
+the row its bit selects. No sample position spans two blocks, so only
+each block's own positions must fit the int64 range. Each window the
+receiver reads at its own geometry is the sum of the rows that reach
+into it, a handful per window even on CM1. Those windows repeat: the
+content of one follows from the offset and row of each pulse reaching
+into it, so a pass's windows are grouped by that key and each distinct
+one is built once (about 70 of 1000 on a default-geometry CM1 block;
+two for a whole pass of AWGN blocks).
+
+The random streams stay per block: each block draws its noise from its
+own seed. With white noise the window samples are a sufficient
+statistic for the decision, so noise anywhere else would never be
+read. On the floating-point datapath the statistic is linear in the
+noise for BPAM and PPM and a noncentral chi-square for OOK, so no noise
+sample is drawn at all: each frame's statistic is its distinct clean
+window's plus a noise term from its exact law, one or two variates per
+frame. The quantized datapath draws white noise for every window
+sample, adds the clean windows into that one buffer and quantizes it
+in place. The result equals place_pulse_train, apply_channel, add_awgn
+and demodulate on the whole block in distribution, not sample for
+sample; without noise it equals them up to float rounding in multipath
+sums.
 """
 
 import math
@@ -94,6 +104,7 @@ from .transmitter import (
     PPM,
     ModulationConfig,
     _as_bits,
+    bit_rows,
     check_pulse_fits,
     chip_pulse,
     delta_samples,
@@ -146,13 +157,16 @@ class ReceiverConfig:
         check_type(self.code, "code", ThCode)
         check_type(self.template, "template", SampledSignal)
         check_type(self.datapath, "datapath", QuantizerConfig, None)
-        # a 1-bit ADC maps every sample to +/- half a step, so every
-        # window has the same energy and OOK cannot tell bits apart
+        # a mid-rise ADC of b bits maps every sample to at least half a
+        # step, 2**-b of full scale: at 1 bit every window has the same
+        # energy, at 2 a window of noise alone holds about as much as
+        # one with a pulse, so OOK decodes coin flips either way
         if (self.mod.scheme == OOK and self.datapath is not None
-                and self.datapath.bits == 1):
+                and self.datapath.bits <= 2):
             raise InvalidParams(
-                "OOK needs an ADC of at least 2 bits: at 1 bit every "
-                "window energy is the same"
+                "OOK needs an ADC of at least 3 bits: below that every "
+                "sample is at least a quarter of full scale, so a window "
+                "of noise alone holds about as much energy as a pulse"
             )
         require_code(self.code, self.params)
         check_pulse_fits(self.mod, self.params, self.template)
@@ -382,88 +396,102 @@ def simulate_block(blocks, tx, rx, ebn0_db):
     positions do not fit a 64-bit integer.
     """
     _check_rx(tx, rx)
-    table = pulse_table(tx.mod, tx.params, tx.code, tx.template)
-    shared = _shapes(tx, table[2], None)
+    # the rows sent are the shape set of every block without a channel
+    starts, shared = pulse_table(tx.mod, tx.params, tx.code, tx.template)
     sigma = noise_sigma(ebn0_db, ENERGY_PER_BIT[tx.mod.scheme], rx.sample_rate)
     frame_len = max(tx.frame_len, rx.frame_len)
-    # a pass's blocks and their first samples in it: a block spans its
-    # frames, then its received pulse and a window, so the next block's
-    # windows and pulses start past its own
-    batch, end = [], 0
+    # the geometry of each (block length, shape set), the set kept alive
+    # beside it; a block with a channel has a set of its own, whose
+    # geometry goes with its pass
+    geometries, batch = {}, []
     for bits, noise_seed, channel in blocks:
         bits = _as_bits(bits)
-        shapes = shared if channel is None else _shapes(tx, table[2], channel)
+        shapes = shared if channel is None else _shapes(tx, channel)
         extent = len(bits) * frame_len + shapes.shape[1] + rx.window_len
         if extent > _INT64_MAX:
             raise InvalidParams(
                 f"{len(bits)} frames of {frame_len} samples overflow the "
                 f"64-bit sample index; shorten the frame or send fewer bits")
-        if len(batch) == _PASS_BLOCKS or end + extent > _INT64_MAX:
-            yield from _run_pass(batch, tx, rx, table, sigma)
-            batch, end = [], 0
-        batch.append((bits, noise_seed, shapes, end))
-        end += extent
+        key = (len(bits), id(shapes))
+        if key not in geometries:
+            geometries[key] = shapes, _geometry(
+                tx, rx, starts, len(bits), shapes.shape[1])
+        batch.append((bits, noise_seed, shapes, geometries[key][1]))
+        if len(batch) == _PASS_BLOCKS:
+            yield from _run_pass(batch, rx, sigma)
+            batch = []
+            geometries = {key: kept for key, kept in geometries.items()
+                          if kept[0] is shared}
     if batch:
-        yield from _run_pass(batch, tx, rx, table, sigma)
+        yield from _run_pass(batch, rx, sigma)
 
 
-def _shapes(tx, levels, channel):
-    """The received shape of each kind of the pulse table: the chip
-    pulse scaled by the kind's level and put through the channel."""
-    g = SampledSignal(tx.pulse, tx.sample_rate)
-    if channel is not None:
-        g = apply_channel(g, channel)
-    return levels[:, None] * g.samples
+def _shapes(tx, channel):
+    """The received shape set of a block with a channel: each bit's row
+    (transmitter.bit_rows) of the chip pulse put through the channel."""
+    g = apply_channel(SampledSignal(tx.pulse, tx.sample_rate), channel)
+    return bit_rows(tx.mod, g.samples, tx.sample_rate)
 
 
-def _run_pass(batch, tx, rx, table, sigma):
-    """Yield the ScoredBlock of each block of one pass. batch holds a
-    (bits, noise_seed, shapes, base) tuple per block: its received
-    shapes (one array shared by the blocks without a channel) and its
-    first sample in the pass.
+def _geometry(tx, rx, starts, n, length):
+    """Which pulses of an n-bit block reach which of its rx windows,
+    counted from the block's start. Every frame sends a row of length
+    samples from its code position's start (transmitter.pulse_table),
+    so this holds for any bits of the block.
 
-    The pulses of all blocks are laid out in one sequence of first
-    samples, and so are the rx windows. Pulse starts grow along it, so
-    the pulses reaching into a window [p, p + W) are the run whose
-    received end lies past p and whose start lies before p + W.
+    The rx windows are those of the block's frames plus the channel's
+    spread, at most one per bit. Pulse starts grow with the frame, so
+    the pulses reaching into a window [p, p + W) are the run whose end
+    lies past p and whose start lies before p + W. Returns (at, offset),
+    one row per step along the run and one column per window: the
+    step-th pulse reaching window w is the block's pulse at[step, w],
+    starting offset[step, w] samples before the window. Past a window's
+    run, offset is -W, where no pulse reaches (see _build_windows).
     """
+    frame = np.arange(n)
+    first = tx.frame_len * frame + starts[frame % len(starts)]
+    # the received pulse is the chip pulse, the channel's spread and,
+    # in a PPM row, the shift
+    spread = length - len(tx.pulse) - delta_samples(tx.mod, tx.sample_rate)
+    frame = np.arange(min((n * tx.frame_len + spread) // rx.frame_len, n))
+    begin = rx.frame_len * frame + _window_starts(rx, frame)
     width = rx.window_len
-    # one set of shape rows per distinct shapes array, each row padded
-    # by a window of zeros on either side (see _build_windows)
+    lo = np.searchsorted(first + length, begin, side="right")
+    reach = np.searchsorted(first, begin + width) - lo
+    step = np.arange(max(reach.max(initial=0), 1))[:, None]
+    at = np.minimum(lo + step, n - 1)
+    return at, np.where(step < reach, begin - first[at], -width)
+
+
+def _run_pass(batch, rx, sigma):
+    """Yield the ScoredBlock of each block of one pass. batch holds a
+    (bits, noise_seed, shapes, geometry) tuple per block: its received
+    shape set (one array shared by the blocks without a channel) and
+    its _geometry. The pulse reaching a window takes the row of its
+    shape set that its bit selects."""
+    width = rx.window_len
+    # the two rows of each distinct shape set, each padded by a window
+    # of zeros on either side (see _build_windows)
     sets = {id(shapes): shapes for _, _, shapes, _ in batch}
     index = {key: k for k, key in enumerate(sets)}
-    rows = len(batch[0][2])
     reach_len = max(shapes.shape[1] for shapes in sets.values())
-    padded = np.zeros((rows * len(sets), reach_len + 2 * width))
+    padded = np.zeros((2 * len(sets), reach_len + 2 * width))
     for k, shapes in enumerate(sets.values()):
-        padded[k * rows:(k + 1) * rows, width:width + shapes.shape[1]] = shapes
-    n, length, base, offset = np.array([
-        (len(bits), shapes.shape[1], base, rows * index[id(shapes)])
-        for bits, _, shapes, base in batch
-    ], dtype=np.int64).T
-    frame = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-    entry = np.concatenate([b[0] for b in batch]) * len(tx.code)
-    entry += frame % len(tx.code)
-    kind = table[1][entry]
-    sent = kind >= 0
-    first = np.repeat(base, n) + tx.frame_len * frame + table[0][entry]
-    first, kind = first[sent], (kind + np.repeat(offset, n))[sent]
-    ends = first + np.repeat(length, n)[sent]
-    # each block's rx frames: its tx frames plus the channel's spread,
-    # at most one per bit
-    spread = length - len(tx.pulse)
-    m = np.minimum((n * tx.frame_len + spread) // rx.frame_len, n)
-    frame = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
-    begin = np.repeat(base, m) + rx.frame_len * frame
-    begin += _window_starts(rx, frame)
-    lo = np.searchsorted(ends, begin, side="right")
-    reach = np.maximum(np.searchsorted(first, begin + width) - lo, 0)
-    rep, which = _distinct_windows(
-        first, kind, begin, lo, reach, len(padded), reach_len, width
-    )
-    clean = _build_windows(
-        first, kind, padded, begin[rep], lo[rep], reach[rep], width
-    )
+        padded[2 * k:2 * k + 2, width:width + shapes.shape[1]] = shapes
+    # each block's windows side by side; a block with fewer steps than
+    # the pass leaves the rest at offset -width, where no pulse reaches
+    m = np.array([geometry[0].shape[1] for *_, geometry in batch])
+    steps = max(len(geometry[0]) for *_, geometry in batch)
+    offset = np.full((steps, m.sum()), -width)
+    kind = np.zeros_like(offset)
+    for (bits, _, shapes, (at, off)), stop, count in zip(
+            batch, np.cumsum(m), m):
+        block = slice(stop - count, stop)
+        offset[:len(at), block] = off
+        kind[:len(at), block] = np.where(
+            off > -width, bits[at] + 2 * index[id(shapes)], 0)
+    rep, which = _distinct_windows(offset, kind, len(padded), reach_len, width)
+    clean = _build_windows(padded, offset[:, rep], kind[:, rep], width)
     quantized = rx.datapath is not None
     if not quantized:
         clean_stats = _statistics(clean, rx)
@@ -490,38 +518,34 @@ def _run_pass(batch, tx, rx, table, sigma):
         del noisy
 
 
-def _distinct_windows(first, kind, begin, lo, reach, n_kinds, reach_len,
-                      width):
+def _distinct_windows(offset, kind, n_kinds, reach_len, width):
     """Group the windows by their clean content.
 
-    A window's content follows from its key: the number of reaching
-    pulses and, for each of them, its offset from the window and its
-    received shape. Each column of the key is a digit of known range: a
-    pulse of one of n_kinds shapes of at most reach_len samples reaches
-    a window of width samples at one of reach_len + width - 1 offsets.
-    The digits are packed by exact mixed radix into int64 words of at
+    A window's content follows from its key: for each step, the offset
+    and the kind (the row of padded, see _build_windows) of the pulse
+    reaching it at that step; offset and kind have one row per step and
+    one column per window. Each column of the key is a digit of known
+    range: a pulse of one of n_kinds shapes of at most reach_len samples
+    reaches a window of width samples at one of reach_len + width - 1
+    offsets, and a step no pulse takes (offset -width, kind 0) is digit
+    0. The digits are packed by exact mixed radix into int64 words of at
     most _WORD_RANGE values each. Returns one representative window per
     distinct key and, for every window, the index of its key among the
     representatives.
     """
-    steps = int(reach.max(initial=0))
-    digits = [(reach, steps + 1)]
-    last = max(len(first) - 1, 0)
-    # 0 for no pulse, else the offset and the shape
-    pulse_radix = (reach_len + width - 1) * n_kinds + 1
-    for step in range(steps):
-        i = np.minimum(lo + step, last)
-        digit = (begin - first[i] + width - 1) * n_kinds + kind[i] + 1
-        digits.append((np.where(reach > step, digit, 0), pulse_radix))
+    radix = (reach_len + width) * n_kinds
     words, span = [], _WORD_RANGE + 1
-    for value, radix in digits:
+    for off, k in zip(offset, kind):
+        value = (off + width) * n_kinds + k
         if span * radix > _WORD_RANGE:
             words.append(value)
             span = radix
         else:
             words[-1] = words[-1] * radix + value
             span *= radix
-    order = np.lexsort(words)
+    # grouping needs no stable order, so a one-word key takes numpy's
+    # default sort, several times faster than a lexsort
+    order = np.argsort(words[0]) if len(words) == 1 else np.lexsort(words)
     ordered = np.stack(words)[:, order]
     fresh = np.ones(len(order), dtype=bool)
     np.any(ordered[:, 1:] != ordered[:, :-1], axis=0, out=fresh[1:])
@@ -530,26 +554,18 @@ def _distinct_windows(first, kind, begin, lo, reach, n_kinds, reach_len,
     return order[fresh], which
 
 
-def _build_windows(first, kind, padded, begin, lo, reach, width):
-    """Received signal over the windows [begin, begin + width): an
-    (len(begin), width) matrix. Window r is reached by the pulses
-    lo[r] .. lo[r] + reach[r] - 1 of first/kind, whose received shapes
-    are the rows of padded, each with width zeros on either side (see
-    _run_pass); a window no pulse reaches is zero."""
+def _build_windows(padded, offset, kind, width):
+    """Received signal over windows of width samples: one row per column
+    of offset and kind. At each step, a window takes the received shape
+    kind (a row of padded, with width zeros on either side; see
+    _run_pass) of a pulse starting offset samples before it; an offset
+    of -width reads zeros."""
     # view[k, j] is padded[k, j:j + width]: the received shape k as seen
     # from a window starting j - width samples after the pulse
     view = np.lib.stride_tricks.sliding_window_view(padded, width, axis=1)
-
-    def pulse(rows, step):
-        i = lo[rows] + step
-        return view[kind[i], begin[rows] - first[i] + width]
-
-    win = np.zeros((len(begin), width))
-    rows = np.flatnonzero(reach)
-    win[rows] = pulse(rows, 0)
-    for step in range(1, reach.max(initial=0)):
-        rows = np.flatnonzero(reach > step)
-        win[rows] += pulse(rows, step)
+    win = view[kind[0], offset[0] + width]
+    for off, k in zip(offset[1:], kind[1:]):
+        win += view[k, off + width]
     return win
 
 

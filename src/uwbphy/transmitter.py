@@ -1,12 +1,13 @@
 """Bit-to-waveform mapping for the three time-hopped schemes.
 
-One bit per frame. The pulse for frame j goes into chip c_j; its
-sampled support starts at the chip boundary, so a bit-1 PPM pulse sits
-delta later than a bit-0 pulse within the same chip.
+One bit per frame. Frame j sends into chip c_j, from the chip
+boundary, whatever its bit: where a frame's samples start depends only
+on its code position. The bit selects what is sent from there, one row
+of pulse + PPM shift samples per bit (bit_rows):
 
-    OOK : pulse present for 1, absent for 0
-    BPAM: +pulse for 1, -pulse for 0
-    PPM : pulse at the chip start for 0, shifted by delta for 1
+    OOK : nothing for 0, the pulse for 1
+    BPAM: -pulse for 0, +pulse for 1
+    PPM : the pulse at the chip start for 0, delta later for 1
 
 Every pulse fits its chip (chip_pulse): where pulse plus shift span
 exactly one chip, the sampled template reaches one sample into the
@@ -106,46 +107,49 @@ def chip_pulse(mod, params, template):
                             - delta_samples(mod, rate)]
 
 
+def bit_rows(mod, pulse, sample_rate):
+    """What each bit sends from its frame's chip boundary, given the
+    pulse's samples: row b, of len(pulse) + the PPM shift samples, for
+    bit b (see the module docstring)."""
+    shift = delta_samples(mod, sample_rate)
+    rows = np.zeros((2, len(pulse) + shift))
+    rows[1, shift:] = pulse
+    if mod.scheme == BPAM:
+        rows[0] = -pulse
+    elif mod.scheme == PPM:
+        rows[0, :len(pulse)] = pulse
+    return rows
+
+
 def pulse_table(mod, params, code, template):
-    """The pulse sent for each bit at each code position, at entry
-    bit * len(code) + position: its first sample within its frame and
-    its kind, the row of levels it is scaled by (-1 for an OOK 0, which
-    sends nothing). Returns (starts, kind, levels)."""
+    """Where each frame sends and what its bit selects. Returns
+    (starts, rows): starts[p] is the first sample, within its frame, of
+    what a frame at code position p sends, whatever its bit; row b is
+    what bit b sends from there, the chip pulse laid out by bit_rows."""
     rate = template.sample_rate
-    bits = np.repeat([0, 1], len(code))
-    starts = np.tile(code.offsets, 2) * chip_samples(params, rate)
-    if mod.scheme == PPM:
-        starts += delta_samples(mod, rate) * bits
-        amps = np.ones(len(bits))
-    elif mod.scheme == BPAM:
-        amps = 2.0 * bits - 1.0
-    else:
-        amps = bits.astype(np.float64)
-    sent = amps != 0.0
-    levels, level_of = np.unique(amps[sent], return_inverse=True)
-    kind = np.full(len(starts), -1)
-    kind[sent] = level_of
-    return starts, kind, levels
+    chip = chip_samples(params, rate)
+    starts = np.asarray(code.offsets, dtype=np.int64) * chip
+    return starts, bit_rows(mod, chip_pulse(mod, params, template), rate)
 
 
 def place_pulse_train(bits, mod, params, code, template):
     """Lay a pre-sampled unit-energy template into a time-hopped frame
     sequence according to the bits. Returns a signal of exactly
     len(bits) * t_f seconds; see module docstring for the per-scheme
-    placement rules. Each frame takes its pulse from pulse_table, which
-    the link pipeline reads without building this waveform."""
+    placement rules. Each frame takes its start and row from
+    pulse_table, which the link pipeline reads without building this
+    waveform."""
     bits_arr = _as_bits(bits)
     require_code(code, params)
     check_pulse_fits(mod, params, template)
     rate = template.sample_rate
-    pulse = chip_pulse(mod, params, template)
     out = np.zeros((len(bits_arr), frame_samples(params, rate)))
-    starts, kind, levels = pulse_table(mod, params, code, template)
+    starts, rows = pulse_table(mod, params, code, template)
     entry = bits_arr * len(code) + np.arange(len(bits_arr)) % len(code)
     for e in np.unique(entry):
-        if kind[e] >= 0:
-            s = starts[e]
-            out[entry == e, s:s + len(pulse)] += levels[kind[e]] * pulse
+        bit, position = divmod(int(e), len(code))
+        s = starts[position]
+        out[entry == e, s:s + rows.shape[1]] += rows[bit]
     return SampledSignal(out.ravel(), rate)
 
 

@@ -117,6 +117,17 @@ class TestSweepCommand:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("adc_bits", ["1", "2"])
+    def test_ook_below_three_adc_bits_exits_2(self, adc_bits, capsys):
+        # below 3 bits a quantized OOK window of noise alone holds about
+        # as much energy as one with a pulse: coin flips, not a BER
+        rc = run(["sweep", "--scheme", "ook", "--ebn0", "8,14,20", "--bits",
+                  "4000", "--seed", "1", "--quant-bits", adc_bits])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "at least 3 bits" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("grid", ["--ebn0=nan", "--ebn0=-inf,0"])
     def test_non_finite_eb_n0_exits_2(self, grid, capsys):
         rc = run(["sweep", "--scheme", "bpam", grid, "--bits", "1000"])

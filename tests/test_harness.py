@@ -87,10 +87,13 @@ class TestSweepConfig:
 
     def test_ook_rejects_one_bit_adc(self):
         # every 1-bit sample is +/- half a step, so every OOK window
-        # energy is the same and the decisions are coin flips
-        with pytest.raises(InvalidParams, match="OOK"):
-            fast_sweep(scheme="ook", quant_bits=1)
-        fast_sweep(scheme="ook", quant_bits=2)
+        # energy is the same and the decisions are coin flips; at 2 bits
+        # every sample is still at least a quarter of full scale, and
+        # they are coin flips too
+        for bits in (1, 2):
+            with pytest.raises(InvalidParams, match="OOK"):
+                fast_sweep(scheme="ook", quant_bits=bits)
+        fast_sweep(scheme="ook", quant_bits=3)
         fast_sweep(scheme="bpam", quant_bits=1)
         fast_sweep(scheme="ppm", quant_bits=1)
 

@@ -72,8 +72,10 @@ def _receiver(**kw):
 # exception (a wrongly typed config object with an AttributeError where
 # it was used) before integer inputs, positive inputs and config
 # objects each had one rule, and before the receiver held the rule that
-# OOK needs an ADC of at least 2 bits (at 1 bit every window energy is
-# the same, so a 30 dB link decodes coin flips).
+# OOK needs an ADC of at least 3 bits (at 1 bit every window energy is
+# the same, so a 30 dB link decodes coin flips; at 2 bits a window of
+# noise alone holds about as much energy as a pulse, and a 20 dB sweep
+# decodes coin flips too).
 REFUSED = {
     "ook threshold nan": lambda: make_receiver(
         "ook", PARAMS, CODE, TEMPLATE, threshold=NAN),
@@ -118,6 +120,10 @@ REFUSED = {
         "ook", PARAMS, CODE, TEMPLATE, datapath=QuantizerConfig(1, 1.0)),
     "ook receiver 1-bit agc": lambda: make_receiver(
         "ook", PARAMS, CODE, TEMPLATE, datapath=QuantizerConfig(1)),
+    "ook receiver 2-bit adc": lambda: make_receiver(
+        "ook", PARAMS, CODE, TEMPLATE, datapath=QuantizerConfig(2, 1.0)),
+    "ook receiver 2-bit agc": lambda: make_receiver(
+        "ook", PARAMS, CODE, TEMPLATE, datapath=QuantizerConfig(2)),
 }
 
 

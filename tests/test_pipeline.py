@@ -505,7 +505,7 @@ def _drawn_links(draw):
         scale = draw(st.sampled_from([0.5, 1.0, 2.0])) * float(
             np.max(template.samples))
         rx = replace(rx, datapath=QuantizerConfig(
-            draw(st.integers(2 if scheme == "ook" else 1, 12)),
+            draw(st.integers(3 if scheme == "ook" else 1, 12)),
             scale if datapath == "fixed" else None))
     # Through an ADC, no CM1: its overlap-add leaves rounding dust where
     # the received pulse is due to be zero, and the ADC maps the dust by
@@ -823,8 +823,9 @@ def test_passes_of_mixed_blocks_equal_one_call_per_block(scheme, datapath):
 
 
 def test_blocks_past_the_int64_range_split_into_passes():
-    # 3e18-sample frames: three one-bit blocks fit the int64 sample
-    # index, four do not, so eight blocks take three passes
+    # 3e18-sample frames: three fit the int64 sample index, four do
+    # not, but each block counts its samples from its own start, so
+    # eight one-bit blocks run as one pass, each as if alone
     cfg = _receiver("bpam", ThParams(t_c=5e-9, n_c=12 * 10**15))
     assert 3 * cfg.frame_len < np.iinfo(np.int64).max < 4 * cfg.frame_len
     blocks = [(np.array([b % 2]), b, None) for b in range(8)]
@@ -870,23 +871,15 @@ def test_window_keys_of_a_long_channel_take_several_words(monkeypatch):
 
 
 def test_packed_window_keys_stay_exact_past_one_word():
-    # the reach count and four reaching pulses, each at one of 2**16
-    # offsets and of two kinds, take more than the 64 bits of a word:
-    # the key spans two, and window 1, whose last pulse alone differs
-    # (in its kind), must keep its own
-    first = np.array([0, 1, 2, 3, 100, 101, 102, 103, 200, 201, 202, 203])
-    kind = np.zeros(len(first), dtype=np.int64)
-    kind[7] = 1
+    # four reaching pulses, each at one of 2**16 offsets and of two
+    # kinds, take more than the 64 bits of a word: the key spans two,
+    # and window 1, whose last pulse alone differs (in its kind), must
+    # keep its own
+    offset = np.repeat([[3], [2], [1], [0]], 3, axis=1)
+    kind = np.zeros((4, 3), dtype=np.int64)
+    kind[3, 1] = 1
     rep, which = _distinct_windows(
-        first,
-        kind=kind,
-        begin=np.array([3, 103, 203]),
-        lo=np.array([0, 4, 8]),
-        reach=np.array([4, 4, 4]),
-        n_kinds=2,
-        reach_len=2**16 - 1,
-        width=1,
-    )
+        offset, kind, n_kinds=2, reach_len=2**16 - 1, width=1)
     assert len(rep) == 2
     assert which[0] == which[2] != which[1]
 
@@ -912,6 +905,17 @@ def test_awgn_pass_builds_two_distinct_windows(scheme, monkeypatch):
     assert built == [2]
 
 
+def _sweep_point_peak(cfg):
+    """Peak traced bytes of run_sweep(cfg)."""
+    tracemalloc.start()
+    try:
+        run_sweep(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
 def test_sweep_point_memory_stays_at_one_pass():
     # a 100-block float point: simulate_block takes its blocks a few per
     # pass, so the per-frame arrays of a pass (about 20 values per bit)
@@ -919,10 +923,57 @@ def test_sweep_point_memory_stays_at_one_pass():
     cfg = SweepConfig(
         scheme="bpam", ebn0_grid=(4.0,), n_bits_per_point=100 * BLOCK_BITS
     )
-    tracemalloc.start()
-    try:
-        run_sweep(cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 5 * 8 * cfg.n_bits_per_point
+    assert _sweep_point_peak(cfg) < 5 * 8 * cfg.n_bits_per_point
+
+
+def test_channel_sweep_point_memory_stays_at_one_pass():
+    # a 50-block CM1 float point: each block's received shapes and
+    # geometry are its own and go with its pass, so the point peaks as
+    # a one-pass point of 8 blocks does (about 5.7 MB either way)
+    def point(n_blocks):
+        return SweepConfig(scheme="bpam", ebn0_grid=(4.0,), channel=CM1_LIKE,
+                           n_bits_per_point=n_blocks * BLOCK_BITS)
+
+    assert _sweep_point_peak(point(50)) < 1.2 * _sweep_point_peak(point(8))
+
+
+def _count_geometries(monkeypatch):
+    """The block lengths receiver._geometry is called for, and the
+    passes run, from here on."""
+    built, passes = [], []
+    geometry, run_pass = receiver._geometry, receiver._run_pass
+
+    def geometry_spy(tx, rx, starts, n, length):
+        built.append(n)
+        return geometry(tx, rx, starts, n, length)
+
+    def run_pass_spy(*args):
+        passes.append(len(args[0]))
+        return run_pass(*args)
+
+    monkeypatch.setattr(receiver, "_geometry", geometry_spy)
+    monkeypatch.setattr(receiver, "_run_pass", run_pass_spy)
+    return built, passes
+
+
+def test_blocks_without_a_channel_share_one_geometry(monkeypatch):
+    # what reaches each window follows from the block's length alone,
+    # not its bits: a 20-block AWGN point builds it once for three passes
+    built, passes = _count_geometries(monkeypatch)
+    cfg = SweepConfig(scheme="ppm", ebn0_grid=(4.0,),
+                      n_bits_per_point=20 * BLOCK_BITS)
+    run_sweep(cfg)
+    assert passes == [8, 8, 4]
+    assert built == [BLOCK_BITS]
+
+
+def test_channel_blocks_build_a_geometry_each(monkeypatch):
+    # each block's channel gives it shapes of its own, so no two blocks
+    # of a CM1 call share a geometry
+    built, passes = _count_geometries(monkeypatch)
+    cfg = _default_receiver("bpam")
+    blocks = [(random_bits(b, BLOCK_BITS), b, draw_channel(CM1_LIKE, 60 + b))
+              for b in range(4)]
+    assert len(list(simulate_block(blocks, cfg, cfg, 4.0))) == 4
+    assert passes == [4]
+    assert built == [BLOCK_BITS] * 4
