@@ -40,12 +40,13 @@ its rows (transmitter.bit_rows) are the block's shape set. Which pulses
 reach which of a block's windows, and at what offsets, is the block's
 geometry. It follows from the link, the block's length and its shape
 set alone, counted from the block's own start, so it is worked out once
-per distinct pair in a call: once for all the blocks of an AWGN point,
-and once per block with a channel, whose shape set is its own and is
-dropped with its pass. A point's blocks run up to eight per pass, which
-joins their geometries window by window and gives each reaching pulse
-the row its bit selects. No sample position spans two blocks, so only
-each block's own positions must fit the int64 range. Each window the
+per block length for all the blocks without a channel in a call, and
+once per block with a channel, whose shape set is its own and is
+dropped with its pass. Up to eight consecutive blocks of one geometry
+run as one pass, which lays their windows side by side and gives each
+reaching pulse the row its bit selects; a block with a channel is a
+pass of its own. No sample position spans two blocks, so only each
+block's own positions must fit the int64 range. Each window the
 receiver reads at its own geometry is the sum of the rows that reach
 into it, a handful per window even on CM1. Those windows repeat: the
 content of one follows from the offset and row of each pulse reaching
@@ -134,8 +135,8 @@ class ReceiverConfig:
 
     template: unit-energy sampled pulse at the received sample rate;
         the receiver correlates against its chip pulse (see pulse).
-    integration_window: OOK energy window, seconds (defaults to the
-        template support).
+    integration_window: OOK energy window, seconds, at least one sample
+        (defaults to the template support).
     threshold: OOK decision threshold in energy units; must be
         calibrated before an OOK receiver decodes.
     datapath: None for the floating-point reference, or the
@@ -174,13 +175,15 @@ class ReceiverConfig:
         if window is None:
             window = (len(self.template) - 1) / self.template.sample_rate
         window = check_positive(window, "integration_window")
-        if window > self.params.t_c * (1 + 1e-12):
+        if (round(window * self.sample_rate) < 1
+                or window > self.params.t_c * (1 + 1e-12)):
             raise InvalidParams(
-                f"integration_window {window:g} s must be "
-                f"in (0, t_c = {self.params.t_c:g}]"
+                f"integration_window {window:g} s must span from one "
+                f"sample period to t_c = {self.params.t_c:g} s"
             )
         object.__setattr__(self, "integration_window", window)
-        # zero is a valid threshold: a sub-sample window calibrates to it
+        # zero is a valid threshold: without noise, a template whose
+        # first window samples are zero calibrates to it
         if self.threshold not in (None, 0.0):
             object.__setattr__(
                 self, "threshold", check_positive(self.threshold, "threshold")
@@ -382,7 +385,9 @@ def simulate_block(blocks, tx, rx, ebn0_db):
     and yield a ScoredBlock for each, in order.
 
     blocks is an iterable of (bits, noise_seed, channel) triples, read
-    a pass of up to _PASS_BLOCKS ahead of what is yielded; each block
+    a pass of up to _PASS_BLOCKS ahead of what is yielded, and one block
+    more: a pass ends when it is full or when the next block's geometry
+    differs, so the block that ends it is read before it runs. Each block
     draws its noise from its own noise_seed and sees its own channel
     (None or a ChannelRealization). tx and rx are the two link ends'
     configurations, which may differ after a one-sided reconfiguration;
@@ -395,15 +400,16 @@ def simulate_block(blocks, tx, rx, ebn0_db):
     InvalidParams for bits other than 0 and 1 or a block whose sample
     positions do not fit a 64-bit integer.
     """
-    _check_rx(tx, rx)
+    if tx.sample_rate != rx.sample_rate:
+        raise RateMismatch(f"tx at {tx.sample_rate:g} S/s but rx at "
+                           f"{rx.sample_rate:g} S/s")
     # the rows sent are the shape set of every block without a channel
     starts, shared = pulse_table(tx.mod, tx.params, tx.code, tx.template)
     sigma = noise_sigma(ebn0_db, ENERGY_PER_BIT[tx.mod.scheme], rx.sample_rate)
     frame_len = max(tx.frame_len, rx.frame_len)
-    # the geometry of each (block length, shape set), the set kept alive
-    # beside it; a block with a channel has a set of its own, whose
-    # geometry goes with its pass
-    geometries, batch = {}, []
+    # the shared set's geometry per block length; a block with a channel
+    # has a set and a geometry of its own, so a pass to itself
+    geometries, batch, layout = {}, [], None
     for bits, noise_seed, channel in blocks:
         bits = _as_bits(bits)
         shapes = shared if channel is None else _shapes(tx, channel)
@@ -412,18 +418,18 @@ def simulate_block(blocks, tx, rx, ebn0_db):
             raise InvalidParams(
                 f"{len(bits)} frames of {frame_len} samples overflow the "
                 f"64-bit sample index; shorten the frame or send fewer bits")
-        key = (len(bits), id(shapes))
-        if key not in geometries:
-            geometries[key] = shapes, _geometry(
-                tx, rx, starts, len(bits), shapes.shape[1])
-        batch.append((bits, noise_seed, shapes, geometries[key][1]))
-        if len(batch) == _PASS_BLOCKS:
-            yield from _run_pass(batch, rx, sigma)
+        geometry = None if channel is not None else geometries.get(len(bits))
+        if geometry is None:
+            geometry = _geometry(tx, rx, starts, len(bits), shapes.shape[1])
+            if channel is None:
+                geometries[len(bits)] = geometry
+        if batch and (geometry is not layout[1] or len(batch) == _PASS_BLOCKS):
+            yield from _run_pass(batch, *layout, rx, sigma)
             batch = []
-            geometries = {key: kept for key, kept in geometries.items()
-                          if kept[0] is shared}
+        batch.append((bits, noise_seed))
+        layout = shapes, geometry
     if batch:
-        yield from _run_pass(batch, rx, sigma)
+        yield from _run_pass(batch, *layout, rx, sigma)
 
 
 def _shapes(tx, channel):
@@ -463,80 +469,68 @@ def _geometry(tx, rx, starts, n, length):
     return at, np.where(step < reach, begin - first[at], -width)
 
 
-def _run_pass(batch, rx, sigma):
+def _run_pass(batch, shapes, geometry, rx, sigma):
     """Yield the ScoredBlock of each block of one pass. batch holds a
-    (bits, noise_seed, shapes, geometry) tuple per block: its received
-    shape set (one array shared by the blocks without a channel) and
-    its _geometry. The pulse reaching a window takes the row of its
-    shape set that its bit selects."""
+    (bits, noise_seed) pair per block, all of one length, with the
+    received shape set shapes and its _geometry. The pulse reaching a
+    window takes the row of shapes that its bit selects."""
     width = rx.window_len
-    # the two rows of each distinct shape set, each padded by a window
-    # of zeros on either side (see _build_windows)
-    sets = {id(shapes): shapes for _, _, shapes, _ in batch}
-    index = {key: k for k, key in enumerate(sets)}
-    reach_len = max(shapes.shape[1] for shapes in sets.values())
-    padded = np.zeros((2 * len(sets), reach_len + 2 * width))
-    for k, shapes in enumerate(sets.values()):
-        padded[2 * k:2 * k + 2, width:width + shapes.shape[1]] = shapes
-    # each block's windows side by side; a block with fewer steps than
-    # the pass leaves the rest at offset -width, where no pulse reaches
-    m = np.array([geometry[0].shape[1] for *_, geometry in batch])
-    steps = max(len(geometry[0]) for *_, geometry in batch)
-    offset = np.full((steps, m.sum()), -width)
-    kind = np.zeros_like(offset)
-    for (bits, _, shapes, (at, off)), stop, count in zip(
-            batch, np.cumsum(m), m):
-        block = slice(stop - count, stop)
-        offset[:len(at), block] = off
-        kind[:len(at), block] = np.where(
-            off > -width, bits[at] + 2 * index[id(shapes)], 0)
-    rep, which = _distinct_windows(offset, kind, len(padded), reach_len, width)
+    # the set's two rows, padded by a window of zeros on either side (see
+    # _build_windows)
+    padded = np.pad(shapes, ((0, 0), (width, width)))
+    # each block's windows side by side: block b owns columns b*m to
+    # (b+1)*m; past a window's run the kind is 0, as no pulse reaches
+    at, off = geometry
+    m = at.shape[1]
+    offset = np.tile(off, len(batch))
+    kind = np.hstack([np.where(off > -width, bits[at], 0) for bits, _ in batch])
+    rep, which = _distinct_windows(offset, kind, shapes.shape[1], width)
     clean = _build_windows(padded, offset[:, rep], kind[:, rep], width)
     quantized = rx.datapath is not None
     if not quantized:
         clean_stats = _statistics(clean, rx)
         law = _noise_law(sigma, clean, rx)
-    for (bits, seed, _, _), stop, count in zip(batch, np.cumsum(m), m):
-        block = slice(stop - count, stop)
+    for b, (bits, seed) in enumerate(batch):
+        block = which[b * m:(b + 1) * m]
         rng = np.random.default_rng(seed)
         if not quantized:
-            stats = clean_stats[which[block]]
+            stats = clean_stats[block]
             if sigma > 0.0:
-                stats += _noise_terms(rng, sigma, law, rx, which[block])
+                stats += _noise_terms(rng, sigma, law, rx, block)
             yield _score(bits, stats)
             continue
-        noisy = (rng.standard_normal((count, width)) if sigma > 0.0
-                 else np.zeros((count, width)))
+        noisy = (rng.standard_normal((m, width)) if sigma > 0.0
+                 else np.zeros((m, width)))
         # in chunks, so the gathered clean rows stay small beside the
         # block and each chunk is scaled and summed while in cache
-        for at in range(0, count, _MERGE_ROWS):
-            part = slice(at, at + _MERGE_ROWS)
+        for first in range(0, m, _MERGE_ROWS):
+            part = slice(first, first + _MERGE_ROWS)
             noisy[part] *= sigma
-            noisy[part] += clean[which[block][part]]
+            noisy[part] += clean[block[part]]
         yield _score(bits, _statistics(noisy, rx))
         # one block's noise at a time: no view of it may outlive it
         del noisy
 
 
-def _distinct_windows(offset, kind, n_kinds, reach_len, width):
+def _distinct_windows(offset, kind, reach_len, width):
     """Group the windows by their clean content.
 
     A window's content follows from its key: for each step, the offset
     and the kind (the row of padded, see _build_windows) of the pulse
     reaching it at that step; offset and kind have one row per step and
     one column per window. Each column of the key is a digit of known
-    range: a pulse of one of n_kinds shapes of at most reach_len samples
-    reaches a window of width samples at one of reach_len + width - 1
-    offsets, and a step no pulse takes (offset -width, kind 0) is digit
-    0. The digits are packed by exact mixed radix into int64 words of at
-    most _WORD_RANGE values each. Returns one representative window per
+    range: a pulse of one of two shapes of reach_len samples reaches a
+    window of width samples at one of reach_len + width - 1 offsets, and
+    a step no pulse takes (offset -width, kind 0) is digit 0. The digits
+    are packed by exact mixed radix into int64 words of at most
+    _WORD_RANGE values each. Returns one representative window per
     distinct key and, for every window, the index of its key among the
     representatives.
     """
-    radix = (reach_len + width) * n_kinds
+    radix = (reach_len + width) * 2
     words, span = [], _WORD_RANGE + 1
     for off, k in zip(offset, kind):
-        value = (off + width) * n_kinds + k
+        value = (off + width) * 2 + k
         if span * radix > _WORD_RANGE:
             words.append(value)
             span = radix
@@ -636,7 +630,7 @@ def calibrate_ook_threshold(
     width = cfg.window_len
     tpl = cfg.template.samples[:width]
     energy = float(np.dot(tpl, tpl))
-    if sigma == 0.0 or width == 0:
+    if sigma == 0.0:
         return 0.5 * energy / rate
     rng = np.random.default_rng(rng_seed)
     s0 = _chi2(rng, n * width)

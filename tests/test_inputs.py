@@ -75,7 +75,9 @@ def _receiver(**kw):
 # OOK needs an ADC of at least 3 bits (at 1 bit every window energy is
 # the same, so a 30 dB link decodes coin flips; at 2 bits a window of
 # noise alone holds about as much energy as a pulse, and a 20 dB sweep
-# decodes coin flips too).
+# decodes coin flips too) and that an integration window spans at least
+# one sample (an OOK window that rounds to none crashed simulate_block
+# with numpy's ValueError).
 REFUSED = {
     "ook threshold nan": lambda: make_receiver(
         "ook", PARAMS, CODE, TEMPLATE, threshold=NAN),
@@ -124,6 +126,8 @@ REFUSED = {
         "ook", PARAMS, CODE, TEMPLATE, datapath=QuantizerConfig(2, 1.0)),
     "ook receiver 2-bit agc": lambda: make_receiver(
         "ook", PARAMS, CODE, TEMPLATE, datapath=QuantizerConfig(2)),
+    "ook receiver sub-sample window": lambda: make_receiver(
+        "ook", PARAMS, CODE, TEMPLATE, integration_window=1e-12),
 }
 
 

@@ -853,7 +853,8 @@ def test_integral_float_bits_equal_int_bits():
 
 def test_window_keys_of_a_long_channel_take_several_words(monkeypatch):
     # six or more pulses reach each window through LONG_CHANNEL, each at
-    # one of about 6000 offsets, so a key spans more than one int64 word
+    # one of about 6000 offsets, so a key spans more than one int64 word;
+    # each block has a channel, so a pass of its own
     sorted_words = []
     lexsort = np.lexsort
     monkeypatch.setattr(
@@ -864,7 +865,7 @@ def test_window_keys_of_a_long_channel_take_several_words(monkeypatch):
     bits = random_bits(44, 900)
     blocks = [(b, 0, LONG_CHANNEL) for b in np.split(bits, 3)]
     records = list(simulate_block(blocks, cfg, cfg, math.inf))
-    assert sorted_words == [max(sorted_words)] and sorted_words[0] > 1
+    assert sorted_words == [2, 2, 2]
     for got, (b, _, ch) in zip(records, blocks):
         _assert_same_statistics(
             got.statistics, _noiseless_reference(b, cfg, cfg, ch))
@@ -878,8 +879,7 @@ def test_packed_window_keys_stay_exact_past_one_word():
     offset = np.repeat([[3], [2], [1], [0]], 3, axis=1)
     kind = np.zeros((4, 3), dtype=np.int64)
     kind[3, 1] = 1
-    rep, which = _distinct_windows(
-        offset, kind, n_kinds=2, reach_len=2**16 - 1, width=1)
+    rep, which = _distinct_windows(offset, kind, reach_len=2**16 - 1, width=1)
     assert len(rep) == 2
     assert which[0] == which[2] != which[1]
 
@@ -969,11 +969,32 @@ def test_blocks_without_a_channel_share_one_geometry(monkeypatch):
 
 def test_channel_blocks_build_a_geometry_each(monkeypatch):
     # each block's channel gives it shapes of its own, so no two blocks
-    # of a CM1 call share a geometry
+    # of a CM1 call share a geometry, and each runs as a pass of its own
     built, passes = _count_geometries(monkeypatch)
     cfg = _default_receiver("bpam")
     blocks = [(random_bits(b, BLOCK_BITS), b, draw_channel(CM1_LIKE, 60 + b))
               for b in range(4)]
     assert len(list(simulate_block(blocks, cfg, cfg, 4.0))) == 4
-    assert passes == [4]
+    assert passes == [1, 1, 1, 1]
     assert built == [BLOCK_BITS] * 4
+
+
+@pytest.mark.parametrize("sizes, channels, passes, built", [
+    ([BLOCK_BITS] * 7, [None] * 3 + ["cm1"] + [None] * 3, [3, 1, 3],
+     [BLOCK_BITS] * 2),
+    ([BLOCK_BITS, BLOCK_BITS, 345], [None] * 3, [2, 1], [BLOCK_BITS, 345]),
+], ids=["awgn-cm1-awgn", "awgn-short-last"])
+def test_a_pass_holds_blocks_of_one_geometry(sizes, channels, passes, built,
+                                             monkeypatch):
+    # a pass ends where the next block's geometry differs: a channel
+    # block's is its own, and a shorter block has one of its own length,
+    # while the blocks without a channel on either side of a channel
+    # block share theirs
+    spied = _count_geometries(monkeypatch)
+    cfg = _default_receiver("ppm")
+    blocks = [(random_bits(b, n), b,
+               draw_channel(CM1_LIKE, 60 + b) if ch else None)
+              for b, (n, ch) in enumerate(zip(sizes, channels))]
+    records = list(simulate_block(blocks, cfg, cfg, 4.0))
+    assert [len(r.decoded) for r in records] == sizes
+    assert spied == (built, passes)

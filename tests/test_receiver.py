@@ -13,13 +13,14 @@ from uwbphy import (
     calibrate_ook_threshold,
     demodulate,
     place_pulse_train,
+    sample_pulse,
     synchronize,
 )
 from uwbphy import receiver
 from uwbphy.channel import quantize_array
 from uwbphy.framing import frame_samples
 
-from conftest import RATE, make_mod, make_receiver, random_bits
+from conftest import FAST_PULSE, RATE, make_mod, make_receiver, random_bits
 
 # wide_code with no positional collisions against this one, so decoding
 # with the wrong code sees pure noise in every window
@@ -285,6 +286,16 @@ class TestGuards:
         rx = SampledSignal(np.zeros(4000), 25e9)
         with pytest.raises(RateMismatch):
             demodulate(rx, cfg)
+
+    def test_simulate_block_names_tx_and_rx_rates(self, fast_params, fast_code):
+        def at(rate):
+            return make_receiver("bpam", fast_params, fast_code,
+                                 sample_pulse(FAST_PULSE, rate))
+
+        blocks = [(np.array([1, 0]), 0, None)]
+        with pytest.raises(RateMismatch,
+                           match=r"tx at 5e\+10 S/s but rx at 1e\+11 S/s"):
+            list(receiver.simulate_block(blocks, at(50e9), at(100e9), 4.0))
 
     def test_empty_rx_decodes_nothing(self, fast_params, fast_code, fast_template):
         cfg = make_receiver("bpam", fast_params, fast_code, fast_template)
