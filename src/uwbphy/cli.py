@@ -25,17 +25,18 @@ from .framing import (
     write_code_file,
 )
 from .harness import (
+    DEFAULT_CODE_LENGTH,
     PRESETS,
     SweepConfig,
     compare_architectures,
     format_csv,
     format_session_csv,
+    orthogonal_shift,
     run_sweep,
     sweep_metadata,
 )
 from .reconfig import PhyState, load_reconfig_script, run_session
 from .transmitter import PPM, SCHEMES, ModulationConfig
-from .waveform import DEFAULT_PULSE, DEFAULT_SAMPLE_RATE
 
 DEFAULT_GRID = "0,2,4,6,8,10,12,14,16"
 
@@ -57,6 +58,18 @@ def _write_or_print(text, out):
 
 
 def _add_link_flags(sub):
+    """The flags sweep, compare and session share: the seed, the frame
+    geometry (a session's initial one) and the output file."""
+    sub.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    sub.add_argument("--tc", type=float, default=10.0,
+                     help="chip duration in ns (default %(default)s)")
+    sub.add_argument("--nc", type=int, default=8,
+                     help="chips per frame (default %(default)s)")
+    sub.add_argument("--out", metavar="PATH",
+                     help="output file (default: stdout)")
+
+
+def _add_sweep_flags(sub):
     sub.add_argument("--ebn0", type=_grid, default=_grid(DEFAULT_GRID),
                      help="comma-separated Eb/N0 grid in dB (default %(default)s)")
     sub.add_argument("--bits", type=int, default=10_000,
@@ -67,13 +80,11 @@ def _add_link_flags(sub):
                      help="multipath profile file (key = value lines)")
     sub.add_argument("--quant-bits", type=int, default=None,
                      help="ADC word width; omit for the float datapath")
-    sub.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    sub.add_argument("--tc", type=float, default=10.0,
-                     help="chip duration in ns (default %(default)s)")
-    sub.add_argument("--nc", type=int, default=8,
-                     help="chips per frame (default %(default)s)")
-    sub.add_argument("--out", metavar="PATH",
-                     help="output file (default: stdout)")
+    _add_link_flags(sub)
+
+
+def _params(args):
+    return ThParams(t_c=args.tc * 1e-9, n_c=args.nc)
 
 
 def _channel_profile(args):
@@ -98,7 +109,7 @@ def _sweep_config(args, scheme=None, preset=None):
         quant_bits=quant_bits,
         base_seed=args.seed,
         preset_id=preset,
-        params=ThParams(t_c=args.tc * 1e-9, n_c=args.nc),
+        params=_params(args),
     )
 
 
@@ -120,20 +131,14 @@ def _cmd_compare(args):
 def _cmd_session(args):
     check_int(args.seed, "--seed", 0)
     check_int(args.bits, "--bits", 0)
-    params = ThParams(t_c=args.tc * 1e-9, n_c=args.nc)
+    params = _params(args)
     if args.code_file is not None:
         bank = load_code_file(args.code_file, params)
     else:
-        code = generate_code(args.seed, 8, params)
+        code = generate_code(args.seed, DEFAULT_CODE_LENGTH, params)
         bank = CodeBank(entries={code.code_id: code}, active_id=code.code_id)
-    delta = DEFAULT_PULSE.duration if args.scheme == PPM else 0.0
-    state = PhyState(
-        params=params,
-        code_bank=bank,
-        mod=ModulationConfig(args.scheme, delta=delta),
-        pulse=DEFAULT_PULSE,
-        sample_rate=DEFAULT_SAMPLE_RATE,
-    )
+    mod = ModulationConfig(args.scheme, delta=orthogonal_shift(args.scheme))
+    state = PhyState(params=params, code_bank=bank, mod=mod)
     schedule = load_reconfig_script(args.script)
     bits = np.random.default_rng(args.seed).integers(
         0, 2, size=args.bits, dtype=np.int64
@@ -183,13 +188,13 @@ def build_parser():
                       help="scheme and ADC width of a named receiver; "
                            "th-bpam-v1/v2, th-ppm-v1/v2 and th-ppm-v3/v4 "
                            "run identical sweeps")
-    _add_link_flags(p_sweep)
+    _add_sweep_flags(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_cmp = sub.add_parser("compare", help="rank several architectures")
     p_cmp.add_argument("--scheme", choices=SCHEMES, action="append",
                        help="repeat per scheme (default: all three)")
-    _add_link_flags(p_cmp)
+    _add_sweep_flags(p_cmp)
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_ses = sub.add_parser("session", help="replay a reconfiguration script")
@@ -202,15 +207,9 @@ def build_parser():
                        help="Eb/N0 in dB (default: noiseless)")
     p_ses.add_argument("--fault-inject", action="store_true",
                        help="apply the schedule to the transmitter only")
-    p_ses.add_argument("--seed", type=int, default=0)
-    p_ses.add_argument("--tc", type=float, default=10.0,
-                       help="initial chip duration in ns")
-    p_ses.add_argument("--nc", type=int, default=8,
-                       help="initial chips per frame")
     p_ses.add_argument("--code-file", metavar="PATH",
                        help="code bank file (default: one generated code)")
-    p_ses.add_argument("--out", metavar="PATH",
-                       help="output file (default: stdout)")
+    _add_link_flags(p_ses)
     p_ses.set_defaults(func=_cmd_session)
 
     p_gen = sub.add_parser("codegen", help="generate a TH-code file")

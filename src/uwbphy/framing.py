@@ -19,6 +19,7 @@ from .errors import (
     UnknownCode,
     check_int,
     check_positive,
+    check_type,
     read_lines,
     write_text,
 )
@@ -148,8 +149,9 @@ class CodeBank:
     active_id: str
 
     def __post_init__(self):
-        entries = dict(self.entries)
+        entries = dict(check_type(self.entries, "entries", dict))
         for code_id, code in entries.items():
+            check_type(code, f"bank entry {code_id!r}", ThCode)
             if code.code_id != code_id:
                 raise InvalidParams(
                     f"bank key {code_id!r} disagrees with code_id "

@@ -43,7 +43,6 @@ from .waveform import (
 )
 
 BLOCK_BITS = 1000
-CALIBRATION_FRAMES = 20000
 DEFAULT_CODE_SEED = 1729
 DEFAULT_CODE_LENGTH = 8
 
@@ -51,6 +50,12 @@ CSV_HEADER = "ebn0_db,errors,bits,ber,ci95"
 SESSION_CSV_HEADER = (
     "segment,start_frame,bits,errors,ber,t_c,throughput_bps"
 )
+
+
+def orthogonal_shift(scheme, pulse=DEFAULT_PULSE):
+    """The PPM shift of a link by default: one pulse duration, so a
+    one's pulse starts where a zero's ends. 0.0 for OOK and BPAM."""
+    return pulse.duration if scheme == PPM else 0.0
 
 
 @dataclass(frozen=True)
@@ -86,10 +91,7 @@ class SweepConfig:
         check_type(self.code, "code", ThCode, None)
         if self.delta is None:
             object.__setattr__(
-                self,
-                "delta",
-                self.pulse.duration if self.scheme == PPM else 0.0,
-            )
+                self, "delta", orthogonal_shift(self.scheme, self.pulse))
         grid = tuple(check_ebn0(x) for x in self.ebn0_grid)
         if not grid:
             raise InvalidParams("ebn0_grid must be non-empty")
@@ -164,10 +166,11 @@ class BerPoint:
 def point_seeds(base_seed, point_index):
     """Independent (bits, noise, channel, calibration) stream bases for
     one grid point. Per-block streams XOR the block index in, which is
-    the seed-splitting contract parallel runners must follow."""
-    state = np.random.SeedSequence([base_seed, point_index]).generate_state(
-        4, dtype=np.uint64
-    )
+    the seed-splitting contract parallel runners must follow. Both
+    arguments are integers >= 0 (see check_int)."""
+    entropy = [check_int(base_seed, "base_seed", 0),
+               check_int(point_index, "point_index", 0)]
+    state = np.random.SeedSequence(entropy).generate_state(4, dtype=np.uint64)
     return tuple(int(s) for s in state)
 
 
@@ -187,8 +190,7 @@ def _blocks(cfg, seeds):
 
 
 def _run_point(cfg, ebn0_db, seeds):
-    rcfg = calibrated(
-        cfg.receiver, cfg.receiver, ebn0_db, CALIBRATION_FRAMES, seeds[3])
+    rcfg = calibrated(cfg.receiver, cfg.receiver, ebn0_db, seeds[3])
     blocks = simulate_block(_blocks(cfg, seeds), rcfg, rcfg, ebn0_db)
     errors = sum(block.errors for block in blocks)
     return BerPoint(ebn0_db=ebn0_db, errors=errors, bits=cfg.n_bits_per_point)
@@ -330,6 +332,7 @@ def compare_architectures(cfgs):
     Raises GridMismatch unless all configs share the Eb/N0 grid and
     n_bits_per_point.
     """
+    cfgs = [check_type(c, "compared config", SweepConfig) for c in cfgs]
     if not cfgs:
         raise InvalidParams("need at least one sweep config")
     grid = cfgs[0].ebn0_grid

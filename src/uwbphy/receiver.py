@@ -368,16 +368,24 @@ def _score(bits, statistics):
     return ScoredBlock(statistics, decoded, errors)
 
 
-def calibrated(tx, rx, ebn0_db, n_frames, seed):
+# Training frames behind every OOK threshold, a sweep point's and a
+# session segment's alike. The calibration draws four variates whatever
+# the count, so a larger one costs nothing and only steadies the
+# threshold.
+CALIBRATION_FRAMES = 20000
+
+
+def calibrated(tx, rx, ebn0_db, seed):
     """rx ready to decode what tx sends at ebn0_db: an OOK receiver
-    takes the threshold calibrate_ook_threshold picks from n_frames
-    frames of stream seed, with Eb of tx's scheme; others are returned
-    as they are."""
+    takes the threshold calibrate_ook_threshold picks from
+    CALIBRATION_FRAMES frames of stream seed, with Eb of tx's scheme;
+    others are returned as they are. Sweep points and session segments
+    both calibrate here, with the same budget."""
     if rx.mod.scheme != OOK:
         return rx
     eb = ENERGY_PER_BIT[tx.mod.scheme]
     return rx.with_threshold(
-        calibrate_ook_threshold(rx, ebn0_db, eb, n_frames, seed))
+        calibrate_ook_threshold(rx, ebn0_db, eb, CALIBRATION_FRAMES, seed))
 
 
 def simulate_block(blocks, tx, rx, ebn0_db):

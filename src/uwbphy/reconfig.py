@@ -13,17 +13,18 @@ signal is asserted.
 
 A session is a run of constant-parameter segments. Each segment is one
 block of receiver.simulate_block, whose record carries its decisions
-and its errors; an OOK receiver is calibrated afresh for each segment.
+and its errors; an OOK receiver is calibrated afresh for each segment,
+by receiver.calibrated with the budget a sweep point uses.
 """
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .channel import check_ebn0
+from .channel import ChannelRealization, check_ebn0
 from .errors import (
     ConfigConflict,
     FormatError,
@@ -38,13 +39,16 @@ from .framing import CodeBank, ThParams, data_rate
 from .harness import point_seeds
 from .receiver import ReceiverConfig, calibrated, simulate_block
 from .transmitter import _as_bits
-from .waveform import DEFAULT_SAMPLE_RATE, PulseShape, sample_pulse
+from .waveform import (
+    DEFAULT_PULSE,
+    DEFAULT_SAMPLE_RATE,
+    PulseShape,
+    sample_pulse,
+)
 
 # Ceiling on chips per frame: bounds the achievable-rate range the
 # controller will accept, the way fixed-width hardware inputs would.
 MAX_N_C = 1024
-
-_CAL_FRAMES = 2000
 
 
 @dataclass(frozen=True)
@@ -53,14 +57,15 @@ class PhyState:
 
     epoch is the frame index at which this state became active; pulse
     and sample_rate pin down the waveform context the framing and
-    modulation invariants are checked against.
+    modulation invariants are checked against, and default to a
+    sweep's (SweepConfig).
     """
 
     params: ThParams
     code_bank: CodeBank
     mod: object
     epoch: int = 0
-    pulse: object = None
+    pulse: object = DEFAULT_PULSE
     sample_rate: float = DEFAULT_SAMPLE_RATE
 
     def __post_init__(self):
@@ -142,14 +147,8 @@ def apply_reconfiguration(state, req, current_frame):
         t_c=state.params.t_c if req.new_t_c is None else req.new_t_c,
         n_c=state.params.n_c if req.new_n_c is None else req.new_n_c,
     )
-    return PhyState(
-        params=params,
-        code_bank=bank,
-        mod=state.mod,
-        epoch=req.effective_frame,
-        pulse=state.pulse,
-        sample_rate=state.sample_rate,
-    )
+    return replace(
+        state, params=params, code_bank=bank, epoch=req.effective_frame)
 
 
 @dataclass(frozen=True)
@@ -185,7 +184,7 @@ def _decode_segment(index, span, bits, ebn0_db, channel, rng_seed):
     start, end, tx_state, rx_state = span
     noise_seed, cal_seed = point_seeds(rng_seed, index)[:2]
     tx, rx = tx_state.link_end, rx_state.link_end
-    rx = calibrated(tx, rx, ebn0_db, _CAL_FRAMES, cal_seed)
+    rx = calibrated(tx, rx, ebn0_db, cal_seed)
     [block] = simulate_block(
         [(bits[start:end], noise_seed, channel)], tx, rx, ebn0_db)
     n = end - start
@@ -219,12 +218,20 @@ def run_session(bits, schedule, initial_state, ebn0_db=math.inf,
     mismatched frames; noise enters only the windows it observes (see
     receiver.simulate_block).
 
+    channel is None for AWGN only, or one ChannelRealization (see
+    channel.draw_channel) that every segment sees.
+
     apply_reconfiguration failures propagate with the offending request
-    index prepended. A NaN or -inf ebn0_db and a negative rng_seed
-    raise InvalidParams.
+    index prepended. A NaN or -inf ebn0_db, a negative rng_seed and a
+    wrongly typed initial_state, schedule entry or channel raise
+    InvalidParams.
     """
     check_ebn0(ebn0_db)
-    check_int(rng_seed, "rng_seed", 0)
+    rng_seed = check_int(rng_seed, "rng_seed", 0)
+    check_type(initial_state, "initial_state", PhyState)
+    check_type(channel, "channel", ChannelRealization, None)
+    schedule = [check_type(req, "schedule entry", ReconfigRequest)
+                for req in schedule]
     bits_arr = _as_bits(bits)
     frames = [req.effective_frame for req in schedule if req.reconfig_signal]
     if any(b <= a for a, b in zip(frames, frames[1:])):

@@ -40,7 +40,7 @@ from uwbphy import (
     sample_pulse,
 )
 from uwbphy.cli import main
-from uwbphy.harness import CALIBRATION_FRAMES
+from uwbphy.receiver import CALIBRATION_FRAMES
 
 import oracles
 from conftest import FAST_DELTA, FAST_PULSE, RATE

@@ -2,8 +2,8 @@
 
 A seeded run must reproduce its CSV byte for byte. These digests pin
 the data rows (header and values; `#` metadata comments are left out,
-since they carry file paths) of a few sweeps and fault-injected
-sessions, so a change that moves any random stream, any reach of a
+since they carry file paths) of a few sweeps, a comparison, a code file
+and sessions with and without fault injection, so a change that moves any random stream, any reach of a
 pulse into a window or any decision shows up here.
 """
 
@@ -59,7 +59,25 @@ RUNS = {
     "session-ook-fault": (
         ["session", "--scheme", "ook", "--ebn0", "8", "--bits", "1200",
          "--seed", "3", "--fault-inject"],
-        "ba9cd938576c43a94fde45bc26f85c79488eecdaaf8ff2ea5a91f0227b08ef8d",
+        "f528ecabbf48ba4e58fb08483e4b74ffe715b73f443e3612e6baee8f966a22f8",
+    ),
+    "session-bpam": (
+        ["session", "--scheme", "bpam", "--ebn0", "6", "--bits", "1200",
+         "--seed", "3"],
+        "c72042c5ba17e82e649fce50aa6c89e5c318c8480742c1649b402e035779525b",
+    ),
+    "sweep-preset-th-ppm-v3": (
+        ["sweep", "--preset", "th-ppm-v3", "--ebn0", "0,4", "--bits", "1000",
+         "--seed", "5"],
+        "2fcf08c1243abfb59d475086d8b5314429fcb4c7c27ce890d369d3b3f2469496",
+    ),
+    "compare-awgn": (
+        ["compare", "--ebn0", "4,8", "--bits", "2000", "--seed", "5"],
+        "4cd39f0e51fb5f70ceed185e50d2196ef340e4235faa5bf7a2168eb5a541a73e",
+    ),
+    "codegen": (
+        ["codegen", "--nc", "8", "--count", "3", "--seed", "9"],
+        "a78b0bb407a4b533f5dddc514994e89e6781ffbe32eb58d2eec4b8570f781353",
     ),
 }
 

@@ -30,10 +30,13 @@ from uwbphy import (
     add_awgn,
     apply_reconfiguration,
     calibrate_ook_threshold,
+    compare_architectures,
     draw_channel,
     generate_code,
     place_pulse_train,
+    point_seeds,
     read_csv,
+    run_session,
     run_sweep,
     sample_pulse,
     synchronize,
@@ -113,6 +116,16 @@ REFUSED = {
     "state code_bank str": lambda: _state(code_bank="x"),
     "state mod str": lambda: _state(mod="x"),
     "state pulse str": lambda: _state(pulse="x"),
+    "bank entries list": lambda: CodeBank(entries=[CODE], active_id="fast"),
+    "bank entry str": lambda: CodeBank(entries={"fast": "x"},
+                                       active_id="fast"),
+    "session initial_state str": lambda: run_session([0, 1], [], "x"),
+    "session schedule entry str": lambda: run_session([0, 1], ["x"],
+                                                      _state()),
+    # a sweep takes the profile, a session one realization of it
+    "session channel profile": lambda: run_session(
+        [0, 1], [], _state(), channel=CM1_LIKE),
+    "compare config str": lambda: compare_architectures(["x"]),
     "receiver mod str": lambda: _receiver(mod="x"),
     "receiver params str": lambda: _receiver(params="x"),
     "receiver code str": lambda: _receiver(code="x"),
@@ -145,6 +158,22 @@ def test_integral_floats_count_as_integers():
     [point] = run_sweep(as_float)
     assert point.bits == 1500
     assert [point] == run_sweep(SweepConfig("bpam", (4.0,), 1500))
+
+
+def test_integral_float_seeds_count_as_integers():
+    assert point_seeds(3.0, 1.0) == point_seeds(3, 1)
+    bits = np.arange(600) % 2
+    schedule = [ReconfigRequest(effective_frame=300, new_n_c=8,
+                                reconfig_signal=True)]
+    state = _state(mod=make_mod("ook"))
+    as_float, as_int = [
+        run_session(bits, schedule, state, ebn0_db=8.0, rng_seed=seed)
+        for seed in (3.0, 3)]
+    assert [(s.start_frame, s.errors, s.decoded.tolist())
+            for s in as_float.segments] == [
+        (s.start_frame, s.errors, s.decoded.tolist())
+        for s in as_int.segments]
+    assert len(as_int.segments) == 2
 
 
 def _state(**kw):
@@ -210,6 +239,8 @@ FIELDS = [
     ("ReconfigRequest.new_n_c", "optional int", lambda v: _apply(new_n_c=v)),
     ("PhyState.epoch", "int", lambda v: _state(epoch=v)),
     ("PhyState.sample_rate", "positive", lambda v: _state(sample_rate=v)),
+    ("point_seeds.base_seed", "int", lambda v: point_seeds(v, 0)),
+    ("point_seeds.point_index", "int", lambda v: point_seeds(0, v)),
 ]
 
 _NOT_A_NUMBER = st.sampled_from([NAN, "3"])

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from uwbphy import (
     CM1_LIKE,
+    DEFAULT_PULSE,
     DEFAULT_SAMPLE_RATE,
     IDENTITY_CHANNEL,
     CodeBank,
@@ -57,13 +58,14 @@ class TestPhyState:
         assert state.active_code is WIDE
         assert state.epoch == 0
 
-    def test_needs_pulse(self):
-        with pytest.raises(InvalidParams):
-            PhyState(
-                params=ThParams(5e-9, 8),
-                code_bank=CodeBank(entries={"wide": WIDE}, active_id="wide"),
-                mod=make_mod("bpam"),
-            )
+    def test_default_pulse(self):
+        # as a sweep's (SweepConfig.pulse)
+        state = PhyState(
+            params=ThParams(5e-9, 8),
+            code_bank=CodeBank(entries={"wide": WIDE}, active_id="wide"),
+            mod=make_mod("bpam"),
+        )
+        assert state.pulse == DEFAULT_PULSE
 
     def test_default_sample_rate(self):
         state = PhyState(
@@ -288,6 +290,12 @@ class TestRunSession:
         assert [s.start_frame for s in result.segments] == [0, 200, 500, 900]
         assert [s.n_bits for s in result.segments] == [200, 300, 400, 100]
         assert result.total_errors == 0
+
+    def test_schedule_may_be_an_iterator(self):
+        # read once: checking the order must not use up the requests
+        schedule = [asserted(200, new_t_c=10e-9), asserted(500, new_n_c=16)]
+        result = run_session(random_bits(5, 800), iter(schedule), make_state())
+        assert [s.start_frame for s in result.segments] == [0, 200, 500]
 
     @pytest.mark.parametrize("fault_inject", [False, True])
     def test_pulse_sampled_once_per_state(self, monkeypatch, fault_inject):
