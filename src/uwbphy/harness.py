@@ -315,12 +315,9 @@ class ComparisonTable:
             for label in self.labels:
                 p = self.points[label][i]
                 cells.append(f"{p.ber:.3e} +/-{3 * p.sigma():.1e}".ljust(width))
-            marks = [
-                " >! " if sig else " > " for sig in row.significant
-            ]
-            rank = row.ranking[0]
-            for mark, nxt in zip(marks, row.ranking[1:]):
-                rank += mark + nxt
+            rank = row.ranking[0] + "".join(
+                (" >! " if sig else " > ") + nxt
+                for sig, nxt in zip(row.significant, row.ranking[1:]))
             out.append(f"{row.ebn0_db:<9g}" + "".join(cells) + rank)
         return "\n".join(out) + "\n"
 

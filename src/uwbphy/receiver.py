@@ -45,8 +45,14 @@ once per block with a channel, whose shape set is its own and is
 dropped with its pass. Up to eight consecutive blocks of one geometry
 run as one pass, which lays their windows side by side and gives each
 reaching pulse the row its bit selects; a block with a channel is a
-pass of its own. No sample position spans two blocks, so only each
-block's own positions must fit the int64 range. Each window the
+pass of its own. The geometry names the pulses reaching each window by
+their index in the block, and the steps past a window's run by the
+sentinel index n, which selects a zero bit appended to every block's
+bits. The padded shapes and the offsets come from the geometry alone,
+so per block a pass only copies the bits that one take through those
+indices turns into the row of each reaching pulse, draws the noise and
+scores the decisions. No sample position spans two blocks, so only
+each block's own positions must fit the int64 range. Each window the
 receiver reads at its own geometry is the sum of the rows that reach
 into it, a handful per window even on CM1. Those windows repeat: the
 content of one follows from the offset and row of each pulse reaching
@@ -329,8 +335,9 @@ def _statistics(win, cfg):
 
 
 def decide(statistics):
-    """Bits from decision statistics: 1 iff the statistic is >= 0."""
-    return (statistics >= 0.0).astype(np.uint8)
+    """Bits from decision statistics: 1 iff the statistic is >= 0, as
+    a uint8 view of the comparison."""
+    return (statistics >= 0.0).view(np.uint8)
 
 
 def decision_statistics(rx, cfg, sync=GENIE_SYNC):
@@ -460,7 +467,9 @@ def _geometry(tx, rx, starts, n, length):
     one row per step along the run and one column per window: the
     step-th pulse reaching window w is the block's pulse at[step, w],
     starting offset[step, w] samples before the window. Past a window's
-    run, offset is -W, where no pulse reaches (see _build_windows).
+    run, at is the sentinel n, which picks the zero bit _run_pass
+    appends to every block's bits, and offset is -W, where no pulse
+    reaches (see _build_windows).
     """
     frame = np.arange(n)
     first = tx.frame_len * frame + starts[frame % len(starts)]
@@ -473,33 +482,42 @@ def _geometry(tx, rx, starts, n, length):
     lo = np.searchsorted(first + length, begin, side="right")
     reach = np.searchsorted(first, begin + width) - lo
     step = np.arange(max(reach.max(initial=0), 1))[:, None]
-    at = np.minimum(lo + step, n - 1)
-    return at, np.where(step < reach, begin - first[at], -width)
+    at = np.where(step < reach, lo + step, n)
+    return at, np.where(at < n, begin - first.take(at, mode="clip"), -width)
 
 
 def _run_pass(batch, shapes, geometry, rx, sigma):
     """Yield the ScoredBlock of each block of one pass. batch holds a
     (bits, noise_seed) pair per block, all of one length, with the
     received shape set shapes and its _geometry. The pulse reaching a
-    window takes the row of shapes that its bit selects."""
+    window takes the row of shapes that its bit selects.
+
+    The padded shapes and the offsets follow from the geometry alone.
+    Per block, a pass only copies its bits into the array that one take
+    through the geometry's pulse indices turns into the row of every
+    reaching pulse, draws the block's noise and scores it."""
     width = rx.window_len
     # the set's two rows, padded by a window of zeros on either side (see
     # _build_windows)
-    padded = np.pad(shapes, ((0, 0), (width, width)))
-    # each block's windows side by side: block b owns columns b*m to
-    # (b+1)*m; past a window's run the kind is 0, as no pulse reaches
-    at, off = geometry
+    padded = np.zeros((len(shapes), shapes.shape[1] + 2 * width))
+    padded[:, width:-width] = shapes
+    # each block's bits, then a zero bit at the sentinel index n, where
+    # no pulse reaches; kind[step, b, w] is the row of the step-th pulse
+    # reaching block b's window w, and block b owns windows b*m to
+    # (b+1)*m of the pass
+    at, offset = geometry
     m = at.shape[1]
-    offset = np.tile(off, len(batch))
-    kind = np.hstack([np.where(off > -width, bits[at], 0) for bits, _ in batch])
+    sent = np.zeros((len(batch), len(batch[0][0]) + 1), dtype=np.int64)
+    sent[:, :-1] = [bits for bits, _ in batch]
+    kind = sent.take(at, axis=1).transpose(1, 0, 2)
     rep, which = _distinct_windows(offset, kind, shapes.shape[1], width)
-    clean = _build_windows(padded, offset[:, rep], kind[:, rep], width)
+    clean = _build_windows(padded, offset[:, rep % m],
+                           kind.reshape(len(kind), -1)[:, rep], width)
     quantized = rx.datapath is not None
     if not quantized:
         clean_stats = _statistics(clean, rx)
         law = _noise_law(sigma, clean, rx)
-    for b, (bits, seed) in enumerate(batch):
-        block = which[b * m:(b + 1) * m]
+    for (bits, seed), block in zip(batch, which.reshape(len(batch), m)):
         rng = np.random.default_rng(seed)
         if not quantized:
             stats = clean_stats[block]
@@ -525,20 +543,22 @@ def _distinct_windows(offset, kind, reach_len, width):
 
     A window's content follows from its key: for each step, the offset
     and the kind (the row of padded, see _build_windows) of the pulse
-    reaching it at that step; offset and kind have one row per step and
-    one column per window. Each column of the key is a digit of known
-    range: a pulse of one of two shapes of reach_len samples reaches a
-    window of width samples at one of reach_len + width - 1 offsets, and
-    a step no pulse takes (offset -width, kind 0) is digit 0. The digits
-    are packed by exact mixed radix into int64 words of at most
-    _WORD_RANGE values each. Returns one representative window per
-    distinct key and, for every window, the index of its key among the
-    representatives.
+    reaching it at that step. offset has one row per step and one
+    column per window of a block; kind has one row per step and, after
+    it, either the same columns or one block of them per block of a
+    pass, to which the offsets broadcast. Each column of the key is a
+    digit of known range: a pulse of one of two shapes of reach_len
+    samples reaches a window of width samples at one of reach_len +
+    width - 1 offsets, and a step no pulse takes (offset -width, kind 0)
+    is digit 0. The digits are packed by exact mixed radix into int64
+    words of at most _WORD_RANGE values each. Returns one representative
+    window per distinct key and, for every window, the index of its key
+    among the representatives.
     """
     radix = (reach_len + width) * 2
     words, span = [], _WORD_RANGE + 1
     for off, k in zip(offset, kind):
-        value = (off + width) * 2 + k
+        value = (k + (off + width) * 2).ravel()
         if span * radix > _WORD_RANGE:
             words.append(value)
             span = radix
@@ -548,9 +568,12 @@ def _distinct_windows(offset, kind, reach_len, width):
     # grouping needs no stable order, so a one-word key takes numpy's
     # default sort, several times faster than a lexsort
     order = np.argsort(words[0]) if len(words) == 1 else np.lexsort(words)
-    ordered = np.stack(words)[:, order]
-    fresh = np.ones(len(order), dtype=bool)
-    np.any(ordered[:, 1:] != ordered[:, :-1], axis=0, out=fresh[1:])
+    # the first window in key order starts a group, as does each whose
+    # key differs from the one before
+    fresh = np.arange(len(order)) == 0
+    for word in words:
+        ordered = word[order]
+        fresh[1:] |= ordered[1:] != ordered[:-1]
     which = np.empty(len(order), dtype=np.intp)
     which[order] = np.cumsum(fresh) - 1
     return order[fresh], which

@@ -131,8 +131,13 @@ def apply_reconfiguration(state, req, current_frame):
 
     Raises StaleRequest if effective_frame is not in the future,
     UnknownCode for an absent code id, InvalidParams for a merged set
-    that breaks the framing or modulation invariants.
+    that breaks the framing or modulation invariants, and for a state
+    that is not a PhyState, a req that is not a ReconfigRequest or a
+    current_frame that is not an integer >= 0.
     """
+    check_type(state, "state", PhyState)
+    check_type(req, "req", ReconfigRequest)
+    current_frame = check_int(current_frame, "current_frame", 0)
     if not req.reconfig_signal:
         return state
     if req.effective_frame <= current_frame:

@@ -14,6 +14,7 @@ outputs read directly in energy units.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .errors import (
     UndersampledPulse,
     check_int,
     check_positive,
+    check_type,
 )
 
 GAUSSIAN_SECOND_DERIVATIVE = "gaussian-second-derivative"
@@ -121,20 +123,32 @@ def sample_pulse(shape, sample_rate=DEFAULT_SAMPLE_RATE):
     result has odd length with its maximum at the center. Samples are
     scaled to unit discrete energy: sum(s**2) / sample_rate == 1.
 
-    Raises UndersampledPulse below 20 samples per tau.
+    The samples are read-only: each (shape, rate) is sampled once and
+    every call for it returns the same signal, so the link ends of
+    every sweep and session state share one array.
+
+    Raises InvalidParams unless shape is a PulseShape and sample_rate
+    is positive, and UndersampledPulse below 20 samples per tau.
     """
+    check_type(shape, "shape", PulseShape)
     sample_rate = check_positive(sample_rate, "sample_rate")
     if sample_rate * shape.tau < MIN_SAMPLES_PER_TAU * (1.0 - _REL_EPS):
         raise UndersampledPulse(
             f"sample_rate {sample_rate:g} gives {sample_rate * shape.tau:.2f} "
             f"samples per tau, need at least {MIN_SAMPLES_PER_TAU:g}"
         )
+    return _sampled_pulse(shape, sample_rate)
+
+
+# bounded, so a process that samples many shapes keeps only the latest
+@lru_cache(maxsize=64)
+def _sampled_pulse(shape, sample_rate):
     half = int(round(0.5 * shape.duration * sample_rate))
     t = np.arange(-half, half + 1, dtype=np.float64) / sample_rate
     s = pulse_value(shape, t)
-    return SampledSignal(
-        s / np.sqrt(SampledSignal(s, sample_rate).energy()), sample_rate
-    )
+    s = s / np.sqrt(SampledSignal(s, sample_rate).energy())
+    s.flags.writeable = False
+    return SampledSignal(s, sample_rate)
 
 
 def inner_product(a, b, lag=0):

@@ -141,6 +141,16 @@ REFUSED = {
         "ook", PARAMS, CODE, TEMPLATE, datapath=QuantizerConfig(2)),
     "ook receiver sub-sample window": lambda: make_receiver(
         "ook", PARAMS, CODE, TEMPLATE, integration_window=1e-12),
+    "sample_pulse shape dict": lambda: sample_pulse({"tau": 1e-9}, RATE),
+    "sample_pulse rate list": lambda: sample_pulse(FAST_PULSE, [RATE]),
+    "sample_pulse rate nan": lambda: sample_pulse(FAST_PULSE, NAN),
+    "reconfigure req str": lambda: apply_reconfiguration(_state(), "x", 0),
+    "reconfigure state str": lambda: apply_reconfiguration(
+        "s", ReconfigRequest(effective_frame=10, new_n_c=8,
+                             reconfig_signal=True), 0),
+    "reconfigure frame str": lambda: _apply(new_n_c=8, current_frame="1"),
+    "reconfigure frame 2.5": lambda: _apply(new_n_c=8, current_frame=2.5),
+    "reconfigure frame -1": lambda: _apply(new_n_c=8, current_frame=-1),
 }
 
 
@@ -183,9 +193,9 @@ def _state(**kw):
     return PhyState(**kw)
 
 
-def _apply(**kw):
+def _apply(current_frame=0, **kw):
     req = ReconfigRequest(effective_frame=10, reconfig_signal=True, **kw)
-    return apply_reconfiguration(_state(), req, current_frame=0)
+    return apply_reconfiguration(_state(), req, current_frame=current_frame)
 
 
 def _sweep(**kw):

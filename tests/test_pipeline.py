@@ -28,11 +28,14 @@ from scipy.stats import ks_2samp, levene
 from uwbphy import (
     CM1_LIKE,
     ChannelRealization,
+    CodeBank,
     ENERGY_PER_BIT,
     InvalidParams,
     ModulationConfig,
+    PhyState,
     QuantizerConfig,
     ReceiverConfig,
+    ReconfigRequest,
     SampledSignal,
     SweepConfig,
     SyncEstimate,
@@ -40,10 +43,13 @@ from uwbphy import (
     ThParams,
     add_awgn,
     apply_channel,
+    apply_reconfiguration,
     calibrate_ook_threshold,
     demodulate,
     draw_channel,
     place_pulse_train,
+    point_seeds,
+    run_session,
     sample_pulse,
 )
 from uwbphy.channel import quantize_array
@@ -747,9 +753,12 @@ def _assert_one_pass_equals_one_call_per_block(blocks, tx, rx, ebn0_db):
         assert got.statistics.tobytes() == alone.statistics.tobytes()
         np.testing.assert_array_equal(got.decoded, alone.decoded)
         assert got.errors == alone.errors
-        # the decisions and their errors against the block's bits, each
-        # bit the receiver never produced counting as one
+        # the decisions, a uint8 array of statistic >= 0, and their
+        # errors against the block's bits, each bit the receiver never
+        # produced counting as one
         n, m = len(bits), len(got.decoded)
+        assert got.decoded.dtype == np.uint8
+        np.testing.assert_array_equal(got.decoded, got.statistics >= 0.0)
         np.testing.assert_array_equal(got.decoded, decide(got.statistics))
         assert got.errors == np.count_nonzero(got.decoded != bits[:m]) + n - m
 
@@ -779,7 +788,16 @@ def test_one_pass_equals_one_call_per_block(scheme, channel, datapath, link):
         _assert_one_pass_equals_one_call_per_block(blocks, tx, rx, ebn0_db)
 
 
-@pytest.mark.parametrize("case", ["cut>fast", "cm1-agc12"])
+# every scheme on the float and the quantized datapath, with and
+# without multipath; cm1-agc12 is PPM's quantized CM1 link
+SCORED_LINKS = ["cut>fast", "cm1-agc12"] + [
+    f"{scheme}-{datapath}-{channel}"
+    for scheme in ("ook", "bpam", "ppm") for datapath in ("float", "agc12")
+    for channel in ("awgn", "cm1") if (scheme, datapath, channel) != (
+        "ppm", "agc12", "cm1")]
+
+
+@pytest.mark.parametrize("case", SCORED_LINKS)
 def test_block_records_score_their_bits(case):
     # cut>fast receives 7.2 ns frames in 20 ns ones, so it decides about
     # a third of each block's bits and the rest count as errors
@@ -787,9 +805,13 @@ def test_block_records_score_their_bits(case):
         tx, rx = _cut_receiver("bpam"), _receiver("bpam")
         channel = None
     else:
-        tx = _default_receiver("ppm")
-        rx = replace(tx, datapath=QuantizerConfig(12))
-        channel = draw_channel(CM1_LIKE, 62)
+        scheme, datapath, link = (
+            ("ppm", "agc12", "cm1") if case == "cm1-agc12"
+            else case.split("-"))
+        tx = _default_receiver(scheme)
+        rx = tx if datapath == "float" else replace(
+            tx, datapath=QuantizerConfig(12))
+        channel = draw_channel(CM1_LIKE, 62) if link == "cm1" else None
     bits = random_bits(51, 2345)
     blocks = [(bits[at:at + BLOCK_BITS], 75 + at, channel)
               for at in range(0, len(bits), BLOCK_BITS)]
@@ -801,6 +823,34 @@ def test_block_records_score_their_bits(case):
     else:
         assert unread == [0, 0, 0]
     assert all(0 < r.errors < len(b) for r, (b, _, _) in zip(records, blocks))
+
+
+def test_fault_injected_session_segments_score_their_bits():
+    # after the swap only the transmitter takes 9.6 ns frames, so the
+    # receiver reads the second segment through its 20 ns ones: each
+    # segment's decisions are its block record's
+    bank = CodeBank(entries={"fast": FAST_CODE}, active_id="fast")
+    state = PhyState(params=FAST_PARAMS, code_bank=bank,
+                     mod=ModulationConfig("bpam"), pulse=FAST_PULSE,
+                     sample_rate=RATE)
+    swap = ReconfigRequest(effective_frame=600, new_t_c=2.4e-9,
+                           reconfig_signal=True)
+    bits = random_bits(52, 1500)
+    result = run_session(bits, [swap], state, ebn0_db=4.0, rng_seed=5,
+                         fault_inject=True)
+    tx_states = [state, apply_reconfiguration(state, swap, 0)]
+    assert [s.n_bits for s in result.segments] == [600, 900]
+    for index, (segment, tx_state) in enumerate(zip(result.segments,
+                                                    tx_states)):
+        block = (bits[segment.start_frame:][:segment.n_bits],
+                 point_seeds(5, index)[0], None)
+        tx, rx = tx_state.link_end, state.link_end
+        _assert_one_pass_equals_one_call_per_block([block], tx, rx, 4.0)
+        [record] = simulate_block([block], tx, rx, 4.0)
+        assert segment.decoded.dtype == np.uint8
+        np.testing.assert_array_equal(segment.decoded, record.decoded)
+        assert segment.errors == record.errors
+    assert len(result.segments[1].decoded) < 900
 
 
 @pytest.mark.parametrize("datapath", [None, QuantizerConfig(12)],

@@ -14,6 +14,7 @@ from uwbphy import (
     PhyState,
     ReconfigRequest,
     StaleRequest,
+    SweepConfig,
     ThCode,
     ThParams,
     UnknownCode,
@@ -57,6 +58,16 @@ class TestPhyState:
         state = make_state()
         assert state.active_code is WIDE
         assert state.epoch == 0
+
+    def test_states_share_one_sampled_pulse(self):
+        # every state of one pulse and rate, and a sweep of them, links
+        # through one read-only template (see sample_pulse)
+        a, b = make_state(), make_state(scheme="ppm", n_c=4, active="narrow")
+        sweep = SweepConfig("bpam", (0.0,), pulse=FAST_PULSE, sample_rate=RATE)
+        template = a.link_end.template.samples
+        assert b.link_end.template.samples is template
+        assert sweep.receiver.template.samples is template
+        assert not template.flags.writeable
 
     def test_default_pulse(self):
         # as a sweep's (SweepConfig.pulse)

@@ -78,6 +78,19 @@ class TestSamplePulse:
             sample_pulse(SHAPE, 19.0 / TAU)
         sample_pulse(SHAPE, 20.0 / TAU)
 
+    def test_samples_once_per_shape_and_rate_and_read_only(self):
+        # every link end of a shape and rate shares one array, so no
+        # caller may write into it
+        sig = sample_pulse(SHAPE, RATE)
+        again = sample_pulse(PulseShape(tau=TAU, duration=4e-9), float(RATE))
+        assert again.samples is sig.samples
+        assert sample_pulse(SHAPE, 2 * RATE).samples is not sig.samples
+        with pytest.raises(ValueError, match="read-only"):
+            sig.samples[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            sig.samples *= 2.0
+        assert sig.energy() == pytest.approx(1.0, rel=1e-12)
+
     def test_autocorrelation_peaks_at_zero_lag(self):
         sig = sample_pulse(SHAPE, RATE)
         at_zero = inner_product(sig, sig, 0)
