@@ -18,8 +18,8 @@ prior-averaged Eb is half a pulse energy.
 """
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -56,6 +56,14 @@ def orthogonal_shift(scheme, pulse=DEFAULT_PULSE):
     """The PPM shift of a link by default: one pulse duration, so a
     one's pulse starts where a zero's ends. 0.0 for OOK and BPAM."""
     return pulse.duration if scheme == PPM else 0.0
+
+
+@lru_cache(maxsize=64)
+def _default_code(n_c):
+    """The code of a SweepConfig given none, drawn once per n_c: t_c
+    does not enter it."""
+    params = replace(DEFAULT_PARAMS, n_c=n_c)
+    return generate_code(DEFAULT_CODE_SEED, DEFAULT_CODE_LENGTH, params)
 
 
 @dataclass(frozen=True)
@@ -107,11 +115,7 @@ class SweepConfig:
             self, "base_seed", check_int(self.base_seed, "base_seed", 0)
         )
         if self.code is None:
-            object.__setattr__(
-                self,
-                "code",
-                generate_code(DEFAULT_CODE_SEED, DEFAULT_CODE_LENGTH, self.params),
-            )
+            object.__setattr__(self, "code", _default_code(self.params.n_c))
         self.receiver  # checks the link, once
 
     @property

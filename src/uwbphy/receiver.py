@@ -37,28 +37,32 @@ Every frame sends from its code position's chip start whatever its bit
 (transmitter.pulse_table); the bit selects a row. The chip pulse,
 convolved once with the block's channel, is the received pulse g, and
 its rows (transmitter.bit_rows) are the block's shape set. Which pulses
-reach which of a block's windows, and at what offsets, is the block's
-geometry. It follows from the link, the block's length and its shape
-set alone, counted from the block's own start, so it is worked out once
-per block length for all the blocks without a channel in a call, and
-once per block with a channel, whose shape set is its own and is
-dropped with its pass. Up to eight consecutive blocks of one geometry
-run as one pass, which lays their windows side by side and gives each
-reaching pulse the row its bit selects; a block with a channel is a
-pass of its own. The geometry names the pulses reaching each window by
-their index in the block, and the steps past a window's run by the
-sentinel index n, which selects a zero bit appended to every block's
-bits. The padded shapes and the offsets come from the geometry alone,
-so per block a pass only copies the bits that one take through those
-indices turns into the row of each reaching pulse, draws the noise and
-scores the decisions. No sample position spans two blocks, so only
-each block's own positions must fit the int64 range. Each window the
-receiver reads at its own geometry is the sum of the rows that reach
-into it, a handful per window even on CM1. Those windows repeat: the
-content of one follows from the offset and row of each pulse reaching
-into it, so a pass's windows are grouped by that key and each distinct
-one is built once (about 70 of 1000 on a default-geometry CM1 block;
-two for a whole pass of AWGN blocks).
+reach which of a block's windows, and where, follows from the link, the
+block's length and its shape set alone, counted from the block's own
+start. A block's layout holds that and the shape set, padded once: the
+set's two rows, each with a window of zeros on either side, end to end
+in one flat array, and for each window and each step along the run of
+pulses reaching it, the pulse's index in the block and where the
+window's samples start in its padded row. The step-th pulse of a
+window then starts at flat index kind * stride + pos, where kind is the
+row its bit selects; the steps past a window's run name the sentinel
+index n, which selects a zero bit appended to every block's bits, at
+position 0, where its padded row reads zeros. Up to eight consecutive
+blocks of one layout run as one pass, which lays their windows side by
+side; a block without a channel shares the layout of the block before
+it when that had no channel either and is as long, and a block with a
+channel has a layout, so a pass, of its own. The open pass runs before
+the next block's layout is built, so nothing is read ahead: a pass
+never shares memory with the block after it. Per block a pass only
+copies the bits that one take through the layout turns into the flat
+index of each reaching pulse, draws the noise and scores the
+decisions. No sample position spans two blocks, so only each block's
+own positions must fit the int64 range. Each window the receiver reads
+is the sum of the rows that reach into it, a handful per window even
+on CM1. Those windows repeat: the content of one follows from the flat
+indices it reads, so a pass's windows are grouped by them and each
+distinct one is built once (about 70 of 1000 on a default-geometry CM1
+block; two for a whole pass of AWGN blocks).
 
 The random streams stay per block: each block draws its noise from its
 own seed. With white noise the window samples are a sufficient
@@ -400,15 +404,14 @@ def simulate_block(blocks, tx, rx, ebn0_db):
     and yield a ScoredBlock for each, in order.
 
     blocks is an iterable of (bits, noise_seed, channel) triples, read
-    a pass of up to _PASS_BLOCKS ahead of what is yielded, and one block
-    more: a pass ends when it is full or when the next block's geometry
-    differs, so the block that ends it is read before it runs. Each block
-    draws its noise from its own noise_seed and sees its own channel
-    (None or a ChannelRealization). tx and rx are the two link ends'
-    configurations, which may differ after a one-sided reconfiguration;
-    rx.datapath, if set, is the ADC, and an AGC (see QuantizerConfig)
-    samples each block's windows. The records equal those of one call
-    per block, bit for bit.
+    one at a time: a pass ends when it is full or when the next block
+    needs a layout of its own, and then runs, yielding its records,
+    before that layout is built. Each block draws its noise from its own
+    noise_seed and sees its own channel (None or a ChannelRealization).
+    tx and rx are the two link ends' configurations, which may differ
+    after a one-sided reconfiguration; rx.datapath, if set, is the ADC,
+    and an AGC (see QuantizerConfig) samples each block's windows. The
+    records equal those of one call per block, bit for bit.
 
     Raises RateMismatch when tx and rx differ in sample rate,
     UncalibratedThreshold for an OOK rx without a threshold, and
@@ -421,28 +424,20 @@ def simulate_block(blocks, tx, rx, ebn0_db):
     # the rows sent are the shape set of every block without a channel
     starts, shared = pulse_table(tx.mod, tx.params, tx.code, tx.template)
     sigma = noise_sigma(ebn0_db, ENERGY_PER_BIT[tx.mod.scheme], rx.sample_rate)
-    frame_len = max(tx.frame_len, rx.frame_len)
-    # the shared set's geometry per block length; a block with a channel
-    # has a set and a geometry of its own, so a pass to itself
-    geometries, batch, layout = {}, [], None
+    # a block without a channel shares the layout before it if that was
+    # of a block as long and without a channel too
+    batch, shared_len = [], None
     for bits, noise_seed, channel in blocks:
         bits = _as_bits(bits)
-        shapes = shared if channel is None else _shapes(tx, channel)
-        extent = len(bits) * frame_len + shapes.shape[1] + rx.window_len
-        if extent > _INT64_MAX:
-            raise InvalidParams(
-                f"{len(bits)} frames of {frame_len} samples overflow the "
-                f"64-bit sample index; shorten the frame or send fewer bits")
-        geometry = None if channel is not None else geometries.get(len(bits))
-        if geometry is None:
-            geometry = _geometry(tx, rx, starts, len(bits), shapes.shape[1])
-            if channel is None:
-                geometries[len(bits)] = geometry
-        if batch and (geometry is not layout[1] or len(batch) == _PASS_BLOCKS):
+        same = channel is None and len(bits) == shared_len
+        if batch and (not same or len(batch) == _PASS_BLOCKS):
             yield from _run_pass(batch, *layout, rx, sigma)
             batch = []
+        if not same:
+            layout = _layout(tx, rx, starts, len(bits), shared
+                             if channel is None else _shapes(tx, channel))
+        shared_len = len(bits) if channel is None else None
         batch.append((bits, noise_seed))
-        layout = shapes, geometry
     if batch:
         yield from _run_pass(batch, *layout, rx, sigma)
 
@@ -454,23 +449,37 @@ def _shapes(tx, channel):
     return bit_rows(tx.mod, g.samples, tx.sample_rate)
 
 
-def _geometry(tx, rx, starts, n, length):
-    """Which pulses of an n-bit block reach which of its rx windows,
-    counted from the block's start. Every frame sends a row of length
-    samples from its code position's start (transmitter.pulse_table),
-    so this holds for any bits of the block.
+def _layout(tx, rx, starts, n, shapes):
+    """The layout of an n-bit block with the received shape set shapes,
+    counted from the block's start. Every frame sends a row of shapes
+    from its code position's start (transmitter.pulse_table), so this
+    holds for any bits of the block.
 
     The rx windows are those of the block's frames plus the channel's
     spread, at most one per bit. Pulse starts grow with the frame, so
     the pulses reaching into a window [p, p + W) are the run whose end
-    lies past p and whose start lies before p + W. Returns (at, offset),
-    one row per step along the run and one column per window: the
-    step-th pulse reaching window w is the block's pulse at[step, w],
-    starting offset[step, w] samples before the window. Past a window's
+    lies past p and whose start lies before p + W. Returns (padded, at,
+    pos). padded holds the two rows of shapes, each with W zeros on
+    either side, end to end in one flat array, so row k starts at k *
+    stride for stride = len(padded) // 2. at and pos have one row per
+    step along the run and one column per window: the step-th pulse
+    reaching window w is the block's pulse at[step, w], and the window
+    reads it from pos[step, w] on in its padded row. Past a window's
     run, at is the sentinel n, which picks the zero bit _run_pass
-    appends to every block's bits, and offset is -W, where no pulse
-    reaches (see _build_windows).
+    appends to every block's bits, and pos is 0, where the row reads
+    zeros.
+
+    Raises InvalidParams when the block's sample positions do not fit a
+    64-bit integer.
     """
+    length, width = shapes.shape[1], rx.window_len
+    frame_len = max(tx.frame_len, rx.frame_len)
+    if n * frame_len + length + width > _INT64_MAX:
+        raise InvalidParams(
+            f"{n} frames of {frame_len} samples overflow the 64-bit sample "
+            f"index; shorten the frame or send fewer bits")
+    padded = np.zeros((len(shapes), length + 2 * width))
+    padded[:, width:-width] = shapes
     frame = np.arange(n)
     first = tx.frame_len * frame + starts[frame % len(starts)]
     # the received pulse is the chip pulse, the channel's spread and,
@@ -478,41 +487,37 @@ def _geometry(tx, rx, starts, n, length):
     spread = length - len(tx.pulse) - delta_samples(tx.mod, tx.sample_rate)
     frame = np.arange(min((n * tx.frame_len + spread) // rx.frame_len, n))
     begin = rx.frame_len * frame + _window_starts(rx, frame)
-    width = rx.window_len
     lo = np.searchsorted(first + length, begin, side="right")
     reach = np.searchsorted(first, begin + width) - lo
     step = np.arange(max(reach.max(initial=0), 1))[:, None]
     at = np.where(step < reach, lo + step, n)
-    return at, np.where(at < n, begin - first.take(at, mode="clip"), -width)
+    pos = np.where(at < n, begin + width - first.take(at, mode="clip"), 0)
+    return padded.ravel(), at, pos
 
 
-def _run_pass(batch, shapes, geometry, rx, sigma):
+def _run_pass(batch, padded, at, pos, rx, sigma):
     """Yield the ScoredBlock of each block of one pass. batch holds a
-    (bits, noise_seed) pair per block, all of one length, with the
-    received shape set shapes and its _geometry. The pulse reaching a
-    window takes the row of shapes that its bit selects.
+    (bits, noise_seed) pair per block, all of one length, and padded, at
+    and pos are their _layout. The pulse reaching a window takes the row
+    of padded that its bit selects.
 
-    The padded shapes and the offsets follow from the geometry alone.
     Per block, a pass only copies its bits into the array that one take
-    through the geometry's pulse indices turns into the row of every
-    reaching pulse, draws the block's noise and scores it."""
+    through at turns into the flat index of every reaching pulse, draws
+    the block's noise and scores it."""
     width = rx.window_len
-    # the set's two rows, padded by a window of zeros on either side (see
-    # _build_windows)
-    padded = np.zeros((len(shapes), shapes.shape[1] + 2 * width))
-    padded[:, width:-width] = shapes
-    # each block's bits, then a zero bit at the sentinel index n, where
-    # no pulse reaches; kind[step, b, w] is the row of the step-th pulse
-    # reaching block b's window w, and block b owns windows b*m to
-    # (b+1)*m of the pass
-    at, offset = geometry
+    # each block's bits, scaled to the start of the row they select,
+    # then a zero at the sentinel index n; read[step, b, w] is the flat
+    # index from which block b's window w reads its step-th pulse, and
+    # block b owns windows b*m to (b+1)*m of the pass
     m = at.shape[1]
     sent = np.zeros((len(batch), len(batch[0][0]) + 1), dtype=np.int64)
     sent[:, :-1] = [bits for bits, _ in batch]
-    kind = sent.take(at, axis=1).transpose(1, 0, 2)
-    rep, which = _distinct_windows(offset, kind, shapes.shape[1], width)
-    clean = _build_windows(padded, offset[:, rep % m],
-                           kind.reshape(len(kind), -1)[:, rep], width)
+    sent *= len(padded) // 2
+    read = sent.take(at, axis=1)
+    read += pos
+    read = read.transpose(1, 0, 2).reshape(len(at), -1)
+    rep, which = _distinct_windows(read, len(padded))
+    clean = _build_windows(padded, read[:, rep], width)
     quantized = rx.datapath is not None
     if not quantized:
         clean_stats = _statistics(clean, rx)
@@ -538,27 +543,20 @@ def _run_pass(batch, shapes, geometry, rx, sigma):
         del noisy
 
 
-def _distinct_windows(offset, kind, reach_len, width):
+def _distinct_windows(read, radix):
     """Group the windows by their clean content.
 
-    A window's content follows from its key: for each step, the offset
-    and the kind (the row of padded, see _build_windows) of the pulse
-    reaching it at that step. offset has one row per step and one
-    column per window of a block; kind has one row per step and, after
-    it, either the same columns or one block of them per block of a
-    pass, to which the offsets broadcast. Each column of the key is a
-    digit of known range: a pulse of one of two shapes of reach_len
-    samples reaches a window of width samples at one of reach_len +
-    width - 1 offsets, and a step no pulse takes (offset -width, kind 0)
-    is digit 0. The digits are packed by exact mixed radix into int64
-    words of at most _WORD_RANGE values each. Returns one representative
-    window per distinct key and, for every window, the index of its key
-    among the representatives.
+    A window's content follows from its key: the column of read that
+    gives, for each step, the flat index of padded from which it reads
+    the pulse reaching it at that step (see _build_windows). Each index
+    is a digit in [0, radix), and a step no pulse takes is digit 0. The
+    digits are packed by exact mixed radix into int64 words of at most
+    _WORD_RANGE values each. Returns one representative window per
+    distinct key and, for every window, the index of its key among the
+    representatives.
     """
-    radix = (reach_len + width) * 2
     words, span = [], _WORD_RANGE + 1
-    for off, k in zip(offset, kind):
-        value = (k + (off + width) * 2).ravel()
+    for value in read:
         if span * radix > _WORD_RANGE:
             words.append(value)
             span = radix
@@ -579,18 +577,16 @@ def _distinct_windows(offset, kind, reach_len, width):
     return order[fresh], which
 
 
-def _build_windows(padded, offset, kind, width):
+def _build_windows(padded, read, width):
     """Received signal over windows of width samples: one row per column
-    of offset and kind. At each step, a window takes the received shape
-    kind (a row of padded, with width zeros on either side; see
-    _run_pass) of a pulse starting offset samples before it; an offset
-    of -width reads zeros."""
-    # view[k, j] is padded[k, j:j + width]: the received shape k as seen
-    # from a window starting j - width samples after the pulse
-    view = np.lib.stride_tricks.sliding_window_view(padded, width, axis=1)
-    win = view[kind[0], offset[0] + width]
-    for off, k in zip(offset[1:], kind[1:]):
-        win += view[k, off + width]
+    of read. At each step, a window adds the width samples of padded
+    (see _layout) from the flat index read gives it on; the sentinel's
+    index 0 reads zeros."""
+    # view[i] is padded[i:i + width]
+    view = np.lib.stride_tricks.sliding_window_view(padded, width)
+    win = view[read[0]]
+    for r in read[1:]:
+        win += view[r]
     return win
 
 

@@ -43,7 +43,7 @@ def test_prints_each_module_and_the_total(tmp_path, capsys):
 
 # The line budget of src/uwbphy: its code lines may not grow past this
 # count. A change that raises it says why in CHANGES.md.
-SRC_CODE_LINES = 1656
+SRC_CODE_LINES = 1653
 
 
 def test_src_stays_within_its_line_budget():

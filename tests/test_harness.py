@@ -16,6 +16,7 @@ from uwbphy import (
     ThParams,
     compare_architectures,
     format_csv,
+    generate_code,
     point_seeds,
     read_csv,
     run_session,
@@ -25,6 +26,8 @@ from uwbphy import (
 from uwbphy.harness import (
     BLOCK_BITS,
     CSV_HEADER,
+    DEFAULT_CODE_LENGTH,
+    DEFAULT_CODE_SEED,
     SESSION_CSV_HEADER,
     format_session_csv,
 )
@@ -112,6 +115,18 @@ class TestSweepConfig:
         assert cfg.code.code_id == "gen1729"
         assert len(cfg.code) == 8
         assert all(0 <= c < cfg.params.n_c for c in cfg.code.offsets)
+
+    @pytest.mark.parametrize("n_c", [8, 16])
+    def test_default_code_is_drawn_once_per_n_c(self, n_c):
+        # the code depends on n_c alone, so configs that differ in t_c
+        # and scheme share one; it is the code the seed draws for them
+        params = ThParams(t_c=5e-9, n_c=n_c)
+        first = SweepConfig(scheme="bpam", ebn0_grid=(0.0,), params=params)
+        second = SweepConfig(scheme="ook", ebn0_grid=(0.0,),
+                             params=ThParams(t_c=10e-9, n_c=n_c))
+        assert first.code is second.code
+        assert first.code == generate_code(
+            DEFAULT_CODE_SEED, DEFAULT_CODE_LENGTH, params)
 
     def test_default_delta(self):
         assert fast_sweep(scheme="ppm").delta == FAST_PULSE.duration

@@ -16,6 +16,7 @@ from uwbphy import (
     BerPoint,
     CodeBank,
     FormatError,
+    InvalidParams,
     ModulationConfig,
     PhyError,
     PhyState,
@@ -43,6 +44,7 @@ from uwbphy import (
 )
 from uwbphy.cli import main
 from uwbphy.harness import CSV_HEADER
+from uwbphy.receiver import simulate_block
 
 from conftest import FAST_PULSE, RATE, make_mod, make_receiver
 
@@ -158,6 +160,18 @@ REFUSED = {
 def test_malformed_input_raises_phy_error(case):
     with pytest.raises(PhyError):
         REFUSED[case]()
+
+
+def test_block_past_the_int64_range_is_refused_after_the_one_before():
+    # 3e18-sample frames: one frame fits the int64 sample index, four
+    # do not; blocks are read one at a time, so the valid block's
+    # record comes out before the next block is refused
+    cfg = _receiver(params=ThParams(t_c=5e-9, n_c=12 * 10**15))
+    blocks = [(np.array([1]), 0, None), (np.array([0, 1, 0, 1]), 1, None)]
+    records = simulate_block(blocks, cfg, cfg, 4.0)
+    assert next(records).errors == 0
+    with pytest.raises(InvalidParams, match="64-bit sample index"):
+        next(records)
 
 
 def test_integral_floats_count_as_integers():

@@ -609,8 +609,9 @@ def _block_peak(scheme, channel, datapath):
 def test_float_block_builds_each_distinct_window_once(scheme, channel):
     # a block's clean windows repeat: about 70 distinct ones of 1000 on
     # CM1 and a few dozen without a channel, so the float datapath
-    # never holds a window matrix of the whole block
-    assert _block_peak(scheme, channel, None) < 0.5
+    # never holds a window matrix of the whole block; the shape set is
+    # held once, padded in its layout
+    assert _block_peak(scheme, channel, None) < (0.4 if channel else 0.5)
 
 
 @pytest.mark.parametrize("scheme", ["ook", "bpam", "ppm"])
@@ -922,14 +923,14 @@ def test_window_keys_of_a_long_channel_take_several_words(monkeypatch):
 
 
 def test_packed_window_keys_stay_exact_past_one_word():
-    # four reaching pulses, each at one of 2**16 offsets and of two
-    # kinds, take more than the 64 bits of a word: the key spans two,
-    # and window 1, whose last pulse alone differs (in its kind), must
-    # keep its own
-    offset = np.repeat([[3], [2], [1], [0]], 3, axis=1)
-    kind = np.zeros((4, 3), dtype=np.int64)
-    kind[3, 1] = 1
-    rep, which = _distinct_windows(offset, kind, reach_len=2**16 - 1, width=1)
+    # four reaching pulses, each read from one of 2**16 + 1 positions
+    # of either of two padded rows, take more than the 64 bits of a
+    # word: the key spans two, and window 1, whose last pulse alone
+    # differs (in its row), must keep its own
+    stride = 2**16 + 1
+    read = np.repeat([[4], [3], [2], [1]], 3, axis=1)
+    read[3, 1] += stride
+    rep, which = _distinct_windows(read, radix=2 * stride)
     assert len(rep) == 2
     assert which[0] == which[2] != which[1]
 
@@ -977,9 +978,9 @@ def test_sweep_point_memory_stays_at_one_pass():
 
 
 def test_channel_sweep_point_memory_stays_at_one_pass():
-    # a 50-block CM1 float point: each block's received shapes and
-    # geometry are its own and go with its pass, so the point peaks as
-    # a one-pass point of 8 blocks does (about 5.7 MB either way)
+    # a 50-block CM1 float point: each block's layout is its own and
+    # goes with its pass, so the point peaks as a one-pass point of 8
+    # blocks does (about 5.7 MB either way)
     def point(n_blocks):
         return SweepConfig(scheme="bpam", ebn0_grid=(4.0,), channel=CM1_LIKE,
                            n_bits_per_point=n_blocks * BLOCK_BITS)
@@ -988,20 +989,20 @@ def test_channel_sweep_point_memory_stays_at_one_pass():
 
 
 def _count_geometries(monkeypatch):
-    """The block lengths receiver._geometry is called for, and the
-    passes run, from here on."""
+    """The block lengths receiver._layout is called for, and the passes
+    run, from here on."""
     built, passes = [], []
-    geometry, run_pass = receiver._geometry, receiver._run_pass
+    layout, run_pass = receiver._layout, receiver._run_pass
 
-    def geometry_spy(tx, rx, starts, n, length):
+    def layout_spy(tx, rx, starts, n, shapes):
         built.append(n)
-        return geometry(tx, rx, starts, n, length)
+        return layout(tx, rx, starts, n, shapes)
 
     def run_pass_spy(*args):
         passes.append(len(args[0]))
         return run_pass(*args)
 
-    monkeypatch.setattr(receiver, "_geometry", geometry_spy)
+    monkeypatch.setattr(receiver, "_layout", layout_spy)
     monkeypatch.setattr(receiver, "_run_pass", run_pass_spy)
     return built, passes
 
@@ -1019,7 +1020,7 @@ def test_blocks_without_a_channel_share_one_geometry(monkeypatch):
 
 def test_channel_blocks_build_a_geometry_each(monkeypatch):
     # each block's channel gives it shapes of its own, so no two blocks
-    # of a CM1 call share a geometry, and each runs as a pass of its own
+    # of a CM1 call share a layout, and each runs as a pass of its own
     built, passes = _count_geometries(monkeypatch)
     cfg = _default_receiver("bpam")
     blocks = [(random_bits(b, BLOCK_BITS), b, draw_channel(CM1_LIKE, 60 + b))
@@ -1031,15 +1032,15 @@ def test_channel_blocks_build_a_geometry_each(monkeypatch):
 
 @pytest.mark.parametrize("sizes, channels, passes, built", [
     ([BLOCK_BITS] * 7, [None] * 3 + ["cm1"] + [None] * 3, [3, 1, 3],
-     [BLOCK_BITS] * 2),
+     [BLOCK_BITS] * 3),
     ([BLOCK_BITS, BLOCK_BITS, 345], [None] * 3, [2, 1], [BLOCK_BITS, 345]),
 ], ids=["awgn-cm1-awgn", "awgn-short-last"])
 def test_a_pass_holds_blocks_of_one_geometry(sizes, channels, passes, built,
                                              monkeypatch):
-    # a pass ends where the next block's geometry differs: a channel
-    # block's is its own, and a shorter block has one of its own length,
-    # while the blocks without a channel on either side of a channel
-    # block share theirs
+    # a pass ends where the next block needs a layout of its own: a
+    # channel block's is its own, a shorter block has one of its own
+    # length, and the blocks without a channel after a channel block
+    # build theirs again, since only the layout before a block is kept
     spied = _count_geometries(monkeypatch)
     cfg = _default_receiver("ppm")
     blocks = [(random_bits(b, n), b,
@@ -1048,3 +1049,19 @@ def test_a_pass_holds_blocks_of_one_geometry(sizes, channels, passes, built,
     records = list(simulate_block(blocks, cfg, cfg, 4.0))
     assert [len(r.decoded) for r in records] == sizes
     assert spied == (built, passes)
+
+
+def test_each_pass_runs_before_the_next_layout_is_built(monkeypatch):
+    # blocks are read one at a time: a CM1 block's pass yields its
+    # record before the next block's shape set and layout exist, so no
+    # two blocks' layouts are held at once
+    events = []
+    layout = receiver._layout
+    monkeypatch.setattr(receiver, "_layout",
+                        lambda *args: events.append("layout") or layout(*args))
+    cfg = _default_receiver("ook")
+    blocks = [(random_bits(b, BLOCK_BITS), b, draw_channel(CM1_LIKE, 60 + b))
+              for b in range(3)]
+    for _ in simulate_block(blocks, cfg, cfg, 4.0):
+        events.append("record")
+    assert events == ["layout", "record"] * 3
