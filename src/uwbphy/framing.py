@@ -28,6 +28,9 @@ from .errors import (
 # samples before the config is rejected as off-grid.
 _GRID_EPS = 1e-6
 
+# Sample positions are int64: a frame, and n_c, must fit below this.
+_INT64_MAX = np.iinfo(np.int64).max
+
 
 @dataclass(frozen=True)
 class ThParams:
@@ -41,7 +44,8 @@ class ThParams:
 
     def __post_init__(self):
         object.__setattr__(self, "t_c", check_positive(self.t_c, "t_c"))
-        object.__setattr__(self, "n_c", check_int(self.n_c, "n_c", 2))
+        object.__setattr__(
+            self, "n_c", check_int(self.n_c, "n_c", 2, _INT64_MAX))
 
     @property
     def t_f(self):
@@ -62,10 +66,18 @@ def chip_samples(params, sample_rate):
     """Chip duration in samples.
 
     Raises ConfigConflict unless t_c is a whole number of sample
-    periods, so every chip and frame boundary lands on the grid.
+    periods, so every chip and frame boundary lands on the grid, and
+    unless a frame of n_c chips fits the 64-bit sample index.
     """
     exact = params.t_c * sample_rate
-    n = int(round(exact))
+    # a chip of 2**63 samples or more already overflows; clamped, it
+    # rounds to an int whatever t_c
+    n = int(round(min(exact, 2.0**63)))
+    if params.n_c * n > _INT64_MAX:
+        raise ConfigConflict(
+            f"a frame of {params.n_c} chips of {exact:g} samples overflows "
+            f"the 64-bit sample index; shorten t_c or lower n_c"
+        )
     if n < 1 or abs(exact - n) > _GRID_EPS:
         raise ConfigConflict(
             f"t_c = {params.t_c:g} s is not a whole number of sample "

@@ -102,6 +102,7 @@ from .errors import (
     check_type,
 )
 from .framing import (
+    _INT64_MAX,
     ThCode,
     ThParams,
     chip_samples,
@@ -132,11 +133,6 @@ _MERGE_ROWS = 64
 # pass's fixed cost, few enough that its per-frame arrays stay small
 # beside one block's windows however many bits a sweep point has.
 _PASS_BLOCKS = 8
-
-# Range of one packed word of window-grouping keys; sample positions
-# are bounded by the int64 range.
-_WORD_RANGE = 1 << 62
-_INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -294,19 +290,13 @@ def synchronize(rx, cfg, search_window, n_sync_frames):
     return SyncEstimate(offset=best, peak_metric=float(metric[best]))
 
 
-def _window_starts(cfg, frames):
-    """First sample of each given frame's observation window, relative
-    to the frame's start."""
-    offsets = np.asarray(cfg.code.offsets, dtype=np.int64)
-    return offsets[frames % len(offsets)] * cfg.chip_len
-
-
 def _windows(x, cfg, offset):
     """Gather the observation windows of every whole frame of x counted
     from offset: an (n_frames, W) matrix."""
     frame_len = cfg.frame_len
     frames = np.arange(max((len(x) - offset) // frame_len, 0))
-    starts = offset + frame_len * frames + _window_starts(cfg, frames)
+    chips = pulse_table(cfg.mod, cfg.params, cfg.code, cfg.template)[0]
+    starts = offset + frame_len * frames + chips[frames % len(chips)]
     return x[starts[:, None] + np.arange(cfg.window_len)]
 
 
@@ -486,7 +476,8 @@ def _layout(tx, rx, starts, n, shapes):
     # in a PPM row, the shift
     spread = length - len(tx.pulse) - delta_samples(tx.mod, tx.sample_rate)
     frame = np.arange(min((n * tx.frame_len + spread) // rx.frame_len, n))
-    begin = rx.frame_len * frame + _window_starts(rx, frame)
+    chips = pulse_table(rx.mod, rx.params, rx.code, rx.template)[0]
+    begin = rx.frame_len * frame + chips[frame % len(chips)]
     lo = np.searchsorted(first + length, begin, side="right")
     reach = np.searchsorted(first, begin + width) - lo
     step = np.arange(max(reach.max(initial=0), 1))[:, None]
@@ -521,13 +512,13 @@ def _run_pass(batch, padded, at, pos, rx, sigma):
     quantized = rx.datapath is not None
     if not quantized:
         clean_stats = _statistics(clean, rx)
-        law = _noise_law(sigma, clean, rx)
+        scale = _noise_law(sigma, clean, rx)
     for (bits, seed), block in zip(batch, which.reshape(len(batch), m)):
         rng = np.random.default_rng(seed)
         if not quantized:
             stats = clean_stats[block]
             if sigma > 0.0:
-                stats += _noise_terms(rng, sigma, law, rx, block)
+                stats += _noise_terms(rng, sigma, scale, rx, block)
             yield _score(bits, stats)
             continue
         noisy = (rng.standard_normal((m, width)) if sigma > 0.0
@@ -548,32 +539,27 @@ def _distinct_windows(read, radix):
 
     A window's content follows from its key: the column of read that
     gives, for each step, the flat index of padded from which it reads
-    the pulse reaching it at that step (see _build_windows). Each index
-    is a digit in [0, radix), and a step no pulse takes is digit 0. The
-    digits are packed by exact mixed radix into int64 words of at most
-    _WORD_RANGE values each. Returns one representative window per
-    distinct key and, for every window, the index of its key among the
-    representatives.
+    the pulse reaching it at that step (see _build_windows), in [0,
+    radix). The groups are refined one step at a time (partition
+    refinement): every window starts in group 0, and at each step the
+    windows are sorted by (group, index) and renumbered, so two share a
+    group iff their keys agree at every step so far. The sort key group
+    * radix + index stays below (windows) * radix, a product of two
+    lengths of arrays the pass holds; for it to reach 2**63 one of them
+    would outgrow about 24 GB, so it is exact wherever memory lasts.
+    Returns one representative window per distinct key and, for every
+    window, the index of its key among the representatives.
     """
-    words, span = [], _WORD_RANGE + 1
+    which = np.zeros(read.shape[1], dtype=np.int64)
     for value in read:
-        if span * radix > _WORD_RANGE:
-            words.append(value)
-            span = radix
-        else:
-            words[-1] = words[-1] * radix + value
-            span *= radix
-    # grouping needs no stable order, so a one-word key takes numpy's
-    # default sort, several times faster than a lexsort
-    order = np.argsort(words[0]) if len(words) == 1 else np.lexsort(words)
-    # the first window in key order starts a group, as does each whose
-    # key differs from the one before
-    fresh = np.arange(len(order)) == 0
-    for word in words:
-        ordered = word[order]
-        fresh[1:] |= ordered[1:] != ordered[:-1]
-    which = np.empty(len(order), dtype=np.intp)
-    which[order] = np.cumsum(fresh) - 1
+        key = which * radix + value
+        order = np.argsort(key)
+        ordered = key[order]
+        # the first window in key order starts a group, as does each
+        # whose key differs from the one before
+        fresh = np.arange(len(order)) == 0
+        fresh[1:] = ordered[1:] != ordered[:-1]
+        which[order] = np.cumsum(fresh) - 1
     return order[fresh], which
 
 
@@ -591,37 +577,37 @@ def _build_windows(padded, read, width):
 
 
 def _noise_law(sigma, win, cfg):
-    """The law of what white noise of per-sample deviation sigma adds
+    """The scale of what white noise of per-sample deviation sigma adds
     to the floating-point decision statistic of each clean window of
     win.
 
     A correlation with coefficients c gains N(0, sigma^2 |c|^2), where c
     is the chip pulse for BPAM and the shifted minus the nominal pulse
-    for PPM; the law is (sigma |c|, None), one scale for every window.
-    The energy of a window s of w samples becomes
-    (|s| + sigma u)^2 + sigma^2 chi2(w - 1), with u ~ N(0, 1) the noise
-    along s; the law is (|s|, w - 1).
+    for PPM; the scale is sigma |c|, one for every window. The energy of
+    a window s of w samples becomes (|s| + sigma u)^2 + sigma^2
+    chi2(w - 1), with u ~ N(0, 1) the noise along s; the scale is |s|,
+    one per window.
     """
     if cfg.mod.scheme == OOK:
-        return np.sqrt(np.einsum("ij,ij->i", win, win)), win.shape[1] - 1
+        return np.sqrt(np.einsum("ij,ij->i", win, win))
     tpl = cfg.pulse
     coef = np.zeros(win.shape[1])
     coef[-len(tpl):] = tpl
     if cfg.mod.scheme == PPM:
         coef[:len(tpl)] -= tpl
-    return sigma * math.sqrt((coef * coef).sum()), None
+    return sigma * math.sqrt((coef * coef).sum())
 
 
-def _noise_terms(rng, sigma, law, cfg, which):
+def _noise_terms(rng, sigma, scale, cfg, which):
     """Noise terms of the statistics of the windows which, drawn from
     their law (see _noise_law) rather than from W samples per window:
-    one normal per window, then for OOK one chi-square."""
-    scale, dof = law
+    one normal per window, then for OOK one chi-square of W - 1 degrees
+    of freedom."""
     z = rng.standard_normal(len(which))
     if cfg.mod.scheme != OOK:
         return scale * z
     extra = sigma * z * (2.0 * scale[which] + sigma * z)
-    extra += sigma * sigma * _chi2(rng, dof, len(which))
+    extra += sigma * sigma * _chi2(rng, cfg.window_len - 1, len(which))
     return extra / cfg.sample_rate
 
 
@@ -657,8 +643,6 @@ def calibrate_ook_threshold(
     width = cfg.window_len
     tpl = cfg.template.samples[:width]
     energy = float(np.dot(tpl, tpl))
-    if sigma == 0.0:
-        return 0.5 * energy / rate
     rng = np.random.default_rng(rng_seed)
     s0 = _chi2(rng, n * width)
     u = rng.standard_normal() / math.sqrt(n)

@@ -417,16 +417,35 @@ def test_huge_profile_value_exits_2_before_allocating(tmp_path, line, capsys):
     "argv",
     [["sweep", "--scheme", "bpam", "--bits", "1000", "--nc", str(10**15)],
      ["sweep", "--scheme", "ook", "--bits", "1000", "--tc", "1e15"],
-     ["session", "--tc", "1e15", "--script", "plan.txt"]],
+     ["session", "--tc", "1e15", "--script", "plan.txt"],
+     ["sweep", "--scheme", "ook", "--bits", "1000", "--tc", "1e20"],
+     ["compare", "--bits", "1000", "--tc", "1e20"],
+     ["session", "--tc", "1e20", "--script", "plan.txt"],
+     ["session", "--script", "huge.txt"]],
 )
 def test_sample_index_overflow_exits_2(tmp_path, monkeypatch, argv, capsys):
-    # bits times the frame length in samples is past the int64 range
+    # bits times the frame length in samples is past the int64 range,
+    # or (a t_c of 1e20 ns or more) a single frame is
     monkeypatch.chdir(tmp_path)
     (tmp_path / "plan.txt").write_text("@500 set tc=20 signal=1\n")
+    (tmp_path / "huge.txt").write_text("@100 set tc=1e30 signal=1\n")
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert "error:" in captured.err and "64-bit" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--scheme", "bpam", "--bits", "1000"],
+    ["codegen", "--out", "codes.txt"],
+], ids=["sweep", "codegen"])
+def test_n_c_past_int64_exits_2(tmp_path, monkeypatch, command, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(command + ["--nc", str(10**20)]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "n_c" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "codes.txt").exists()
 
 
 def test_long_frames_below_the_overflow_bound_run(capsys):

@@ -41,10 +41,11 @@ def test_prints_each_module_and_the_total(tmp_path, capsys):
         "    6 a", "    1 b", "    7 total", ""]
 
 
-# The line budget of src/uwbphy: its code lines may not grow past this
-# count. A change that raises it says why in CHANGES.md.
-SRC_CODE_LINES = 1653
+# The line budget of src/uwbphy: its code lines, exactly. A change that
+# raises it says why in CHANGES.md; one that lowers the count lowers it
+# with it, so the budget quoted in ROADMAP.md stays the count.
+SRC_CODE_LINES = 1648
 
 
 def test_src_stays_within_its_line_budget():
-    assert sum(code_lines.module_lines().values()) <= SRC_CODE_LINES
+    assert sum(code_lines.module_lines().values()) == SRC_CODE_LINES

@@ -48,6 +48,24 @@ class TestThParams:
         with pytest.raises(ConfigConflict):
             chip_samples(ThParams(t_c=1.03e-8, n_c=4), 1e8)
 
+    def test_nc_fits_int64(self):
+        assert ThParams(t_c=1e-8, n_c=2**63 - 1).n_c == 2**63 - 1
+        with pytest.raises(InvalidParams, match="n_c"):
+            ThParams(t_c=1e-8, n_c=2**63)
+
+    @pytest.mark.parametrize("t_c, n_c", [
+        (2**61, 4), (2**60 + 1, 8), (1e20, 8), (1e300, 2), (2.0, 2**62),
+    ])
+    def test_frame_past_int64_is_a_conflict(self, t_c, n_c):
+        with pytest.raises(ConfigConflict, match="64-bit sample index"):
+            chip_samples(ThParams(t_c=t_c, n_c=n_c), 1.0)
+
+    def test_frame_of_int64_max_samples_fits(self):
+        # 7 * 73 * 127 divides 2**63 - 1
+        n_c = 7 * 73 * 127
+        chip = (2**63 - 1) // n_c
+        assert chip_samples(ThParams(t_c=float(chip), n_c=n_c), 1.0) == chip
+
 
 class TestDataRate:
     def test_hundred_mbit(self):

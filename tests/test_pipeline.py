@@ -902,37 +902,40 @@ def test_integral_float_bits_equal_int_bits():
     )
 
 
-def test_window_keys_of_a_long_channel_take_several_words(monkeypatch):
+def test_windows_of_a_long_channel_group_over_many_steps():
     # six or more pulses reach each window through LONG_CHANNEL, each at
-    # one of about 6000 offsets, so a key spans more than one int64 word;
-    # each block has a channel, so a pass of its own
-    sorted_words = []
-    lexsort = np.lexsort
-    monkeypatch.setattr(
-        np, "lexsort",
-        lambda keys: sorted_words.append(len(keys)) or lexsort(keys),
-    )
+    # one of about 6000 offsets, so grouping refines over that many
+    # steps; each block has a channel, so a pass of its own
     cfg = _receiver("bpam")
     bits = random_bits(44, 900)
     blocks = [(b, 0, LONG_CHANNEL) for b in np.split(bits, 3)]
     records = list(simulate_block(blocks, cfg, cfg, math.inf))
-    assert sorted_words == [2, 2, 2]
     for got, (b, _, ch) in zip(records, blocks):
         _assert_same_statistics(
             got.statistics, _noiseless_reference(b, cfg, cfg, ch))
 
 
-def test_packed_window_keys_stay_exact_past_one_word():
+def test_refined_window_groups_stay_exact_past_one_word():
     # four reaching pulses, each read from one of 2**16 + 1 positions
-    # of either of two padded rows, take more than the 64 bits of a
-    # word: the key spans two, and window 1, whose last pulse alone
-    # differs (in its row), must keep its own
+    # of either of two padded rows, span more than the 64 bits of a
+    # word: window 1, whose last pulse alone differs (in its row), keeps
+    # its own group, and so do windows 3 and 4, which read the same two
+    # indices in swapped order
     stride = 2**16 + 1
-    read = np.repeat([[4], [3], [2], [1]], 3, axis=1)
+    read = np.repeat([[4], [3], [2], [1]], 5, axis=1)
     read[3, 1] += stride
+    read[:2, 3] = [5, 6]
+    read[:2, 4] = [6, 5]
     rep, which = _distinct_windows(read, radix=2 * stride)
-    assert len(rep) == 2
-    assert which[0] == which[2] != which[1]
+    assert len(rep) == 4
+    assert which[0] == which[2]
+    assert len({which[0], which[1], which[3], which[4]}) == 4
+    np.testing.assert_array_equal(which[rep], np.arange(4))
+
+
+def test_an_empty_pass_has_no_window_groups():
+    rep, which = _distinct_windows(np.zeros((3, 0), dtype=np.int64), 10)
+    assert len(rep) == len(which) == 0
 
 
 @pytest.mark.parametrize("scheme", ["ook", "bpam", "ppm"])

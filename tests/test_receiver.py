@@ -481,6 +481,25 @@ class TestCalibration:
         theta = calibrate_ook_threshold(cfg, np.inf, 0.5, 500, rng_seed=1)
         assert theta == pytest.approx(0.5, abs=1e-9)
 
+    @pytest.mark.parametrize("shift, window", [
+        (0, None), (0, 40 / RATE), (3, 2 / RATE),
+    ], ids=["default-window", "short-window", "zero-energy-window"])
+    def test_noiseless_threshold_is_exactly_half_window_energy(
+        self, fast_params, fast_code, fast_template, shift, window
+    ):
+        # without noise the general formula gives 0.5 * (0 + E / rate),
+        # the same float as 0.5 * E / rate, E the energy of the window's
+        # template samples; three leading zeros leave a 2-sample window
+        # none
+        template = shifted(fast_template, shift)
+        cfg = make_receiver("ook", fast_params, fast_code, template,
+                            integration_window=window)
+        tpl = template.samples[:cfg.window_len]
+        energy = float(np.dot(tpl, tpl))
+        theta = calibrate_ook_threshold(cfg, np.inf, 0.5, 500, rng_seed=1)
+        assert theta == 0.5 * energy / RATE
+        assert (energy == 0.0) == (shift > 0)
+
     def test_deterministic(self, fast_params, fast_code, fast_template):
         cfg = make_receiver("ook", fast_params, fast_code, fast_template)
         a = calibrate_ook_threshold(cfg, 8.0, 0.5, 500, rng_seed=7)
