@@ -19,7 +19,7 @@ else in the package.
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -53,16 +53,6 @@ MAX_EXCESS_DELAY_NS = 1e4
 # float64 has 52 mantissa bits: a finer lattice cannot be represented,
 # so quantization at such widths degenerates to clipping.
 _IDENTITY_BITS = 52
-
-_PROFILE_KEYS = (
-    "cluster_arrival_rate",
-    "ray_arrival_rate",
-    "cluster_decay",
-    "ray_decay",
-    "mean_clusters",
-    "max_excess_delay",
-)
-
 
 @dataclass(frozen=True)
 class SvProfile:
@@ -109,6 +99,11 @@ class SvProfile:
             )
 
 
+# The numeric fields, in field order: validated in this order, and the
+# keys of a profile file.
+_PROFILE_KEYS = tuple(
+    f.name for f in fields(SvProfile) if f.name != "profile_id")
+
 # Residential-LOS-style parameter set.
 CM1_LIKE = SvProfile(
     cluster_arrival_rate=0.047,
@@ -127,7 +122,7 @@ def load_profile_file(path, base=CM1_LIKE):
     Unknown keys are rejected. Blank lines and `#` comments are skipped.
     Values are in the SvProfile units (ns-based).
     """
-    fields = {k: getattr(base, k) for k in _PROFILE_KEYS}
+    values = {k: getattr(base, k) for k in _PROFILE_KEYS}
     for lineno, line in read_lines(path):
         key, sep, value = line.partition("=")
         key = key.strip()
@@ -136,13 +131,13 @@ def load_profile_file(path, base=CM1_LIKE):
         if key not in _PROFILE_KEYS:
             raise FormatError(f"{path}:{lineno}: unknown profile key {key!r}")
         try:
-            fields[key] = float(value.strip())
+            values[key] = float(value.strip())
         except ValueError:
             raise FormatError(
                 f"{path}:{lineno}: value for {key!r} is not a number"
             ) from None
     try:
-        return SvProfile(profile_id=f"file:{path}", **fields)
+        return SvProfile(profile_id=f"file:{path}", **values)
     except InvalidParams as exc:
         raise FormatError(f"{path}: {exc}") from None
 
@@ -187,22 +182,6 @@ class ChannelRealization:
 IDENTITY_CHANNEL = ChannelRealization(taps=((0.0, 1.0),), profile_id="identity")
 
 
-def _poisson_arrivals(rng, rate_per_ns, window_ns):
-    """Arrival times (ns) of a Poisson process on (0, window_ns]."""
-    times = []
-    t = 0.0
-    # draw gaps in batches; expected count is rate * window
-    batch = max(16, int(rate_per_ns * window_ns * 1.5) + 16)
-    while True:
-        gaps = rng.exponential(1.0 / rate_per_ns, size=batch)
-        arrivals = t + np.cumsum(gaps)
-        inside = arrivals[arrivals <= window_ns]
-        times.append(inside)
-        if len(inside) < len(arrivals):
-            return np.concatenate(times)
-        t = float(arrivals[-1])
-
-
 def draw_channel(profile, rng_seed):
     """Draw one multipath realization from the profile.
 
@@ -225,9 +204,10 @@ def draw_channel(profile, rng_seed):
     for t_l in cluster_starts:
         if t_l > window:
             continue
-        rays = np.concatenate(
-            ([0.0], _poisson_arrivals(rng, profile.ray_arrival_rate, window - t_l))
-        )
+        # a window's Poisson process: a Poisson count of sorted uniforms
+        span = window - t_l
+        rays = np.concatenate(([0.0], np.sort(rng.uniform(
+            0.0, span, rng.poisson(profile.ray_arrival_rate * span)))))
         delays.append(t_l + rays)
         powers.append(
             np.exp(-t_l / (2.0 * profile.cluster_decay))

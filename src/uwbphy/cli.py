@@ -12,12 +12,15 @@ Exit codes: 0 on success, 2 on configuration errors, 3 on I/O errors.
 import argparse
 import functools
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .channel import CM1_LIKE, load_profile_file
 from .errors import PhyError, check_int, write_text
 from .framing import (
+    DEFAULT_PARAMS,
+    MAX_CODE_LENGTH,
     CodeBank,
     ThParams,
     generate_code,
@@ -61,9 +64,9 @@ def _add_link_flags(sub):
     """The flags sweep, compare and session share: the seed, the frame
     geometry (a session's initial one) and the output file."""
     sub.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    sub.add_argument("--tc", type=float, default=10.0,
+    sub.add_argument("--tc", type=float, default=DEFAULT_PARAMS.t_c * 1e9,
                      help="chip duration in ns (default %(default)s)")
-    sub.add_argument("--nc", type=int, default=8,
+    sub.add_argument("--nc", type=int, default=DEFAULT_PARAMS.n_c,
                      help="chips per frame (default %(default)s)")
     sub.add_argument("--out", metavar="PATH",
                      help="output file (default: stdout)")
@@ -165,9 +168,12 @@ def _cmd_session(args):
 
 def _cmd_codegen(args):
     check_int(args.count, "--count", 1)
-    params = ThParams(t_c=10e-9, n_c=args.nc)
+    length = check_int(args.length, "code length", 1, MAX_CODE_LENGTH)
+    # every code is built before the file is written
+    check_int(args.count * length, "--count * --length", 1, MAX_CODE_LENGTH)
+    params = replace(DEFAULT_PARAMS, n_c=args.nc)
     codes = [
-        generate_code(args.seed + i, args.length, params)
+        generate_code(args.seed + i, length, params)
         for i in range(args.count)
     ]
     write_code_file(args.out, codes)
@@ -215,7 +221,7 @@ def build_parser():
     p_gen = sub.add_parser("codegen", help="generate a TH-code file")
     p_gen.add_argument("--nc", type=int, required=True,
                        help="chips per frame the codes must fit")
-    p_gen.add_argument("--length", type=int, default=8)
+    p_gen.add_argument("--length", type=int, default=DEFAULT_CODE_LENGTH)
     p_gen.add_argument("--count", type=int, default=1)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True, metavar="PATH")

@@ -31,6 +31,10 @@ _GRID_EPS = 1e-6
 # Sample positions are int64: a frame, and n_c, must fit below this.
 _INT64_MAX = np.iinfo(np.int64).max
 
+# The most offsets generate_code draws for one code, and codegen writes
+# in all: about 8 MB of int64 (a length of 10**9 would ask for 7.5 GB).
+MAX_CODE_LENGTH = 1 << 20
+
 
 @dataclass(frozen=True)
 class ThParams:
@@ -136,10 +140,11 @@ def require_code(code, params):
 def generate_code(seed, length, params):
     """Draw a pseudo-random code, uniform over [0, n_c - 1] per frame.
 
-    Deterministic: the same seed always yields the same code.
+    Deterministic: the same seed always yields the same code. length
+    is at most MAX_CODE_LENGTH.
     """
     seed = check_int(seed, "seed", 0)
-    length = check_int(length, "code length", 1)
+    length = check_int(length, "code length", 1, MAX_CODE_LENGTH)
     rng = np.random.default_rng(seed)
     offsets = tuple(int(c) for c in rng.integers(0, params.n_c, size=length))
     return ThCode(offsets=offsets, code_id=f"gen{seed}")

@@ -107,7 +107,7 @@ class SweepConfig:
             raise InvalidParams("ebn0_grid must be strictly increasing")
         object.__setattr__(self, "ebn0_grid", grid)
         object.__setattr__(self, "n_bits_per_point", check_int(
-            self.n_bits_per_point, "n_bits_per_point", 1000))
+            self.n_bits_per_point, "n_bits_per_point", BLOCK_BITS))
         if self.quant_bits is not None:
             object.__setattr__(self, "quant_bits", check_int(
                 self.quant_bits, "quant_bits", 1, 64))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.stats import kstest, poisson
 
 from uwbphy import (
     CM1_LIKE,
@@ -48,7 +49,7 @@ SMALL_SV = SvProfile(
 )
 
 CM1_TAPS_DIGEST = (
-    "03a20ea9cf5c654cd38459d9874f410441a08707556e039c55671eed2639fac8"
+    "11cdaa82d6f27c911c2c01d7bf1a6318ce43664f51c8e875964f454954669532"
 )
 
 
@@ -184,6 +185,22 @@ class TestDrawChannel:
         expected = oracles.expected_sv_tap_count(SMALL_SV)
         stderr = counts.std(ddof=1) / np.sqrt(n_draws)
         assert abs(counts.mean() - expected) <= 3 * stderr
+
+    def test_rays_of_one_cluster_are_a_poisson_count_of_uniform_delays(self):
+        # mean_clusters near 0 leaves the one cluster every draw has, so
+        # the taps past the first are the rays of a Poisson process on
+        # the window: their count is Poisson(rate * window) and, given
+        # the count, their delays are i.i.d. uniform over the window.
+        # Each test fails under the law with probability at most alpha.
+        alpha, n_draws = 1e-3, 400
+        one = replace(SMALL_SV, mean_clusters=1e-6, profile_id="one")
+        window = one.max_excess_delay
+        delays = [draw_channel(one, rng_seed=s).delays()[1:] * 1e9
+                  for s in range(n_draws)]
+        total = sum(map(len, delays))
+        law = poisson(n_draws * one.ray_arrival_rate * window)
+        assert 2 * min(law.cdf(total), law.sf(total - 1)) > alpha
+        assert kstest(np.concatenate(delays) / window, "uniform").pvalue > alpha
 
 
 class TestApplyChannel:

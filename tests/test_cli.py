@@ -10,6 +10,7 @@ import pytest
 from uwbphy import SweepConfig, ThParams, load_code_file, read_csv, run_sweep
 from uwbphy import cli
 from uwbphy.cli import main
+from uwbphy.framing import MAX_CODE_LENGTH
 from uwbphy.harness import CSV_HEADER, SESSION_CSV_HEADER
 
 
@@ -111,6 +112,14 @@ class TestSweepCommand:
         with pytest.raises(SystemExit) as exc:
             run(["sweep", "--ebn0", "0"])
         assert exc.value.code == 2
+
+    def test_grid_with_a_non_number_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["sweep", "--scheme", "bpam", "--ebn0", "1,x"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "expected comma-separated numbers, got '1,x'" in captured.err
+        assert captured.out == ""
 
     def test_config_error_exits_2(self, capsys):
         rc = run(["sweep", "--scheme", "bpam", "--bits", "50"])
@@ -385,6 +394,31 @@ class TestCodegenCommand:
         assert rc == 2
         assert "--count must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [
+        ["--length", "1000000000"],
+        ["--count", "100000000"],
+        ["--length", str(MAX_CODE_LENGTH), "--count", "2"],
+    ], ids=["length", "count", "length-times-count"])
+    def test_huge_code_file_exits_2_before_allocating(self, tmp_path, extra,
+                                                      capsys):
+        # codegen builds every code before it writes the file, so the
+        # codes together may hold at most MAX_CODE_LENGTH offsets
+        out = tmp_path / "codes.txt"
+        tracemalloc.start()
+        try:
+            rc = run(["codegen", "--nc", "8", "--out", str(out)] + extra)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+        assert str(MAX_CODE_LENGTH) in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+        assert peak < 1 << 20
 
     def test_bad_directory_exits_3(self, capsys):
         rc = run(["codegen", "--nc", "4", "--out", "/no/such/dir/codes.txt"])

@@ -34,22 +34,22 @@ RUNS = {
     "sweep-bpam-cm1-q12": (
         ["sweep", "--scheme", "bpam", "--ebn0", "4,10", "--bits", "2000",
          "--seed", "6", "--channel", "multipath", "--quant-bits", "12"],
-        "79851a3b3a61be46d2f34da2d5b554b8e0fa3f39629aea0a8e01354a26ce0700",
+        "e4e950fc43c46b9a9fdf9ffd5371f8a424fdf9f3916bbff02ba4066d60e92090",
     ),
     "sweep-ppm-cm1-q12": (
         ["sweep", "--scheme", "ppm", "--ebn0", "4,10", "--bits", "2000",
          "--seed", "6", "--channel", "multipath", "--quant-bits", "12"],
-        "7877fd8ac2e1ceb872bf7d50aee8249b8a85366b0f583a268de15903e6eeca4e",
+        "e755efd268b1c0005fe66d28fb3923359f69e503015c3e00ee9e8c7f948af1ea",
     ),
     "sweep-ook-cm1": (
         ["sweep", "--scheme", "ook", "--ebn0", "4,10", "--bits", "2000",
          "--seed", "6", "--channel", "multipath"],
-        "82ff7b59e26c99b207e0e2189604a12d4a219effec65da469594312df72c2a81",
+        "03d8bd72a4bb0d51f5c5c0424fe11241fe9cf96d054220c58f08173d47e9f02d",
     ),
     "sweep-bpam-cm1": (
         ["sweep", "--scheme", "bpam", "--ebn0", "4,10", "--bits", "2000",
          "--seed", "6", "--channel", "multipath"],
-        "0a00ea693b9ac06b49e8d6d05c676f86911cbe7f8a02bc38d6dfa7408d441b20",
+        "0d81aa917f9690a86e83b87df9d34f86a5e73b50a2d78c94b5905d1e12d4f37a",
     ),
     "session-ppm-fault": (
         ["session", "--scheme", "ppm", "--ebn0", "8", "--bits", "1200",

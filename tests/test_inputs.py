@@ -43,6 +43,7 @@ from uwbphy import (
     synchronize,
 )
 from uwbphy.cli import main
+from uwbphy.framing import MAX_CODE_LENGTH
 from uwbphy.harness import CSV_HEADER
 from uwbphy.receiver import simulate_block
 
@@ -91,6 +92,7 @@ REFUSED = {
     "pulse duration inf": lambda: PulseShape(tau=0.5e-9, duration=INF),
     "ppm delta inf": lambda: ModulationConfig("ppm", delta=INF),
     "code offset 1.5": lambda: ThCode((1.5, 2), code_id="c"),
+    "code offsets empty": lambda: ThCode((), code_id="c"),
     "sweep bits 1500.5": lambda: SweepConfig(
         "bpam", (0.0,), n_bits_per_point=1500.5),
     "sweep base_seed 1.5": lambda: SweepConfig(
@@ -101,6 +103,8 @@ REFUSED = {
     "calibration frames 100.5": lambda: _calibrate(100.5),
     "calibration frames nan": lambda: _calibrate(NAN),
     "code length 2.5": lambda: generate_code(0, 2.5, PARAMS),
+    "code length past the bound": lambda: generate_code(
+        0, MAX_CODE_LENGTH + 1, PARAMS),
     "request frame 2.5": lambda: ReconfigRequest(effective_frame=2.5),
     "ber errors 2.5": lambda: BerPoint(ebn0_db=0.0, errors=2.5, bits=10),
     "signal rate inf": lambda: SampledSignal(np.zeros(3), INF),

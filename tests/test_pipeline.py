@@ -120,28 +120,28 @@ def _clean(bits, cfg, channel=None):
 DEMODULATE_DIGESTS = {
     "ook-float-awgn-fast": "b04fdf8b6304596a",
     "ook-float-awgn-edge": "1ab0e80549d226dd",
-    "ook-float-cm1-fast": "03dd718a10a58982",
-    "ook-float-cm1-edge": "6c8911e549d8781a",
+    "ook-float-cm1-fast": "6e4f13ae51ea19c5",
+    "ook-float-cm1-edge": "5b1b2b548e48036e",
     "ook-q12-awgn-fast": "450ddae9e9acbdb8",
     "ook-q12-awgn-edge": "5002e1cfa267241f",
-    "ook-q12-cm1-fast": "272e9fb4360d7a0b",
-    "ook-q12-cm1-edge": "edd44638dd058185",
+    "ook-q12-cm1-fast": "6374cf62b3f247e6",
+    "ook-q12-cm1-edge": "f01fed349477e50c",
     "bpam-float-awgn-fast": "c45886468b9c2616",
     "bpam-float-awgn-edge": "be4d1abaee4edf92",
-    "bpam-float-cm1-fast": "31bbdfc6315ba309",
-    "bpam-float-cm1-edge": "6eb8d40518d21080",
+    "bpam-float-cm1-fast": "3adc2ad8dcd02f4c",
+    "bpam-float-cm1-edge": "79f1c8c0ec71bd3d",
     "bpam-q12-awgn-fast": "11cb188521e68603",
     "bpam-q12-awgn-edge": "ad7f46b922bf3c67",
-    "bpam-q12-cm1-fast": "344243ac8d22cfaa",
-    "bpam-q12-cm1-edge": "a8c9566822b7f0b6",
+    "bpam-q12-cm1-fast": "f3b0c83867e125ab",
+    "bpam-q12-cm1-edge": "5b7dfd964a34b667",
     "ppm-float-awgn-fast": "166ea65d5861a4e8",
     "ppm-float-awgn-edge": "58823e9eaf6f24ef",
-    "ppm-float-cm1-fast": "b94a1d3dbc812e77",
-    "ppm-float-cm1-edge": "2e95787482b4a72d",
+    "ppm-float-cm1-fast": "55ed7f7662621029",
+    "ppm-float-cm1-edge": "29fd74a833b474ee",
     "ppm-q12-awgn-fast": "fe4dc76ca6522a62",
     "ppm-q12-awgn-edge": "0104cc32832535e0",
-    "ppm-q12-cm1-fast": "56dc32c68920df24",
-    "ppm-q12-cm1-edge": "c7d4e61309eb55a9",
+    "ppm-q12-cm1-fast": "fdaac557f7ee0f36",
+    "ppm-q12-cm1-edge": "3cc4999581070cdb",
 }
 
 
@@ -645,11 +645,11 @@ BLOCK_DIGESTS = {
         "edge": "3c7f34d5071e841d",
     },
     "ook-cm1": {
-        "default": "30d5b90212ad53dc",
-        "fast": "437231eb07779f7f",
-        "cut": "922e1129366f41c5",
-        "fast>cut": "24ceddbb9d985bed",
-        "edge": "4dbf9b69a5e83c9f",
+        "default": "6cdce34f09477ea7",
+        "fast": "d50e51eae1cda657",
+        "cut": "8d55d32438b849cc",
+        "fast>cut": "ebdf5087aae0738f",
+        "edge": "a1e32044b82b005f",
     },
     "bpam-none": {
         "default": "7ca4e98362e485e5",
@@ -666,11 +666,11 @@ BLOCK_DIGESTS = {
         "edge": "d146e8bc539d0507",
     },
     "bpam-cm1": {
-        "default": "25817a1851b7832b",
-        "fast": "5c83bc995ed89cdf",
-        "cut": "a9b8245368db7690",
-        "fast>cut": "6788dc4df1cc2e6e",
-        "edge": "7d5ce16699f0a3ee",
+        "default": "fae558771ee71d22",
+        "fast": "142bc134ecf23e00",
+        "cut": "408e05686e45b7ee",
+        "fast>cut": "c8a2c484a582bdf2",
+        "edge": "727b9fef74688a6d",
     },
     "ppm-none": {
         "default": "22fa0a29e2605372",
@@ -687,11 +687,11 @@ BLOCK_DIGESTS = {
         "edge": "4bb0686b2418da7e",
     },
     "ppm-cm1": {
-        "default": "c23d616897daee53",
-        "fast": "2e4c93076b9cc9ac",
-        "cut": "a97bb150cb55d50c",
-        "fast>cut": "07ac47ce3915a5cb",
-        "edge": "3fa374ae4a3fda6b",
+        "default": "42ae42de49694b43",
+        "fast": "629ed063085c80dd",
+        "cut": "47e04cdb947e4fbe",
+        "fast>cut": "6a655d85e62fbfd6",
+        "edge": "c46f3678ee4ba822",
     },
 }
 
