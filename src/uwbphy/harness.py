@@ -4,13 +4,16 @@ emission, and side-by-side architecture comparison.
 A sweep is a pure function of its SweepConfig: bit, noise, channel, and
 calibration random streams are all derived from the base seed, point
 index, and block index, so repeated runs are byte-identical. Work is
-done in blocks of BLOCK_BITS bits, each with its own bit, noise and
-channel streams; in multipath mode each block sees a fresh channel
-realization. A point's blocks go to one receiver.simulate_block call
-(the receiver module's docstring describes the pipeline), and its
-errors are the sum of the errors of the records that call yields. The
-receiver is genie-synchronized (zero timing offset); matched-filter
-acquisition is exercised separately.
+done in blocks of BLOCK_BITS bits. Block k's bits and channel are keyed
+by k and the base seed alone, so every grid point sees them (common
+random numbers); each point draws its own noise in each block and
+calibrates its own OOK threshold (see point_seeds). In multipath mode
+each block sees a fresh channel realization. The sweep's blocks go to
+one receiver.simulate_links call with one link per point (the receiver
+module's docstring describes the pipeline), so each pass builds the
+clean side once for the whole grid, and a point's errors are the sum of
+the errors of its records. The receiver is genie-synchronized (zero
+timing offset); matched-filter acquisition is exercised separately.
 
 The sweep axis is Eb/N0. With unit-energy pulses BPAM and PPM spend one
 energy unit per bit; OOK transmits nothing for a 0, so its
@@ -33,7 +36,7 @@ from .errors import (
     read_lines,
 )
 from .framing import DEFAULT_PARAMS, ThCode, ThParams, generate_code
-from .receiver import ReceiverConfig, calibrated, simulate_block
+from .receiver import ReceiverConfig, calibrated, simulate_links
 from .transmitter import PPM, ModulationConfig
 from .waveform import (
     DEFAULT_PULSE,
@@ -171,42 +174,54 @@ def point_seeds(base_seed, point_index):
     """Independent (bits, noise, channel, calibration) stream bases for
     one grid point. Per-block streams XOR the block index in, which is
     the seed-splitting contract parallel runners must follow. Both
-    arguments are integers >= 0 (see check_int)."""
+    arguments are integers >= 0 (see check_int).
+
+    A sweep takes its bits and channels from point 0's entries for every
+    point: block k's come from bits ^ k and channel ^ k of
+    point_seeds(base_seed, 0), so they are common to the grid, and point
+    i draws only its noise (noise ^ k) and its OOK calibration from
+    point_seeds(base_seed, i). Point 0's row is then what it was when
+    each point had bits and channels of its own. Do not derive a shared
+    stream from a fresh SeedSequence([base_seed]): numpy gives it the
+    state of SeedSequence([base_seed, 0]), so its draws would repeat
+    point 0's streams, noise included.
+    """
     entropy = [check_int(base_seed, "base_seed", 0),
                check_int(point_index, "point_index", 0)]
     state = np.random.SeedSequence(entropy).generate_state(4, dtype=np.uint64)
     return tuple(int(s) for s in state)
 
 
-def _blocks(cfg, seeds):
-    """Each BLOCK_BITS block of a point as simulate_block takes it: its
-    bits, its noise seed and its channel realization (None for AWGN)."""
-    bits_base, noise_base, chan_base, _ = seeds
-    n_bits = cfg.n_bits_per_point
-    for block, done in enumerate(range(0, n_bits, BLOCK_BITS)):
-        bits = np.random.default_rng(bits_base ^ block).integers(
-            0, 2, size=min(BLOCK_BITS, n_bits - done), dtype=np.int64
-        )
-        channel = None
-        if cfg.channel is not None:
-            channel = draw_channel(cfg.channel, chan_base ^ block)
-        yield bits, noise_base ^ block, channel
-
-
-def _run_point(cfg, ebn0_db, seeds):
-    rcfg = calibrated(cfg.receiver, cfg.receiver, ebn0_db, seeds[3])
-    blocks = simulate_block(_blocks(cfg, seeds), rcfg, rcfg, ebn0_db)
-    errors = sum(block.errors for block in blocks)
-    return BerPoint(ebn0_db=ebn0_db, errors=errors, bits=cfg.n_bits_per_point)
-
-
 def run_sweep(cfg):
     """Run the full grid and return one BerPoint per Eb/N0 value.
 
-    Deterministic: the output is a pure function of cfg.
+    Deterministic: the output is a pure function of cfg, and point i's
+    BerPoint one of cfg's link, base seed, i and Eb/N0 alone, whatever
+    the rest of the grid (see point_seeds). Every point sees the same
+    bits and channel in block k, so the sweep runs block by block, each
+    pass building its clean side once for the whole grid
+    (receiver.simulate_links).
     """
-    return [_run_point(cfg, ebn0_db, point_seeds(cfg.base_seed, index))
-            for index, ebn0_db in enumerate(cfg.ebn0_grid)]
+    rx, n_bits = cfg.receiver, cfg.n_bits_per_point
+    seeds = [point_seeds(cfg.base_seed, i) for i in range(len(cfg.ebn0_grid))]
+    links = tuple((calibrated(rx, rx, ebn0_db, s[3]), ebn0_db)
+                  for s, ebn0_db in zip(seeds, cfg.ebn0_grid))
+    bits_base, _, chan_base, _ = seeds[0]
+
+    def blocks():
+        for block, done in enumerate(range(0, n_bits, BLOCK_BITS)):
+            bits = np.random.default_rng(bits_base ^ block).integers(
+                0, 2, size=min(BLOCK_BITS, n_bits - done), dtype=np.int64)
+            channel = None if cfg.channel is None else draw_channel(
+                cfg.channel, chan_base ^ block)
+            yield bits, [s[1] ^ block for s in seeds], channel
+
+    # one record per block and point, points in grid order in a block
+    errors = [0] * len(links)
+    for k, record in enumerate(simulate_links(blocks(), rx, links)):
+        errors[k % len(links)] += record.errors
+    return [BerPoint(ebn0_db=ebn0_db, errors=e, bits=n_bits)
+            for ebn0_db, e in zip(cfg.ebn0_grid, errors)]
 
 
 def _fmt(x):
@@ -329,6 +344,12 @@ class ComparisonTable:
 def compare_architectures(cfgs):
     """Run several sweeps sharing one grid and bit budget; rank the
     architectures at every grid point.
+
+    Each sweep runs on its own (run_sweep), but its bits and channels
+    follow from the block index and its base seed alone, so
+    architectures with one base seed (and one channel profile) see the
+    same bits and channel in every block, at every grid point: their
+    BERs are paired by block.
 
     Raises GridMismatch unless all configs share the Eb/N0 grid and
     n_bits_per_point.

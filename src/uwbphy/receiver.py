@@ -25,11 +25,13 @@ states the rule for an AGC); accumulators stay in double precision
 either way.
 
 simulate_block runs blocks over the link without building their
-waveforms, and scores them: sweeps and sessions only calibrate OOK
-(calibrated) and sum or report the records. Each block yields one
-ScoredBlock: the statistic of each whole rx frame of its received
-waveform (its frames plus the channel's spread, at most one per bit),
-the decisions, and the errors against its bits, where each bit the
+waveforms, and scores them; simulate_links runs them over several
+links at once, receivers alike up to their OOK threshold, such as the
+points of a sweep. Sweeps and sessions only calibrate OOK (calibrated)
+and sum or report the records. Each block yields one ScoredBlock per
+link: the statistic of each whole rx frame of its received waveform
+(its frames plus the channel's spread, at most one per bit), the
+decisions, and the errors against its bits, where each bit the
 receiver never produced (a longer rx frame after a one-sided
 reconfiguration) is one.
 
@@ -55,28 +57,29 @@ channel has a layout, so a pass, of its own. The open pass runs before
 the next block's layout is built, so nothing is read ahead: a pass
 never shares memory with the block after it. Per block a pass only
 copies the bits that one take through the layout turns into the flat
-index of each reaching pulse, draws the noise and scores the
-decisions. No sample position spans two blocks, so only each block's
-own positions must fit the int64 range. Each window the receiver reads
-is the sum of the rows that reach into it, a handful per window even
-on CM1. Those windows repeat: the content of one follows from the flat
-indices it reads, so a pass's windows are grouped by them and each
-distinct one is built once (about 70 of 1000 on a default-geometry CM1
-block; two for a whole pass of AWGN blocks).
+index of each reaching pulse; per block and link it draws the noise
+and scores the decisions. No sample position spans two blocks, so only
+each block's own positions must fit the int64 range. Each window the
+receiver reads is the sum of the rows that reach into it, a handful
+per window even on CM1. Those windows repeat: the content of one
+follows from the flat indices it reads, so a pass's windows are
+grouped by them and each distinct one is built once (about 70 of 1000
+on a default-geometry CM1 block; two for a whole pass of AWGN blocks).
 
-The random streams stay per block: each block draws its noise from its
-own seed. With white noise the window samples are a sufficient
-statistic for the decision, so noise anywhere else would never be
-read. On the floating-point datapath the statistic is linear in the
-noise for BPAM and PPM and a noncentral chi-square for OOK, so no noise
-sample is drawn at all: each frame's statistic is its distinct clean
-window's plus a noise term from its exact law, one or two variates per
-frame. The quantized datapath draws white noise for every window
-sample, adds the clean windows into that one buffer and quantizes it
-in place. The result equals place_pulse_train, apply_channel, add_awgn
-and demodulate on the whole block in distribution, not sample for
-sample; without noise it equals them up to float rounding in multipath
-sums.
+The clean side of a pass (its layout, grouping, distinct windows and
+their clean statistics) serves every link; only the noise is a link's
+own: each block draws each link's noise from that link's seed. With
+white noise the window samples are a sufficient statistic for the
+decision, so noise anywhere else would never be read. On the
+floating-point datapath the statistic is linear in the noise for BPAM
+and PPM and a noncentral chi-square for OOK, so no noise sample is
+drawn at all: each frame's statistic is its distinct clean window's
+plus a noise term from its exact law, one or two variates per frame.
+The quantized datapath draws white noise for every window sample, adds
+the clean windows into that one buffer and quantizes it in place. The
+result equals place_pulse_train, apply_channel, add_awgn and
+demodulate on the whole block in distribution, not sample for sample;
+without noise it equals them up to float rounding in multipath sums.
 """
 
 import math
@@ -129,7 +132,7 @@ from .waveform import SampledSignal
 # in one gather.
 _MERGE_ROWS = 64
 
-# Blocks that simulate_block runs through one pass: enough to share a
+# Blocks that simulate_links runs through one pass: enough to share a
 # pass's fixed cost, few enough that its per-frame arrays stay small
 # beside one block's windows however many bits a sweep point has.
 _PASS_BLOCKS = 8
@@ -307,10 +310,7 @@ def _statistics(win, cfg):
     win is modified in place; the ADC of cfg.datapath, if any, samples
     the windows and quantizes the template at the same full scale.
     """
-    if cfg.mod.scheme == OOK and cfg.threshold is None:
-        raise UncalibratedThreshold(
-            "OOK threshold is unset; run calibrate_ook_threshold first"
-        )
+    threshold = _threshold(cfg)
     tpl = cfg.pulse
     if cfg.datapath is not None:
         adc = cfg.datapath.for_samples(win)
@@ -318,7 +318,7 @@ def _statistics(win, cfg):
         tpl = quantize_array(tpl, adc)
     if cfg.mod.scheme == OOK:
         energy = np.einsum("ij,ij->i", win, win) / cfg.sample_rate
-        return energy - cfg.threshold
+        return energy - threshold
     # einsum rather than a BLAS matrix-vector product: BLAS spreads
     # these small products over threads that cost more CPU than they
     # save and make the cost depend on what else the host runs
@@ -326,6 +326,16 @@ def _statistics(win, cfg):
     if cfg.mod.scheme == BPAM:
         return nominal
     return np.einsum("ij,j->i", win[:, -len(tpl):], tpl) - nominal
+
+
+def _threshold(cfg):
+    """The threshold of an OOK receiver cfg, None for BPAM and PPM.
+
+    Raises UncalibratedThreshold for an OOK receiver without one."""
+    if cfg.mod.scheme == OOK and cfg.threshold is None:
+        raise UncalibratedThreshold(
+            "OOK threshold is unset; run calibrate_ook_threshold first")
+    return cfg.threshold
 
 
 def decide(statistics):
@@ -390,8 +400,9 @@ def calibrated(tx, rx, ebn0_db, seed):
 
 
 def simulate_block(blocks, tx, rx, ebn0_db):
-    """Send blocks of bits from tx to rx at ebn0_db (Eb of tx's scheme)
-    and yield a ScoredBlock for each, in order.
+    """Send blocks of bits from tx to rx at ebn0_db (Eb of tx's scheme):
+    an iterator of a ScoredBlock for each, in order, that runs them as
+    simulate_links runs one link.
 
     blocks is an iterable of (bits, noise_seed, channel) triples, read
     one at a time: a pass ends when it is full or when the next block
@@ -408,28 +419,48 @@ def simulate_block(blocks, tx, rx, ebn0_db):
     InvalidParams for bits other than 0 and 1 or a block whose sample
     positions do not fit a 64-bit integer.
     """
-    if tx.sample_rate != rx.sample_rate:
-        raise RateMismatch(f"tx at {tx.sample_rate:g} S/s but rx at "
-                           f"{rx.sample_rate:g} S/s")
+    blocks = ((bits, (seed,), channel) for bits, seed, channel in blocks)
+    return simulate_links(blocks, tx, ((rx, ebn0_db),))
+
+
+def simulate_links(blocks, tx, links):
+    """simulate_block over several links that share tx, their blocks
+    and their channels, one block at a time.
+
+    links holds an (rx, ebn0_db) pair per link, the receivers alike up
+    to their OOK threshold (calibrated copies of one receiver), and each
+    block is a (bits, noise_seeds, channel) triple with a noise seed per
+    link. Yields, block by block, one ScoredBlock per link in the order
+    of links, each bit for bit that link's own simulate_block record.
+    Each pass builds its windows and their clean statistics once for
+    every link; per link it only scales and draws the noise. Raises
+    what simulate_block raises.
+    """
+    for rx, _ in links:
+        if tx.sample_rate != rx.sample_rate:
+            raise RateMismatch(f"tx at {tx.sample_rate:g} S/s but rx at "
+                               f"{rx.sample_rate:g} S/s")
+    links = tuple((rx, noise_sigma(e, ENERGY_PER_BIT[tx.mod.scheme],
+                                   rx.sample_rate)) for rx, e in links)
+    rx = links[0][0]
     # the rows sent are the shape set of every block without a channel
     starts, shared = pulse_table(tx.mod, tx.params, tx.code, tx.template)
-    sigma = noise_sigma(ebn0_db, ENERGY_PER_BIT[tx.mod.scheme], rx.sample_rate)
     # a block without a channel shares the layout before it if that was
     # of a block as long and without a channel too
     batch, shared_len = [], None
-    for bits, noise_seed, channel in blocks:
+    for bits, noise_seeds, channel in blocks:
         bits = _as_bits(bits)
         same = channel is None and len(bits) == shared_len
         if batch and (not same or len(batch) == _PASS_BLOCKS):
-            yield from _run_pass(batch, *layout, rx, sigma)
+            yield from _run_pass(batch, *layout, links)
             batch = []
         if not same:
             layout = _layout(tx, rx, starts, len(bits), shared
                              if channel is None else _shapes(tx, channel))
         shared_len = len(bits) if channel is None else None
-        batch.append((bits, noise_seed))
+        batch.append((bits, noise_seeds))
     if batch:
-        yield from _run_pass(batch, *layout, rx, sigma)
+        yield from _run_pass(batch, *layout, links)
 
 
 def _shapes(tx, channel):
@@ -486,15 +517,18 @@ def _layout(tx, rx, starts, n, shapes):
     return padded.ravel(), at, pos
 
 
-def _run_pass(batch, padded, at, pos, rx, sigma):
-    """Yield the ScoredBlock of each block of one pass. batch holds a
-    (bits, noise_seed) pair per block, all of one length, and padded, at
-    and pos are their _layout. The pulse reaching a window takes the row
-    of padded that its bit selects.
+def _run_pass(batch, padded, at, pos, links):
+    """Yield, for each block of one pass, its ScoredBlock over each
+    link. batch holds a (bits, noise_seeds) pair per block, all of one
+    length, with a noise seed per link, and padded, at and pos are their
+    _layout. links holds an (rx, sigma) pair per link, the receivers
+    alike up to their OOK threshold. The pulse reaching a window takes
+    the row of padded that its bit selects.
 
     Per block, a pass only copies its bits into the array that one take
-    through at turns into the flat index of every reaching pulse, draws
-    the block's noise and scores it."""
+    through at turns into the flat index of every reaching pulse; per
+    block and link, it draws that link's noise and scores it."""
+    rx = links[0][0]
     width = rx.window_len
     # each block's bits, scaled to the start of the row they select,
     # then a zero at the sentinel index n; read[step, b, w] is the flat
@@ -509,29 +543,32 @@ def _run_pass(batch, padded, at, pos, rx, sigma):
     read = read.transpose(1, 0, 2).reshape(len(at), -1)
     rep, which = _distinct_windows(read, len(padded))
     clean = _build_windows(padded, read[:, rep], width)
-    quantized = rx.datapath is not None
-    if not quantized:
-        clean_stats = _statistics(clean, rx)
-        scale = _noise_law(sigma, clean, rx)
-    for (bits, seed), block in zip(batch, which.reshape(len(batch), m)):
-        rng = np.random.default_rng(seed)
-        if not quantized:
-            stats = clean_stats[block]
-            if sigma > 0.0:
-                stats += _noise_terms(rng, sigma, scale, rx, block)
-            yield _score(bits, stats)
-            continue
-        noisy = (rng.standard_normal((m, width)) if sigma > 0.0
-                 else np.zeros((m, width)))
-        # in chunks, so the gathered clean rows stay small beside the
-        # block and each chunk is scaled and summed while in cache
-        for first in range(0, m, _MERGE_ROWS):
-            part = slice(first, first + _MERGE_ROWS)
-            noisy[part] *= sigma
-            noisy[part] += clean[block[part]]
-        yield _score(bits, _statistics(noisy, rx))
-        # one block's noise at a time: no view of it may outlive it
-        del noisy
+    laws = [None] * len(links)
+    if rx.datapath is None:
+        # each link's clean statistics and the scale of its noise terms
+        clean_stats, norm = _clean_law(clean, rx)
+        laws = [(clean_stats - _threshold(r), norm) if rx.mod.scheme == OOK
+                else (clean_stats, sigma * norm) for r, sigma in links]
+    for (bits, seeds), block in zip(batch, which.reshape(len(batch), m)):
+        for (r, sigma), seed, law in zip(links, seeds, laws):
+            rng = np.random.default_rng(seed)
+            if law is not None:
+                stats = law[0][block]
+                if sigma > 0.0:
+                    stats += _noise_terms(rng, sigma, law[1], r, block)
+                yield _score(bits, stats)
+                continue
+            noisy = (rng.standard_normal((m, width)) if sigma > 0.0
+                     else np.zeros((m, width)))
+            # in chunks, so the gathered clean rows stay small beside
+            # the block and each chunk is scaled and summed in cache
+            for first in range(0, m, _MERGE_ROWS):
+                part = slice(first, first + _MERGE_ROWS)
+                noisy[part] *= sigma
+                noisy[part] += clean[block[part]]
+            yield _score(bits, _statistics(noisy, r))
+            # one link's noise at a time: no view of it may outlive it
+            del noisy
 
 
 def _distinct_windows(read, radix):
@@ -576,31 +613,33 @@ def _build_windows(padded, read, width):
     return win
 
 
-def _noise_law(sigma, win, cfg):
-    """The scale of what white noise of per-sample deviation sigma adds
-    to the floating-point decision statistic of each clean window of
-    win.
+def _clean_law(win, cfg):
+    """The floating-point decision statistic of each clean window of
+    win before any OOK threshold, and the norm that sets what white
+    noise of per-sample deviation sigma adds to it.
 
     A correlation with coefficients c gains N(0, sigma^2 |c|^2), where c
     is the chip pulse for BPAM and the shifted minus the nominal pulse
-    for PPM; the scale is sigma |c|, one for every window. The energy of
-    a window s of w samples becomes (|s| + sigma u)^2 + sigma^2
-    chi2(w - 1), with u ~ N(0, 1) the noise along s; the scale is |s|,
-    one per window.
+    for PPM; the norm is |c|, one for every window, and the scale of the
+    noise term sigma |c|. The energy of a window s of w samples becomes
+    (|s| + sigma u)^2 + sigma^2 chi2(w - 1), with u ~ N(0, 1) the noise
+    along s; the norm is |s|, one per window, and is the scale. One
+    einsum gives both the energy and |s|.
     """
     if cfg.mod.scheme == OOK:
-        return np.sqrt(np.einsum("ij,ij->i", win, win))
+        square = np.einsum("ij,ij->i", win, win)
+        return square / cfg.sample_rate, np.sqrt(square)
     tpl = cfg.pulse
     coef = np.zeros(win.shape[1])
     coef[-len(tpl):] = tpl
     if cfg.mod.scheme == PPM:
         coef[:len(tpl)] -= tpl
-    return sigma * math.sqrt((coef * coef).sum())
+    return _statistics(win, cfg), math.sqrt((coef * coef).sum())
 
 
 def _noise_terms(rng, sigma, scale, cfg, which):
     """Noise terms of the statistics of the windows which, drawn from
-    their law (see _noise_law) rather than from W samples per window:
+    their law (see _clean_law) rather than from W samples per window:
     one normal per window, then for OOK one chi-square of W - 1 degrees
     of freedom."""
     z = rng.standard_normal(len(which))

@@ -19,37 +19,37 @@ RUNS = {
     "sweep-ook-awgn": (
         ["sweep", "--scheme", "ook", "--ebn0", "0,4,8", "--bits", "2000",
          "--seed", "5"],
-        "397d111575a4365919b75215ecf204343f92cc25804d707c7899e8d2970673cb",
+        "78b3b54165ed118153b2487a8260771f02eb4fce02a9acf721b711099967e2e8",
     ),
     "sweep-bpam-awgn": (
         ["sweep", "--scheme", "bpam", "--ebn0", "0,4,8", "--bits", "2000",
          "--seed", "5"],
-        "b8222127bdfced818b1f54b845c753ab68213c555ea10fd2f786027b8196d973",
+        "cd4d0702f33467dab32da5361dd56496d72ad3e66399e4c6797743b4bcc46af5",
     ),
     "sweep-ppm-awgn": (
         ["sweep", "--scheme", "ppm", "--ebn0", "0,4,8", "--bits", "2000",
          "--seed", "5"],
-        "4c960e868e677d40fb2d8b6d46c56b2ba48c7d54e5bfbb4669c937fe175e3a6a",
+        "69f004b8540229afabd560c892648873aa83c190ae56e40305e090ac74822995",
     ),
     "sweep-bpam-cm1-q12": (
         ["sweep", "--scheme", "bpam", "--ebn0", "4,10", "--bits", "2000",
          "--seed", "6", "--channel", "multipath", "--quant-bits", "12"],
-        "e4e950fc43c46b9a9fdf9ffd5371f8a424fdf9f3916bbff02ba4066d60e92090",
+        "e64dae7511d9f9ec1ecbf74faa71d4a30a0afa2bae5cbc46d4180a1e55340f32",
     ),
     "sweep-ppm-cm1-q12": (
         ["sweep", "--scheme", "ppm", "--ebn0", "4,10", "--bits", "2000",
          "--seed", "6", "--channel", "multipath", "--quant-bits", "12"],
-        "e755efd268b1c0005fe66d28fb3923359f69e503015c3e00ee9e8c7f948af1ea",
+        "cce0bcf9dc4344037778be684d7bf9d88296ecf73d6d0233fbd894dad493132e",
     ),
     "sweep-ook-cm1": (
         ["sweep", "--scheme", "ook", "--ebn0", "4,10", "--bits", "2000",
          "--seed", "6", "--channel", "multipath"],
-        "03d8bd72a4bb0d51f5c5c0424fe11241fe9cf96d054220c58f08173d47e9f02d",
+        "85cfa15da76b6292dad110a79fe1a1d8870530ee81b760ab669b9220504a6a67",
     ),
     "sweep-bpam-cm1": (
         ["sweep", "--scheme", "bpam", "--ebn0", "4,10", "--bits", "2000",
          "--seed", "6", "--channel", "multipath"],
-        "0d81aa917f9690a86e83b87df9d34f86a5e73b50a2d78c94b5905d1e12d4f37a",
+        "5e0a019e549f6fb7220c0256eccf8d9587153190ee09d666dcc2cc0e250d8905",
     ),
     "session-ppm-fault": (
         ["session", "--scheme", "ppm", "--ebn0", "8", "--bits", "1200",
@@ -69,11 +69,11 @@ RUNS = {
     "sweep-preset-th-ppm-v3": (
         ["sweep", "--preset", "th-ppm-v3", "--ebn0", "0,4", "--bits", "1000",
          "--seed", "5"],
-        "2fcf08c1243abfb59d475086d8b5314429fcb4c7c27ce890d369d3b3f2469496",
+        "b263a1fc4e21b1c9c4cf56e2e56ca89a4a0c87c274caedea399d4d171439f092",
     ),
     "compare-awgn": (
         ["compare", "--ebn0", "4,8", "--bits", "2000", "--seed", "5"],
-        "4cd39f0e51fb5f70ceed185e50d2196ef340e4235faa5bf7a2168eb5a541a73e",
+        "2a085ea535cb7ca2dc0379e84054caec03a9f558bcafe3116674ff37fe567144",
     ),
     "codegen": (
         ["codegen", "--nc", "8", "--count", "3", "--seed", "9"],
@@ -99,3 +99,20 @@ def test_cli_output_is_pinned(name, tmp_path):
     assert main(argv + ["--out", str(out)]) == 0
     rows = _data_rows(out)
     assert hashlib.sha256(rows.encode("utf-8")).hexdigest() == digest
+
+
+# The first data row of three sweeps, as it read before the grid came to
+# share its bits and channels: point 0's streams are the shared ones, so
+# its row must not move however the rest of the grid is run.
+FIRST_ROWS = {
+    "sweep-bpam-awgn": "0.0,145,2000,0.0725,0.011364937087375362",
+    "sweep-ook-cm1": "4.0,983,2000,0.4915,0.02191029945482261",
+    "sweep-ppm-cm1-q12": "4.0,1023,2000,0.5115,0.02190766930095486",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_ROWS))
+def test_first_sweep_row_is_pinned(name, tmp_path):
+    out = tmp_path / "out.csv"
+    assert main(RUNS[name][0] + ["--out", str(out)]) == 0
+    assert _data_rows(out).splitlines()[1] == FIRST_ROWS[name]

@@ -171,6 +171,21 @@ class TestPointSeeds:
         assert point_seeds(7, 3) == point_seeds(7, 3)
 
 
+    @pytest.mark.parametrize("base", [0, 5, 6])
+    def test_shared_streams_alias_no_point_stream(self, base):
+        # a sweep's block k reads its bits and channel from bits ^ k and
+        # channel ^ k of point 0, and point i its noise from noise ^ k:
+        # no point's noise or calibration seed equals a shared one, nor
+        # lies within 2**32 of it in XOR, so no block index below 2**32
+        # makes one point's stream another's
+        bits, _, channel, _ = point_seeds(base, 0)
+        for index in range(64):
+            _, noise, _, calibration = point_seeds(base, index)
+            for own in (noise, calibration):
+                for shared in (bits, channel):
+                    assert (own ^ shared) >> 32 != 0
+
+
 class TestRunSweep:
     def test_deterministic(self):
         cfg = fast_sweep(bits=2000, base_seed=5)
@@ -179,6 +194,21 @@ class TestRunSweep:
         assert [(p.ebn0_db, p.errors, p.bits) for p in a] == [
             (p.ebn0_db, p.errors, p.bits) for p in b
         ]
+
+    @pytest.mark.parametrize("scheme, channel, quant_bits", [
+        ("ook", None, None), ("bpam", CM1_LIKE, None), ("ppm", None, 12)])
+    def test_a_point_depends_on_its_index_and_eb_n0_alone(
+            self, scheme, channel, quant_bits):
+        # bits and channels are common to the grid, while each point's
+        # noise and calibration follow from its index: two grids that
+        # agree at an index give the same row there
+        def sweep(grid):
+            return run_sweep(fast_sweep(scheme, grid, base_seed=4, channel=channel,
+                                        quant_bits=quant_bits))
+
+        wide, narrow = sweep((0.0, 6.0, 9.0)), sweep((3.0, 6.0))
+        assert wide[1] == narrow[1]
+        assert sweep((0.0,))[0] == wide[0]
 
     def test_seed_changes_the_draw(self):
         a = run_sweep(fast_sweep(bits=2000, base_seed=1))

@@ -53,7 +53,7 @@ from uwbphy import (
     sample_pulse,
 )
 from uwbphy.channel import quantize_array
-from uwbphy import receiver
+from uwbphy import harness, receiver
 from uwbphy.harness import BLOCK_BITS, run_sweep
 from uwbphy.receiver import (
     _distinct_windows,
@@ -789,6 +789,33 @@ def test_one_pass_equals_one_call_per_block(scheme, channel, datapath, link):
         _assert_one_pass_equals_one_call_per_block(blocks, tx, rx, ebn0_db)
 
 
+@pytest.mark.parametrize("channel", ["none", "cm1"])
+@pytest.mark.parametrize("datapath", ["float", "agc12"])
+@pytest.mark.parametrize("scheme", ["ook", "bpam", "ppm"])
+def test_each_link_of_a_pass_equals_its_own_call(scheme, datapath, channel):
+    # three links over the same blocks, as a sweep's grid points are:
+    # each differs in Eb/N0, noise seeds and (OOK) threshold, and each
+    # link's records are those of simulate_block over that link alone
+    rx = _default_receiver(scheme)
+    if datapath == "agc12":
+        rx = replace(rx, datapath=QuantizerConfig(12))
+    links = [(rx if scheme != "ook" else rx.with_threshold(t), ebn0_db)
+             for t, ebn0_db in ((0.3, 2.0), (0.5, 6.0), (0.7, math.inf))]
+    bits = random_bits(52, 2345)
+    bits = [bits[at:at + BLOCK_BITS] for at in range(0, 2345, BLOCK_BITS)]
+    channels = _block_channels(channel, len(bits))
+    blocks = [(b, [90 + 10 * i + k for k in range(3)], ch)
+              for i, (b, ch) in enumerate(zip(bits, channels))]
+    records = list(receiver.simulate_links(blocks, rx, links))
+    assert len(records) == 3 * len(blocks)
+    for k, (link_rx, ebn0_db) in enumerate(links):
+        alone = simulate_block([(b, seeds[k], ch) for b, seeds, ch in blocks],
+                               rx, link_rx, ebn0_db)
+        for got, want in zip(records[k::3], alone, strict=True):
+            assert got.statistics.tobytes() == want.statistics.tobytes()
+            assert got.errors == want.errors
+
+
 # every scheme on the float and the quantized datapath, with and
 # without multipath; cm1-agc12 is PPM's quantized CM1 link
 SCORED_LINKS = ["cut>fast", "cm1-agc12"] + [
@@ -1019,6 +1046,25 @@ def test_blocks_without_a_channel_share_one_geometry(monkeypatch):
     run_sweep(cfg)
     assert passes == [8, 8, 4]
     assert built == [BLOCK_BITS]
+
+
+def test_a_sweep_grid_shares_its_clean_side(monkeypatch):
+    # every grid point sees block k's bits and channel, so a pass lays
+    # out, groups and builds its windows once for the whole grid: a
+    # 3-point, 20-block AWGN sweep lays out once and runs three passes,
+    # not nine, and a 2-point, 4-block CM1 sweep draws 4 channels, not 8
+    built, passes = _count_geometries(monkeypatch)
+    run_sweep(SweepConfig(scheme="ppm", ebn0_grid=(0.0, 4.0, 8.0),
+                          n_bits_per_point=20 * BLOCK_BITS))
+    assert passes == [8, 8, 4]
+    assert built == [BLOCK_BITS]
+    drawn = []
+    monkeypatch.setattr(harness, "draw_channel",
+                        lambda *a: drawn.append(a) or draw_channel(*a))
+    run_sweep(SweepConfig(scheme="bpam", ebn0_grid=(4.0, 10.0),
+                          channel=CM1_LIKE, n_bits_per_point=4 * BLOCK_BITS))
+    assert len(drawn) == 4
+    assert passes[3:] == [1, 1, 1, 1]
 
 
 def test_channel_blocks_build_a_geometry_each(monkeypatch):
