@@ -4,16 +4,19 @@ emission, and side-by-side architecture comparison.
 A sweep is a pure function of its SweepConfig: bit, noise, channel, and
 calibration random streams are all derived from the base seed, point
 index, and block index, so repeated runs are byte-identical. Work is
-done in blocks of BLOCK_BITS bits. Block k's bits and channel are keyed
-by k and the base seed alone, so every grid point sees them (common
-random numbers); each point draws its own noise in each block and
-calibrates its own OOK threshold (see point_seeds). In multipath mode
-each block sees a fresh channel realization. The sweep's blocks go to
-one receiver.simulate_links call with one link per point (the receiver
-module's docstring describes the pipeline), so each pass builds the
-clean side once for the whole grid, and a point's errors are the sum of
-the errors of its records. The receiver is genie-synchronized (zero
-timing offset); matched-filter acquisition is exercised separately.
+done in blocks of BLOCK_BITS bits. Block k's bits, noise and channel
+are keyed by k and the base seed alone, so every grid point sees them
+(common random numbers): each point scales block k's standard normals
+by its own noise deviation, and calibrates its own OOK threshold (see
+point_seeds). In multipath mode each block sees a fresh channel
+realization. The sweep's blocks go to one receiver.simulate_links call
+with one link per point (the receiver module's docstring describes the
+pipeline), so each pass builds the clean side, and each block draws its
+noise, once for the whole grid; a point's errors are the sum of the
+errors of its records. Each point's BER and interval stand on their own
+draws, but adjacent points share them and are correlated. The receiver
+is genie-synchronized (zero timing offset); matched-filter acquisition
+is exercised separately.
 
 The sweep axis is Eb/N0. With unit-energy pulses BPAM and PPM spend one
 energy unit per bit; OOK transmits nothing for a 0, so its
@@ -176,15 +179,15 @@ def point_seeds(base_seed, point_index):
     the seed-splitting contract parallel runners must follow. Both
     arguments are integers >= 0 (see check_int).
 
-    A sweep takes its bits and channels from point 0's entries for every
-    point: block k's come from bits ^ k and channel ^ k of
-    point_seeds(base_seed, 0), so they are common to the grid, and point
-    i draws only its noise (noise ^ k) and its OOK calibration from
-    point_seeds(base_seed, i). Point 0's row is then what it was when
-    each point had bits and channels of its own. Do not derive a shared
+    A sweep takes its bits, noise and channels from point 0's entries
+    for every point: block k's come from bits ^ k, noise ^ k and
+    channel ^ k of point_seeds(base_seed, 0), so they are common to the
+    grid, and for a point i > 0 only entry 3, its OOK calibration, is
+    read from point_seeds(base_seed, i). Point 0's row is then what it
+    was when each point had streams of its own. Do not derive a shared
     stream from a fresh SeedSequence([base_seed]): numpy gives it the
     state of SeedSequence([base_seed, 0]), so its draws would repeat
-    point 0's streams, noise included.
+    point 0's streams.
     """
     entropy = [check_int(base_seed, "base_seed", 0),
                check_int(point_index, "point_index", 0)]
@@ -198,15 +201,14 @@ def run_sweep(cfg):
     Deterministic: the output is a pure function of cfg, and point i's
     BerPoint one of cfg's link, base seed, i and Eb/N0 alone, whatever
     the rest of the grid (see point_seeds). Every point sees the same
-    bits and channel in block k, so the sweep runs block by block, each
-    pass building its clean side once for the whole grid
-    (receiver.simulate_links).
+    bits, noise and channel in block k, so the sweep runs block by
+    block, each pass building its clean side and drawing each block's
+    noise once for the whole grid (receiver.simulate_links).
     """
     rx, n_bits = cfg.receiver, cfg.n_bits_per_point
-    seeds = [point_seeds(cfg.base_seed, i) for i in range(len(cfg.ebn0_grid))]
-    links = tuple((calibrated(rx, rx, ebn0_db, s[3]), ebn0_db)
-                  for s, ebn0_db in zip(seeds, cfg.ebn0_grid))
-    bits_base, _, chan_base, _ = seeds[0]
+    links = tuple((calibrated(rx, rx, ebn0_db, point_seeds(cfg.base_seed, i)[3]),
+                   ebn0_db) for i, ebn0_db in enumerate(cfg.ebn0_grid))
+    bits_base, noise_base, chan_base, _ = point_seeds(cfg.base_seed, 0)
 
     def blocks():
         for block, done in enumerate(range(0, n_bits, BLOCK_BITS)):
@@ -214,7 +216,7 @@ def run_sweep(cfg):
                 0, 2, size=min(BLOCK_BITS, n_bits - done), dtype=np.int64)
             channel = None if cfg.channel is None else draw_channel(
                 cfg.channel, chan_base ^ block)
-            yield bits, [s[1] ^ block for s in seeds], channel
+            yield bits, noise_base ^ block, channel
 
     # one record per block and point, points in grid order in a block
     errors = [0] * len(links)
@@ -345,11 +347,12 @@ def compare_architectures(cfgs):
     """Run several sweeps sharing one grid and bit budget; rank the
     architectures at every grid point.
 
-    Each sweep runs on its own (run_sweep), but its bits and channels
-    follow from the block index and its base seed alone, so
+    Each sweep runs on its own (run_sweep), but its bits, noise and
+    channels follow from the block index and its base seed alone, so
     architectures with one base seed (and one channel profile) see the
-    same bits and channel in every block, at every grid point: their
-    BERs are paired by block.
+    same bits and channel in every block, at every grid point, and
+    those of one scheme that are all float or all quantized draw the
+    same noise too: their BERs are fully paired by block.
 
     Raises GridMismatch unless all configs share the Eb/N0 grid and
     n_bits_per_point.

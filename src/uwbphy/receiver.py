@@ -57,29 +57,35 @@ channel has a layout, so a pass, of its own. The open pass runs before
 the next block's layout is built, so nothing is read ahead: a pass
 never shares memory with the block after it. Per block a pass only
 copies the bits that one take through the layout turns into the flat
-index of each reaching pulse; per block and link it draws the noise
-and scores the decisions. No sample position spans two blocks, so only
-each block's own positions must fit the int64 range. Each window the
-receiver reads is the sum of the rows that reach into it, a handful
-per window even on CM1. Those windows repeat: the content of one
-follows from the flat indices it reads, so a pass's windows are
-grouped by them and each distinct one is built once (about 70 of 1000
-on a default-geometry CM1 block; two for a whole pass of AWGN blocks).
+index of each reaching pulse, and draws the noise; per block and link
+it scales the noise and scores the decisions. No sample position spans
+two blocks, so only each block's own positions must fit the int64
+range. Each window the receiver reads is the sum of the rows that reach
+into it, a handful per window even on CM1. Those windows repeat: the
+content of one follows from the flat indices it reads, so a pass's
+windows are grouped by them and each distinct one is built once (about
+70 of 1000 on a default-geometry CM1 block; two for a whole pass of
+AWGN blocks).
 
 The clean side of a pass (its layout, grouping, distinct windows and
-their clean statistics) serves every link; only the noise is a link's
-own: each block draws each link's noise from that link's seed. With
-white noise the window samples are a sufficient statistic for the
-decision, so noise anywhere else would never be read. On the
-floating-point datapath the statistic is linear in the noise for BPAM
-and PPM and a noncentral chi-square for OOK, so no noise sample is
-drawn at all: each frame's statistic is its distinct clean window's
-plus a noise term from its exact law, one or two variates per frame.
-The quantized datapath draws white noise for every window sample, adds
-the clean windows into that one buffer and quantizes it in place. The
-result equals place_pulse_train, apply_channel, add_awgn and
-demodulate on the whole block in distribution, not sample for sample;
-without noise it equals them up to float rounding in multipath sums.
+their clean statistics) serves every link, and so does the noise: each
+block draws its standard normals once, from its noise seed, and each
+link scales them by its own sigma (common random numbers). Each link's
+noise keeps its exact law, while the links' errors are correlated; on
+the floating-point datapath a BPAM or PPM frame a link gets wrong over
+AWGN is wrong on every noisier link too. With white noise the window
+samples are a sufficient statistic for the decision, so noise anywhere
+else would never be read. On the floating-point datapath the statistic
+is linear in the noise for BPAM and PPM and a noncentral chi-square
+for OOK, so no noise sample is drawn at all: each frame's statistic is
+its distinct clean window's plus a noise term from its exact law, one
+or two variates per frame. The quantized datapath draws white noise
+for every window sample, and builds each link's windows from it and
+the clean ones a chunk at a time, quantizing and scoring each chunk in
+place. The result equals place_pulse_train, apply_channel, add_awgn
+and demodulate on the whole block in distribution, not sample for
+sample; without noise it equals them up to float rounding in multipath
+sums.
 """
 
 import math
@@ -128,8 +134,8 @@ from .transmitter import (
 )
 from .waveform import SampledSignal
 
-# Rows of the quantized datapath's noise that take their clean windows
-# in one gather.
+# Rows of the quantized datapath's windows built, quantized and scored
+# as one chunk, in cache.
 _MERGE_ROWS = 64
 
 # Blocks that simulate_links runs through one pass: enough to share a
@@ -303,17 +309,18 @@ def _windows(x, cfg, offset):
     return x[starts[:, None] + np.arange(cfg.window_len)]
 
 
-def _statistics(win, cfg):
+def _statistics(win, cfg, adc=None):
     """Per-frame decision statistics of gathered windows; a frame
     decodes as bit 1 iff its statistic is >= 0 (see decide).
 
     win is modified in place; the ADC of cfg.datapath, if any, samples
-    the windows and quantizes the template at the same full scale.
+    the windows (at adc, when given, else at the windows' own full
+    scale) and quantizes the template at the same full scale.
     """
     threshold = _threshold(cfg)
     tpl = cfg.pulse
     if cfg.datapath is not None:
-        adc = cfg.datapath.for_samples(win)
+        adc = adc or cfg.datapath.for_samples(win)
         quantize_array(win, adc, out=win)
         tpl = quantize_array(tpl, adc)
     if cfg.mod.scheme == OOK:
@@ -419,22 +426,23 @@ def simulate_block(blocks, tx, rx, ebn0_db):
     InvalidParams for bits other than 0 and 1 or a block whose sample
     positions do not fit a 64-bit integer.
     """
-    blocks = ((bits, (seed,), channel) for bits, seed, channel in blocks)
     return simulate_links(blocks, tx, ((rx, ebn0_db),))
 
 
 def simulate_links(blocks, tx, links):
-    """simulate_block over several links that share tx, their blocks
-    and their channels, one block at a time.
+    """simulate_block over several links that share tx, their blocks,
+    their channels and their noise, one block at a time.
 
     links holds an (rx, ebn0_db) pair per link, the receivers alike up
     to their OOK threshold (calibrated copies of one receiver), and each
-    block is a (bits, noise_seeds, channel) triple with a noise seed per
-    link. Yields, block by block, one ScoredBlock per link in the order
-    of links, each bit for bit that link's own simulate_block record.
-    Each pass builds its windows and their clean statistics once for
-    every link; per link it only scales and draws the noise. Raises
-    what simulate_block raises.
+    block is a (bits, noise_seed, channel) triple as simulate_block
+    takes. Yields, block by block, one ScoredBlock per link in the order
+    of links, each bit for bit that link's own simulate_block record
+    over the same blocks. Each pass builds its windows and their clean
+    statistics once for every link, and each block draws its noise once:
+    every link scales those standard normals by its own sigma (common
+    random numbers), so each link's noise keeps its exact law while the
+    links' errors are correlated. Raises what simulate_block raises.
     """
     for rx, _ in links:
         if tx.sample_rate != rx.sample_rate:
@@ -448,7 +456,7 @@ def simulate_links(blocks, tx, links):
     # a block without a channel shares the layout before it if that was
     # of a block as long and without a channel too
     batch, shared_len = [], None
-    for bits, noise_seeds, channel in blocks:
+    for bits, noise_seed, channel in blocks:
         bits = _as_bits(bits)
         same = channel is None and len(bits) == shared_len
         if batch and (not same or len(batch) == _PASS_BLOCKS):
@@ -458,7 +466,7 @@ def simulate_links(blocks, tx, links):
             layout = _layout(tx, rx, starts, len(bits), shared
                              if channel is None else _shapes(tx, channel))
         shared_len = len(bits) if channel is None else None
-        batch.append((bits, noise_seeds))
+        batch.append((bits, noise_seed))
     if batch:
         yield from _run_pass(batch, *layout, links)
 
@@ -519,15 +527,16 @@ def _layout(tx, rx, starts, n, shapes):
 
 def _run_pass(batch, padded, at, pos, links):
     """Yield, for each block of one pass, its ScoredBlock over each
-    link. batch holds a (bits, noise_seeds) pair per block, all of one
-    length, with a noise seed per link, and padded, at and pos are their
-    _layout. links holds an (rx, sigma) pair per link, the receivers
-    alike up to their OOK threshold. The pulse reaching a window takes
-    the row of padded that its bit selects.
+    link. batch holds a (bits, noise_seed) pair per block, all of one
+    length, and padded, at and pos are their _layout. links holds an
+    (rx, sigma) pair per link, the receivers alike up to their OOK
+    threshold. The pulse reaching a window takes the row of padded that
+    its bit selects.
 
     Per block, a pass only copies its bits into the array that one take
-    through at turns into the flat index of every reaching pulse; per
-    block and link, it draws that link's noise and scores it."""
+    through at turns into the flat index of every reaching pulse, and
+    draws the block's noise once, from its seed; per block and link, it
+    scales that noise by the link's sigma and scores it."""
     rx = links[0][0]
     width = rx.window_len
     # each block's bits, scaled to the start of the row they select,
@@ -543,32 +552,59 @@ def _run_pass(batch, padded, at, pos, links):
     read = read.transpose(1, 0, 2).reshape(len(at), -1)
     rep, which = _distinct_windows(read, len(padded))
     clean = _build_windows(padded, read[:, rep], width)
-    laws = [None] * len(links)
+    noisy = any(sigma > 0.0 for _, sigma in links)
+    # the float datapath draws one normal per frame, the quantized one
+    # one per window sample
+    shape = m if rx.datapath is None else (m, width)
     if rx.datapath is None:
         # each link's clean statistics and the scale of its noise terms
         clean_stats, norm = _clean_law(clean, rx)
         laws = [(clean_stats - _threshold(r), norm) if rx.mod.scheme == OOK
                 else (clean_stats, sigma * norm) for r, sigma in links]
-    for (bits, seeds), block in zip(batch, which.reshape(len(batch), m)):
-        for (r, sigma), seed, law in zip(links, seeds, laws):
-            rng = np.random.default_rng(seed)
-            if law is not None:
-                stats = law[0][block]
-                if sigma > 0.0:
-                    stats += _noise_terms(rng, sigma, law[1], r, block)
-                yield _score(bits, stats)
-                continue
-            noisy = (rng.standard_normal((m, width)) if sigma > 0.0
-                     else np.zeros((m, width)))
-            # in chunks, so the gathered clean rows stay small beside
-            # the block and each chunk is scaled and summed in cache
-            for first in range(0, m, _MERGE_ROWS):
-                part = slice(first, first + _MERGE_ROWS)
-                noisy[part] *= sigma
-                noisy[part] += clean[block[part]]
-            yield _score(bits, _statistics(noisy, r))
-            # one link's noise at a time: no view of it may outlive it
-            del noisy
+    for (bits, seed), block in zip(batch, which.reshape(len(batch), m)):
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal(shape) if noisy else np.zeros(shape)
+        if rx.datapath is not None:
+            stats = _quantized_statistics(z, clean, block, links)
+        else:
+            chi2 = (_chi2(rng, width - 1, m) if noisy and rx.mod.scheme == OOK
+                    else None)
+            stats = [law[block] + _noise_terms(z, chi2, sigma, scale, r, block)
+                     if sigma > 0.0 else law[block]
+                     for (r, sigma), (law, scale) in zip(links, laws)]
+        # the next block's noise is drawn only once this one's is gone
+        del z
+        yield from (_score(bits, link_stats) for link_stats in stats)
+
+
+def _quantized_statistics(z, clean, block, links):
+    """The statistics of one block's windows over each quantized link:
+    link i's windows are sigma_i z + clean[block], which its ADC samples
+    at the full scale of the whole block's windows (QuantizerConfig).
+
+    Two runs over chunks of _MERGE_ROWS rows, each reading a chunk of z
+    once for every link: the first finds each link's peak, the second
+    quantizes each link's chunk and scores it. So the block holds z and
+    a few chunks, never a window matrix of a link."""
+    def windows():
+        for first in range(0, len(z), _MERGE_ROWS):
+            part = slice(first, first + _MERGE_ROWS)
+            gathered = clean[block[part]]
+            for i, (_, sigma) in enumerate(links):
+                win = z[part] * sigma
+                win += gathered
+                yield part, i, win
+
+    peaks = np.zeros((len(links), 1))
+    for _, i, win in windows():
+        peaks[i] = max(peaks[i, 0], win.max(), -win.min())
+    # an AGC's full scale is the peak of a link's windows, taken here as
+    # one sample; a fixed ADC keeps its own
+    adcs = [r.datapath.for_samples(p) for (r, _), p in zip(links, peaks)]
+    stats = np.empty((len(links), len(z)))
+    for part, i, win in windows():
+        stats[i, part] = _statistics(win, links[i][0], adcs[i])
+    return stats
 
 
 def _distinct_windows(read, radix):
@@ -637,16 +673,15 @@ def _clean_law(win, cfg):
     return _statistics(win, cfg), math.sqrt((coef * coef).sum())
 
 
-def _noise_terms(rng, sigma, scale, cfg, which):
-    """Noise terms of the statistics of the windows which, drawn from
-    their law (see _clean_law) rather than from W samples per window:
-    one normal per window, then for OOK one chi-square of W - 1 degrees
-    of freedom."""
-    z = rng.standard_normal(len(which))
+def _noise_terms(z, chi2, sigma, scale, cfg, which):
+    """Noise terms of the statistics of the windows which at noise
+    deviation sigma, from their law (see _clean_law) rather than from W
+    samples per window: z holds one standard normal per window and, for
+    OOK, chi2 one chi-square of W - 1 degrees of freedom."""
     if cfg.mod.scheme != OOK:
         return scale * z
     extra = sigma * z * (2.0 * scale[which] + sigma * z)
-    extra += sigma * sigma * _chi2(rng, cfg.window_len - 1, len(which))
+    extra += sigma * sigma * chi2
     return extra / cfg.sample_rate
 
 

@@ -19,37 +19,37 @@ RUNS = {
     "sweep-ook-awgn": (
         ["sweep", "--scheme", "ook", "--ebn0", "0,4,8", "--bits", "2000",
          "--seed", "5"],
-        "78b3b54165ed118153b2487a8260771f02eb4fce02a9acf721b711099967e2e8",
+        "8078abdf062d3754773c3209cdfd340626500628d8843bfeee3d5fc9c4a04e09",
     ),
     "sweep-bpam-awgn": (
         ["sweep", "--scheme", "bpam", "--ebn0", "0,4,8", "--bits", "2000",
          "--seed", "5"],
-        "cd4d0702f33467dab32da5361dd56496d72ad3e66399e4c6797743b4bcc46af5",
+        "1a1865c5f60dbc29c29b59cd8d543168456a0a953f37ce925ccf991bf5d58239",
     ),
     "sweep-ppm-awgn": (
         ["sweep", "--scheme", "ppm", "--ebn0", "0,4,8", "--bits", "2000",
          "--seed", "5"],
-        "69f004b8540229afabd560c892648873aa83c190ae56e40305e090ac74822995",
+        "a757317ac0cccbac40676a383c7cad926c049a484b0fc2f68d84c0ca9c90db8f",
     ),
     "sweep-bpam-cm1-q12": (
         ["sweep", "--scheme", "bpam", "--ebn0", "4,10", "--bits", "2000",
          "--seed", "6", "--channel", "multipath", "--quant-bits", "12"],
-        "e64dae7511d9f9ec1ecbf74faa71d4a30a0afa2bae5cbc46d4180a1e55340f32",
+        "6939b715693ae7a1da02faacc26a16ddcb041115781d3fbcf9ea2591a0161f98",
     ),
     "sweep-ppm-cm1-q12": (
         ["sweep", "--scheme", "ppm", "--ebn0", "4,10", "--bits", "2000",
          "--seed", "6", "--channel", "multipath", "--quant-bits", "12"],
-        "cce0bcf9dc4344037778be684d7bf9d88296ecf73d6d0233fbd894dad493132e",
+        "31be1e7cb09e7922f658935c06c893469733e026d436758242d4c7b37de7cdb9",
     ),
     "sweep-ook-cm1": (
         ["sweep", "--scheme", "ook", "--ebn0", "4,10", "--bits", "2000",
          "--seed", "6", "--channel", "multipath"],
-        "85cfa15da76b6292dad110a79fe1a1d8870530ee81b760ab669b9220504a6a67",
+        "78fe997c20dcca158c3add1a0d475eb5df766224643ded3f628ba0a0b046e838",
     ),
     "sweep-bpam-cm1": (
         ["sweep", "--scheme", "bpam", "--ebn0", "4,10", "--bits", "2000",
          "--seed", "6", "--channel", "multipath"],
-        "5e0a019e549f6fb7220c0256eccf8d9587153190ee09d666dcc2cc0e250d8905",
+        "4f942d77093515987f8596a001d27c653f1a9c04783fe03ee996554be436c018",
     ),
     "session-ppm-fault": (
         ["session", "--scheme", "ppm", "--ebn0", "8", "--bits", "1200",
@@ -69,11 +69,11 @@ RUNS = {
     "sweep-preset-th-ppm-v3": (
         ["sweep", "--preset", "th-ppm-v3", "--ebn0", "0,4", "--bits", "1000",
          "--seed", "5"],
-        "b263a1fc4e21b1c9c4cf56e2e56ca89a4a0c87c274caedea399d4d171439f092",
+        "7db8aef8807549bc93523dc5aa0aa17fbd8c18f7fc5f6a9e3166bbdeec48aa81",
     ),
     "compare-awgn": (
         ["compare", "--ebn0", "4,8", "--bits", "2000", "--seed", "5"],
-        "2a085ea535cb7ca2dc0379e84054caec03a9f558bcafe3116674ff37fe567144",
+        "26a648d37edba401357a36d5a63f77c02e8ac1090e69da09806e0af32274eb90",
     ),
     "codegen": (
         ["codegen", "--nc", "8", "--count", "3", "--seed", "9"],

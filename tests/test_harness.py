@@ -23,6 +23,7 @@ from uwbphy import (
     run_sweep,
     sweep_metadata,
 )
+from uwbphy import harness
 from uwbphy.harness import (
     BLOCK_BITS,
     CSV_HEADER,
@@ -31,6 +32,7 @@ from uwbphy.harness import (
     SESSION_CSV_HEADER,
     format_session_csv,
 )
+from uwbphy.receiver import simulate_links
 
 import oracles
 from conftest import FAST_PULSE, RATE
@@ -173,17 +175,16 @@ class TestPointSeeds:
 
     @pytest.mark.parametrize("base", [0, 5, 6])
     def test_shared_streams_alias_no_point_stream(self, base):
-        # a sweep's block k reads its bits and channel from bits ^ k and
-        # channel ^ k of point 0, and point i its noise from noise ^ k:
-        # no point's noise or calibration seed equals a shared one, nor
-        # lies within 2**32 of it in XOR, so no block index below 2**32
-        # makes one point's stream another's
-        bits, _, channel, _ = point_seeds(base, 0)
+        # a sweep's block k reads its bits, noise and channel from
+        # bits ^ k, noise ^ k and channel ^ k of point 0, and point i
+        # only its OOK calibration from its own calibration seed: none
+        # equals a shared one, nor lies within 2**32 of it in XOR, so
+        # no block index below 2**32 makes a point's stream a block's
+        bits, noise, channel, _ = point_seeds(base, 0)
         for index in range(64):
-            _, noise, _, calibration = point_seeds(base, index)
-            for own in (noise, calibration):
-                for shared in (bits, channel):
-                    assert (own ^ shared) >> 32 != 0
+            calibration = point_seeds(base, index)[3]
+            for shared in (bits, noise, channel):
+                assert (calibration ^ shared) >> 32 != 0
 
 
 class TestRunSweep:
@@ -199,9 +200,9 @@ class TestRunSweep:
         ("ook", None, None), ("bpam", CM1_LIKE, None), ("ppm", None, 12)])
     def test_a_point_depends_on_its_index_and_eb_n0_alone(
             self, scheme, channel, quant_bits):
-        # bits and channels are common to the grid, while each point's
-        # noise and calibration follow from its index: two grids that
-        # agree at an index give the same row there
+        # bits, noise and channels are common to the grid, while each
+        # point's OOK calibration follows from its index: two grids
+        # that agree at an index give the same row there
         def sweep(grid):
             return run_sweep(fast_sweep(scheme, grid, base_seed=4, channel=channel,
                                         quant_bits=quant_bits))
@@ -209,6 +210,50 @@ class TestRunSweep:
         wide, narrow = sweep((0.0, 6.0, 9.0)), sweep((3.0, 6.0))
         assert wide[1] == narrow[1]
         assert sweep((0.0,))[0] == wide[0]
+
+    @pytest.mark.parametrize("scheme, quant_bits", [
+        ("ook", None), ("bpam", 12), ("ppm", None), ("ppm", 12)])
+    def test_a_noiseless_point_ignores_the_grid_noise(self, scheme,
+                                                      quant_bits):
+        # the grid's points scale one noise draw per block, which a
+        # point at infinite Eb/N0 scales to nothing: its row is that of
+        # a sweep of that point alone, which draws no noise
+        def sweep(grid):
+            return run_sweep(fast_sweep(scheme, grid, base_seed=2,
+                                        quant_bits=quant_bits))
+
+        assert sweep((4.0, 8.0, math.inf))[2] == sweep((math.inf,))[0]
+
+    @pytest.mark.parametrize("base_seed", range(4))
+    @pytest.mark.parametrize("scheme", ["bpam", "ppm"])
+    def test_wrong_decisions_nest_across_the_grid(self, scheme, base_seed,
+                                                  monkeypatch):
+        # on the float AWGN datapath a BPAM or PPM frame's statistic is
+        # its clean one, alike in size for every frame, plus its
+        # block's normal scaled by the point's sigma: a frame errs iff
+        # that normal lies past a bound that recedes as sigma falls. So
+        # in every block the frames a point gets wrong are among those
+        # every point below it on the grid gets wrong
+        sent, wrong = [], []
+
+        def spy(blocks, tx, links):
+            blocks = (sent.append(block[0]) or block for block in blocks)
+            for k, record in enumerate(simulate_links(blocks, tx, links)):
+                wrong.append(record.decoded != sent[k // len(links)])
+                yield record
+
+        monkeypatch.setattr(harness, "simulate_links", spy)
+        grid = tuple(float(x) for x in range(9))
+        points = run_sweep(fast_sweep(scheme, grid, bits=4 * BLOCK_BITS,
+                                      base_seed=base_seed))
+        assert len(wrong) == 4 * len(grid)
+        for block in range(4):
+            per_point = wrong[block * len(grid):(block + 1) * len(grid)]
+            for low, high in zip(per_point, per_point[1:]):
+                assert not np.any(high & ~low)
+        errors = [p.errors for p in points]
+        assert errors == sorted(errors, reverse=True)
+        assert errors[0] > 10 * max(errors[-1], 1)
 
     def test_seed_changes_the_draw(self):
         a = run_sweep(fast_sweep(bits=2000, base_seed=1))

@@ -793,9 +793,10 @@ def test_one_pass_equals_one_call_per_block(scheme, channel, datapath, link):
 @pytest.mark.parametrize("datapath", ["float", "agc12"])
 @pytest.mark.parametrize("scheme", ["ook", "bpam", "ppm"])
 def test_each_link_of_a_pass_equals_its_own_call(scheme, datapath, channel):
-    # three links over the same blocks, as a sweep's grid points are:
-    # each differs in Eb/N0, noise seeds and (OOK) threshold, and each
-    # link's records are those of simulate_block over that link alone
+    # three links over the same blocks and noise seeds, as a sweep's
+    # grid points are: each differs in Eb/N0 and (OOK) threshold, and
+    # each link's records are those of simulate_block over that link
+    # alone with the same blocks
     rx = _default_receiver(scheme)
     if datapath == "agc12":
         rx = replace(rx, datapath=QuantizerConfig(12))
@@ -804,16 +805,32 @@ def test_each_link_of_a_pass_equals_its_own_call(scheme, datapath, channel):
     bits = random_bits(52, 2345)
     bits = [bits[at:at + BLOCK_BITS] for at in range(0, 2345, BLOCK_BITS)]
     channels = _block_channels(channel, len(bits))
-    blocks = [(b, [90 + 10 * i + k for k in range(3)], ch)
-              for i, (b, ch) in enumerate(zip(bits, channels))]
+    blocks = [(b, 90 + i, ch) for i, (b, ch) in enumerate(zip(bits, channels))]
     records = list(receiver.simulate_links(blocks, rx, links))
     assert len(records) == 3 * len(blocks)
     for k, (link_rx, ebn0_db) in enumerate(links):
-        alone = simulate_block([(b, seeds[k], ch) for b, seeds, ch in blocks],
-                               rx, link_rx, ebn0_db)
+        alone = simulate_block(blocks, rx, link_rx, ebn0_db)
         for got, want in zip(records[k::3], alone, strict=True):
             assert got.statistics.tobytes() == want.statistics.tobytes()
             assert got.errors == want.errors
+
+
+def test_quantized_pass_holds_one_window_matrix_for_any_links():
+    # three PPM CM1 links on a 12-bit AGC share one block's noise
+    # matrix: each link's windows are built, quantized and scored a
+    # chunk at a time, so the pass stays within the bound of one link
+    # (test_quantized_block_holds_one_window_matrix)
+    rx = replace(_default_receiver("ppm"), datapath=QuantizerConfig(12))
+    block = (random_bits(12, BLOCK_BITS), 13, draw_channel(CM1_LIKE, 9))
+    links = [(rx, 2.0), (rx, 6.0), (rx, math.inf)]
+    tracemalloc.start()
+    try:
+        records = list(receiver.simulate_links([block], rx, links))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 3
+    assert peak / (8 * BLOCK_BITS * rx.window_len) < 1.5
 
 
 # every scheme on the float and the quantized datapath, with and
