@@ -9,14 +9,15 @@ are keyed by k and the base seed alone, so every grid point sees them
 (common random numbers): each point scales block k's standard normals
 by its own noise deviation, and calibrates its own OOK threshold (see
 point_seeds). In multipath mode each block sees a fresh channel
-realization. The sweep's blocks go to one receiver.simulate_links call
-with one link per point (the receiver module's docstring describes the
-pipeline), so each pass builds the clean side, and each block draws its
-noise, once for the whole grid; a point's errors are the sum of the
-errors of its records. Each point's BER and interval stand on their own
-draws, but adjacent points share them and are correlated. The receiver
-is genie-synchronized (zero timing offset); matched-filter acquisition
-is exercised separately.
+realization. The sweep's blocks go through its one receiver in one
+receiver.simulate_links call, at one (Eb/N0, OOK threshold) point per
+grid value (the receiver module's docstring describes the pipeline), so
+each pass builds the clean side, and each block draws its noise, once
+for the whole grid; a point's errors are the sum of the errors of its
+records. Each point's BER and interval stand on their own draws, but
+adjacent points share them and are correlated. The receiver is
+genie-synchronized (zero timing offset); matched-filter acquisition is
+exercised separately.
 
 The sweep axis is Eb/N0. With unit-energy pulses BPAM and PPM spend one
 energy unit per bit; OOK transmits nothing for a 0, so its
@@ -39,7 +40,7 @@ from .errors import (
     read_lines,
 )
 from .framing import DEFAULT_PARAMS, ThCode, ThParams, generate_code
-from .receiver import ReceiverConfig, calibrated, simulate_links
+from .receiver import ReceiverConfig, calibrated_threshold, simulate_links
 from .transmitter import PPM, ModulationConfig
 from .waveform import (
     DEFAULT_PULSE,
@@ -179,6 +180,10 @@ def point_seeds(base_seed, point_index):
     the seed-splitting contract parallel runners must follow. Both
     arguments are integers >= 0 (see check_int).
 
+    A session reads the entries by position, not by name: segment i's
+    noise and OOK calibration seeds are entries 0 and 1 of
+    point_seeds(rng_seed, i) (reconfig._decode_segment).
+
     A sweep takes its bits, noise and channels from point 0's entries
     for every point: block k's come from bits ^ k, noise ^ k and
     channel ^ k of point_seeds(base_seed, 0), so they are common to the
@@ -205,10 +210,10 @@ def run_sweep(cfg):
     block, each pass building its clean side and drawing each block's
     noise once for the whole grid (receiver.simulate_links).
     """
-    rx, n_bits = cfg.receiver, cfg.n_bits_per_point
-    links = tuple((calibrated(rx, rx, ebn0_db, point_seeds(cfg.base_seed, i)[3]),
-                   ebn0_db) for i, ebn0_db in enumerate(cfg.ebn0_grid))
-    bits_base, noise_base, chan_base, _ = point_seeds(cfg.base_seed, 0)
+    rx, n_bits, base = cfg.receiver, cfg.n_bits_per_point, cfg.base_seed
+    points = [(e, calibrated_threshold(rx, rx, e, point_seeds(base, i)[3]))
+              for i, e in enumerate(cfg.ebn0_grid)]
+    bits_base, noise_base, chan_base, _ = point_seeds(base, 0)
 
     def blocks():
         for block, done in enumerate(range(0, n_bits, BLOCK_BITS)):
@@ -219,9 +224,9 @@ def run_sweep(cfg):
             yield bits, noise_base ^ block, channel
 
     # one record per block and point, points in grid order in a block
-    errors = [0] * len(links)
-    for k, record in enumerate(simulate_links(blocks(), rx, links)):
-        errors[k % len(links)] += record.errors
+    errors = [0] * len(points)
+    for k, record in enumerate(simulate_links(blocks(), rx, rx, points)):
+        errors[k % len(points)] += record.errors
     return [BerPoint(ebn0_db=ebn0_db, errors=e, bits=n_bits)
             for ebn0_db, e in zip(cfg.ebn0_grid, errors)]
 

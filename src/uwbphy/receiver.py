@@ -19,21 +19,21 @@ window reaches past its frame. Ties decode as bit 1 so the quantized
 datapath, where ties are reachable, stays deterministic.
 
 The datapath field selects between the floating-point reference and a
-quantized mode in which the window samples and the template pass
-through the same ADC before correlation (QuantizerConfig's docstring
+quantized mode in which the ADC samples the windows and the template
+alike before the statistic scores them (QuantizerConfig's docstring
 states the rule for an AGC); accumulators stay in double precision
 either way.
 
 simulate_block runs blocks over the link without building their
-waveforms, and scores them; simulate_links runs them over several
-links at once, receivers alike up to their OOK threshold, such as the
-points of a sweep. Sweeps and sessions only calibrate OOK (calibrated)
-and sum or report the records. Each block yields one ScoredBlock per
-link: the statistic of each whole rx frame of its received waveform
-(its frames plus the channel's spread, at most one per bit), the
-decisions, and the errors against its bits, where each bit the
-receiver never produced (a longer rx frame after a one-sided
-reconfiguration) is one.
+waveforms, and scores them; simulate_links runs them through one
+receiver at several points at once, each an (Eb/N0, OOK threshold)
+pair, such as the points of a sweep. Sweeps and sessions only
+calibrate OOK (calibrated_threshold) and sum or report the records.
+Each block yields one ScoredBlock per point: the statistic of each
+whole rx frame of its received waveform (its frames plus the channel's
+spread, at most one per bit), the decisions, and the errors against its
+bits, where each bit the receiver never produced (a longer rx frame
+after a one-sided reconfiguration) is one.
 
 Every frame sends from its code position's chip start whatever its bit
 (transmitter.pulse_table); the bit selects a row. The chip pulse,
@@ -57,9 +57,9 @@ channel has a layout, so a pass, of its own. The open pass runs before
 the next block's layout is built, so nothing is read ahead: a pass
 never shares memory with the block after it. Per block a pass only
 copies the bits that one take through the layout turns into the flat
-index of each reaching pulse, and draws the noise; per block and link
-it scales the noise and scores the decisions. No sample position spans
-two blocks, so only each block's own positions must fit the int64
+index of each reaching pulse, and draws the noise; per block and
+point it scales the noise and scores the decisions. No sample position
+spans two blocks, so only each block's own positions must fit the int64
 range. Each window the receiver reads is the sum of the rows that reach
 into it, a handful per window even on CM1. Those windows repeat: the
 content of one follows from the flat indices it reads, so a pass's
@@ -68,24 +68,25 @@ windows are grouped by them and each distinct one is built once (about
 AWGN blocks).
 
 The clean side of a pass (its layout, grouping, distinct windows and
-their clean statistics) serves every link, and so does the noise: each
+their clean statistics) serves every point, and so does the noise: each
 block draws its standard normals once, from its noise seed, and each
-link scales them by its own sigma (common random numbers). Each link's
-noise keeps its exact law, while the links' errors are correlated; on
-the floating-point datapath a BPAM or PPM frame a link gets wrong over
-AWGN is wrong on every noisier link too. With white noise the window
-samples are a sufficient statistic for the decision, so noise anywhere
-else would never be read. On the floating-point datapath the statistic
-is linear in the noise for BPAM and PPM and a noncentral chi-square
-for OOK, so no noise sample is drawn at all: each frame's statistic is
-its distinct clean window's plus a noise term from its exact law, one
-or two variates per frame. The quantized datapath draws white noise
-for every window sample, and builds each link's windows from it and
-the clean ones a chunk at a time, quantizing and scoring each chunk in
-place. The result equals place_pulse_train, apply_channel, add_awgn
-and demodulate on the whole block in distribution, not sample for
-sample; without noise it equals them up to float rounding in multipath
-sums.
+point scales them by its own sigma (common random numbers). Each
+point's noise keeps its exact law, while the points' errors are
+correlated; on the floating-point datapath a BPAM or PPM frame a point
+gets wrong over AWGN is wrong at every noisier point too. With white
+noise the window samples are a sufficient statistic for the decision,
+so noise anywhere else would never be read. On the floating-point
+datapath the statistic is linear in the noise for BPAM and PPM and a
+noncentral chi-square for OOK, so no noise sample is drawn at all: each
+frame's statistic is its distinct clean window's plus a noise term from
+its exact law, one or two variates per frame. The quantized datapath
+draws white noise for every window sample, and builds each point's
+windows from it and the clean ones a chunk at a time, quantizing and
+scoring each chunk in place against the template, which it quantizes
+once per point and block. The result equals place_pulse_train,
+apply_channel, add_awgn and demodulate on the whole block in
+distribution, not sample for sample; without noise it equals them up
+to float rounding in multipath sums.
 """
 
 import math
@@ -153,7 +154,8 @@ class ReceiverConfig:
     integration_window: OOK energy window, seconds, at least one sample
         (defaults to the template support).
     threshold: OOK decision threshold in energy units; must be
-        calibrated before an OOK receiver decodes.
+        calibrated before an OOK receiver decodes through simulate_block
+        or decision_statistics (simulate_links takes one per point).
     datapath: None for the floating-point reference, or the
         QuantizerConfig of the ADC (one without a full scale is an AGC,
         see QuantizerConfig).
@@ -309,20 +311,11 @@ def _windows(x, cfg, offset):
     return x[starts[:, None] + np.arange(cfg.window_len)]
 
 
-def _statistics(win, cfg, adc=None):
-    """Per-frame decision statistics of gathered windows; a frame
-    decodes as bit 1 iff its statistic is >= 0 (see decide).
-
-    win is modified in place; the ADC of cfg.datapath, if any, samples
-    the windows (at adc, when given, else at the windows' own full
-    scale) and quantizes the template at the same full scale.
-    """
-    threshold = _threshold(cfg)
-    tpl = cfg.pulse
-    if cfg.datapath is not None:
-        adc = adc or cfg.datapath.for_samples(win)
-        quantize_array(win, adc, out=win)
-        tpl = quantize_array(tpl, adc)
+def _statistics(win, tpl, cfg, threshold):
+    """Per-frame decision statistics of windows win scored against the
+    chip template tpl, both as the datapath sampled them, and the OOK
+    threshold (None for BPAM and PPM); a frame decodes as bit 1 iff its
+    statistic is >= 0 (see decide)."""
     if cfg.mod.scheme == OOK:
         energy = np.einsum("ij,ij->i", win, win) / cfg.sample_rate
         return energy - threshold
@@ -332,17 +325,22 @@ def _statistics(win, cfg, adc=None):
     nominal = np.einsum("ij,j->i", win[:, :len(tpl)], tpl)
     if cfg.mod.scheme == BPAM:
         return nominal
+    # two correlations, not one product with the shifted-minus-nominal
+    # coefficients (_clean_law's norm): on the quantized lattice a frame
+    # whose correlations are equal then scores exactly 0 and decodes as
+    # 1, where the one-vector form rounds such ties either way
     return np.einsum("ij,j->i", win[:, -len(tpl):], tpl) - nominal
 
 
-def _threshold(cfg):
-    """The threshold of an OOK receiver cfg, None for BPAM and PPM.
-
-    Raises UncalibratedThreshold for an OOK receiver without one."""
-    if cfg.mod.scheme == OOK and cfg.threshold is None:
+def _threshold(cfg, threshold):
+    """threshold, the OOK threshold of a point of receiver cfg (BPAM and
+    PPM read none), as a float when set. Raises UncalibratedThreshold
+    for an OOK point without one and InvalidParams for one that is
+    neither zero nor positive and finite (see ReceiverConfig)."""
+    if cfg.mod.scheme == OOK and threshold is None:
         raise UncalibratedThreshold(
             "OOK threshold is unset; run calibrate_ook_threshold first")
-    return cfg.threshold
+    return threshold and check_positive(threshold, "threshold")
 
 
 def decide(statistics):
@@ -356,7 +354,11 @@ def decision_statistics(rx, cfg, sync=GENIE_SYNC):
     on: the BPAM correlation, the PPM shifted-minus-nominal
     correlation, or the OOK window energy minus the threshold."""
     _check_rx(rx, cfg)
-    return _statistics(_windows(rx.samples, cfg, sync.offset), cfg)
+    win, tpl = _windows(rx.samples, cfg, sync.offset), cfg.pulse
+    if cfg.datapath is not None:
+        adc = cfg.datapath.for_samples(win)
+        win, tpl = quantize_array(win, adc, out=win), quantize_array(tpl, adc)
+    return _statistics(win, tpl, cfg, _threshold(cfg, cfg.threshold))
 
 
 def demodulate(rx, cfg, sync=GENIE_SYNC):
@@ -393,23 +395,22 @@ def _score(bits, statistics):
 CALIBRATION_FRAMES = 20000
 
 
-def calibrated(tx, rx, ebn0_db, seed):
-    """rx ready to decode what tx sends at ebn0_db: an OOK receiver
-    takes the threshold calibrate_ook_threshold picks from
+def calibrated_threshold(tx, rx, ebn0_db, seed):
+    """The threshold rx needs to decode what tx sends at ebn0_db: for an
+    OOK receiver the one calibrate_ook_threshold picks from
     CALIBRATION_FRAMES frames of stream seed, with Eb of tx's scheme;
-    others are returned as they are. Sweep points and session segments
-    both calibrate here, with the same budget."""
+    None for BPAM and PPM. Sweep points and session segments both
+    calibrate here, with the same budget."""
     if rx.mod.scheme != OOK:
-        return rx
+        return None
     eb = ENERGY_PER_BIT[tx.mod.scheme]
-    return rx.with_threshold(
-        calibrate_ook_threshold(rx, ebn0_db, eb, CALIBRATION_FRAMES, seed))
+    return calibrate_ook_threshold(rx, ebn0_db, eb, CALIBRATION_FRAMES, seed)
 
 
 def simulate_block(blocks, tx, rx, ebn0_db):
     """Send blocks of bits from tx to rx at ebn0_db (Eb of tx's scheme):
     an iterator of a ScoredBlock for each, in order, that runs them as
-    simulate_links runs one link.
+    simulate_links runs the one point (ebn0_db, rx.threshold).
 
     blocks is an iterable of (bits, noise_seed, channel) triples, read
     one at a time: a pass ends when it is full or when the next block
@@ -426,31 +427,32 @@ def simulate_block(blocks, tx, rx, ebn0_db):
     InvalidParams for bits other than 0 and 1 or a block whose sample
     positions do not fit a 64-bit integer.
     """
-    return simulate_links(blocks, tx, ((rx, ebn0_db),))
+    return simulate_links(blocks, tx, rx, ((ebn0_db, rx.threshold),))
 
 
-def simulate_links(blocks, tx, links):
-    """simulate_block over several links that share tx, their blocks,
-    their channels and their noise, one block at a time.
+def simulate_links(blocks, tx, rx, points):
+    """simulate_block at several points of one link, which share their
+    blocks, their channels and their noise, one block at a time.
 
-    links holds an (rx, ebn0_db) pair per link, the receivers alike up
-    to their OOK threshold (calibrated copies of one receiver), and each
-    block is a (bits, noise_seed, channel) triple as simulate_block
-    takes. Yields, block by block, one ScoredBlock per link in the order
-    of links, each bit for bit that link's own simulate_block record
-    over the same blocks. Each pass builds its windows and their clean
-    statistics once for every link, and each block draws its noise once:
-    every link scales those standard normals by its own sigma (common
-    random numbers), so each link's noise keeps its exact law while the
-    links' errors are correlated. Raises what simulate_block raises.
+    points holds an (ebn0_db, threshold) pair per point, threshold the
+    point's OOK threshold (calibrated_threshold; None for BPAM and PPM,
+    and rx.threshold is not read), and each block is a (bits,
+    noise_seed, channel) triple as simulate_block takes. Yields, block
+    by block, one ScoredBlock per point in the order of points, each bit
+    for bit that of simulate_block over the same blocks with rx at that
+    point's threshold. Each pass builds its windows and their clean
+    statistics once for every point, and each block draws its noise
+    once: every point scales those standard normals by its own sigma
+    (common random numbers), so each point's noise keeps its exact law
+    while the points' errors are correlated. Raises what simulate_block
+    raises, an OOK point without a threshold before any block is read.
     """
-    for rx, _ in links:
-        if tx.sample_rate != rx.sample_rate:
-            raise RateMismatch(f"tx at {tx.sample_rate:g} S/s but rx at "
-                               f"{rx.sample_rate:g} S/s")
-    links = tuple((rx, noise_sigma(e, ENERGY_PER_BIT[tx.mod.scheme],
-                                   rx.sample_rate)) for rx, e in links)
-    rx = links[0][0]
+    if tx.sample_rate != rx.sample_rate:
+        raise RateMismatch(f"tx at {tx.sample_rate:g} S/s but rx at "
+                           f"{rx.sample_rate:g} S/s")
+    eb = ENERGY_PER_BIT[tx.mod.scheme]
+    points = tuple((noise_sigma(e, eb, rx.sample_rate), _threshold(rx, t))
+                   for e, t in points)
     # the rows sent are the shape set of every block without a channel
     starts, shared = pulse_table(tx.mod, tx.params, tx.code, tx.template)
     # a block without a channel shares the layout before it if that was
@@ -460,7 +462,7 @@ def simulate_links(blocks, tx, links):
         bits = _as_bits(bits)
         same = channel is None and len(bits) == shared_len
         if batch and (not same or len(batch) == _PASS_BLOCKS):
-            yield from _run_pass(batch, *layout, links)
+            yield from _run_pass(batch, *layout, rx, points)
             batch = []
         if not same:
             layout = _layout(tx, rx, starts, len(bits), shared
@@ -468,7 +470,7 @@ def simulate_links(blocks, tx, links):
         shared_len = len(bits) if channel is None else None
         batch.append((bits, noise_seed))
     if batch:
-        yield from _run_pass(batch, *layout, links)
+        yield from _run_pass(batch, *layout, rx, points)
 
 
 def _shapes(tx, channel):
@@ -525,19 +527,17 @@ def _layout(tx, rx, starts, n, shapes):
     return padded.ravel(), at, pos
 
 
-def _run_pass(batch, padded, at, pos, links):
-    """Yield, for each block of one pass, its ScoredBlock over each
-    link. batch holds a (bits, noise_seed) pair per block, all of one
-    length, and padded, at and pos are their _layout. links holds an
-    (rx, sigma) pair per link, the receivers alike up to their OOK
-    threshold. The pulse reaching a window takes the row of padded that
-    its bit selects.
+def _run_pass(batch, padded, at, pos, rx, points):
+    """Yield, for each block of one pass, its ScoredBlock at each point
+    of receiver rx. batch holds a (bits, noise_seed) pair per block, all
+    of one length, and padded, at and pos are their _layout. points
+    holds a (sigma, threshold) pair per point. The pulse reaching a
+    window takes the row of padded that its bit selects.
 
     Per block, a pass only copies its bits into the array that one take
     through at turns into the flat index of every reaching pulse, and
-    draws the block's noise once, from its seed; per block and link, it
-    scales that noise by the link's sigma and scores it."""
-    rx = links[0][0]
+    draws the block's noise once, from its seed; per block and point, it
+    scales that noise by the point's sigma and scores it."""
     width = rx.window_len
     # each block's bits, scaled to the start of the row they select,
     # then a zero at the sentinel index n; read[step, b, w] is the flat
@@ -552,58 +552,62 @@ def _run_pass(batch, padded, at, pos, links):
     read = read.transpose(1, 0, 2).reshape(len(at), -1)
     rep, which = _distinct_windows(read, len(padded))
     clean = _build_windows(padded, read[:, rep], width)
-    noisy = any(sigma > 0.0 for _, sigma in links)
+    noisy = any(sigma > 0.0 for sigma, _ in points)
     # the float datapath draws one normal per frame, the quantized one
     # one per window sample
     shape = m if rx.datapath is None else (m, width)
     if rx.datapath is None:
-        # each link's clean statistics and the scale of its noise terms
+        # each point's clean statistics and the scale of its noise terms
         clean_stats, norm = _clean_law(clean, rx)
-        laws = [(clean_stats - _threshold(r), norm) if rx.mod.scheme == OOK
-                else (clean_stats, sigma * norm) for r, sigma in links]
+        laws = [(clean_stats - t, norm) if rx.mod.scheme == OOK
+                else (clean_stats, sigma * norm) for sigma, t in points]
     for (bits, seed), block in zip(batch, which.reshape(len(batch), m)):
         rng = np.random.default_rng(seed)
         z = rng.standard_normal(shape) if noisy else np.zeros(shape)
         if rx.datapath is not None:
-            stats = _quantized_statistics(z, clean, block, links)
+            stats = _quantized_statistics(z, clean, block, rx, points)
         else:
             chi2 = (_chi2(rng, width - 1, m) if noisy and rx.mod.scheme == OOK
                     else None)
-            stats = [law[block] + _noise_terms(z, chi2, sigma, scale, r, block)
+            stats = [law[block] + _noise_terms(z, chi2, sigma, scale, rx, block)
                      if sigma > 0.0 else law[block]
-                     for (r, sigma), (law, scale) in zip(links, laws)]
+                     for (sigma, _), (law, scale) in zip(points, laws)]
         # the next block's noise is drawn only once this one's is gone
         del z
-        yield from (_score(bits, link_stats) for link_stats in stats)
+        yield from (_score(bits, point_stats) for point_stats in stats)
 
 
-def _quantized_statistics(z, clean, block, links):
-    """The statistics of one block's windows over each quantized link:
-    link i's windows are sigma_i z + clean[block], which its ADC samples
-    at the full scale of the whole block's windows (QuantizerConfig).
+def _quantized_statistics(z, clean, block, rx, points):
+    """The statistics of one block's windows at each point of the
+    quantized receiver rx: point i's windows are sigma_i z +
+    clean[block], which the ADC samples at the full scale of the whole
+    block's windows (QuantizerConfig), as it samples the template.
 
     Two runs over chunks of _MERGE_ROWS rows, each reading a chunk of z
-    once for every link: the first finds each link's peak, the second
-    quantizes each link's chunk and scores it. So the block holds z and
-    a few chunks, never a window matrix of a link."""
+    once for every point: the first finds each point's peak, the second
+    quantizes each point's chunk and scores it against the template
+    quantized once for the point. So the block holds z and a few chunks,
+    never a window matrix of a point."""
     def windows():
         for first in range(0, len(z), _MERGE_ROWS):
             part = slice(first, first + _MERGE_ROWS)
             gathered = clean[block[part]]
-            for i, (_, sigma) in enumerate(links):
+            for i, (sigma, _) in enumerate(points):
                 win = z[part] * sigma
                 win += gathered
                 yield part, i, win
 
-    peaks = np.zeros((len(links), 1))
+    peaks = np.zeros((len(points), 1))
     for _, i, win in windows():
         peaks[i] = max(peaks[i, 0], win.max(), -win.min())
-    # an AGC's full scale is the peak of a link's windows, taken here as
-    # one sample; a fixed ADC keeps its own
-    adcs = [r.datapath.for_samples(p) for (r, _), p in zip(links, peaks)]
-    stats = np.empty((len(links), len(z)))
+    # an AGC's full scale is the peak of a point's windows, taken here
+    # as one sample; a fixed ADC keeps its own
+    adcs = [rx.datapath.for_samples(p) for p in peaks]
+    tpls = [quantize_array(rx.pulse, adc) for adc in adcs]
+    stats = np.empty((len(points), len(z)))
     for part, i, win in windows():
-        stats[i, part] = _statistics(win, links[i][0], adcs[i])
+        quantize_array(win, adcs[i], out=win)
+        stats[i, part] = _statistics(win, tpls[i], rx, points[i][1])
     return stats
 
 
@@ -670,7 +674,7 @@ def _clean_law(win, cfg):
     coef[-len(tpl):] = tpl
     if cfg.mod.scheme == PPM:
         coef[:len(tpl)] -= tpl
-    return _statistics(win, cfg), math.sqrt((coef * coef).sum())
+    return _statistics(win, tpl, cfg, None), math.sqrt((coef * coef).sum())
 
 
 def _noise_terms(z, chi2, sigma, scale, cfg, which):

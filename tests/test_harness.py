@@ -236,10 +236,10 @@ class TestRunSweep:
         # every point below it on the grid gets wrong
         sent, wrong = [], []
 
-        def spy(blocks, tx, links):
+        def spy(blocks, tx, rx, points):
             blocks = (sent.append(block[0]) or block for block in blocks)
-            for k, record in enumerate(simulate_links(blocks, tx, links)):
-                wrong.append(record.decoded != sent[k // len(links)])
+            for k, record in enumerate(simulate_links(blocks, tx, rx, points)):
+                wrong.append(record.decoded != sent[k // len(points)])
                 yield record
 
         monkeypatch.setattr(harness, "simulate_links", spy)

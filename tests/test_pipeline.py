@@ -41,6 +41,7 @@ from uwbphy import (
     SyncEstimate,
     ThCode,
     ThParams,
+    UncalibratedThreshold,
     add_awgn,
     apply_channel,
     apply_reconfiguration,
@@ -800,16 +801,17 @@ def test_each_link_of_a_pass_equals_its_own_call(scheme, datapath, channel):
     rx = _default_receiver(scheme)
     if datapath == "agc12":
         rx = replace(rx, datapath=QuantizerConfig(12))
-    links = [(rx if scheme != "ook" else rx.with_threshold(t), ebn0_db)
-             for t, ebn0_db in ((0.3, 2.0), (0.5, 6.0), (0.7, math.inf))]
+    points = [(ebn0_db, t if scheme == "ook" else None)
+              for t, ebn0_db in ((0.3, 2.0), (0.5, 6.0), (0.7, math.inf))]
     bits = random_bits(52, 2345)
     bits = [bits[at:at + BLOCK_BITS] for at in range(0, 2345, BLOCK_BITS)]
     channels = _block_channels(channel, len(bits))
     blocks = [(b, 90 + i, ch) for i, (b, ch) in enumerate(zip(bits, channels))]
-    records = list(receiver.simulate_links(blocks, rx, links))
+    records = list(receiver.simulate_links(blocks, rx, rx, points))
     assert len(records) == 3 * len(blocks)
-    for k, (link_rx, ebn0_db) in enumerate(links):
-        alone = simulate_block(blocks, rx, link_rx, ebn0_db)
+    for k, (ebn0_db, threshold) in enumerate(points):
+        alone = simulate_block(blocks, rx, replace(rx, threshold=threshold),
+                               ebn0_db)
         for got, want in zip(records[k::3], alone, strict=True):
             assert got.statistics.tobytes() == want.statistics.tobytes()
             assert got.errors == want.errors
@@ -822,15 +824,59 @@ def test_quantized_pass_holds_one_window_matrix_for_any_links():
     # (test_quantized_block_holds_one_window_matrix)
     rx = replace(_default_receiver("ppm"), datapath=QuantizerConfig(12))
     block = (random_bits(12, BLOCK_BITS), 13, draw_channel(CM1_LIKE, 9))
-    links = [(rx, 2.0), (rx, 6.0), (rx, math.inf)]
+    points = [(2.0, None), (6.0, None), (math.inf, None)]
     tracemalloc.start()
     try:
-        records = list(receiver.simulate_links([block], rx, links))
+        records = list(receiver.simulate_links([block], rx, rx, points))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(records) == 3
     assert peak / (8 * BLOCK_BITS * rx.window_len) < 1.5
+
+
+@pytest.mark.parametrize("threshold, error", [
+    (None, UncalibratedThreshold), (-1.0, InvalidParams),
+    (math.nan, InvalidParams)])
+@pytest.mark.parametrize("datapath", [None, QuantizerConfig(12)])
+def test_an_ook_point_without_a_threshold_reads_no_block(datapath, threshold,
+                                                         error):
+    # the grid's points are data: a missing or invalid OOK threshold is
+    # refused as the pass starts, before the blocks iterator gives up a
+    # block
+    rx = replace(_default_receiver("ook"), datapath=datapath)
+    taken = []
+
+    def blocks():
+        for k in range(3):
+            taken.append(k)
+            yield random_bits(40 + k, BLOCK_BITS), 50 + k, None
+
+    points = [(4.0, 0.5), (8.0, threshold)]
+    with pytest.raises(error):
+        next(receiver.simulate_links(blocks(), rx, rx, points))
+    assert taken == []
+
+
+def test_a_quantized_block_samples_each_point_template_once(monkeypatch):
+    # the ADC samples a point's template once per block, at that
+    # point's full scale, and each of its 64-row window chunks once
+    rx = replace(_default_receiver("ppm"), datapath=QuantizerConfig(12))
+    block = (random_bits(14, BLOCK_BITS), 15, draw_channel(CM1_LIKE, 9))
+    shapes = []
+
+    def spy(x, *args, **kwargs):
+        shapes.append(np.shape(x))
+        return quantize_array(x, *args, **kwargs)
+
+    monkeypatch.setattr(receiver, "quantize_array", spy)
+    [first, second] = receiver.simulate_links([block], rx, rx,
+                                              [(2.0, None), (6.0, None)])
+    assert len(first.statistics) == len(second.statistics) == BLOCK_BITS
+    chunks = math.ceil(BLOCK_BITS / receiver._MERGE_ROWS)
+    assert shapes.count(rx.pulse.shape) == 2
+    assert len(shapes) == 2 + 2 * chunks
+    assert all(len(shape) == 2 for shape in shapes if shape != rx.pulse.shape)
 
 
 # every scheme on the float and the quantized datapath, with and

@@ -72,6 +72,8 @@ class TestSamplePulse:
         sig = sample_pulse(SHAPE, RATE)
         assert len(sig) % 2 == 1
         assert np.argmax(sig.samples) == len(sig) // 2
+        # one sample on either end of the support: a period past it
+        assert sig.duration == pytest.approx(SHAPE.duration + 1 / RATE)
 
     def test_undersampled_rejected(self):
         with pytest.raises(UndersampledPulse):

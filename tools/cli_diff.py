@@ -1,0 +1,93 @@
+"""Run a fixed list of seeded CLI invocations under two source trees and
+name every run whose stdout, stderr or exit code differ.
+
+Each tree is a directory holding the uwbphy package (a checkout's src).
+Every run is `python -m uwbphy ...` with that tree alone on PYTHONPATH,
+from one shared temporary directory, so the session script's path in
+the CSV metadata is the same under both trees. The list covers sweeps
+of each scheme on the float and quantized datapaths, sessions, compare,
+two presets and a refused sweep; NAME arguments select runs from it.
+Exits 0 when every run selected is identical, 1 otherwise, and 2 for
+an unknown NAME.
+
+    python tools/cli_diff.py A_SRC B_SRC [NAME ...]
+"""
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SCRIPT = "plan.txt"
+SCRIPT_TEXT = "@400 set tc=20 signal=1\n@800 set tc=12 signal=1\n"
+
+
+def _runs():
+    runs = {}
+    for scheme in ("ook", "bpam", "ppm"):
+        awgn = ["sweep", "--scheme", scheme, "--ebn0", "0,4,8", "--bits",
+                "2000", "--seed", "5"]
+        cm1 = ["sweep", "--scheme", scheme, "--ebn0", "4,10", "--bits",
+               "2000", "--seed", "6", "--channel", "multipath"]
+        runs[f"sweep-{scheme}-awgn"] = awgn
+        runs[f"sweep-{scheme}-cm1"] = cm1
+        for bits in ("3", "8", "12"):
+            runs[f"sweep-{scheme}-cm1-q{bits}"] = cm1 + ["--quant-bits", bits]
+    session = ["session", "--script", SCRIPT, "--bits", "1200", "--seed", "3"]
+    runs["session-ppm"] = session + ["--scheme", "ppm"]
+    runs["session-ppm-fault"] = session + ["--scheme", "ppm", "--fault-inject"]
+    runs["session-ook-8db"] = session + ["--scheme", "ook", "--ebn0", "8"]
+    runs["session-ook-8db-fault"] = session + [
+        "--scheme", "ook", "--ebn0", "8", "--fault-inject"]
+    runs["session-bpam-6db"] = session + ["--scheme", "bpam", "--ebn0", "6"]
+    compare = ["compare", "--ebn0", "4,8", "--bits", "2000", "--seed", "5"]
+    runs["compare-cm1"] = compare + ["--channel", "multipath"]
+    runs["compare-q4"] = compare + ["--quant-bits", "4"]
+    for preset in ("th-ook-v1", "th-ppm-v3"):
+        runs[f"preset-{preset}"] = ["sweep", "--preset", preset, "--ebn0",
+                                    "0,4", "--bits", "1000", "--seed", "5"]
+    runs["refused-ook-q2"] = ["sweep", "--scheme", "ook", "--ebn0", "8",
+                              "--bits", "1000", "--quant-bits", "2"]
+    return runs
+
+
+RUNS = _runs()
+
+
+def run(src, argv, cwd):
+    """(exit code, stdout, stderr) of `python -m uwbphy argv` over src."""
+    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
+    done = subprocess.run([sys.executable, "-m", "uwbphy", *argv], cwd=cwd,
+                          env=env, capture_output=True)
+    return done.returncode, done.stdout, done.stderr
+
+
+def main(argv):
+    if len(argv) < 2:
+        print("usage: python tools/cli_diff.py A_SRC B_SRC [NAME ...]",
+              file=sys.stderr)
+        return 2
+    a, b, names = argv[0], argv[1], argv[2:] or list(RUNS)
+    unknown = [name for name in names if name not in RUNS]
+    if unknown:
+        print(f"unknown runs: {' '.join(unknown)}", file=sys.stderr)
+        return 2
+    differ = []
+    with tempfile.TemporaryDirectory() as cwd:
+        Path(cwd, SCRIPT).write_text(SCRIPT_TEXT)
+        for name in names:
+            got = [run(src, RUNS[name], cwd) for src in (a, b)]
+            parts = [part for part, x, y in zip(
+                ("exit code", "stdout", "stderr"), *got) if x != y]
+            if parts:
+                differ.append(name)
+                print(f"{name}: differ in {', '.join(parts)}")
+            else:
+                print(f"{name}: same")
+    print(f"{len(names) - len(differ)} of {len(names)} runs identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
