@@ -87,7 +87,7 @@ def _add_sweep_flags(sub):
 
 
 def _params(args):
-    return ThParams(t_c=args.tc * 1e-9, n_c=args.nc)
+    return ThParams(t_c=args.tc / 1e9, n_c=args.nc)
 
 
 def _channel_profile(args):

@@ -304,7 +304,7 @@ def load_reconfig_script(path):
         try:
             req = ReconfigRequest(
                 effective_frame=int(m.group(1)),
-                new_t_c=None if fields["tc"] is None else float(fields["tc"]) * 1e-9,
+                new_t_c=None if fields["tc"] is None else float(fields["tc"]) / 1e9,
                 new_n_c=None if fields["nc"] is None else int(fields["nc"]),
                 new_code_id=fields["code"],
                 reconfig_signal=fields["signal"] == "1",

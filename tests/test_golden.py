@@ -54,17 +54,17 @@ RUNS = {
     "session-ppm-fault": (
         ["session", "--scheme", "ppm", "--ebn0", "8", "--bits", "1200",
          "--seed", "3", "--fault-inject"],
-        "e8c4aa210dd398509cb27c1ec94c48e60571b6dd4248db895c24e1f901b2a062",
+        "e157e9ccba31bdb821e5f6f11296ce6a88c73deff0ab4b2b9eec630381456790",
     ),
     "session-ook-fault": (
         ["session", "--scheme", "ook", "--ebn0", "8", "--bits", "1200",
          "--seed", "3", "--fault-inject"],
-        "f528ecabbf48ba4e58fb08483e4b74ffe715b73f443e3612e6baee8f966a22f8",
+        "3e4795561f73015b439bf84f95cbff7ec91aa2faac1f82d8301a544adab2c82a",
     ),
     "session-bpam": (
         ["session", "--scheme", "bpam", "--ebn0", "6", "--bits", "1200",
          "--seed", "3"],
-        "c72042c5ba17e82e649fce50aa6c89e5c318c8480742c1649b402e035779525b",
+        "aa1a19ce294377ce2ff1c0e38074946c08cc0e0693632eb901a3a25cddc32fe3",
     ),
     "sweep-preset-th-ppm-v3": (
         ["sweep", "--preset", "th-ppm-v3", "--ebn0", "0,4", "--bits", "1000",

@@ -26,7 +26,7 @@ from uwbphy import (
     run_session,
 )
 
-from uwbphy import reconfig
+from uwbphy import cli, reconfig
 from uwbphy.receiver import simulate_block
 
 from conftest import FAST_PULSE, RATE, make_mod, random_bits
@@ -491,6 +491,17 @@ class TestScriptParsing:
         assert reqs[1].new_n_c == 16
         assert reqs[1].new_code_id == "alt"
         assert reqs[2].reconfig_signal is False
+
+    def test_tc_is_read_as_the_nearest_double_of_its_ns(self, tmp_path):
+        # 12 / 1e9 is the double nearest 12 ns; 12 * 1e-9 is one ulp off
+        # (1.2000000000000002e-08), and the session CSV prints t_c
+        path = tmp_path / "plan.txt"
+        path.write_text("@100 set tc=12 signal=1\n@200 set tc=3.6 signal=1\n")
+        assert [r.new_t_c for r in load_reconfig_script(path)] == [1.2e-08,
+                                                                   3.6e-09]
+        args = cli._parser().parse_args(["sweep", "--scheme", "ppm",
+                                         "--tc", "12"])
+        assert repr(cli._params(args).t_c) == "1.2e-08"
 
     def test_bad_shape(self, tmp_path):
         path = tmp_path / "plan.txt"
