@@ -342,6 +342,15 @@ class QuantizerConfig:
     full scale is the peak |x| (1.0 if x is all zeros), and a receiver
     quantizes its template at that same scale. for_samples gives the
     quantizer with that scale.
+
+    The ADC's output is a code: for step = 2 full_scale / 2^bits, the
+    sample x has code k = clip(floor(x / step), -2^(bits-1), 2^(bits-1)
+    - 1), which stands for the level (k + 1/2) step. A receiver scores
+    codes (receiver._statistics), so its correlations are sums of
+    integers, exact in float64 while W 4^bits < 2^53 for W samples per
+    window. At _IDENTITY_BITS or more float64 holds no finer lattice:
+    the code is the sample clipped to the full scale, and the statistic
+    equals the float correlation of the clipped samples to rounding.
     """
 
     bits: int
@@ -363,6 +372,29 @@ class QuantizerConfig:
         return QuantizerConfig(self.bits, float(peak))
 
 
+def _lattice(q):
+    """(step, half) of quantizer q at a fixed full scale: the sample x
+    has the code _codes(x / step, q), which stands for the level (code +
+    half) * step. Below _IDENTITY_BITS half is 1/2 and codes are
+    integers; at or above, step is 1 and half 0."""
+    if q.bits >= _IDENTITY_BITS:
+        return 1.0, 0.0
+    return 2.0 * q.full_scale / (1 << q.bits), 0.5
+
+
+def _codes(y, q, low=-math.inf, high=math.inf):
+    """Codes of quantizer q at a fixed full scale, in place, for samples
+    y already divided by its step (_lattice). low and high bound y: on
+    a lattice whose code range holds both, the clip is left out."""
+    if q.bits >= _IDENTITY_BITS:
+        return np.clip(y, -q.full_scale, q.full_scale, out=y)
+    half_levels = 1 << (q.bits - 1)
+    np.floor(y, out=y)
+    if -half_levels <= low and high < half_levels:
+        return y
+    return np.clip(y, -half_levels, half_levels - 1, out=y)
+
+
 def quantize_array(x, q, out=None):
     """Quantize samples onto the mid-rise lattice of q.for_samples(x),
     into out when given (which may be x itself); one new array
@@ -374,13 +406,9 @@ def quantize_array(x, q, out=None):
     """
     x = np.asarray(x, dtype=np.float64)
     q = q.for_samples(x)
-    if q.bits >= _IDENTITY_BITS:
-        return np.clip(x, -q.full_scale, q.full_scale, out=out)
-    step = 2.0 * q.full_scale / (1 << q.bits)
-    half_levels = 1 << (q.bits - 1)
-    out = np.divide(x, step, out=out)
-    np.floor(out, out=out)
-    np.clip(out, -half_levels, half_levels - 1, out=out)
-    out += 0.5
-    out *= step
+    step, half = _lattice(q)
+    out = _codes(np.divide(x, step, out=out), q)
+    if half:
+        out += half
+        out *= step
     return out

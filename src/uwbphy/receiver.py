@@ -15,14 +15,18 @@ gathers each frame's observation window into one row of an
 The chip pulse is the template as transmitter.chip_pulse cuts it to
 fit its chip, so every window fits its chip too: W = min(template +
 delta, chip) for BPAM and PPM, and the OOK window is at most t_c. No
-window reaches past its frame. Ties decode as bit 1 so the quantized
-datapath, where ties are reachable, stays deterministic.
+window reaches past its frame. Ties decode as bit 1.
 
 The datapath field selects between the floating-point reference and a
-quantized mode in which the ADC samples the windows and the template
-alike before the statistic scores them (QuantizerConfig's docstring
-states the rule for an AGC); accumulators stay in double precision
-either way.
+quantized mode in which the ADC codes the windows and the template
+alike (QuantizerConfig's docstring states the codes and the rule for an
+AGC) and the statistic scores the integer codes, as an FPGA correlator
+multiplies ADC codes: each statistic is step^2 times a sum of integers
+(_statistics), exact in double precision while W 4^bits < 2^53, which
+holds for every ADC of up to 16 bits at any window under 2^21 samples.
+So the ties the lattice makes reachable are exact: a frame whose BPAM
+correlation is zero or whose two PPM correlations are equal scores
+exactly 0 and decodes as bit 1.
 
 simulate_block runs blocks over the link without building their
 waveforms, and scores them; simulate_links runs them through one
@@ -80,10 +84,11 @@ datapath the statistic is linear in the noise for BPAM and PPM and a
 noncentral chi-square for OOK, so no noise sample is drawn at all: each
 frame's statistic is its distinct clean window's plus a noise term from
 its exact law, one or two variates per frame. The quantized datapath
-draws white noise for every window sample, and builds each point's
-windows from it and the clean ones a chunk at a time, quantizing and
-scoring each chunk in place against the template, which it quantizes
-once per point and block. The result equals place_pulse_train,
+draws white noise for every window sample. Per point it finds the
+AGC's full scale from the chunks of windows that can hold the peak,
+then codes each chunk of windows straight from the noise and the clean
+windows and scores it against the template, which it codes once per
+point and block. The result equals place_pulse_train,
 apply_channel, add_awgn and demodulate on the whole block in
 distribution, not sample for sample; without noise it equals them up
 to float rounding in multipath sums.
@@ -97,7 +102,9 @@ import numpy as np
 
 from .channel import (
     QuantizerConfig,
+    _codes,
     _fft_convolve,
+    _lattice,
     apply_channel,
     noise_sigma,
     quantize_array,
@@ -311,25 +318,41 @@ def _windows(x, cfg, offset):
     return x[starts[:, None] + np.arange(cfg.window_len)]
 
 
-def _statistics(win, tpl, cfg, threshold):
+def _statistics(win, tpl, cfg, threshold, lattice=(1.0, 0.0)):
     """Per-frame decision statistics of windows win scored against the
-    chip template tpl, both as the datapath sampled them, and the OOK
-    threshold (None for BPAM and PPM); a frame decodes as bit 1 iff its
-    statistic is >= 0 (see decide)."""
+    chip template tpl, and the OOK threshold (None for BPAM and PPM); a
+    frame decodes as bit 1 iff its statistic is >= 0 (see decide).
+
+    On the floating-point datapath win and tpl are samples. On the
+    quantized one lattice is the ADC's (step, half) (channel._lattice),
+    win holds the windows' codes k and tpl the template's levels t = l +
+    half, its codes l plus half; an OOK win is overwritten by its
+    levels. Each statistic is then step^2 times a sum over codes: BPAM
+    sum(k t) + half sum(t), PPM sum(k_shifted t) - sum(k_nominal t), OOK
+    sum((k + half)^2) before the rate and the threshold. Below
+    _IDENTITY_BITS every partial sum is a multiple of 1/4 under W
+    4^bits / 4 in magnitude, so the sums are exact while W 4^bits <
+    2^53 (every ADC of up to 16 bits at any window under 2^21 samples):
+    a frame whose correlations tie scores exactly 0 and decodes as 1.
+    """
+    step, half = lattice
     if cfg.mod.scheme == OOK:
-        energy = np.einsum("ij,ij->i", win, win) / cfg.sample_rate
-        return energy - threshold
+        win += half
+        energy = np.einsum("ij,ij->i", win, win) * (step * step)
+        return energy / cfg.sample_rate - threshold
     # einsum rather than a BLAS matrix-vector product: BLAS spreads
     # these small products over threads that cost more CPU than they
     # save and make the cost depend on what else the host runs
     nominal = np.einsum("ij,j->i", win[:, :len(tpl)], tpl)
     if cfg.mod.scheme == BPAM:
-        return nominal
+        return (nominal + half * tpl.sum()) * (step * step)
     # two correlations, not one product with the shifted-minus-nominal
-    # coefficients (_clean_law's norm): on the quantized lattice a frame
-    # whose correlations are equal then scores exactly 0 and decodes as
-    # 1, where the one-vector form rounds such ties either way
-    return np.einsum("ij,j->i", win[:, -len(tpl):], tpl) - nominal
+    # coefficients (_clean_law's norm): on codes both forms are exact,
+    # but on samples (the float datapath, and ADCs of _IDENTITY_BITS or
+    # more) only this one scores a frame whose correlations are equal
+    # exactly 0
+    shifted = np.einsum("ij,j->i", win[:, -len(tpl):], tpl)
+    return (shifted - nominal) * (step * step)
 
 
 def _threshold(cfg, threshold):
@@ -352,13 +375,18 @@ def decide(statistics):
 def decision_statistics(rx, cfg, sync=GENIE_SYNC):
     """Decision statistic of every whole frame of rx from sync.offset
     on: the BPAM correlation, the PPM shifted-minus-nominal
-    correlation, or the OOK window energy minus the threshold."""
+    correlation, or the OOK window energy minus the threshold. Through
+    an ADC it scores the codes of the windows as the block pipeline
+    does (_quantized_statistics), so the two agree bit for bit on the
+    same windows."""
     _check_rx(rx, cfg)
-    win, tpl = _windows(rx.samples, cfg, sync.offset), cfg.pulse
-    if cfg.datapath is not None:
-        adc = cfg.datapath.for_samples(win)
-        win, tpl = quantize_array(win, adc, out=win), quantize_array(tpl, adc)
-    return _statistics(win, tpl, cfg, _threshold(cfg, cfg.threshold))
+    win = _windows(rx.samples, cfg, sync.offset)
+    points = [(0.0, _threshold(cfg, cfg.threshold))]
+    if cfg.datapath is None:
+        return _statistics(win, cfg.pulse, cfg, points[0][1])
+    # as the block pipeline scores noiseless windows, each its own group
+    return _quantized_statistics(np.zeros(win.shape), win,
+                                 np.arange(len(win)), cfg, points)[0]
 
 
 def demodulate(rx, cfg, sync=GENIE_SYNC):
@@ -552,6 +580,8 @@ def _run_pass(batch, padded, at, pos, rx, points):
     read = read.transpose(1, 0, 2).reshape(len(at), -1)
     rep, which = _distinct_windows(read, len(padded))
     clean = _build_windows(padded, read[:, rep], width)
+    # from here on a block reads only its groups and the clean windows
+    del read
     noisy = any(sigma > 0.0 for sigma, _ in points)
     # the float datapath draws one normal per frame, the quantized one
     # one per window sample
@@ -581,34 +611,74 @@ def _quantized_statistics(z, clean, block, rx, points):
     """The statistics of one block's windows at each point of the
     quantized receiver rx: point i's windows are sigma_i z +
     clean[block], which the ADC samples at the full scale of the whole
-    block's windows (QuantizerConfig), as it samples the template.
+    block's windows (QuantizerConfig, _peak), as it samples the
+    template.
 
-    Two runs over chunks of _MERGE_ROWS rows, each reading a chunk of z
-    once for every point: the first finds each point's peak, the second
-    quantizes each point's chunk and scores it against the template
-    quantized once for the point. So the block holds z and a few chunks,
-    never a window matrix of a point."""
-    def windows():
-        for first in range(0, len(z), _MERGE_ROWS):
-            part = slice(first, first + _MERGE_ROWS)
-            gathered = clean[block[part]]
-            for i, (sigma, _) in enumerate(points):
-                win = z[part] * sigma
-                win += gathered
-                yield part, i, win
+    A point's codes come from one affine map of z and its clean windows
+    over its step, z (sigma_i / step_i) + (clean / step_i)[block],
+    floored and clipped (channel._codes) a chunk of _MERGE_ROWS rows at
+    a time in one reused buffer, and each chunk is scored at once
+    against the point's template levels, coded once. So the block holds
+    z, its clean windows over the step and a chunk, never a window
+    matrix of a point.
 
-    peaks = np.zeros((len(points), 1))
-    for _, i, win in windows():
-        peaks[i] = max(peaks[i, 0], win.max(), -win.min())
-    # an AGC's full scale is the peak of a point's windows, taken here
-    # as one sample; a fixed ADC keeps its own
-    adcs = [rx.datapath.for_samples(p) for p in peaks]
-    tpls = [quantize_array(rx.pulse, adc) for adc in adcs]
+    Rounding is monotone, so fl(fl(scale z) + fl(clean / step)) over a
+    chunk lies between the same map of the chunk's lowest normal and
+    clean sample and of its highest: bounds that let the peak run skip
+    the chunks that cannot hold the peak, and the coding skip the clip
+    where no code can leave the range."""
+    buffers = np.empty((2, min(len(z), _MERGE_ROWS), z.shape[1]))
+    first = np.arange(0, len(z), _MERGE_ROWS)
+    # each chunk's lowest and highest normal and clean sample
+    lowest, highest = [
+        (ufunc.reduceat(z.reshape(-1), first * z.shape[1]),
+         ufunc.reduceat(extreme(clean, axis=1)[block], first))
+        for ufunc, extreme in ((np.minimum, np.min), (np.maximum, np.max))]
+
+    def bounds(scale, step):
+        return [scale * norm + value / step
+                for norm, value in (lowest, highest)]
+
     stats = np.empty((len(points), len(z)))
-    for part, i, win in windows():
-        quantize_array(win, adcs[i], out=win)
-        stats[i, part] = _statistics(win, tpls[i], rx, points[i][1])
+    scaled = np.empty_like(clean)
+    for (sigma, threshold), out in zip(points, stats):
+        adc = rx.datapath.for_samples(
+            _peak(z, sigma, clean, block, *bounds(sigma, 1.0), buffers))
+        step, half = lattice = _lattice(adc)
+        tpl = _codes(rx.pulse / step, adc) + half
+        np.divide(clean, step, out=scaled)
+        for row, low, high in zip(first, *bounds(sigma / step, step)):
+            win = _chunk(z, row, sigma / step, scaled, block, buffers)
+            out[row:row + _MERGE_ROWS] = _statistics(
+                _codes(win, adc, low, high), tpl, rx, threshold, lattice)
     return stats
+
+
+def _peak(z, sigma, clean, block, low, high, buffers):
+    """The peak |x| over the windows x = fl(fl(sigma z) + clean[block])
+    as a one-sample array, where no sample of chunk c lies below low[c]
+    or above high[c]. The chunks are built (into buffers) in decreasing
+    order of that bound while it can raise the peak found: the peak is
+    exact, and at low Eb/N0 a block builds a few of its chunks, without
+    noise one."""
+    bound = np.maximum(-low, high)
+    peak = np.zeros(1)
+    for c in np.argsort(-bound, kind="stable"):
+        if bound[c] > peak[0]:
+            win = _chunk(z, c * _MERGE_ROWS, sigma, clean, block, buffers)
+            peak[0] = max(peak[0], win.max(), -win.min())
+    return peak
+
+
+def _chunk(z, first, scale, clean, block, buffers):
+    """Rows first to first + _MERGE_ROWS of the windows z * scale +
+    clean[block], in buffers[0], with the gathered clean rows in
+    buffers[1]."""
+    part = slice(first, first + _MERGE_ROWS)
+    win, rows = buffers[:, :len(block[part])]
+    np.multiply(z[part], scale, out=win)
+    win += clean.take(block[part], axis=0, out=rows, mode="clip")
+    return win
 
 
 def _distinct_windows(read, radix):

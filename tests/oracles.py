@@ -1,7 +1,7 @@
 """Independent reference computations the tests compare against.
 
-Everything here is derived from textbook closed forms or numerical
-quadrature, never from the code under test.
+Everything here is derived from textbook closed forms, numerical
+quadrature or exact integer arithmetic, never from the code under test.
 """
 
 import math
@@ -62,6 +62,33 @@ def ook_optimal_threshold(window_samples, n0, window_energy=1.0):
         options={"xatol": 1e-12},
     )
     return float(res.x)
+
+
+def quantized_statistics(codes, template, scheme):
+    """Exact integer decision statistic of each window of ADC codes.
+
+    codes holds one row of integer codes k per window and template the
+    template's codes l, on one mid-rise lattice: code k stands for the
+    level (k + 1/2) step, so with t = 2l + 1 a correlation of levels is
+    step^2 / 4 times sum((2k + 1) t). Returns Python ints, per window:
+    BPAM 2 sum(k t) + sum(t) over the window; PPM 2 (sum(k t) over the
+    window's last len(t) samples - sum(k t) over its first len(t)); OOK
+    sum((2k + 1)^2) over the window.
+    """
+    t = [2 * int(l) + 1 for l in template]
+    out = []
+    for row in codes:
+        k = [int(v) for v in row]
+        if scheme == "ook":
+            out.append(sum((2 * v + 1) ** 2 for v in k))
+            continue
+        nominal = sum(a * b for a, b in zip(k, t))
+        if scheme == "bpam":
+            out.append(2 * nominal + sum(t))
+        else:
+            shifted = sum(a * b for a, b in zip(k[len(k) - len(t):], t))
+            out.append(2 * (shifted - nominal))
+    return out
 
 
 def pulse_waveform(t, tau):

@@ -17,7 +17,10 @@ under the null hypothesis it fails with probability alpha.
 import hashlib
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -53,7 +56,7 @@ from uwbphy import (
     run_session,
     sample_pulse,
 )
-from uwbphy.channel import quantize_array
+from uwbphy.channel import _codes, noise_sigma, quantize_array
 from uwbphy import harness, receiver
 from uwbphy.harness import BLOCK_BITS, run_sweep
 from uwbphy.receiver import (
@@ -63,6 +66,7 @@ from uwbphy.receiver import (
     simulate_block,
 )
 
+import oracles
 from conftest import FAST_DELTA, FAST_PULSE, RATE, random_bits
 
 KS_ALPHA = 1e-3
@@ -617,82 +621,153 @@ def test_float_block_builds_each_distinct_window_once(scheme, channel):
 
 @pytest.mark.parametrize("scheme", ["ook", "bpam", "ppm"])
 def test_quantized_block_holds_one_window_matrix(scheme):
-    # the noise matrix takes the clean windows in and is quantized in
-    # place: no second matrix of the block's size
+    # the noise matrix is coded and scored a chunk at a time in one
+    # reused buffer: no second matrix of the block's size
     assert _block_peak(scheme, True, QuantizerConfig(12)) < 1.5
 
 
 # sha256 prefixes of the float64 bytes of simulate_block's statistics
 # for each (scheme, channel) cell of the grid below and each link in
-# it, taken when every window was built on its own. They pin every
-# statistic bit for bit, so a window given the content of another shows
-# even where no decision and no CSV byte moves. The cm1 cells also pin
-# the float rounding of apply_channel's dense (overlap-add) path. The
-# default and fast links have no exact-fit pulse; the cut, fast>cut and
-# edge links send and read pulses cut to their chip.
+# it, on the floating-point datapath (BLOCK_DIGESTS) and through 8- and
+# 12-bit AGCs and a fixed 8-bit ADC (QUANTIZED_BLOCK_DIGESTS). They pin
+# every statistic bit for bit, so a window given the content of another
+# shows even where no decision and no CSV byte moves. The float table
+# digests the float half of the statistics pinned since every window
+# was built on its own; the quantized table was re-pinned when the
+# quantized datapath came to score integer ADC codes, which moved the
+# last bits of its statistics and no decision. The cm1 cells also pin
+# the float rounding of apply_channel's dense (overlap-add) path. The default and fast links have no exact-fit
+# pulse; the cut, fast>cut and edge links send and read pulses cut to
+# their chip.
 BLOCK_DIGESTS = {
     "ook-none": {
-        "default": "f562b3965216b8f9",
-        "fast": "bbd385e165d001d3",
-        "cut": "c017b4d031669f48",
-        "fast>cut": "c21a14c7896978b7",
-        "edge": "e8e8096dcbee0381",
+        "default": "b9543b5cbc94c07c",
+        "fast": "9658fb80e62ebc19",
+        "cut": "09dd467708b76f09",
+        "fast>cut": "7110f3f65f352c74",
+        "edge": "5e0c8c0b9c7b2254",
     },
     "ook-short": {
-        "default": "c6d93d7c82d8fe90",
-        "fast": "8eff98d2863fb57b",
-        "cut": "db4c80a2275d57a4",
-        "fast>cut": "a5e0316ae232f2da",
-        "edge": "3c7f34d5071e841d",
+        "default": "7297d3c7c29f24f0",
+        "fast": "d9a08eea31cd0173",
+        "cut": "9aa5510d4feb4b3d",
+        "fast>cut": "082c405396216efc",
+        "edge": "83be3456d8934f75",
     },
     "ook-cm1": {
-        "default": "6cdce34f09477ea7",
-        "fast": "d50e51eae1cda657",
-        "cut": "8d55d32438b849cc",
-        "fast>cut": "ebdf5087aae0738f",
-        "edge": "a1e32044b82b005f",
+        "default": "43f204ca601cf927",
+        "fast": "8cf27c101de69eeb",
+        "cut": "f9e971fcb42e4bb7",
+        "fast>cut": "323f9d150ed27b55",
+        "edge": "3c6622cdef050264",
     },
     "bpam-none": {
-        "default": "7ca4e98362e485e5",
-        "fast": "d8a1291f8ed4da96",
-        "cut": "884a84a1ef0f9a89",
-        "fast>cut": "f363276b58658320",
-        "edge": "f77aa7462d451a28",
+        "default": "072875aec8034a66",
+        "fast": "0c4e7cf30b1d2120",
+        "cut": "48995a478898d3a2",
+        "fast>cut": "5dbcdf2a7b183084",
+        "edge": "7d3deb9b1f206383",
     },
     "bpam-short": {
-        "default": "5741af05fd2a2e89",
-        "fast": "8f2a4c2011917db6",
-        "cut": "a4697e9d03f2045a",
-        "fast>cut": "af0632144dd0b53b",
-        "edge": "d146e8bc539d0507",
+        "default": "71b17a78ec6b528c",
+        "fast": "4ecb853061e5c7ba",
+        "cut": "96826a3af4e2dc48",
+        "fast>cut": "a663ebda1ea85b07",
+        "edge": "d2d7f48675f2243d",
     },
     "bpam-cm1": {
-        "default": "fae558771ee71d22",
-        "fast": "142bc134ecf23e00",
-        "cut": "408e05686e45b7ee",
-        "fast>cut": "c8a2c484a582bdf2",
-        "edge": "727b9fef74688a6d",
+        "default": "32054ce4ad7f4f07",
+        "fast": "c4c08616e82d10b3",
+        "cut": "584f482597ac9606",
+        "fast>cut": "0418eaf1d36368d9",
+        "edge": "e4b70a0fc59e36f7",
     },
     "ppm-none": {
-        "default": "22fa0a29e2605372",
-        "fast": "e7660462785e6f90",
-        "cut": "e5167c12155d4890",
-        "fast>cut": "9727a47198f8f1a5",
-        "edge": "be9a1926ce46d598",
+        "default": "76355fb1191cfa36",
+        "fast": "0c0588eee65d8330",
+        "cut": "46f12802cd182dcc",
+        "fast>cut": "2cf13fcf7412fee5",
+        "edge": "990860f34085f7f1",
     },
     "ppm-short": {
-        "default": "9e5d98f9b29d8f8b",
-        "fast": "59e70f36d4dc9fd2",
-        "cut": "72e8291e78056066",
-        "fast>cut": "0b2d22245f704b89",
-        "edge": "4bb0686b2418da7e",
+        "default": "9b71ee601a244150",
+        "fast": "a8fbb2c65d4ca20c",
+        "cut": "a210fe70d657445e",
+        "fast>cut": "af325ef048fbb61f",
+        "edge": "c0a826c03a4998d2",
     },
     "ppm-cm1": {
-        "default": "42ae42de49694b43",
-        "fast": "629ed063085c80dd",
-        "cut": "47e04cdb947e4fbe",
-        "fast>cut": "6a655d85e62fbfd6",
-        "edge": "c46f3678ee4ba822",
+        "default": "0085a89292919df8",
+        "fast": "af411460e45a34f3",
+        "cut": "bc6af11a1d4e4568",
+        "fast>cut": "bff8d97d3ac02149",
+        "edge": "27128d6bc88c1aaf",
+    },
+}
+
+QUANTIZED_BLOCK_DIGESTS = {
+    "ook-none": {
+        "default": "bdadad9e18301817",
+        "fast": "a7265636ee57b946",
+        "cut": "d10bbfe057554cc9",
+        "fast>cut": "4b093d5eca0ca007",
+        "edge": "9ba7e40d761e494d",
+    },
+    "ook-short": {
+        "default": "1dfc3b42d1e505dc",
+        "fast": "f8d76725c0bf645a",
+        "cut": "443128f2e052e92f",
+        "fast>cut": "67e4ec8d795f37c4",
+        "edge": "a90730b083cb2a1b",
+    },
+    "ook-cm1": {
+        "default": "f97aaedfa9920820",
+        "fast": "1ee02f7be2075535",
+        "cut": "b0037b85938d0818",
+        "fast>cut": "e67d5e4711a2d7c2",
+        "edge": "4af0579e18517923",
+    },
+    "bpam-none": {
+        "default": "4891cd62a8f1a403",
+        "fast": "313d73d35a0b8154",
+        "cut": "17239ba538c59fe9",
+        "fast>cut": "bb073e8ac7b24ad2",
+        "edge": "1b6648245da65b40",
+    },
+    "bpam-short": {
+        "default": "6e2e2e4dc1af1798",
+        "fast": "2c9992af8044dad4",
+        "cut": "4dae6fdead2ec6d6",
+        "fast>cut": "b74591dfa59edc0d",
+        "edge": "594963d89697d932",
+    },
+    "bpam-cm1": {
+        "default": "58520f7e59859f94",
+        "fast": "c0762d1b7d5d0e58",
+        "cut": "00cfedbab0338afe",
+        "fast>cut": "984455a3956c3816",
+        "edge": "65537edd2b1b1edb",
+    },
+    "ppm-none": {
+        "default": "d8ecba2805af9d1e",
+        "fast": "5f056fb35135580c",
+        "cut": "1e9da5aa7db56a3f",
+        "fast>cut": "6e24cef88a056b28",
+        "edge": "81191070fe276fbe",
+    },
+    "ppm-short": {
+        "default": "36adce9ed38e4e52",
+        "fast": "ed41c999b0601abe",
+        "cut": "c1f6edac4950c179",
+        "fast>cut": "0ab2c996809318dd",
+        "edge": "dac06a27a276dc02",
+    },
+    "ppm-cm1": {
+        "default": "9e7d1742374866f4",
+        "fast": "16b1d5f8d0f4e58b",
+        "cut": "33b08417ba8560ce",
+        "fast>cut": "9b67d4ffca2e1e51",
+        "edge": "d168002532ec3847",
     },
 }
 
@@ -707,10 +782,11 @@ def _block_link(scheme, name):
     return make[tx or rx](scheme), make[rx](scheme)
 
 
-def _block_link_digest(scheme, channel, link):
+def _block_link_digest(scheme, channel, link, quantized):
     """Digest of the statistics of seeded simulate_block calls over one
-    link: on the float datapath, 8- and 12-bit AGC and a fixed 8-bit
-    ADC, with and without noise, for a long and a short block."""
+    link, with and without noise, for a long and a short block: on the
+    float datapath, or on 8- and 12-bit AGCs and a fixed 8-bit ADC. Each
+    datapath keeps the seeds it had when one digest covered all four."""
     ch = {"none": None, "short": SHORT_CHANNEL,
           "cm1": draw_channel(CM1_LIKE, 14)}[channel]
     tx, rx = _block_link(scheme, link)
@@ -723,6 +799,8 @@ def _block_link_digest(scheme, channel, link):
         for ebn0_db in (4.0, math.inf):
             for n_bits in (300, 37):
                 seed += 1
+                if (datapath is not None) != quantized:
+                    continue
                 stats = _block(
                     random_bits(seed, n_bits), tx, rx_dp, ebn0_db, seed, ch
                 )
@@ -733,9 +811,17 @@ def _block_link_digest(scheme, channel, link):
 @pytest.mark.parametrize("key", sorted(BLOCK_DIGESTS))
 def test_block_statistics_are_pinned(key):
     scheme, channel = key.split("-")
-    got = {link: _block_link_digest(scheme, channel, link)
+    got = {link: _block_link_digest(scheme, channel, link, False)
            for link in BLOCK_LINKS}
     assert got == BLOCK_DIGESTS[key]
+
+
+@pytest.mark.parametrize("key", sorted(QUANTIZED_BLOCK_DIGESTS))
+def test_quantized_block_statistics_are_pinned(key):
+    scheme, channel = key.split("-")
+    got = {link: _block_link_digest(scheme, channel, link, True)
+           for link in BLOCK_LINKS}
+    assert got == QUANTIZED_BLOCK_DIGESTS[key]
 
 
 def _block_channels(channel, n_blocks):
@@ -859,24 +945,162 @@ def test_an_ook_point_without_a_threshold_reads_no_block(datapath, threshold,
 
 
 def test_a_quantized_block_samples_each_point_template_once(monkeypatch):
-    # the ADC samples a point's template once per block, at that
-    # point's full scale, and each of its 64-row window chunks once
+    # the ADC codes a point's template once per block, at that point's
+    # full scale, and each of its 64-row window chunks once; before
+    # that, the AGC's peak run builds only the chunks that can hold the
+    # peak, a few of the 16 at 0 and 4 dB
     rx = replace(_default_receiver("ppm"), datapath=QuantizerConfig(12))
     block = (random_bits(14, BLOCK_BITS), 15, draw_channel(CM1_LIKE, 9))
-    shapes = []
+    events = []
+    chunk = receiver._chunk
 
-    def spy(x, *args, **kwargs):
-        shapes.append(np.shape(x))
-        return quantize_array(x, *args, **kwargs)
+    def spy_codes(y, *args):
+        events.append(np.shape(y))
+        return _codes(y, *args)
 
-    monkeypatch.setattr(receiver, "quantize_array", spy)
+    def spy_chunk(z, first, scale, *args):
+        events.append(scale)
+        return chunk(z, first, scale, *args)
+
+    monkeypatch.setattr(receiver, "_codes", spy_codes)
+    monkeypatch.setattr(receiver, "_chunk", spy_chunk)
     [first, second] = receiver.simulate_links([block], rx, rx,
-                                              [(2.0, None), (6.0, None)])
+                                              [(0.0, None), (4.0, None)])
     assert len(first.statistics) == len(second.statistics) == BLOCK_BITS
     chunks = math.ceil(BLOCK_BITS / receiver._MERGE_ROWS)
+    shapes = [e for e in events if isinstance(e, tuple)]
     assert shapes.count(rx.pulse.shape) == 2
     assert len(shapes) == 2 + 2 * chunks
     assert all(len(shape) == 2 for shape in shapes if shape != rx.pulse.shape)
+    # the peak run builds chunks of sigma z + clean, the coding chunks
+    # of z sigma / step + clean / step
+    sigmas = [noise_sigma(e, ENERGY_PER_BIT["ppm"], RATE) for e in (0.0, 4.0)]
+    built = Counter(e for e in events if not isinstance(e, tuple))
+    assert all(1 <= built[sigma] < chunks for sigma in sigmas)
+    assert sum(built.values()) - sum(built[s] for s in sigmas) == 2 * chunks
+
+
+@pytest.mark.parametrize("channel", [False, True], ids=["awgn", "cm1"])
+@pytest.mark.parametrize("scheme", ["ook", "bpam", "ppm"])
+def test_agc_peak_run_finds_each_point_peak(scheme, channel, monkeypatch):
+    # the peak run skips the chunks whose bound cannot raise the peak:
+    # each point's full scale is still the peak over its whole window
+    # matrix, built here explicitly, up to high Eb/N0 and without noise
+    rx = replace(_default_receiver(scheme), datapath=QuantizerConfig(12))
+    ch = draw_channel(CM1_LIKE, 9) if channel else None
+    grid = (0.0, 4.0, 8.0, 16.0, 24.0, 40.0, 60.0, math.inf)
+    seen, adcs = [], []
+    quantized, lattice = receiver._quantized_statistics, receiver._lattice
+
+    def spy_statistics(z, clean, block, rx_, points):
+        seen.append((z.copy(), clean.copy(), block.copy(), points))
+        return quantized(z, clean, block, rx_, points)
+
+    def spy_lattice(adc):
+        adcs.append(adc)
+        return lattice(adc)
+
+    monkeypatch.setattr(receiver, "_quantized_statistics", spy_statistics)
+    monkeypatch.setattr(receiver, "_lattice", spy_lattice)
+    points = [(e, 0.5 if scheme == "ook" else None) for e in grid]
+    list(receiver.simulate_links([(random_bits(16, BLOCK_BITS), 17, ch)],
+                                 rx, rx, points))
+    [(z, clean, block, sigmas)] = seen
+    assert len(adcs) == len(grid)
+    for (sigma, _), adc in zip(sigmas, adcs):
+        win = z * sigma + clean[block]
+        assert adc == rx.datapath.for_samples(win)
+
+
+@st.composite
+def _quantized_links(draw):
+    """A quantized link with a drawn ADC: a scheme, a FAST, edge or cut
+    receiver, 1 to 16 bits (3 to 16 for OOK), an AGC or a fixed full
+    scale, an Eb/N0 (inf: no noise), no channel or SHORT_CHANNEL, up to
+    40 bits and a noise seed."""
+    scheme = draw(st.sampled_from(["ook", "bpam", "ppm"]))
+    rx = draw(st.sampled_from([_receiver, _edge_receiver, _cut_receiver]))(
+        scheme)
+    full_scale = draw(st.sampled_from([None, 0.5, 1.0, 2.0]))
+    if full_scale is not None:
+        full_scale *= float(np.max(rx.template.samples))
+    rx = replace(rx, datapath=QuantizerConfig(
+        draw(st.integers(3 if scheme == "ook" else 1, 16)), full_scale))
+    ebn0_db = draw(st.sampled_from([math.inf, 0.0, 6.0, 12.0, 20.0]))
+    channel = draw(st.sampled_from([None, SHORT_CHANNEL]))
+    bits = np.array(draw(st.lists(st.integers(0, 1), min_size=1,
+                                  max_size=40)))
+    return bits, rx, ebn0_db, channel, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_quantized_links())
+def test_quantized_statistics_are_exact_sums_of_codes(link):
+    # the pipeline's statistics are step^2 / 4 times the exact integer
+    # sums of the oracle over the codes it scored, its decisions are the
+    # oracle's, and every exact tie scores 0 and decodes as 1
+    bits, rx, ebn0_db, channel, seed = link
+    coded = []
+
+    def spy(y, q, *bounds):
+        coded.append((_codes(y, q, *bounds).copy(), q))
+        return y
+
+    with mock.patch.object(receiver, "_codes", spy):
+        record = _record(bits, rx, rx, ebn0_db, seed, channel)
+    (tpl, adc), *chunks = coded
+    assert tpl.ndim == 1 and all(q == adc for _, q in chunks)
+    codes = np.concatenate([chunk for chunk, _ in chunks])
+    assert codes.shape == (len(bits), rx.window_len)
+    levels = 1 << (adc.bits - 1)
+    for c in (tpl, codes):
+        assert np.all(c == np.floor(c))
+        assert np.all((-levels <= c) & (c < levels))
+    exact = oracles.quantized_statistics(codes, tpl, rx.mod.scheme)
+    step = Fraction(2 * adc.full_scale) / (1 << adc.bits)
+    want = [Fraction(e) * step * step / 4 for e in exact]
+    if rx.mod.scheme == "ook":
+        want = [w / Fraction(RATE) - Fraction(rx.threshold) for w in want]
+    scale = max(abs(float(w)) for w in want) + (rx.threshold or 0.0)
+    np.testing.assert_allclose(record.statistics, [float(w) for w in want],
+                               rtol=1e-13, atol=1e-13 * scale)
+    np.testing.assert_array_equal(record.decoded, [w >= 0 for w in want])
+    ties = [i for i, e in enumerate(exact) if e == 0]
+    if rx.mod.scheme != "ook":
+        assert np.all(record.statistics[ties] == 0.0)
+        assert np.all(record.decoded[ties] == 1)
+
+
+def test_ties_of_a_low_bit_ppm_sweep_decode_as_one(monkeypatch):
+    # a 3-bit PPM CM1 sweep holds exact ties at both points (91 of 4000
+    # frames): the two correlations of codes are equal, the statistic is
+    # exactly 0, and the frame decodes as 1
+    events = []
+    statistics = receiver._statistics
+
+    def spy_codes(y, *args):
+        events.append(("codes", _codes(y, *args).copy()))
+        return y
+
+    def spy_statistics(*args):
+        events.append(("statistics", statistics(*args)))
+        return events[-1][1]
+
+    monkeypatch.setattr(receiver, "_codes", spy_codes)
+    monkeypatch.setattr(receiver, "_statistics", spy_statistics)
+    run_sweep(SweepConfig("ppm", (0.0, 4.0), 2000, channel=CM1_LIKE,
+                          quant_bits=3, base_seed=5))
+    # per point: the template's codes, then each chunk's codes and its
+    # statistics
+    tpl, ties = None, 0
+    for (kind, codes), (_, stats) in zip(events, events[1:]):
+        if kind == "codes" and codes.ndim == 1:
+            tpl = codes
+        elif kind == "codes":
+            exact = np.array(oracles.quantized_statistics(codes, tpl, "ppm"))
+            assert np.all(stats[exact == 0] == 0.0)
+            ties += np.count_nonzero(exact == 0)
+    assert ties == 91
 
 
 # every scheme on the float and the quantized datapath, with and

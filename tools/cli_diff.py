@@ -5,8 +5,9 @@ Each tree is a directory holding the uwbphy package (a checkout's src).
 Every run is `python -m uwbphy ...` with that tree alone on PYTHONPATH,
 from one shared temporary directory, so the session script's path in
 the CSV metadata is the same under both trees. The list covers sweeps
-of each scheme on the float and quantized datapaths, sessions, compare,
-two presets and a refused sweep; NAME arguments select runs from it.
+of each scheme on the float and quantized datapaths (3-bit OOK and PPM
+over AWGN among them), sessions, compare, two presets and a refused
+sweep; NAME arguments select runs from it.
 Exits 0 when every run selected is identical, 1 otherwise, and 2 for
 an unknown NAME.
 
@@ -31,6 +32,10 @@ def _runs():
         cm1 = ["sweep", "--scheme", scheme, "--ebn0", "4,10", "--bits",
                "2000", "--seed", "6", "--channel", "multipath"]
         runs[f"sweep-{scheme}-awgn"] = awgn
+        if scheme != "bpam":
+            # a 3-bit ADC over AWGN: the coarse lattice where PPM's two
+            # correlations tie and OOK energies sit on few levels
+            runs[f"sweep-{scheme}-awgn-q3"] = awgn + ["--quant-bits", "3"]
         runs[f"sweep-{scheme}-cm1"] = cm1
         for bits in ("3", "8", "12"):
             runs[f"sweep-{scheme}-cm1-q{bits}"] = cm1 + ["--quant-bits", bits]
