@@ -630,38 +630,35 @@ def _quantized_statistics(z, clean, block, rx, points):
     buffers = np.empty((2, min(len(z), _MERGE_ROWS), z.shape[1]))
     first = np.arange(0, len(z), _MERGE_ROWS)
     # each chunk's lowest and highest normal and clean sample
-    lowest, highest = [
-        (ufunc.reduceat(z.reshape(-1), first * z.shape[1]),
-         ufunc.reduceat(extreme(clean, axis=1)[block], first))
-        for ufunc, extreme in ((np.minimum, np.min), (np.maximum, np.max))]
-
-    def bounds(scale, step):
-        return [scale * norm + value / step
-                for norm, value in (lowest, highest)]
-
+    flat, at = z.reshape(-1), first * z.shape[1]
+    z_lo, z_hi = np.minimum.reduceat(flat, at), np.maximum.reduceat(flat, at)
+    c_lo = np.minimum.reduceat(clean.min(axis=1)[block], first)
+    c_hi = np.maximum.reduceat(clean.max(axis=1)[block], first)
     stats = np.empty((len(points), len(z)))
     scaled = np.empty_like(clean)
     for (sigma, threshold), out in zip(points, stats):
-        adc = rx.datapath.for_samples(
-            _peak(z, sigma, clean, block, *bounds(sigma, 1.0), buffers))
+        adc = rx.datapath
+        if adc.full_scale is None:
+            bound = np.maximum(-(sigma * z_lo + c_lo), sigma * z_hi + c_hi)
+            adc = adc.for_samples(_peak(z, sigma, clean, block, bound, buffers))
         step, half = lattice = _lattice(adc)
         tpl = _codes(rx.pulse / step, adc) + half
+        scale = sigma / step
         np.divide(clean, step, out=scaled)
-        for row, low, high in zip(first, *bounds(sigma / step, step)):
-            win = _chunk(z, row, sigma / step, scaled, block, buffers)
+        for row, low, high in zip(first, scale * z_lo + c_lo / step,
+                                  scale * z_hi + c_hi / step):
+            win = _chunk(z, row, scale, scaled, block, buffers)
             out[row:row + _MERGE_ROWS] = _statistics(
                 _codes(win, adc, low, high), tpl, rx, threshold, lattice)
     return stats
 
 
-def _peak(z, sigma, clean, block, low, high, buffers):
+def _peak(z, sigma, clean, block, bound, buffers):
     """The peak |x| over the windows x = fl(fl(sigma z) + clean[block])
-    as a one-sample array, where no sample of chunk c lies below low[c]
-    or above high[c]. The chunks are built (into buffers) in decreasing
-    order of that bound while it can raise the peak found: the peak is
-    exact, and at low Eb/N0 a block builds a few of its chunks, without
-    noise one."""
-    bound = np.maximum(-low, high)
+    as a one-sample array, where no |x| of chunk c exceeds bound[c]. The
+    chunks are built (into buffers) in decreasing order of that bound
+    while it can raise the peak found: the peak is exact, and at low
+    Eb/N0 a block builds a few of its chunks, without noise one."""
     peak = np.zeros(1)
     for c in np.argsort(-bound, kind="stable"):
         if bound[c] > peak[0]:
