@@ -142,8 +142,8 @@ from .transmitter import (
 )
 from .waveform import SampledSignal
 
-# Rows of the quantized datapath's windows built, quantized and scored
-# as one chunk, in cache.
+# Rows of the quantized datapath's windows built, coded and scored as
+# one chunk, in cache; the AGC's peak run bounds and skips whole chunks.
 _MERGE_ROWS = 64
 
 # Blocks that simulate_links runs through one pass: enough to share a
@@ -381,12 +381,12 @@ def decision_statistics(rx, cfg, sync=GENIE_SYNC):
     same windows."""
     _check_rx(rx, cfg)
     win = _windows(rx.samples, cfg, sync.offset)
-    points = [(0.0, _threshold(cfg, cfg.threshold))]
+    threshold = _threshold(cfg, cfg.threshold)
     if cfg.datapath is None:
-        return _statistics(win, cfg.pulse, cfg, points[0][1])
+        return _statistics(win, cfg.pulse, cfg, threshold)
     # as the block pipeline scores noiseless windows, each its own group
-    return _quantized_statistics(np.zeros(win.shape), win,
-                                 np.arange(len(win)), cfg, points)[0]
+    noise, groups = np.zeros(win.shape), np.arange(len(win))
+    return _quantized_statistics(noise, win, groups, cfg, [(0.0, threshold)])[0]
 
 
 def demodulate(rx, cfg, sync=GENIE_SYNC):
