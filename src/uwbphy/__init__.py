@@ -59,8 +59,8 @@ from .receiver import (
     GENIE_SYNC,
     ReceiverConfig,
     SyncEstimate,
-    calibrate_ook_threshold,
     demodulate,
+    ook_threshold,
     synchronize,
 )
 from .reconfig import (

@@ -2,7 +2,7 @@
 and ADC quantization.
 
 noise_sigma is the one place where an Eb/N0 becomes a per-sample noise
-level; add_awgn, the block pipeline and OOK calibration all use it.
+level; add_awgn, the block pipeline and the OOK threshold all use it.
 
 The multipath generator follows the Saleh-Valenzuela construction:
 cluster starts arrive as a Poisson process, rays arrive as a Poisson

@@ -1,23 +1,23 @@
 """Monte Carlo BER-vs-Eb/N0 sweep engine, named receiver presets, CSV
 emission, and side-by-side architecture comparison.
 
-A sweep is a pure function of its SweepConfig: bit, noise, channel, and
-calibration random streams are all derived from the base seed, point
-index, and block index, so repeated runs are byte-identical. Work is
-done in blocks of BLOCK_BITS bits. Block k's bits, noise and channel
-are keyed by k and the base seed alone, so every grid point sees them
-(common random numbers): each point scales block k's standard normals
-by its own noise deviation, and calibrates its own OOK threshold (see
-point_seeds). In multipath mode each block sees a fresh channel
-realization. The sweep's blocks go through its one receiver in one
-receiver.simulate_links call, at one (Eb/N0, OOK threshold) point per
-grid value (the receiver module's docstring describes the pipeline), so
-each pass builds the clean side, and each block draws its noise, once
-for the whole grid; a point's errors are the sum of the errors of its
-records. Each point's BER and interval stand on their own draws, but
-adjacent points share them and are correlated. The receiver is
-genie-synchronized (zero timing offset); matched-filter acquisition is
-exercised separately.
+A sweep is a pure function of its SweepConfig: bit, noise and channel
+random streams are all derived from the base seed and block index, so
+repeated runs are byte-identical. Work is done in blocks of BLOCK_BITS
+bits. Block k's bits, noise and channel are keyed by k and the base
+seed alone, so every grid point sees them (common random numbers): each
+point scales block k's standard normals by its own noise deviation,
+and an OOK point decides at the closed-form threshold of its Eb/N0
+(receiver.ook_threshold), so a point's row follows from its Eb/N0
+alone. In multipath mode each block sees a fresh channel realization.
+The sweep's blocks go through its one receiver in one
+receiver.simulate_links call, at one point per grid value (the receiver
+module's docstring describes the pipeline), so each pass builds the
+clean side, and each block draws its noise, once for the whole grid; a
+point's errors are the sum of the errors of its records. Each point's
+BER and interval stand on their own draws, but adjacent points share
+them and are correlated. The receiver is genie-synchronized (zero
+timing offset); matched-filter acquisition is exercised separately.
 
 The sweep axis is Eb/N0. With unit-energy pulses BPAM and PPM spend one
 energy unit per bit; OOK transmits nothing for a 0, so its
@@ -40,7 +40,7 @@ from .errors import (
     read_lines,
 )
 from .framing import DEFAULT_PARAMS, ThCode, ThParams, generate_code
-from .receiver import ReceiverConfig, calibrated_threshold, simulate_links
+from .receiver import ReceiverConfig, simulate_links
 from .transmitter import PPM, ModulationConfig
 from .waveform import (
     DEFAULT_PULSE,
@@ -175,45 +175,44 @@ class BerPoint:
 
 
 def point_seeds(base_seed, point_index):
-    """Independent (bits, noise, channel, calibration) stream bases for
-    one grid point. Per-block streams XOR the block index in, which is
-    the seed-splitting contract parallel runners must follow. Both
-    arguments are integers >= 0 (see check_int).
+    """Independent (bits, noise, channel) stream bases for one grid
+    point. Per-block streams XOR the block index in, which is the
+    seed-splitting contract parallel runners must follow. Both
+    arguments are integers >= 0 (see check_int). They are the first
+    three words of the SeedSequence([base_seed, point_index]) state.
 
     A session reads the entries by position, not by name: segment i's
-    noise and OOK calibration seeds are entries 0 and 1 of
-    point_seeds(rng_seed, i) (reconfig._decode_segment).
+    noise seed is entry 0 of point_seeds(rng_seed, i)
+    (reconfig._decode_segment).
 
-    A sweep takes its bits, noise and channels from point 0's entries
-    for every point: block k's come from bits ^ k, noise ^ k and
-    channel ^ k of point_seeds(base_seed, 0), so they are common to the
-    grid, and for a point i > 0 only entry 3, its OOK calibration, is
-    read from point_seeds(base_seed, i). Point 0's row is then what it
-    was when each point had streams of its own. Do not derive a shared
-    stream from a fresh SeedSequence([base_seed]): numpy gives it the
-    state of SeedSequence([base_seed, 0]), so its draws would repeat
-    point 0's streams.
+    A sweep reads only point 0's entries, for every point: block k's
+    bits, noise and channel come from bits ^ k, noise ^ k and channel ^
+    k of point_seeds(base_seed, 0), so they are common to the grid.
+    Point 0's row is then what it was when each point had streams of its
+    own. Do not derive a shared stream from a fresh
+    SeedSequence([base_seed]): numpy gives it the state of
+    SeedSequence([base_seed, 0]), so its draws would repeat point 0's
+    streams.
     """
     entropy = [check_int(base_seed, "base_seed", 0),
                check_int(point_index, "point_index", 0)]
-    state = np.random.SeedSequence(entropy).generate_state(4, dtype=np.uint64)
+    state = np.random.SeedSequence(entropy).generate_state(3, dtype=np.uint64)
     return tuple(int(s) for s in state)
 
 
 def run_sweep(cfg):
     """Run the full grid and return one BerPoint per Eb/N0 value.
 
-    Deterministic: the output is a pure function of cfg, and point i's
-    BerPoint one of cfg's link, base seed, i and Eb/N0 alone, whatever
-    the rest of the grid (see point_seeds). Every point sees the same
-    bits, noise and channel in block k, so the sweep runs block by
-    block, each pass building its clean side and drawing each block's
-    noise once for the whole grid (receiver.simulate_links).
+    Deterministic: the output is a pure function of cfg, and a point's
+    BerPoint one of cfg's link, base seed and the point's Eb/N0 alone,
+    whatever the rest of the grid and wherever on it the point lies
+    (see point_seeds). Every point sees the same bits, noise and
+    channel in block k, so the sweep runs block by block, each pass
+    building its clean side and drawing each block's noise once for the
+    whole grid (receiver.simulate_links).
     """
-    rx, n_bits, base = cfg.receiver, cfg.n_bits_per_point, cfg.base_seed
-    points = [(e, calibrated_threshold(rx, rx, e, point_seeds(base, i)[3]))
-              for i, e in enumerate(cfg.ebn0_grid)]
-    bits_base, noise_base, chan_base, _ = point_seeds(base, 0)
+    rx, n_bits = cfg.receiver, cfg.n_bits_per_point
+    bits_base, noise_base, chan_base = point_seeds(cfg.base_seed, 0)
 
     def blocks():
         for block, done in enumerate(range(0, n_bits, BLOCK_BITS)):
@@ -224,11 +223,12 @@ def run_sweep(cfg):
             yield bits, noise_base ^ block, channel
 
     # one record per block and point, points in grid order in a block
-    errors = [0] * len(points)
-    for k, record in enumerate(simulate_links(blocks(), rx, rx, points)):
-        errors[k % len(points)] += record.errors
+    grid = cfg.ebn0_grid
+    errors = [0] * len(grid)
+    for k, record in enumerate(simulate_links(blocks(), rx, rx, grid)):
+        errors[k % len(grid)] += record.errors
     return [BerPoint(ebn0_db=ebn0_db, errors=e, bits=n_bits)
-            for ebn0_db, e in zip(cfg.ebn0_grid, errors)]
+            for ebn0_db, e in zip(grid, errors)]
 
 
 def _fmt(x):

@@ -10,7 +10,8 @@ gathers each frame's observation window into one row of an
     PPM : correlations at the nominal and the delta-shifted position
           (W = pulse + delta); bit 1 iff shifted >= nominal.
     OOK : energy over the integration window (W = the window); bit 1
-          iff it is >= a calibrated threshold.
+          iff it is >= the threshold, by default the closed-form
+          midpoint of ook_threshold.
 
 The chip pulse is the template as transmitter.chip_pulse cuts it to
 fit its chip, so every window fits its chip too: W = min(template +
@@ -30,9 +31,9 @@ exactly 0 and decodes as bit 1.
 
 simulate_block runs blocks over the link without building their
 waveforms, and scores them; simulate_links runs them through one
-receiver at several points at once, each an (Eb/N0, OOK threshold)
-pair, such as the points of a sweep. Sweeps and sessions only
-calibrate OOK (calibrated_threshold) and sum or report the records.
+receiver at several Eb/N0 points at once, such as the points of a
+sweep, each OOK point at its own ook_threshold unless the receiver
+sets one. Sweeps and sessions only sum or report the records.
 Each block yields one ScoredBlock per point: the statistic of each
 whole rx frame of its received waveform (its frames plus the channel's
 spread, at most one per bit), the decisions, and the errors against its
@@ -160,9 +161,11 @@ class ReceiverConfig:
         the receiver correlates against its chip pulse (see pulse).
     integration_window: OOK energy window, seconds, at least one sample
         (defaults to the template support).
-    threshold: OOK decision threshold in energy units; must be
-        calibrated before an OOK receiver decodes through simulate_block
-        or decision_statistics (simulate_links takes one per point).
+    threshold: OOK decision threshold in energy units, or None. When
+        set, every point of simulate_block and simulate_links decides
+        at it; when None, each point decides at its ook_threshold, and
+        decision_statistics, which knows no Eb/N0, raises
+        UncalibratedThreshold for OOK.
     datapath: None for the floating-point reference, or the
         QuantizerConfig of the ADC (one without a full scale is an AGC,
         see QuantizerConfig).
@@ -207,7 +210,7 @@ class ReceiverConfig:
             )
         object.__setattr__(self, "integration_window", window)
         # zero is a valid threshold: without noise, a template whose
-        # first window samples are zero calibrates to it
+        # first window samples are zero has ook_threshold zero
         if self.threshold not in (None, 0.0):
             object.__setattr__(
                 self, "threshold", check_positive(self.threshold, "threshold")
@@ -355,17 +358,6 @@ def _statistics(win, tpl, cfg, threshold, lattice=(1.0, 0.0)):
     return (shifted - nominal) * (step * step)
 
 
-def _threshold(cfg, threshold):
-    """threshold, the OOK threshold of a point of receiver cfg (BPAM and
-    PPM read none), as a float when set. Raises UncalibratedThreshold
-    for an OOK point without one and InvalidParams for one that is
-    neither zero nor positive and finite (see ReceiverConfig)."""
-    if cfg.mod.scheme == OOK and threshold is None:
-        raise UncalibratedThreshold(
-            "OOK threshold is unset; run calibrate_ook_threshold first")
-    return threshold and check_positive(threshold, "threshold")
-
-
 def decide(statistics):
     """Bits from decision statistics: 1 iff the statistic is >= 0, as
     a uint8 view of the comparison."""
@@ -378,10 +370,15 @@ def decision_statistics(rx, cfg, sync=GENIE_SYNC):
     correlation, or the OOK window energy minus the threshold. Through
     an ADC it scores the codes of the windows as the block pipeline
     does (_quantized_statistics), so the two agree bit for bit on the
-    same windows."""
+    same windows. Raises UncalibratedThreshold for an OOK cfg without a
+    threshold: rx carries no Eb/N0 to set it from."""
     _check_rx(rx, cfg)
+    threshold = cfg.threshold
+    if cfg.mod.scheme == OOK and threshold is None:
+        raise UncalibratedThreshold(
+            "OOK threshold is unset; set one with "
+            "cfg.with_threshold(ook_threshold(cfg, ebn0_db, energy_per_bit))")
     win = _windows(rx.samples, cfg, sync.offset)
-    threshold = _threshold(cfg, cfg.threshold)
     if cfg.datapath is None:
         return _statistics(win, cfg.pulse, cfg, threshold)
     # as the block pipeline scores noiseless windows, each its own group
@@ -416,29 +413,29 @@ def _score(bits, statistics):
     return ScoredBlock(statistics, decoded, errors)
 
 
-# Training frames behind every OOK threshold, a sweep point's and a
-# session segment's alike. The calibration draws four variates whatever
-# the count, so a larger one costs nothing and only steadies the
-# threshold.
-CALIBRATION_FRAMES = 20000
+def ook_threshold(cfg, ebn0_db, energy_per_bit):
+    """The OOK threshold of receiver cfg at ebn0_db for a transmitter
+    spending energy_per_bit: the midpoint of the mean energies of a
+    w-sample window of noise alone and of one holding the template too,
 
+        (E_w / 2 + sigma^2 w) / rate,
 
-def calibrated_threshold(tx, rx, ebn0_db, seed):
-    """The threshold rx needs to decode what tx sends at ebn0_db: for an
-    OOK receiver the one calibrate_ook_threshold picks from
-    CALIBRATION_FRAMES frames of stream seed, with Eb of tx's scheme;
-    None for BPAM and PPM. Sweep points and session segments both
-    calibrate here, with the same budget."""
-    if rx.mod.scheme != OOK:
-        return None
-    eb = ENERGY_PER_BIT[tx.mod.scheme]
-    return calibrate_ook_threshold(rx, ebn0_db, eb, CALIBRATION_FRAMES, seed)
+    where E_w is the energy of the template's first w samples and sigma
+    the per-sample noise deviation (channel.noise_sigma). Without noise
+    it is half the windowed pulse energy, 0.5 * E_w / rate exactly.
+    Raises what noise_sigma raises.
+    """
+    sigma = noise_sigma(ebn0_db, energy_per_bit, cfg.sample_rate)
+    width = cfg.window_len
+    tpl = cfg.template.samples[:width]
+    energy = float(np.dot(tpl, tpl))
+    return (0.5 * energy + sigma * sigma * width) / cfg.sample_rate
 
 
 def simulate_block(blocks, tx, rx, ebn0_db):
     """Send blocks of bits from tx to rx at ebn0_db (Eb of tx's scheme):
     an iterator of a ScoredBlock for each, in order, that runs them as
-    simulate_links runs the one point (ebn0_db, rx.threshold).
+    simulate_links runs the one point ebn0_db.
 
     blocks is an iterable of (bits, noise_seed, channel) triples, read
     one at a time: a pass ends when it is full or when the next block
@@ -450,37 +447,38 @@ def simulate_block(blocks, tx, rx, ebn0_db):
     and an AGC (see QuantizerConfig) samples each block's windows. The
     records equal those of one call per block, bit for bit.
 
-    Raises RateMismatch when tx and rx differ in sample rate,
-    UncalibratedThreshold for an OOK rx without a threshold, and
-    InvalidParams for bits other than 0 and 1 or a block whose sample
-    positions do not fit a 64-bit integer.
+    Raises RateMismatch when tx and rx differ in sample rate, and
+    InvalidParams for an invalid ebn0_db, for bits other than 0 and 1
+    or a block whose sample positions do not fit a 64-bit integer.
     """
-    return simulate_links(blocks, tx, rx, ((ebn0_db, rx.threshold),))
+    return simulate_links(blocks, tx, rx, (ebn0_db,))
 
 
 def simulate_links(blocks, tx, rx, points):
     """simulate_block at several points of one link, which share their
     blocks, their channels and their noise, one block at a time.
 
-    points holds an (ebn0_db, threshold) pair per point, threshold the
-    point's OOK threshold (calibrated_threshold; None for BPAM and PPM,
-    and rx.threshold is not read), and each block is a (bits,
-    noise_seed, channel) triple as simulate_block takes. Yields, block
-    by block, one ScoredBlock per point in the order of points, each bit
-    for bit that of simulate_block over the same blocks with rx at that
-    point's threshold. Each pass builds its windows and their clean
-    statistics once for every point, and each block draws its noise
-    once: every point scales those standard normals by its own sigma
-    (common random numbers), so each point's noise keeps its exact law
-    while the points' errors are correlated. Raises what simulate_block
-    raises, an OOK point without a threshold before any block is read.
+    points holds the Eb/N0 of each point, and each block is a (bits,
+    noise_seed, channel) triple as simulate_block takes. An OOK point
+    decides at rx.threshold when it is set, and otherwise at
+    ook_threshold(rx, ebn0_db, Eb of tx's scheme). Yields, block by
+    block, one ScoredBlock per point in the order of points, each bit
+    for bit that of simulate_block over the same blocks at that point's
+    Eb/N0. Each pass builds its windows and their clean statistics once
+    for every point, and each block draws its noise once: every point
+    scales those standard normals by its own sigma (common random
+    numbers), so each point's noise keeps its exact law while the
+    points' errors are correlated. Raises what simulate_block raises,
+    an invalid Eb/N0 before any block is read.
     """
     if tx.sample_rate != rx.sample_rate:
         raise RateMismatch(f"tx at {tx.sample_rate:g} S/s but rx at "
                            f"{rx.sample_rate:g} S/s")
     eb = ENERGY_PER_BIT[tx.mod.scheme]
-    points = tuple((noise_sigma(e, eb, rx.sample_rate), _threshold(rx, t))
-                   for e, t in points)
+    ook = rx.mod.scheme == OOK and rx.threshold is None
+    points = tuple((noise_sigma(e, eb, rx.sample_rate),
+                    ook_threshold(rx, e, eb) if ook else rx.threshold)
+                   for e in points)
     # the rows sent are the shape set of every block without a channel
     starts, shared = pulse_table(tx.mod, tx.params, tx.code, tx.template)
     # a block without a channel shares the layout before it if that was
@@ -759,40 +757,3 @@ def _noise_terms(z, chi2, sigma, scale, cfg, which):
 def _chi2(rng, df, size=None):
     """Chi-square variates with df >= 0 degrees of freedom."""
     return 2.0 * rng.standard_gamma(0.5 * df, size)
-
-
-def calibrate_ook_threshold(
-    cfg, ebn0_db, energy_per_bit, n_calibration_frames, rng_seed
-):
-    """Pick the OOK threshold as the midpoint between the empirical
-    mean energies of n noise-only and n pulse-plus-noise windows.
-
-    The two means are drawn from their exact joint law rather than from
-    2 * n * w noise samples. For w-sample windows with unit normals z_i,
-    per-sample noise sigma and template window energy E = |tpl_w|^2:
-
-        sum_i |sigma z_i|^2          = sigma^2 S0,   S0 ~ chi2(n w)
-        sum_i |tpl_w + sigma z_i|^2  = n E + 2 sigma sqrt(E) n u + sigma^2 S1
-
-    where u ~ N(0, 1/n) is the mean projection of the z_i on tpl_w and
-    S1 = n u^2 + chi2(n - 1) + chi2(n (w - 1)). Four variates per call.
-
-    Deterministic under a fixed seed, which must be an integer >= 0.
-    With the no-noise sentinel the means are exact, giving half the
-    windowed pulse energy.
-    """
-    n = check_int(n_calibration_frames, "n_calibration_frames", 100)
-    rng_seed = check_int(rng_seed, "rng_seed", 0)
-    rate = cfg.sample_rate
-    sigma = noise_sigma(ebn0_db, energy_per_bit, rate)
-    width = cfg.window_len
-    tpl = cfg.template.samples[:width]
-    energy = float(np.dot(tpl, tpl))
-    rng = np.random.default_rng(rng_seed)
-    s0 = _chi2(rng, n * width)
-    u = rng.standard_normal() / math.sqrt(n)
-    s1 = n * u * u + _chi2(rng, n - 1) + _chi2(rng, n * (width - 1))
-    var = sigma * sigma
-    mean0 = var * s0 / (n * rate)
-    mean1 = (energy + 2.0 * sigma * math.sqrt(energy) * u + var * s1 / n) / rate
-    return 0.5 * (mean0 + mean1)

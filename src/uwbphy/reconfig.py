@@ -12,10 +12,10 @@ mirroring hardware that latches new parameter inputs only while the
 signal is asserted.
 
 A session is a run of constant-parameter segments. Each segment is one
-block of receiver.simulate_links at one point, the segment's Eb/N0 and
-OOK threshold, whose record carries its decisions and its errors; the
-OOK threshold is calibrated afresh for each segment, by
-receiver.calibrated_threshold with the budget a sweep point uses.
+block of receiver.simulate_links at one point, the session's Eb/N0,
+whose record carries its decisions and its errors; an OOK segment
+decides at the closed-form threshold of its receiver at that Eb/N0
+(receiver.ook_threshold), as a sweep point does.
 """
 
 import math
@@ -38,7 +38,7 @@ from .errors import (
 )
 from .framing import CodeBank, ThParams, data_rate
 from .harness import point_seeds
-from .receiver import ReceiverConfig, calibrated_threshold, simulate_links
+from .receiver import ReceiverConfig, simulate_links
 from .transmitter import _as_bits
 from .waveform import (
     DEFAULT_PULSE,
@@ -188,11 +188,9 @@ class SessionResult:
 
 def _decode_segment(index, span, bits, ebn0_db, channel, rng_seed):
     start, end, tx_state, rx_state = span
-    noise_seed, cal_seed = point_seeds(rng_seed, index)[:2]
-    tx, rx = tx_state.link_end, rx_state.link_end
-    threshold = calibrated_threshold(tx, rx, ebn0_db, cal_seed)
-    [block] = simulate_links([(bits[start:end], noise_seed, channel)], tx, rx,
-                             ((ebn0_db, threshold),))
+    noise_seed = point_seeds(rng_seed, index)[0]
+    [block] = simulate_links([(bits[start:end], noise_seed, channel)],
+                             tx_state.link_end, rx_state.link_end, (ebn0_db,))
     n = end - start
     return SegmentReport(
         index=index,

@@ -27,20 +27,18 @@ from uwbphy import (
     ThParams,
     add_awgn,
     apply_reconfiguration,
-    calibrate_ook_threshold,
     data_rate,
     demodulate,
     draw_channel,
     generate_code,
     load_reconfig_script,
+    ook_threshold,
     place_pulse_train,
-    point_seeds,
     run_session,
     run_sweep,
     sample_pulse,
 )
 from uwbphy.cli import main
-from uwbphy.receiver import CALIBRATION_FRAMES
 
 import oracles
 from conftest import FAST_DELTA, FAST_PULSE, RATE
@@ -137,9 +135,7 @@ def test_acceptance_1_noiseless_loopback(capsys):
                     mod=mod, params=params, code=code, template=template
                 )
                 if scheme == "ook":
-                    cfg = cfg.with_threshold(
-                        calibrate_ook_threshold(cfg, math.inf, 0.5, 100, 0)
-                    )
+                    cfg = cfg.with_threshold(ook_threshold(cfg, math.inf, 0.5))
                 decoded = demodulate(tx, cfg)
                 errors += int(np.count_nonzero(decoded != bits))
                 total_bits += len(bits)
@@ -170,15 +166,12 @@ def test_acceptance_2_awgn_analytic_ber(
             check(point, oracles.ppm_ber(point.ebn0_db))
 
         # OOK: energy-detector tail oracle at the harness's own
-        # calibrated threshold
+        # threshold, the closed-form midpoint
         width = round(ook_receiver.integration_window * RATE)
         tpl = ook_receiver.template.samples[:width]
         e_w = float(tpl @ tpl / RATE)
-        for index, point in enumerate(ook_curve):
-            cal_seed = point_seeds(SEED_OOK, index)[3]
-            theta = calibrate_ook_threshold(
-                ook_receiver, point.ebn0_db, 0.5, CALIBRATION_FRAMES, cal_seed
-            )
+        for point in ook_curve:
+            theta = ook_threshold(ook_receiver, point.ebn0_db, 0.5)
             n0 = 0.5 / 10 ** (point.ebn0_db / 10)
             check(
                 point,

@@ -18,10 +18,10 @@ PUBLIC_NAMES = (
     "StaleRequest", "SvProfile", "SweepConfig", "SyncEstimate", "ThCode",
     "ThParams", "UncalibratedThreshold", "UndersampledPulse", "UnknownCode",
     "WindowTooSmall", "add_awgn", "apply_channel", "apply_reconfiguration",
-    "calibrate_ook_threshold", "chip_start_time", "compare_architectures",
-    "data_rate", "demodulate", "draw_channel", "format_csv", "generate_code",
-    "inner_product", "load_code_file", "load_profile_file",
-    "load_reconfig_script", "modulate", "place_pulse_train", "point_seeds",
+    "chip_start_time", "compare_architectures", "data_rate", "demodulate",
+    "draw_channel", "format_csv", "generate_code", "inner_product",
+    "load_code_file", "load_profile_file", "load_reconfig_script",
+    "modulate", "ook_threshold", "place_pulse_train", "point_seeds",
     "pulse_value", "read_csv", "run_session", "run_sweep", "sample_pulse",
     "sweep_metadata", "synchronize", "validate_code", "write_code_file",
 )

@@ -30,7 +30,6 @@ from uwbphy import (
     ThParams,
     add_awgn,
     apply_reconfiguration,
-    calibrate_ook_threshold,
     compare_architectures,
     draw_channel,
     generate_code,
@@ -61,11 +60,6 @@ def _sync(search_window=10, n_sync_frames=8):
                            CODE, TEMPLATE)
     rx = SampledSignal(np.concatenate((tx.samples, np.zeros(100))), RATE)
     return synchronize(rx, cfg, search_window, n_sync_frames)
-
-
-def _calibrate(n, rng_seed=0):
-    cfg = make_receiver("ook", PARAMS, CODE, TEMPLATE)
-    return calibrate_ook_threshold(cfg, 8.0, 0.5, n, rng_seed)
 
 
 def _receiver(**kw):
@@ -100,8 +94,6 @@ REFUSED = {
     "sync window 2.5": lambda: _sync(search_window=2.5),
     "sync window nan": lambda: _sync(search_window=NAN),
     "sync window inf": lambda: _sync(search_window=INF),
-    "calibration frames 100.5": lambda: _calibrate(100.5),
-    "calibration frames nan": lambda: _calibrate(NAN),
     "code length 2.5": lambda: generate_code(0, 2.5, PARAMS),
     "code length past the bound": lambda: generate_code(
         0, MAX_CODE_LENGTH + 1, PARAMS),
@@ -112,8 +104,6 @@ REFUSED = {
     "awgn seed 2.5": lambda: add_awgn(TEMPLATE, 4.0, 1.0, rng_seed=2.5),
     "channel seed -1": lambda: draw_channel(CM1_LIKE, rng_seed=-1),
     "channel seed 2.5": lambda: draw_channel(CM1_LIKE, rng_seed=2.5),
-    "calibration seed -1": lambda: _calibrate(100, rng_seed=-1),
-    "calibration seed 2.5": lambda: _calibrate(100, rng_seed=2.5),
     "sweep params str": lambda: _sweep(params="x"),
     "sweep pulse str": lambda: _sweep(pulse="x"),
     "sweep channel str": lambda: _sweep(channel="x"),

@@ -6,9 +6,8 @@ it adds to each clean statistic a noise term drawn from its exact law
 plus a chi-square). The quantized datapath draws noise for the window
 samples alone. The reference adds noise to every sample with add_awgn
 and then runs the public demodulator. The two agree exactly without
-noise and in distribution with it. OOK calibration draws sufficient
-statistics instead of per-sample noise and is held to a brute-force
-estimator.
+noise and in distribution with it. The closed-form OOK threshold is
+held to a brute-force estimate of the mean window energies it splits.
 
 Each statistical test runs once at a fixed alpha under fixed seeds, so
 under the null hypothesis it fails with probability alpha.
@@ -44,13 +43,12 @@ from uwbphy import (
     SyncEstimate,
     ThCode,
     ThParams,
-    UncalibratedThreshold,
     add_awgn,
     apply_channel,
     apply_reconfiguration,
-    calibrate_ook_threshold,
     demodulate,
     draw_channel,
+    ook_threshold,
     place_pulse_train,
     point_seeds,
     run_session,
@@ -358,36 +356,23 @@ def test_noise_only_windows_match_full_waveform_noise(scheme):
     assert levene(windowed, full).pvalue > KS_ALPHA
 
 
-def _brute_force_threshold(cfg, ebn0_db, eb, n, seed):
-    """The calibration estimator as defined: midpoint of the mean
-    energies of n noise-only and n pulse-plus-noise windows."""
-    rate = cfg.sample_rate
-    width = round(cfg.integration_window * rate)
-    tpl = cfg.template.samples[:width]
-    sigma = math.sqrt(0.5 * eb / 10 ** (ebn0_db / 10) * rate)
-    rng = np.random.default_rng(seed)
-    noise0 = sigma * rng.standard_normal((n, width))
-    noise1 = sigma * rng.standard_normal((n, width))
-    mean0 = np.mean(np.sum(noise0**2, axis=1)) / rate
-    mean1 = np.mean(np.sum((tpl + noise1) ** 2, axis=1)) / rate
-    return 0.5 * (mean0 + mean1)
-
-
-# At 20 dB the pulse-noise cross term dominates the threshold's spread;
-# at 0 dB the noise energy does.
 @pytest.mark.parametrize("ebn0_db", [0.0, 8.0, 20.0])
 def test_calibration_matches_brute_force_distribution(ebn0_db):
+    # ook_threshold is the midpoint of the mean energies of noise-only
+    # and pulse-plus-noise windows: the midpoint of those means over n
+    # drawn windows of white noise each lies within 5 of its own
+    # standard errors of it (under 5e-3 of the threshold at n = 10 000)
     cfg = _receiver("ook")
-    reps, n = 1000, 100
-    drawn = [
-        calibrate_ook_threshold(cfg, ebn0_db, 0.5, n, seed)
-        for seed in range(reps)
-    ]
-    brute = [
-        _brute_force_threshold(cfg, ebn0_db, 0.5, n, 50_000 + seed)
-        for seed in range(reps)
-    ]
-    assert ks_2samp(drawn, brute).pvalue > KS_ALPHA
+    rate, width, n = cfg.sample_rate, cfg.window_len, 10_000
+    tpl = cfg.template.samples[:width]
+    sigma = math.sqrt(0.5 * 0.5 / 10 ** (ebn0_db / 10) * rate)
+    rng = np.random.default_rng(60 + int(ebn0_db))
+    noise = sigma * rng.standard_normal((2, n, width))
+    energies = np.stack([(noise[0] ** 2).sum(axis=1),
+                         ((tpl + noise[1]) ** 2).sum(axis=1)]) / rate
+    midpoint = 0.5 * energies.mean(axis=1).sum()
+    error = 0.5 * math.sqrt((energies.var(axis=1) / n).sum())
+    assert abs(midpoint - ook_threshold(cfg, ebn0_db, 0.5)) < 5 * error
 
 
 def test_block_memory_stays_near_the_clean_waveform():
@@ -881,26 +866,30 @@ def test_one_pass_equals_one_call_per_block(scheme, channel, datapath, link):
 @pytest.mark.parametrize("scheme", ["ook", "bpam", "ppm"])
 def test_each_link_of_a_pass_equals_its_own_call(scheme, datapath, channel):
     # three links over the same blocks and noise seeds, as a sweep's
-    # grid points are: each differs in Eb/N0 and (OOK) threshold, and
-    # each link's records are those of simulate_block over that link
-    # alone with the same blocks
-    rx = _default_receiver(scheme)
+    # grid points are: each differs in Eb/N0 and (OOK) in the threshold
+    # that follows from it, and each link's records are those of
+    # simulate_block over that link alone, byte for byte, whether its
+    # receiver leaves the OOK threshold to the Eb/N0 or sets that
+    # ook_threshold explicitly
+    rx = replace(_default_receiver(scheme), threshold=None)
     if datapath == "agc12":
         rx = replace(rx, datapath=QuantizerConfig(12))
-    points = [(ebn0_db, t if scheme == "ook" else None)
-              for t, ebn0_db in ((0.3, 2.0), (0.5, 6.0), (0.7, math.inf))]
+    points = [2.0, 6.0, math.inf]
     bits = random_bits(52, 2345)
     bits = [bits[at:at + BLOCK_BITS] for at in range(0, 2345, BLOCK_BITS)]
     channels = _block_channels(channel, len(bits))
     blocks = [(b, 90 + i, ch) for i, (b, ch) in enumerate(zip(bits, channels))]
     records = list(receiver.simulate_links(blocks, rx, rx, points))
     assert len(records) == 3 * len(blocks)
-    for k, (ebn0_db, threshold) in enumerate(points):
-        alone = simulate_block(blocks, rx, replace(rx, threshold=threshold),
-                               ebn0_db)
-        for got, want in zip(records[k::3], alone, strict=True):
-            assert got.statistics.tobytes() == want.statistics.tobytes()
-            assert got.errors == want.errors
+    for k, ebn0_db in enumerate(points):
+        link = rx if scheme != "ook" else rx.with_threshold(
+            ook_threshold(rx, ebn0_db, ENERGY_PER_BIT[scheme]))
+        alone = simulate_block(blocks, rx, link, ebn0_db)
+        bare = simulate_block(blocks, rx, rx, ebn0_db)
+        for got, want, own in zip(records[k::3], alone, bare, strict=True):
+            for record in (got, own):
+                assert record.statistics.tobytes() == want.statistics.tobytes()
+                assert record.errors == want.errors
 
 
 def test_quantized_pass_holds_one_window_matrix_for_any_links():
@@ -910,7 +899,7 @@ def test_quantized_pass_holds_one_window_matrix_for_any_links():
     # (test_quantized_block_holds_one_window_matrix)
     rx = replace(_default_receiver("ppm"), datapath=QuantizerConfig(12))
     block = (random_bits(12, BLOCK_BITS), 13, draw_channel(CM1_LIKE, 9))
-    points = [(2.0, None), (6.0, None), (math.inf, None)]
+    points = [2.0, 6.0, math.inf]
     tracemalloc.start()
     try:
         records = list(receiver.simulate_links([block], rx, rx, points))
@@ -922,15 +911,15 @@ def test_quantized_pass_holds_one_window_matrix_for_any_links():
 
 
 @pytest.mark.parametrize("threshold, error", [
-    (None, UncalibratedThreshold), (-1.0, InvalidParams),
-    (math.nan, InvalidParams)])
+    (-1.0, InvalidParams), (math.nan, InvalidParams)])
 @pytest.mark.parametrize("datapath", [None, QuantizerConfig(12)])
 def test_an_ook_point_without_a_threshold_reads_no_block(datapath, threshold,
                                                          error):
-    # the grid's points are data: a missing or invalid OOK threshold is
-    # refused as the pass starts, before the blocks iterator gives up a
-    # block
-    rx = replace(_default_receiver("ook"), datapath=datapath)
+    # an OOK point decides at the receiver's threshold, or at its
+    # ook_threshold when the receiver sets none: an invalid threshold is
+    # refused as the receiver is built, and an invalid Eb/N0 as the pass
+    # starts, both before the blocks iterator gives up a block
+    rx = replace(_default_receiver("ook"), datapath=datapath, threshold=None)
     taken = []
 
     def blocks():
@@ -938,9 +927,11 @@ def test_an_ook_point_without_a_threshold_reads_no_block(datapath, threshold,
             taken.append(k)
             yield random_bits(40 + k, BLOCK_BITS), 50 + k, None
 
-    points = [(4.0, 0.5), (8.0, threshold)]
     with pytest.raises(error):
-        next(receiver.simulate_links(blocks(), rx, rx, points))
+        next(receiver.simulate_links(
+            blocks(), rx, replace(rx, threshold=threshold), [4.0, 8.0]))
+    with pytest.raises(InvalidParams):
+        next(receiver.simulate_links(blocks(), rx, rx, [4.0, -math.inf]))
     assert taken == []
 
 
@@ -964,8 +955,7 @@ def test_a_quantized_block_samples_each_point_template_once(monkeypatch):
 
     monkeypatch.setattr(receiver, "_codes", spy_codes)
     monkeypatch.setattr(receiver, "_chunk", spy_chunk)
-    [first, second] = receiver.simulate_links([block], rx, rx,
-                                              [(0.0, None), (4.0, None)])
+    [first, second] = receiver.simulate_links([block], rx, rx, [0.0, 4.0])
     assert len(first.statistics) == len(second.statistics) == BLOCK_BITS
     chunks = math.ceil(BLOCK_BITS / receiver._MERGE_ROWS)
     shapes = [e for e in events if isinstance(e, tuple)]
@@ -1002,9 +992,8 @@ def test_agc_peak_run_finds_each_point_peak(scheme, channel, monkeypatch):
 
     monkeypatch.setattr(receiver, "_quantized_statistics", spy_statistics)
     monkeypatch.setattr(receiver, "_lattice", spy_lattice)
-    points = [(e, 0.5 if scheme == "ook" else None) for e in grid]
     list(receiver.simulate_links([(random_bits(16, BLOCK_BITS), 17, ch)],
-                                 rx, rx, points))
+                                 rx, rx, grid))
     [(z, clean, block, sigmas)] = seen
     assert len(adcs) == len(grid)
     for (sigma, _), adc in zip(sigmas, adcs):

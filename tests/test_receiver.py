@@ -10,8 +10,8 @@ from uwbphy import (
     UncalibratedThreshold,
     WindowTooSmall,
     add_awgn,
-    calibrate_ook_threshold,
     demodulate,
+    ook_threshold,
     place_pulse_train,
     sample_pulse,
     synchronize,
@@ -355,7 +355,7 @@ class TestOok:
     def test_noiseless_loopback(self, fast_params, fast_code, fast_template):
         bits = random_bits(9, 200)
         cfg = make_receiver("ook", fast_params, fast_code, fast_template)
-        theta = calibrate_ook_threshold(cfg, np.inf, 0.5, 1000, rng_seed=0)
+        theta = ook_threshold(cfg, np.inf, 0.5)
         rx = transmit("ook", bits, fast_params, fast_code, fast_template)
         np.testing.assert_array_equal(
             demodulate(rx, cfg.with_threshold(theta)), bits
@@ -370,8 +370,8 @@ class TestOok:
         np.testing.assert_array_equal(demodulate(rx, cfg), np.zeros(7))
 
     def test_short_integration_window(self, fast_params, fast_code, fast_template):
-        # a 1 ns window captures the bulk of the pulse energy; with a
-        # matching calibrated threshold the noiseless link still decodes
+        # a 1 ns window captures the bulk of the pulse energy; at its
+        # own half-energy threshold the noiseless link still decodes
         bits = random_bits(10, 100)
         cfg = make_receiver(
             "ook",
@@ -380,7 +380,7 @@ class TestOok:
             fast_template,
             integration_window=1e-9,
         )
-        theta = calibrate_ook_threshold(cfg, np.inf, 0.5, 1000, rng_seed=0)
+        theta = ook_threshold(cfg, np.inf, 0.5)
         assert 0.0 < theta < 0.5
         rx = transmit("ook", bits, fast_params, fast_code, fast_template)
         np.testing.assert_array_equal(
@@ -433,7 +433,7 @@ class TestQuantizedDatapath:
             kwargs["threshold"] = None
         cfg = make_receiver(scheme, fast_params, fast_code, fast_template, **kwargs)
         if scheme == "ook":
-            theta = calibrate_ook_threshold(cfg, np.inf, 0.5, 1000, rng_seed=0)
+            theta = ook_threshold(cfg, np.inf, 0.5)
             cfg = cfg.with_threshold(theta)
         np.testing.assert_array_equal(demodulate(tx, cfg), bits)
 
@@ -478,7 +478,7 @@ class TestCalibration:
         self, fast_params, fast_code, fast_template
     ):
         cfg = make_receiver("ook", fast_params, fast_code, fast_template)
-        theta = calibrate_ook_threshold(cfg, np.inf, 0.5, 500, rng_seed=1)
+        theta = ook_threshold(cfg, np.inf, 0.5)
         assert theta == pytest.approx(0.5, abs=1e-9)
 
     @pytest.mark.parametrize("shift, window", [
@@ -487,44 +487,30 @@ class TestCalibration:
     def test_noiseless_threshold_is_exactly_half_window_energy(
         self, fast_params, fast_code, fast_template, shift, window
     ):
-        # without noise the general formula gives 0.5 * (0 + E / rate),
-        # the same float as 0.5 * E / rate, E the energy of the window's
-        # template samples; three leading zeros leave a 2-sample window
-        # none
+        # without noise the closed form (0.5 E + 0 w) / rate is exactly
+        # 0.5 * E / rate, E the energy of the window's template
+        # samples; three leading zeros leave a 2-sample window none
         template = shifted(fast_template, shift)
         cfg = make_receiver("ook", fast_params, fast_code, template,
                             integration_window=window)
         tpl = template.samples[:cfg.window_len]
         energy = float(np.dot(tpl, tpl))
-        theta = calibrate_ook_threshold(cfg, np.inf, 0.5, 500, rng_seed=1)
+        theta = ook_threshold(cfg, np.inf, 0.5)
         assert theta == 0.5 * energy / RATE
         assert (energy == 0.0) == (shift > 0)
 
-    def test_deterministic(self, fast_params, fast_code, fast_template):
-        cfg = make_receiver("ook", fast_params, fast_code, fast_template)
-        a = calibrate_ook_threshold(cfg, 8.0, 0.5, 500, rng_seed=7)
-        b = calibrate_ook_threshold(cfg, 8.0, 0.5, 500, rng_seed=7)
-        c = calibrate_ook_threshold(cfg, 8.0, 0.5, 500, rng_seed=8)
-        assert a == b
-        assert a != c
-
     def test_matches_analytic_midpoint(self, fast_params, fast_code, fast_template):
-        # empirical midpoint converges to M*N0/2 + E_w/2
+        # M*N0/2 + E_w/2 in N0 units, with the unit-energy template's
+        # whole energy in the default window
         cfg = make_receiver("ook", fast_params, fast_code, fast_template)
         ebn0_db, eb = 10.0, 0.5
         n0 = eb / 10 ** (ebn0_db / 10)
         m = round(cfg.integration_window * RATE)
         analytic = m * n0 / 2 + 1.0 / 2
-        theta = calibrate_ook_threshold(cfg, ebn0_db, eb, 20_000, rng_seed=2)
-        assert theta == pytest.approx(analytic, rel=0.02)
-
-    def test_minimum_frames(self, fast_params, fast_code, fast_template):
-        cfg = make_receiver("ook", fast_params, fast_code, fast_template)
-        with pytest.raises(InvalidParams):
-            calibrate_ook_threshold(cfg, 8.0, 0.5, 99, rng_seed=0)
-        calibrate_ook_threshold(cfg, 8.0, 0.5, 100, rng_seed=0)
+        assert ook_threshold(cfg, ebn0_db, eb) == pytest.approx(analytic,
+                                                                rel=1e-9)
 
     def test_positive_energy_required(self, fast_params, fast_code, fast_template):
         cfg = make_receiver("ook", fast_params, fast_code, fast_template)
         with pytest.raises(InvalidParams):
-            calibrate_ook_threshold(cfg, 8.0, 0.0, 500, rng_seed=0)
+            ook_threshold(cfg, 8.0, 0.0)

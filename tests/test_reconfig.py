@@ -375,7 +375,7 @@ class TestRunSession:
                              channel=channel, rng_seed=7)
         assert result.total_errors > 0
         for seg, state in zip(result.segments, states):
-            noise_seed, _ = point_seeds(7, seg.index)[:2]
+            noise_seed = point_seeds(7, seg.index)[0]
             sent = bits[seg.start_frame:seg.start_frame + seg.n_bits]
             [block] = simulate_block([(sent, noise_seed, channel)],
                                      state.link_end, state.link_end, 8.0)

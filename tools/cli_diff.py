@@ -6,8 +6,9 @@ Every run is `python -m uwbphy ...` with that tree alone on PYTHONPATH,
 from one shared temporary directory, so the session script's path in
 the CSV metadata is the same under both trees. The list covers sweeps
 of each scheme on the float and quantized datapaths (3-bit OOK and PPM
-over AWGN among them), sessions, compare, two presets and a refused
-sweep; NAME arguments select runs from it.
+over AWGN among them), sessions (a noiseless OOK one among them),
+compare, two presets and a refused sweep; NAME arguments select runs
+from it.
 Exits 0 when every run selected is identical, 1 otherwise, and 2 for
 an unknown NAME.
 
@@ -41,6 +42,8 @@ def _runs():
             runs[f"sweep-{scheme}-cm1-q{bits}"] = cm1 + ["--quant-bits", bits]
     session = ["session", "--script", SCRIPT, "--bits", "1200", "--seed", "3"]
     runs["session-ppm"] = session + ["--scheme", "ppm"]
+    # noiseless OOK decides at exactly half the windowed pulse energy
+    runs["session-ook"] = session + ["--scheme", "ook"]
     runs["session-ppm-fault"] = session + ["--scheme", "ppm", "--fault-inject"]
     runs["session-ook-8db"] = session + ["--scheme", "ook", "--ebn0", "8"]
     runs["session-ook-8db-fault"] = session + [
