@@ -70,7 +70,10 @@ into it, a handful per window even on CM1. Those windows repeat: the
 content of one follows from the flat indices it reads, so a pass's
 windows are grouped by them and each distinct one is built once (about
 70 of 1000 on a default-geometry CM1 block; two for a whole pass of
-AWGN blocks).
+AWGN blocks). Grouping ranks the indices one step at a time, by
+counting where their range is at most twice the window count (AWGN
+passes) and by sorting where it is wider (CM1 passes, whose received
+pulse spans some ten thousand samples); both number the groups alike.
 
 The clean side of a pass (its layout, grouping, distinct windows and
 their clean statistics) serves every point, and so does the noise: each
@@ -165,7 +168,8 @@ class ReceiverConfig:
         set, every point of simulate_block and simulate_links decides
         at it; when None, each point decides at its ook_threshold, and
         decision_statistics, which knows no Eb/N0, raises
-        UncalibratedThreshold for OOK.
+        UncalibratedThreshold for OOK. BPAM and PPM decide by sign
+        alone, so their receivers refuse any threshold but None.
     datapath: None for the floating-point reference, or the
         QuantizerConfig of the ADC (one without a full scale is an AGC,
         see QuantizerConfig).
@@ -209,6 +213,8 @@ class ReceiverConfig:
                 f"sample period to t_c = {self.params.t_c:g} s"
             )
         object.__setattr__(self, "integration_window", window)
+        if self.threshold is not None and self.mod.scheme != OOK:
+            raise InvalidParams(f"OOK-only threshold set for {self.mod.scheme}")
         # zero is a valid threshold: without noise, a template whose
         # first window samples are zero has ook_threshold zero
         if self.threshold not in (None, 0.0):
@@ -240,6 +246,12 @@ class ReceiverConfig:
         if self.mod.scheme == OOK:
             return int(round(self.integration_window * self.sample_rate))
         return len(self.pulse) + delta_samples(self.mod, self.sample_rate)
+
+    @cached_property
+    def pulse_table(self):
+        """transmitter.pulse_table of this link end, (starts, rows), built
+        once and shared by every block: read only."""
+        return pulse_table(self.mod, self.params, self.code, self.template)
 
     def with_threshold(self, threshold):
         return replace(self, threshold=threshold)
@@ -314,10 +326,8 @@ def synchronize(rx, cfg, search_window, n_sync_frames):
 def _windows(x, cfg, offset):
     """Gather the observation windows of every whole frame of x counted
     from offset: an (n_frames, W) matrix."""
-    frame_len = cfg.frame_len
-    frames = np.arange(max((len(x) - offset) // frame_len, 0))
-    chips = pulse_table(cfg.mod, cfg.params, cfg.code, cfg.template)[0]
-    starts = offset + frame_len * frames + chips[frames % len(chips)]
+    n = max((len(x) - offset) // cfg.frame_len, 0)
+    starts = _frame_starts(cfg, n) + offset
     return x[starts[:, None] + np.arange(cfg.window_len)]
 
 
@@ -479,8 +489,6 @@ def simulate_links(blocks, tx, rx, points):
     points = tuple((noise_sigma(e, eb, rx.sample_rate),
                     ook_threshold(rx, e, eb) if ook else rx.threshold)
                    for e in points)
-    # the rows sent are the shape set of every block without a channel
-    starts, shared = pulse_table(tx.mod, tx.params, tx.code, tx.template)
     # a block without a channel shares the layout before it if that was
     # of a block as long and without a channel too
     batch, shared_len = [], None
@@ -491,7 +499,8 @@ def simulate_links(blocks, tx, rx, points):
             yield from _run_pass(batch, *layout, rx, points)
             batch = []
         if not same:
-            layout = _layout(tx, rx, starts, len(bits), shared
+            # the rows sent are the shape set of a block without a channel
+            layout = _layout(tx, rx, len(bits), tx.pulse_table[1]
                              if channel is None else _shapes(tx, channel))
         shared_len = len(bits) if channel is None else None
         batch.append((bits, noise_seed))
@@ -506,25 +515,31 @@ def _shapes(tx, channel):
     return bit_rows(tx.mod, g.samples, tx.sample_rate)
 
 
-def _layout(tx, rx, starts, n, shapes):
+def _layout(tx, rx, n, shapes):
     """The layout of an n-bit block with the received shape set shapes,
     counted from the block's start. Every frame sends a row of shapes
     from its code position's start (transmitter.pulse_table), so this
     holds for any bits of the block.
 
     The rx windows are those of the block's frames plus the channel's
-    spread, at most one per bit. Pulse starts grow with the frame, so
-    the pulses reaching into a window [p, p + W) are the run whose end
-    lies past p and whose start lies before p + W. Returns (padded, at,
-    pos). padded holds the two rows of shapes, each with W zeros on
-    either side, end to end in one flat array, so row k starts at k *
-    stride for stride = len(padded) // 2. at and pos have one row per
-    step along the run and one column per window: the step-th pulse
-    reaching window w is the block's pulse at[step, w], and the window
-    reads it from pos[step, w] on in its padded row. Past a window's
-    run, at is the sentinel n, which picks the zero bit _run_pass
-    appends to every block's bits, and pos is 0, where the row reads
-    zeros.
+    spread, at most one per bit. The tx frames' pulse starts and the rx
+    windows' starts are each link end's code offsets tiled onto a frame
+    ramp (_frame_starts). Pulse starts grow with the frame, so the
+    pulses reaching into a window [p, p + W) are the run whose start
+    lies past p - length (length the shape set's row length) and before
+    p + W. Where the two ends are one configuration and the shapes have
+    no spread, that run is the window's own frame's pulse alone, read
+    from its start, and the layout follows without a search.
+
+    Returns (padded, at, pos). padded holds the two rows of shapes, each
+    with W zeros on either side, end to end in one flat array, so row k
+    starts at k * stride for stride = len(padded) // 2. at and pos have
+    one row per step along the run and one column per window: the
+    step-th pulse reaching window w is the block's pulse at[step, w],
+    and the window reads it from pos[step, w] on in its padded row. Past
+    a window's run, at is the sentinel n, which picks the zero bit
+    _run_pass appends to every block's bits, and pos is 0, where the row
+    reads zeros.
 
     Raises InvalidParams when the block's sample positions do not fit a
     64-bit integer.
@@ -537,20 +552,37 @@ def _layout(tx, rx, starts, n, shapes):
             f"index; shorten the frame or send fewer bits")
     padded = np.zeros((len(shapes), length + 2 * width))
     padded[:, width:-width] = shapes
-    frame = np.arange(n)
-    first = tx.frame_len * frame + starts[frame % len(starts)]
     # the received pulse is the chip pulse, the channel's spread and,
     # in a PPM row, the shift
     spread = length - len(tx.pulse) - delta_samples(tx.mod, tx.sample_rate)
-    frame = np.arange(min((n * tx.frame_len + spread) // rx.frame_len, n))
-    chips = pulse_table(rx.mod, rx.params, rx.code, rx.template)[0]
-    begin = rx.frame_len * frame + chips[frame % len(chips)]
-    lo = np.searchsorted(first + length, begin, side="right")
-    reach = np.searchsorted(first, begin + width) - lo
+    if tx is rx and spread == 0:
+        # a frame's pulse reaches no window but its own, which starts
+        # where the pulse does: pulse and window fit their chip, and
+        # frame starts lie at least a chip apart
+        return padded.ravel(), np.arange(n)[None], np.full((1, n), width)
+    first = _frame_starts(tx, n)
+    frames = min((n * tx.frame_len + spread) // rx.frame_len, n)
+    # edge: each window's start less length, then its end
+    edge = _frame_starts(rx, frames) - length
+    lo = np.searchsorted(first, edge, side="right")
+    edge += length + width
+    reach = np.searchsorted(first, edge) - lo
     step = np.arange(max(reach.max(initial=0), 1))[:, None]
     at = np.where(step < reach, lo + step, n)
-    pos = np.where(at < n, begin + width - first.take(at, mode="clip"), 0)
+    pos = np.where(at < n, edge - first.take(at, mode="clip"), 0)
     return padded.ravel(), at, pos
+
+
+def _frame_starts(cfg, n):
+    """Where link end cfg's first n frames send (or read) from, counted
+    from the first frame's start: its code offsets (cfg.pulse_table)
+    tiled onto a frame ramp, a whole code period at a time."""
+    starts = cfg.pulse_table[0]
+    ramp = np.arange(0, n * cfg.frame_len, cfg.frame_len)
+    whole = ramp[:n - n % len(starts)].reshape(-1, len(starts))
+    whole += starts
+    ramp[whole.size:] += starts[:n - whole.size]
+    return ramp
 
 
 def _run_pass(batch, padded, at, pos, rx, points):
@@ -684,25 +716,40 @@ def _distinct_windows(read, radix):
     the pulse reaching it at that step (see _build_windows), in [0,
     radix). The groups are refined one step at a time (partition
     refinement): every window starts in group 0, and at each step the
-    windows are sorted by (group, index) and renumbered, so two share a
-    group iff their keys agree at every step so far. The sort key group
-    * radix + index stays below (windows) * radix, a product of two
-    lengths of arrays the pass holds; for it to reach 2**63 one of them
-    would outgrow about 24 GB, so it is exact wherever memory lasts.
-    Returns one representative window per distinct key and, for every
-    window, the index of its key among the representatives.
+    windows are ranked by the key group * radix + index and renumbered
+    in increasing key order, so two share a group iff their keys agree
+    at every step so far. Where the keys' range, groups * radix, is at
+    most twice the window count (AWGN passes: one to two thousand keys
+    for two to eight thousand windows), the rank comes from counting, a
+    presence array over the range and its cumulative sum; where it is
+    wider (CM1 passes: some twenty thousand keys for a thousand
+    windows), from a sort. Both number the groups alike. The sort key
+    stays below (windows) * radix, a product of two lengths of arrays
+    the pass holds; for it to reach 2**63 one of them would outgrow
+    about 24 GB, so it is exact wherever memory lasts. Returns one
+    representative window per distinct key (any member, as all read the
+    same indices) and, for every window, the index of its key among the
+    representatives.
     """
     which = np.zeros(read.shape[1], dtype=np.int64)
     for value in read:
         key = which * radix + value
-        order = np.argsort(key)
-        ordered = key[order]
-        # the first window in key order starts a group, as does each
-        # whose key differs from the one before
-        fresh = np.arange(len(order)) == 0
-        fresh[1:] = ordered[1:] != ordered[:-1]
-        which[order] = np.cumsum(fresh) - 1
-    return order[fresh], which
+        size = (int(which.max(initial=0)) + 1) * radix
+        if size <= 2 * len(key):
+            rank = np.zeros(size, dtype=np.int64)
+            rank[key] = 1
+            which = rank.cumsum(out=rank).take(key) - 1
+        else:
+            order = np.argsort(key)
+            ordered = key[order]
+            # the first window in key order starts a group, as does each
+            # whose key differs from the one before
+            fresh = np.arange(len(order)) == 0
+            fresh[1:] = ordered[1:] != ordered[:-1]
+            which[order] = np.cumsum(fresh) - 1
+    rep = np.empty(int(which.max(initial=-1)) + 1, dtype=np.int64)
+    rep[which] = np.arange(len(which))
+    return rep, which
 
 
 def _build_windows(padded, read, width):
@@ -710,8 +757,11 @@ def _build_windows(padded, read, width):
     of read. At each step, a window adds the width samples of padded
     (see _layout) from the flat index read gives it on; the sentinel's
     index 0 reads zeros."""
-    # view[i] is padded[i:i + width]
-    view = np.lib.stride_tricks.sliding_window_view(padded, width)
+    # view[i] is padded[i:i + width], as sliding_window_view has it
+    # without its argument checks
+    view = np.lib.stride_tricks.as_strided(
+        padded, (len(padded) - width + 1, width), padded.strides * 2,
+        writeable=False)
     win = view[read[0]]
     for r in read[1:]:
         win += view[r]

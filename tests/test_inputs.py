@@ -137,6 +137,11 @@ REFUSED = {
         "ook", PARAMS, CODE, TEMPLATE, datapath=QuantizerConfig(2)),
     "ook receiver sub-sample window": lambda: make_receiver(
         "ook", PARAMS, CODE, TEMPLATE, integration_window=1e-12),
+    # BPAM and PPM decide by sign alone: a threshold would be ignored
+    "bpam receiver threshold": lambda: make_receiver(
+        "bpam", PARAMS, CODE, TEMPLATE, threshold=0.5),
+    "ppm receiver threshold": lambda: make_receiver(
+        "ppm", PARAMS, CODE, TEMPLATE, threshold=0.0),
     "sample_pulse shape dict": lambda: sample_pulse({"tau": 1e-9}, RATE),
     "sample_pulse rate list": lambda: sample_pulse(FAST_PULSE, [RATE]),
     "sample_pulse rate nan": lambda: sample_pulse(FAST_PULSE, NAN),

@@ -1241,6 +1241,65 @@ def test_an_empty_pass_has_no_window_groups():
     assert len(rep) == len(which) == 0
 
 
+def test_an_empty_pass_counted_has_no_window_groups():
+    # no window reads an index, so any radix will do: 10 keys for no
+    # window are sorted (above), a range of 0 keys is counted
+    rep, which = _distinct_windows(np.zeros((3, 0), dtype=np.int64), 0)
+    assert len(rep) == len(which) == 0
+
+
+@st.composite
+def _window_reads(draw):
+    """(read, radix) for 0 to 6 steps over 0 to 3000 windows: a small
+    radix over many windows, which _distinct_windows counts, or a large
+    one over few windows, which it sorts."""
+    steps = draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        windows, radix = draw(st.integers(500, 3000)), draw(st.integers(1, 40))
+    else:
+        windows = draw(st.integers(0, 60))
+        radix = draw(st.integers(2 * windows + 1, 10**6))
+    # few distinct values per step, so that groups survive refinement
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, radix, (steps, draw(st.integers(1, 4))))
+    read = np.take_along_axis(
+        values, rng.integers(0, values.shape[1], (steps, windows)), axis=1)
+    return read, radix
+
+
+@settings(max_examples=60, deadline=None)
+@given(_window_reads())
+def test_window_groups_match_the_distinct_columns(case):
+    # np.unique numbers the distinct columns in increasing order of
+    # their steps, as both ways of ranking number the groups
+    read, radix = case
+    rep, which = _distinct_windows(read, radix)
+    _, inverse = np.unique(read.T, axis=0, return_inverse=True)
+    np.testing.assert_array_equal(which, inverse.reshape(-1))
+    np.testing.assert_array_equal(which[rep], np.arange(len(rep)))
+
+
+@pytest.mark.parametrize("channel, sorts", [(None, False), ("cm1", True)],
+                         ids=["awgn-counts", "cm1-sorts"])
+def test_window_grouping_counts_awgn_and_sorts_cm1(channel, sorts,
+                                                   monkeypatch):
+    # a default 2000-frame AWGN segment has some 1.2k keys per step for
+    # 2000 windows, so it is ranked by counting; a default CM1 block has
+    # some 21k for 1000 windows, so it is sorted
+    sorted_sizes = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort",
+                        lambda a, *args, **kw: sorted_sizes.append(len(a))
+                        or argsort(a, *args, **kw))
+    cfg = _default_receiver("ppm")
+    n = 2 * BLOCK_BITS if channel is None else BLOCK_BITS
+    ch = None if channel is None else draw_channel(CM1_LIKE, rng_seed=9)
+    [record] = simulate_block([(random_bits(3, n), 3, ch)], cfg, cfg, 4.0)
+    assert len(record.statistics) == n
+    assert bool(sorted_sizes) == sorts
+
+
 @pytest.mark.parametrize("scheme", ["ook", "bpam", "ppm"])
 def test_awgn_pass_builds_two_distinct_windows(scheme, monkeypatch):
     # without a channel a window holds its bit's pulse (none for an OOK
@@ -1300,9 +1359,9 @@ def _count_geometries(monkeypatch):
     built, passes = [], []
     layout, run_pass = receiver._layout, receiver._run_pass
 
-    def layout_spy(tx, rx, starts, n, shapes):
+    def layout_spy(tx, rx, n, shapes):
         built.append(n)
-        return layout(tx, rx, starts, n, shapes)
+        return layout(tx, rx, n, shapes)
 
     def run_pass_spy(*args):
         passes.append(len(args[0]))
@@ -1374,6 +1433,24 @@ def test_a_pass_holds_blocks_of_one_geometry(sizes, channels, passes, built,
     records = list(simulate_block(blocks, cfg, cfg, 4.0))
     assert [len(r.decoded) for r in records] == sizes
     assert spied == (built, passes)
+
+
+@pytest.mark.parametrize("scheme", ["ook", "bpam", "ppm"])
+@pytest.mark.parametrize("edge", [False, True], ids=["default", "edge"])
+def test_one_link_end_lays_out_as_two_equal_ones(scheme, edge):
+    # with tx and rx one configuration and shapes without spread (none,
+    # or a one-tap channel's scaled rows), _layout reads each window's
+    # own pulse without a search; an equal configuration that is
+    # another object takes the search, and lays the block out alike
+    cfg = _edge_receiver(scheme) if edge else _default_receiver(scheme)
+    twin = replace(cfg)
+    for shapes in (cfg.pulse_table[1], 0.5 * cfg.pulse_table[1]):
+        for n in (0, 1, 7, BLOCK_BITS):
+            own = receiver._layout(cfg, cfg, n, shapes)
+            searched = receiver._layout(cfg, twin, n, shapes)
+            for got, want in zip(own, searched):
+                np.testing.assert_array_equal(got, want)
+                assert got.dtype == want.dtype
 
 
 def test_each_pass_runs_before_the_next_layout_is_built(monkeypatch):

@@ -6,9 +6,10 @@ Every run is `python -m uwbphy ...` with that tree alone on PYTHONPATH,
 from one shared temporary directory, so the session script's path in
 the CSV metadata is the same under both trees. The list covers sweeps
 of each scheme on the float and quantized datapaths (3-bit OOK and PPM
-over AWGN among them), sessions (a noiseless OOK one among them),
-compare, two presets and a refused sweep; NAME arguments select runs
-from it.
+over AWGN among them, and a BPAM sweep whose last block is short),
+sessions (a noiseless OOK one, and a fault-injected PPM one whose tx
+and rx frames differ in length, among them), compare, two presets and
+a refused sweep; NAME arguments select runs from it.
 Exits 0 when every run selected is identical, 1 otherwise, and 2 for
 an unknown NAME.
 
@@ -21,8 +22,13 @@ import sys
 import tempfile
 from pathlib import Path
 
-SCRIPT = "plan.txt"
-SCRIPT_TEXT = "@400 set tc=20 signal=1\n@800 set tc=12 signal=1\n"
+# the session scripts, by file name
+SCRIPTS = {
+    "plan.txt": "@400 set tc=20 signal=1\n@800 set tc=12 signal=1\n",
+    # under --fault-inject the tx frames (63 ns, then 108 ns) differ from
+    # the rx frames (80 ns), so rx windows read no pulse, one or two
+    "frames.txt": "@400 set nc=7 tc=9 signal=1\n@800 set nc=12 signal=1\n",
+}
 
 
 def _runs():
@@ -40,7 +46,11 @@ def _runs():
         runs[f"sweep-{scheme}-cm1"] = cm1
         for bits in ("3", "8", "12"):
             runs[f"sweep-{scheme}-cm1-q{bits}"] = cm1 + ["--quant-bits", bits]
-    session = ["session", "--script", SCRIPT, "--bits", "1200", "--seed", "3"]
+    # a last block of 500 bits needs a layout of its own
+    runs["sweep-bpam-awgn-2500"] = ["sweep", "--scheme", "bpam", "--ebn0",
+                                    "0,4,8", "--bits", "2500", "--seed", "5"]
+    session = ["session", "--script", "plan.txt", "--bits", "1200", "--seed",
+               "3"]
     runs["session-ppm"] = session + ["--scheme", "ppm"]
     # noiseless OOK decides at exactly half the windowed pulse energy
     runs["session-ook"] = session + ["--scheme", "ook"]
@@ -49,6 +59,9 @@ def _runs():
     runs["session-ook-8db-fault"] = session + [
         "--scheme", "ook", "--ebn0", "8", "--fault-inject"]
     runs["session-bpam-6db"] = session + ["--scheme", "bpam", "--ebn0", "6"]
+    runs["session-ppm-nc-fault"] = ["session", "--script", "frames.txt",
+                                    "--bits", "1200", "--seed", "3",
+                                    "--scheme", "ppm", "--fault-inject"]
     compare = ["compare", "--ebn0", "4,8", "--bits", "2000", "--seed", "5"]
     runs["compare-cm1"] = compare + ["--channel", "multipath"]
     runs["compare-q4"] = compare + ["--quant-bits", "4"]
@@ -83,7 +96,8 @@ def main(argv):
         return 2
     differ = []
     with tempfile.TemporaryDirectory() as cwd:
-        Path(cwd, SCRIPT).write_text(SCRIPT_TEXT)
+        for name, text in SCRIPTS.items():
+            Path(cwd, name).write_text(text)
         for name in names:
             got = [run(src, RUNS[name], cwd) for src in (a, b)]
             parts = [part for part, x, y in zip(
