@@ -216,13 +216,12 @@ def draw_channel(profile, rng_seed):
     delay_ns = np.concatenate(delays)
     amp = np.concatenate(powers) * rng.choice((-1.0, 1.0), size=len(delay_ns))
 
-    order = np.argsort(delay_ns, kind="stable")
-    delay_ns = delay_ns[order]
-    # merge the measure-zero case of coincident delays
-    run = np.flatnonzero(np.r_[True, delay_ns[1:] != delay_ns[:-1]])
-    amp = np.add.reduceat(amp[order], run)
+    # merge the measure-zero case of coincident delays: each slot sums
+    # its rays in draw order
+    delay_ns, slot = np.unique(delay_ns, return_inverse=True)
+    amp = np.bincount(slot, weights=amp)
     keep = amp != 0.0
-    taps = np.column_stack((delay_ns[run][keep] * 1e-9, amp[keep]))
+    taps = np.column_stack((delay_ns[keep] * 1e-9, amp[keep]))
     return ChannelRealization(taps=taps, profile_id=profile.profile_id)
 
 
@@ -265,7 +264,7 @@ def apply_channel(signal, ch):
     realizations (at most _DIRECT_TAP_LIMIT taps) are applied exactly
     tap by tap; dense ones by FFT overlap-add against a dense kernel
     (identical up to float rounding). The link pipeline,
-    receiver.simulate_block, applies it to the pulse template only;
+    receiver.simulate_links, applies it to the pulse template only;
     applied to a whole waveform it is that pipeline's reference.
     """
     rate = signal.sample_rate
@@ -320,7 +319,7 @@ def add_awgn(signal, ebn0_db, energy_per_bit, rng_seed):
 
     Per-sample deviation is noise_sigma(). A zero deviation (the +inf
     no-noise sentinel) returns the input unchanged. The link pipeline,
-    receiver.simulate_block, adds noise only where the receiver looks;
+    receiver.simulate_links, adds noise only where the receiver looks;
     this full-waveform form is its reference. rng_seed must be an
     integer >= 0.
     """

@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from .channel import CM1_LIKE, load_profile_file
-from .errors import PhyError, check_int, write_text
+from .errors import InvalidParams, PhyError, check_int, write_text
 from .framing import (
     DEFAULT_PARAMS,
     MAX_CODE_LENGTH,
@@ -80,7 +80,7 @@ def _add_sweep_flags(sub):
     sub.add_argument("--channel", choices=("awgn", "multipath"),
                      default="awgn", help="propagation model")
     sub.add_argument("--profile-file", metavar="PATH",
-                     help="multipath profile file (key = value lines)")
+                     help="--channel multipath profile (key = value lines)")
     sub.add_argument("--quant-bits", type=int, default=None,
                      help="ADC word width; omit for the float datapath")
     _add_link_flags(sub)
@@ -91,11 +91,11 @@ def _params(args):
 
 
 def _channel_profile(args):
-    if args.profile_file is not None:
-        return load_profile_file(args.profile_file)
-    if args.channel == "multipath":
-        return CM1_LIKE
-    return None
+    if args.profile_file is None:
+        return CM1_LIKE if args.channel == "multipath" else None
+    if args.channel != "multipath":
+        raise InvalidParams("--profile-file needs --channel multipath")
+    return load_profile_file(args.profile_file)
 
 
 def _sweep_config(args, scheme=None, preset=None):

@@ -193,12 +193,6 @@ class CodeBank:
         return CodeBank(
             entries=self.entries, active_id=self.get(code_id).code_id)
 
-    def with_entry(self, code):
-        """A new bank with one more (or replaced) code."""
-        entries = dict(self.entries)
-        entries[code.code_id] = code
-        return CodeBank(entries=entries, active_id=self.active_id)
-
 
 _CODE_LINE = re.compile(r"^code\s+(\S+)\s*:\s*(.+)$")
 

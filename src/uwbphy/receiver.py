@@ -29,11 +29,11 @@ So the ties the lattice makes reachable are exact: a frame whose BPAM
 correlation is zero or whose two PPM correlations are equal scores
 exactly 0 and decodes as bit 1.
 
-simulate_block runs blocks over the link without building their
-waveforms, and scores them; simulate_links runs them through one
-receiver at several Eb/N0 points at once, such as the points of a
-sweep, each OOK point at its own ook_threshold unless the receiver
-sets one. Sweeps and sessions only sum or report the records.
+simulate_links runs blocks over the link without building their
+waveforms, and scores them through one receiver at several Eb/N0
+points at once, such as the points of a sweep, each OOK point at its
+own ook_threshold unless the receiver sets one. Sweeps and sessions
+only sum or report the records.
 Each block yields one ScoredBlock per point: the statistic of each
 whole rx frame of its received waveform (its frames plus the channel's
 spread, at most one per bit), the decisions, and the errors against its
@@ -72,8 +72,9 @@ windows are grouped by them and each distinct one is built once (about
 70 of 1000 on a default-geometry CM1 block; two for a whole pass of
 AWGN blocks). Grouping ranks the indices one step at a time, by
 counting where their range is at most twice the window count (AWGN
-passes) and by sorting where it is wider (CM1 passes, whose received
-pulse spans some ten thousand samples); both number the groups alike.
+passes) and by np.unique's inverse where it is wider (CM1 passes, whose
+received pulse spans some ten thousand samples); both number the groups
+alike.
 
 The clean side of a pass (its layout, grouping, distinct windows and
 their clean statistics) serves every point, and so does the noise: each
@@ -126,7 +127,6 @@ from .framing import (
     _INT64_MAX,
     ThCode,
     ThParams,
-    chip_samples,
     frame_samples,
     require_code,
 )
@@ -165,8 +165,8 @@ class ReceiverConfig:
     integration_window: OOK energy window, seconds, at least one sample
         (defaults to the template support).
     threshold: OOK decision threshold in energy units, or None. When
-        set, every point of simulate_block and simulate_links decides
-        at it; when None, each point decides at its ook_threshold, and
+        set, every point of simulate_links decides at it; when None,
+        each point decides at its ook_threshold, and
         decision_statistics, which knows no Eb/N0, raises
         UncalibratedThreshold for OOK. BPAM and PPM decide by sign
         alone, so their receivers refuse any threshold but None.
@@ -225,10 +225,6 @@ class ReceiverConfig:
     @property
     def sample_rate(self):
         return self.template.sample_rate
-
-    @cached_property
-    def chip_len(self):
-        return chip_samples(self.params, self.sample_rate)
 
     @cached_property
     def frame_len(self):
@@ -442,10 +438,11 @@ def ook_threshold(cfg, ebn0_db, energy_per_bit):
     return (0.5 * energy + sigma * sigma * width) / cfg.sample_rate
 
 
-def simulate_block(blocks, tx, rx, ebn0_db):
-    """Send blocks of bits from tx to rx at ebn0_db (Eb of tx's scheme):
-    an iterator of a ScoredBlock for each, in order, that runs them as
-    simulate_links runs the one point ebn0_db.
+def simulate_links(blocks, tx, rx, points):
+    """Send blocks of bits from tx to rx at several Eb/N0 points of one
+    link (Eb of tx's scheme), which share their blocks, their channels
+    and their noise: an iterator that yields, block by block and in
+    order, one ScoredBlock per point in the order of points.
 
     blocks is an iterable of (bits, noise_seed, channel) triples, read
     one at a time: a pass ends when it is full or when the next block
@@ -455,31 +452,19 @@ def simulate_block(blocks, tx, rx, ebn0_db):
     tx and rx are the two link ends' configurations, which may differ
     after a one-sided reconfiguration; rx.datapath, if set, is the ADC,
     and an AGC (see QuantizerConfig) samples each block's windows. The
-    records equal those of one call per block, bit for bit.
+    records equal those of one call per block and per point, bit for
+    bit. An OOK point decides at rx.threshold when it is set, and
+    otherwise at ook_threshold(rx, ebn0_db, Eb of tx's scheme). Each
+    pass builds its windows and their clean statistics once for every
+    point, and each block draws its noise once: every point scales
+    those standard normals by its own sigma (common random numbers), so
+    each point's noise keeps its exact law while the points' errors are
+    correlated.
 
     Raises RateMismatch when tx and rx differ in sample rate, and
-    InvalidParams for an invalid ebn0_db, for bits other than 0 and 1
-    or a block whose sample positions do not fit a 64-bit integer.
-    """
-    return simulate_links(blocks, tx, rx, (ebn0_db,))
-
-
-def simulate_links(blocks, tx, rx, points):
-    """simulate_block at several points of one link, which share their
-    blocks, their channels and their noise, one block at a time.
-
-    points holds the Eb/N0 of each point, and each block is a (bits,
-    noise_seed, channel) triple as simulate_block takes. An OOK point
-    decides at rx.threshold when it is set, and otherwise at
-    ook_threshold(rx, ebn0_db, Eb of tx's scheme). Yields, block by
-    block, one ScoredBlock per point in the order of points, each bit
-    for bit that of simulate_block over the same blocks at that point's
-    Eb/N0. Each pass builds its windows and their clean statistics once
-    for every point, and each block draws its noise once: every point
-    scales those standard normals by its own sigma (common random
-    numbers), so each point's noise keeps its exact law while the
-    points' errors are correlated. Raises what simulate_block raises,
-    an invalid Eb/N0 before any block is read.
+    InvalidParams for an invalid Eb/N0 (before any block is read), for
+    bits other than 0 and 1 or a block whose sample positions do not
+    fit a 64-bit integer.
     """
     if tx.sample_rate != rx.sample_rate:
         raise RateMismatch(f"tx at {tx.sample_rate:g} S/s but rx at "
@@ -723,13 +708,13 @@ def _distinct_windows(read, radix):
     for two to eight thousand windows), the rank comes from counting, a
     presence array over the range and its cumulative sum; where it is
     wider (CM1 passes: some twenty thousand keys for a thousand
-    windows), from a sort. Both number the groups alike. The sort key
-    stays below (windows) * radix, a product of two lengths of arrays
-    the pass holds; for it to reach 2**63 one of them would outgrow
-    about 24 GB, so it is exact wherever memory lasts. Returns one
-    representative window per distinct key (any member, as all read the
-    same indices) and, for every window, the index of its key among the
-    representatives.
+    windows), it is np.unique's inverse. Both number the groups alike.
+    The key stays below (windows) * radix, a product of two lengths of
+    arrays the pass holds; for it to reach 2**63 one of them would
+    outgrow about 24 GB, so it is exact in int64 wherever memory lasts.
+    Returns one representative window per distinct key (any member, as
+    all read the same indices) and, for every window, the index of its
+    key among the representatives.
     """
     which = np.zeros(read.shape[1], dtype=np.int64)
     for value in read:
@@ -740,13 +725,7 @@ def _distinct_windows(read, radix):
             rank[key] = 1
             which = rank.cumsum(out=rank).take(key) - 1
         else:
-            order = np.argsort(key)
-            ordered = key[order]
-            # the first window in key order starts a group, as does each
-            # whose key differs from the one before
-            fresh = np.arange(len(order)) == 0
-            fresh[1:] = ordered[1:] != ordered[:-1]
-            which[order] = np.cumsum(fresh) - 1
+            which = np.unique(key, return_inverse=True)[1]
     rep = np.empty(int(which.max(initial=-1)) + 1, dtype=np.int64)
     rep[which] = np.arange(len(which))
     return rep, which

@@ -220,7 +220,7 @@ def run_session(bits, schedule, initial_state, ebn0_db=math.inf,
     The receiver reads every segment at its own parameters, so after a
     one-sided reconfiguration it sees the transmitter's waveform through
     mismatched frames; noise enters only the windows it observes (see
-    receiver.simulate_block).
+    receiver.simulate_links).
 
     channel is None for AWGN only, or one ChannelRealization (see
     channel.draw_channel) that every segment sees.

@@ -27,8 +27,6 @@ from .errors import (
     check_type,
 )
 
-GAUSSIAN_SECOND_DERIVATIVE = "gaussian-second-derivative"
-
 # Fewer than ~20 samples per tau visibly distorts the monocycle's
 # energy and correlation properties.
 MIN_SAMPLES_PER_TAU = 20.0
@@ -46,17 +44,12 @@ class PulseShape:
     tau: width parameter in seconds.
     duration: truncated support length in seconds, centered on the peak;
         the pulse is identically zero outside [-duration/2, +duration/2].
-    kind: pulse family selector; only the Gaussian second derivative is
-        implemented.
     """
 
     tau: float
     duration: float
-    kind: str = GAUSSIAN_SECOND_DERIVATIVE
 
     def __post_init__(self):
-        if self.kind != GAUSSIAN_SECOND_DERIVATIVE:
-            raise InvalidParams(f"unsupported pulse kind {self.kind!r}")
         object.__setattr__(self, "tau", check_positive(self.tau, "pulse tau"))
         object.__setattr__(
             self, "duration", check_positive(self.duration, "pulse duration")

@@ -174,6 +174,59 @@ class TestDrawChannel:
             digest.update(repr(tuple(map(tuple, taps.tolist()))).encode())
         assert digest.hexdigest() == CM1_TAPS_DIGEST
 
+    def test_coincident_delays_merge_into_one_tap(self, monkeypatch):
+        # Every second uniform ray delay repeats the one before it, so
+        # the rays of one cluster coincide in pairs of equal magnitude
+        # and random signs: about half of the pairs cancel exactly, and
+        # each pair's sum is exact in any order. Each tap must be the sum
+        # of the rays at its delay, over the normalized gains, with the
+        # zero sums dropped.
+        make, draws = np.random.default_rng, []
+
+        class Paired:
+            def __init__(self, seed):
+                self._rng = make(seed)
+
+            def __getattr__(self, name):
+                def draw(*args, **kw):
+                    out = getattr(self._rng, name)(*args, **kw)
+                    if name == "uniform":
+                        out[1::2] = out[:len(out) - 1:2]
+                    draws.append(out)
+                    return out
+                return draw
+
+        profile, merged, cancelled = SMALL_SV, 0, 0
+        for seed in range(20):
+            draws.clear()
+            with monkeypatch.context() as m:
+                m.setattr(np.random, "default_rng", Paired)
+                ch = draw_channel(profile, seed)
+            # draws: the cluster count, the gaps, a (count, uniforms)
+            # pair per cluster in the window, the signs
+            _, gaps, *rays, signs = draws
+            starts = np.concatenate(([0.0], np.cumsum(gaps)))
+            starts = starts[starts <= profile.max_excess_delay]
+            sums, at = {}, 0
+            for t_l, uniforms in zip(starts, rays[1::2], strict=True):
+                r = np.concatenate(([0.0], np.sort(uniforms)))
+                power = (np.exp(-t_l / (2.0 * profile.cluster_decay))
+                         * np.exp(-r / (2.0 * profile.ray_decay)))
+                for d, a in zip(t_l + r, power):
+                    sums[d] = sums.get(d, 0.0) + a * signs[at]
+                    at += 1
+            assert at == len(signs)
+            merged += at - len(sums)
+            cancelled += sum(v == 0.0 for v in sums.values())
+            kept = sorted((d, v) for d, v in sums.items() if v != 0.0)
+            delays = np.array([d for d, _ in kept]) * 1e-9
+            gains = np.array([v for _, v in kept])
+            assert np.all(np.diff(ch.delays()) > 0)
+            np.testing.assert_array_equal(ch.delays(), delays)
+            np.testing.assert_allclose(
+                ch.gains(), gains / math.sqrt(gains @ gains), rtol=1e-12)
+        assert merged > 0 and cancelled > 0
+
     def test_mean_tap_count_matches_arrival_statistics(self):
         # sample mean over many draws vs the analytic expectation for
         # the cluster/ray Poisson construction

@@ -447,6 +447,25 @@ def test_huge_profile_value_exits_2_before_allocating(tmp_path, line, capsys):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--scheme", "bpam", "--channel", "awgn"],
+    ["compare"],
+], ids=["sweep-awgn", "compare-default"])
+def test_profile_file_without_multipath_exits_2(tmp_path, argv, capsys):
+    # a profile describes multipath, so an AWGN sweep, named or by
+    # default, refuses one rather than running over its channel
+    profile = tmp_path / "profile.txt"
+    profile.write_text("max_excess_delay = 20.0\n")
+    rc = run(argv + ["--ebn0", "0", "--bits", "1000",
+                     "--profile-file", str(profile)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+    assert "--channel multipath" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [["sweep", "--scheme", "bpam", "--bits", "1000", "--nc", str(10**15)],

@@ -176,13 +176,6 @@ class TestCodeBank:
         with pytest.raises(UnknownCode):
             self.make().with_active("zzz")
 
-    def test_with_entry_is_functional(self):
-        bank = self.make()
-        grown = bank.with_entry(ThCode((1,), "c"))
-        assert "c" not in bank.entries
-        assert grown.get("c").offsets == (1,)
-        assert grown.active_id == "a"
-
     def test_key_must_match_code_id(self):
         with pytest.raises(InvalidParams):
             CodeBank(entries={"x": ThCode((0,), "y")}, active_id="x")

@@ -44,7 +44,7 @@ from uwbphy import (
 from uwbphy.cli import main
 from uwbphy.framing import MAX_CODE_LENGTH
 from uwbphy.harness import CSV_HEADER
-from uwbphy.receiver import simulate_block
+from uwbphy.receiver import simulate_links
 
 from conftest import FAST_PULSE, RATE, make_mod, make_receiver
 
@@ -76,7 +76,7 @@ def _receiver(**kw):
 # the same, so a 30 dB link decodes coin flips; at 2 bits a window of
 # noise alone holds about as much energy as a pulse, and a 20 dB sweep
 # decodes coin flips too) and that an integration window spans at least
-# one sample (an OOK window that rounds to none crashed simulate_block
+# one sample (an OOK window that rounds to none crashed simulate_links
 # with numpy's ValueError).
 REFUSED = {
     "ook threshold nan": lambda: make_receiver(
@@ -167,7 +167,7 @@ def test_block_past_the_int64_range_is_refused_after_the_one_before():
     # record comes out before the next block is refused
     cfg = _receiver(params=ThParams(t_c=5e-9, n_c=12 * 10**15))
     blocks = [(np.array([1]), 0, None), (np.array([0, 1, 0, 1]), 1, None)]
-    records = simulate_block(blocks, cfg, cfg, 4.0)
+    records = simulate_links(blocks, cfg, cfg, (4.0,))
     assert next(records).errors == 0
     with pytest.raises(InvalidParams, match="64-bit sample index"):
         next(records)

@@ -1,6 +1,6 @@
 """The shared block pipeline against its full-waveform reference.
 
-simulate_block draws no noise sample on the floating-point datapath:
+simulate_links draws no noise sample on the floating-point datapath:
 it adds to each clean statistic a noise term drawn from its exact law
 (a normal for BPAM and PPM; for OOK a normal along the clean window
 plus a chi-square). The quantized datapath draws noise for the window
@@ -55,13 +55,14 @@ from uwbphy import (
     sample_pulse,
 )
 from uwbphy.channel import _codes, noise_sigma, quantize_array
+from uwbphy.framing import chip_samples
 from uwbphy import harness, receiver
 from uwbphy.harness import BLOCK_BITS, run_sweep
 from uwbphy.receiver import (
     _distinct_windows,
     decide,
     decision_statistics,
-    simulate_block,
+    simulate_links,
 )
 
 import oracles
@@ -87,13 +88,14 @@ EDGE_CODE = ThCode(offsets=(2, 0, 2, 1, 2), code_id="edge")
 OOK_THRESHOLD = 120 * 0.25 / 10 ** 0.6 + 0.5
 
 def _record(bits, tx, rx, ebn0_db, noise_seed, channel=None):
-    """The record of one block passed to simulate_block alone."""
-    [record] = simulate_block([(bits, noise_seed, channel)], tx, rx, ebn0_db)
+    """The record of one block passed to simulate_links alone."""
+    [record] = simulate_links([(bits, noise_seed, channel)], tx, rx,
+                              (ebn0_db,))
     return record
 
 
 def _block(bits, tx, rx, ebn0_db, noise_seed, channel=None):
-    """The statistics of one block passed to simulate_block alone."""
+    """The statistics of one block passed to simulate_links alone."""
     return _record(bits, tx, rx, ebn0_db, noise_seed, channel).statistics
 
 
@@ -174,7 +176,7 @@ def _truncated_reference(x, cfg):
     if cfg.datapath is not None:
         x = quantize_array(x, cfg.datapath)
         tpl = quantize_array(tpl, cfg.datapath)
-    frame, chip = cfg.frame_len, cfg.chip_len
+    frame, chip = cfg.frame_len, chip_samples(cfg.params, rate)
     shift = round(cfg.mod.delta * rate)
     tpl = tpl[:chip - shift]
     out = []
@@ -209,10 +211,11 @@ def test_window_truncated_at_frame_end(scheme, quantized):
     cfg = replace(_edge_receiver(scheme), template=SampledSignal(ramp, RATE))
     if scheme != "ook":
         # the last-chip template really does reach past the frame
-        last = (cfg.params.n_c - 1) * cfg.chip_len
+        chip = chip_samples(cfg.params, cfg.sample_rate)
+        last = (cfg.params.n_c - 1) * chip
         shift = round(cfg.mod.delta * RATE)
         assert last + len(ramp) + shift == cfg.frame_len + 1
-        assert cfg.window_len == cfg.chip_len
+        assert cfg.window_len == chip
     bits = random_bits(31, 60)
     clean = _clean(bits, cfg)
     np.testing.assert_allclose(
@@ -434,7 +437,8 @@ def _cut_receiver(scheme):
         _receiver(scheme, params, EDGE_CODE, EDGE_DELTA),
         template=_ramp_template(),
     )
-    last = (cfg.params.n_c - 1) * cfg.chip_len + round(cfg.mod.delta * RATE)
+    chip = chip_samples(cfg.params, cfg.sample_rate)
+    last = (cfg.params.n_c - 1) * chip + round(cfg.mod.delta * RATE)
     assert last + len(cfg.template) == cfg.frame_len + 1
     return cfg
 
@@ -456,8 +460,9 @@ def _pulse_gap(bits, tx):
     """Fewest samples between the end of a sent pulse and the start of
     the next, at most 400."""
     frames = np.arange(len(bits))
+    chip = chip_samples(tx.params, tx.sample_rate)
     starts = (frames * tx.frame_len
-              + np.take(tx.code.offsets, frames % len(tx.code)) * tx.chip_len)
+              + np.take(tx.code.offsets, frames % len(tx.code)) * chip)
     if tx.mod.scheme == "ppm":
         starts = starts + bits * round(tx.mod.delta * RATE)
     if tx.mod.scheme == "ook":
@@ -611,7 +616,7 @@ def test_quantized_block_holds_one_window_matrix(scheme):
     assert _block_peak(scheme, True, QuantizerConfig(12)) < 1.5
 
 
-# sha256 prefixes of the float64 bytes of simulate_block's statistics
+# sha256 prefixes of the float64 bytes of simulate_links' statistics
 # for each (scheme, channel) cell of the grid below and each link in
 # it, on the floating-point datapath (BLOCK_DIGESTS) and through 8- and
 # 12-bit AGCs and a fixed 8-bit ADC (QUANTIZED_BLOCK_DIGESTS). They pin
@@ -768,7 +773,7 @@ def _block_link(scheme, name):
 
 
 def _block_link_digest(scheme, channel, link, quantized):
-    """Digest of the statistics of seeded simulate_block calls over one
+    """Digest of the statistics of seeded simulate_links calls over one
     link, with and without noise, for a long and a short block: on the
     float datapath, or on 8- and 12-bit AGCs and a fixed 8-bit ADC. Each
     datapath keeps the seeds it had when one digest covered all four."""
@@ -819,7 +824,7 @@ def _block_channels(channel, n_blocks):
 
 
 def _assert_one_pass_equals_one_call_per_block(blocks, tx, rx, ebn0_db):
-    one_pass = list(simulate_block(blocks, tx, rx, ebn0_db))
+    one_pass = list(simulate_links(blocks, tx, rx, (ebn0_db,)))
     assert len(one_pass) == len(blocks)
     for got, (bits, noise_seed, channel) in zip(one_pass, blocks):
         alone = _record(bits, tx, rx, ebn0_db, noise_seed, channel)
@@ -868,7 +873,7 @@ def test_each_link_of_a_pass_equals_its_own_call(scheme, datapath, channel):
     # three links over the same blocks and noise seeds, as a sweep's
     # grid points are: each differs in Eb/N0 and (OOK) in the threshold
     # that follows from it, and each link's records are those of
-    # simulate_block over that link alone, byte for byte, whether its
+    # simulate_links over that link alone, byte for byte, whether its
     # receiver leaves the OOK threshold to the Eb/N0 or sets that
     # ook_threshold explicitly
     rx = replace(_default_receiver(scheme), threshold=None)
@@ -884,8 +889,8 @@ def test_each_link_of_a_pass_equals_its_own_call(scheme, datapath, channel):
     for k, ebn0_db in enumerate(points):
         link = rx if scheme != "ook" else rx.with_threshold(
             ook_threshold(rx, ebn0_db, ENERGY_PER_BIT[scheme]))
-        alone = simulate_block(blocks, rx, link, ebn0_db)
-        bare = simulate_block(blocks, rx, rx, ebn0_db)
+        alone = simulate_links(blocks, rx, link, (ebn0_db,))
+        bare = simulate_links(blocks, rx, rx, (ebn0_db,))
         for got, want, own in zip(records[k::3], alone, bare, strict=True):
             for record in (got, own):
                 assert record.statistics.tobytes() == want.statistics.tobytes()
@@ -1120,7 +1125,7 @@ def test_block_records_score_their_bits(case):
     blocks = [(bits[at:at + BLOCK_BITS], 75 + at, channel)
               for at in range(0, len(bits), BLOCK_BITS)]
     _assert_one_pass_equals_one_call_per_block(blocks, tx, rx, 4.0)
-    records = list(simulate_block(blocks, tx, rx, 4.0))
+    records = list(simulate_links(blocks, tx, rx, (4.0,)))
     unread = [len(b) - len(r.decoded) for r, (b, _, _) in zip(records, blocks)]
     if case == "cut>fast":
         assert all(0 < u < len(b) for u, (b, _, _) in zip(unread, blocks))
@@ -1150,7 +1155,7 @@ def test_fault_injected_session_segments_score_their_bits():
                  point_seeds(5, index)[0], None)
         tx, rx = tx_state.link_end, state.link_end
         _assert_one_pass_equals_one_call_per_block([block], tx, rx, 4.0)
-        [record] = simulate_block([block], tx, rx, 4.0)
+        [record] = simulate_links([block], tx, rx, (4.0,))
         assert segment.decoded.dtype == np.uint8
         np.testing.assert_array_equal(segment.decoded, record.decoded)
         assert segment.errors == record.errors
@@ -1212,7 +1217,7 @@ def test_windows_of_a_long_channel_group_over_many_steps():
     cfg = _receiver("bpam")
     bits = random_bits(44, 900)
     blocks = [(b, 0, LONG_CHANNEL) for b in np.split(bits, 3)]
-    records = list(simulate_block(blocks, cfg, cfg, math.inf))
+    records = list(simulate_links(blocks, cfg, cfg, (math.inf,)))
     for got, (b, _, ch) in zip(records, blocks):
         _assert_same_statistics(
             got.statistics, _noiseless_reference(b, cfg, cfg, ch))
@@ -1286,16 +1291,18 @@ def test_window_grouping_counts_awgn_and_sorts_cm1(channel, sorts,
                                                    monkeypatch):
     # a default 2000-frame AWGN segment has some 1.2k keys per step for
     # 2000 windows, so it is ranked by counting; a default CM1 block has
-    # some 21k for 1000 windows, so it is sorted
-    sorted_sizes = []
-    argsort = np.argsort
-    monkeypatch.setattr(np, "argsort",
-                        lambda a, *args, **kw: sorted_sizes.append(len(a))
-                        or argsort(a, *args, **kw))
+    # some 21k for 1000 windows, so it is sorted by np.unique. The
+    # channel is drawn before the spy goes in, as draw_channel merges
+    # its delays with np.unique too.
     cfg = _default_receiver("ppm")
     n = 2 * BLOCK_BITS if channel is None else BLOCK_BITS
     ch = None if channel is None else draw_channel(CM1_LIKE, rng_seed=9)
-    [record] = simulate_block([(random_bits(3, n), 3, ch)], cfg, cfg, 4.0)
+    sorted_sizes = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique",
+                        lambda a, *args, **kw: sorted_sizes.append(len(a))
+                        or unique(a, *args, **kw))
+    [record] = simulate_links([(random_bits(3, n), 3, ch)], cfg, cfg, (4.0,))
     assert len(record.statistics) == n
     assert bool(sorted_sizes) == sorts
 
@@ -1316,7 +1323,7 @@ def test_awgn_pass_builds_two_distinct_windows(scheme, monkeypatch):
     monkeypatch.setattr(receiver, "_distinct_windows", spy)
     cfg = _default_receiver(scheme)
     blocks = [(random_bits(b, BLOCK_BITS), b, None) for b in range(8)]
-    records = list(simulate_block(blocks, cfg, cfg, 4.0))
+    records = list(simulate_links(blocks, cfg, cfg, (4.0,)))
     assert sum(len(r.statistics) for r in records) == 8000
     assert built == [2]
 
@@ -1333,7 +1340,7 @@ def _sweep_point_peak(cfg):
 
 
 def test_sweep_point_memory_stays_at_one_pass():
-    # a 100-block float point: simulate_block takes its blocks a few per
+    # a 100-block float point: simulate_links takes its blocks a few per
     # pass, so the per-frame arrays of a pass (about 20 values per bit)
     # never cover the whole point
     cfg = SweepConfig(
@@ -1409,7 +1416,7 @@ def test_channel_blocks_build_a_geometry_each(monkeypatch):
     cfg = _default_receiver("bpam")
     blocks = [(random_bits(b, BLOCK_BITS), b, draw_channel(CM1_LIKE, 60 + b))
               for b in range(4)]
-    assert len(list(simulate_block(blocks, cfg, cfg, 4.0))) == 4
+    assert len(list(simulate_links(blocks, cfg, cfg, (4.0,)))) == 4
     assert passes == [1, 1, 1, 1]
     assert built == [BLOCK_BITS] * 4
 
@@ -1430,7 +1437,7 @@ def test_a_pass_holds_blocks_of_one_geometry(sizes, channels, passes, built,
     blocks = [(random_bits(b, n), b,
                draw_channel(CM1_LIKE, 60 + b) if ch else None)
               for b, (n, ch) in enumerate(zip(sizes, channels))]
-    records = list(simulate_block(blocks, cfg, cfg, 4.0))
+    records = list(simulate_links(blocks, cfg, cfg, (4.0,)))
     assert [len(r.decoded) for r in records] == sizes
     assert spied == (built, passes)
 
@@ -1464,6 +1471,6 @@ def test_each_pass_runs_before_the_next_layout_is_built(monkeypatch):
     cfg = _default_receiver("ook")
     blocks = [(random_bits(b, BLOCK_BITS), b, draw_channel(CM1_LIKE, 60 + b))
               for b in range(3)]
-    for _ in simulate_block(blocks, cfg, cfg, 4.0):
+    for _ in simulate_links(blocks, cfg, cfg, (4.0,)):
         events.append("record")
     assert events == ["layout", "record"] * 3

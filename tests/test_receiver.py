@@ -287,7 +287,7 @@ class TestGuards:
         with pytest.raises(RateMismatch):
             demodulate(rx, cfg)
 
-    def test_simulate_block_names_tx_and_rx_rates(self, fast_params, fast_code):
+    def test_simulate_links_names_tx_and_rx_rates(self, fast_params, fast_code):
         def at(rate):
             return make_receiver("bpam", fast_params, fast_code,
                                  sample_pulse(FAST_PULSE, rate))
@@ -295,7 +295,8 @@ class TestGuards:
         blocks = [(np.array([1, 0]), 0, None)]
         with pytest.raises(RateMismatch,
                            match=r"tx at 5e\+10 S/s but rx at 1e\+11 S/s"):
-            list(receiver.simulate_block(blocks, at(50e9), at(100e9), 4.0))
+            list(receiver.simulate_links(blocks, at(50e9), at(100e9),
+                                         (4.0,)))
 
     def test_empty_rx_decodes_nothing(self, fast_params, fast_code, fast_template):
         cfg = make_receiver("bpam", fast_params, fast_code, fast_template)

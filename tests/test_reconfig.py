@@ -27,7 +27,7 @@ from uwbphy import (
 )
 
 from uwbphy import cli, reconfig
-from uwbphy.receiver import simulate_block
+from uwbphy.receiver import simulate_links
 
 from conftest import FAST_PULSE, RATE, make_mod, random_bits
 
@@ -364,7 +364,7 @@ class TestRunSession:
             assert a.errors == b.errors
 
     def test_segments_are_blocks_under_the_sweep_seed_rule(self):
-        # segment i is one simulate_block block through the session's
+        # segment i is one simulate_links block through the session's
         # channel, its noise seed the first of point_seeds(rng_seed, i)
         bits = random_bits(15, 1000)
         channel = draw_channel(CM1_LIKE, 4)
@@ -377,8 +377,8 @@ class TestRunSession:
         for seg, state in zip(result.segments, states):
             noise_seed = point_seeds(7, seg.index)[0]
             sent = bits[seg.start_frame:seg.start_frame + seg.n_bits]
-            [block] = simulate_block([(sent, noise_seed, channel)],
-                                     state.link_end, state.link_end, 8.0)
+            [block] = simulate_links([(sent, noise_seed, channel)],
+                                     state.link_end, state.link_end, (8.0,))
             assert seg.errors == block.errors
             np.testing.assert_array_equal(seg.decoded, block.decoded)
 

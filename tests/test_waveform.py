@@ -54,10 +54,6 @@ class TestPulseValue:
             PulseShape(tau=TAU, duration=5.9 * TAU)
         PulseShape(tau=TAU, duration=6 * TAU)  # boundary is legal
 
-    def test_unknown_kind(self):
-        with pytest.raises(InvalidParams):
-            PulseShape(tau=TAU, duration=4e-9, kind="chirp")
-
 
 class TestSamplePulse:
     def test_unit_energy(self):

@@ -6,7 +6,8 @@ Every run is `python -m uwbphy ...` with that tree alone on PYTHONPATH,
 from one shared temporary directory, so the session script's path in
 the CSV metadata is the same under both trees. The list covers sweeps
 of each scheme on the float and quantized datapaths (3-bit OOK and PPM
-over AWGN among them, and a BPAM sweep whose last block is short),
+over AWGN among them, a BPAM sweep whose last block is short, and a PPM
+sweep over a profile file's dense multipath),
 sessions (a noiseless OOK one, and a fault-injected PPM one whose tx
 and rx frames differ in length, among them), compare, two presets and
 a refused sweep; NAME arguments select runs from it.
@@ -22,12 +23,15 @@ import sys
 import tempfile
 from pathlib import Path
 
-# the session scripts, by file name
+# the input files, by file name
 SCRIPTS = {
     "plan.txt": "@400 set tc=20 signal=1\n@800 set tc=12 signal=1\n",
     # under --fault-inject the tx frames (63 ns, then 108 ns) differ from
     # the rx frames (80 ns), so rx windows read no pulse, one or two
     "frames.txt": "@400 set nc=7 tc=9 signal=1\n@800 set nc=12 signal=1\n",
+    # a short, dense multipath profile: about 110 taps over 12 ns
+    "dense.txt": "ray_arrival_rate = 4.0\nray_decay = 3.0\n"
+                 "cluster_arrival_rate = 0.5\nmax_excess_delay = 12.0\n",
 }
 
 
@@ -44,6 +48,8 @@ def _runs():
             # correlations tie and OOK energies sit on few levels
             runs[f"sweep-{scheme}-awgn-q3"] = awgn + ["--quant-bits", "3"]
         runs[f"sweep-{scheme}-cm1"] = cm1
+        if scheme == "ppm":
+            runs["sweep-ppm-profile"] = cm1 + ["--profile-file", "dense.txt"]
         for bits in ("3", "8", "12"):
             runs[f"sweep-{scheme}-cm1-q{bits}"] = cm1 + ["--quant-bits", bits]
     # a last block of 500 bits needs a layout of its own
