@@ -69,7 +69,8 @@ def check_int(value, name, lo, hi=math.inf):
     """value as an int. Raises InvalidParams unless it is a real number
     with an integral value in [lo, hi]: 8, np.int64(8) and 8.0 give 8,
     while 2.5, NaN, inf, "3" and None are refused."""
-    if isinstance(value, numbers.Integral) or (
+    # a plain int first: the ABC checks cost more than the rest
+    if type(value) is int or isinstance(value, numbers.Integral) or (
         isinstance(value, numbers.Real) and float(value).is_integer()
     ):
         if lo <= int(value) <= hi:
@@ -81,7 +82,8 @@ def check_int(value, name, lo, hi=math.inf):
 def check_positive(value, name):
     """value as a float. Raises InvalidParams unless it is a real number
     in (0, inf)."""
-    if isinstance(value, numbers.Real) and 0.0 < value < math.inf:
+    if ((type(value) is float or isinstance(value, numbers.Real))
+            and 0.0 < value < math.inf):
         return float(value)
     raise InvalidParams(f"{name} must be positive and finite, got {value!r}")
 
@@ -90,8 +92,8 @@ def check_type(value, name, *kinds):
     """value, if it is an instance of one of kinds, None in kinds
     admitting None. Raises InvalidParams otherwise, rather than leave a
     wrong object to fail with an AttributeError where it is used."""
-    if any(value is None if k is None else isinstance(value, k)
-           for k in kinds):
+    if isinstance(value, tuple(k for k in kinds if k is not None)) or (
+            value is None and None in kinds):
         return value
     names = " or ".join("None" if k is None else k.__name__ for k in kinds)
     raise InvalidParams(f"{name} must be {names}, got {type(value).__name__}")

@@ -69,12 +69,20 @@ range. Each window the receiver reads is the sum of the rows that reach
 into it, a handful per window even on CM1. Those windows repeat: the
 content of one follows from the flat indices it reads, so a pass's
 windows are grouped by them and each distinct one is built once (about
-70 of 1000 on a default-geometry CM1 block; two for a whole pass of
-AWGN blocks). Grouping ranks the indices one step at a time, by
-counting where their range is at most twice the window count (AWGN
-passes) and by np.unique's inverse where it is wider (CM1 passes, whose
-received pulse spans some ten thousand samples); both number the groups
-alike.
+70 of 1000 on a default-geometry CM1 block). Grouping ranks the indices
+one step at a time, by counting where their range is at most twice the
+window count (channel-free passes whose tx and rx frames differ, as in
+a fault-injected session segment) and by np.unique's inverse where it
+is wider (CM1 passes, whose received pulse spans some ten thousand
+samples); both number the groups alike.
+
+Where the two link ends are one configuration and the shape set has no
+spread (every block of an AWGN sweep or of an unfaulted session, and
+one behind a one-tap channel at delay 0), each window reads its own
+frame's pulse alone, from its start. Such a layout is aligned: it is
+found without a search and holds no index, and a pass groups its
+windows by bit, numbered as grouping numbers them, with the one or two
+rows the bits select as its distinct windows.
 
 The clean side of a pass (its layout, grouping, distinct windows and
 their clean statistics) serves every point, and so does the noise: each
@@ -514,7 +522,7 @@ def _layout(tx, rx, n, shapes):
     lies past p - length (length the shape set's row length) and before
     p + W. Where the two ends are one configuration and the shapes have
     no spread, that run is the window's own frame's pulse alone, read
-    from its start, and the layout follows without a search.
+    from its start: the layout is aligned, and follows without a search.
 
     Returns (padded, at, pos). padded holds the two rows of shapes, each
     with W zeros on either side, end to end in one flat array, so row k
@@ -523,8 +531,9 @@ def _layout(tx, rx, n, shapes):
     step-th pulse reaching window w is the block's pulse at[step, w],
     and the window reads it from pos[step, w] on in its padded row. Past
     a window's run, at is the sentinel n, which picks the zero bit
-    _run_pass appends to every block's bits, and pos is 0, where the row
-    reads zeros.
+    _pass_windows appends to every block's bits, and pos is 0, where the
+    row reads zeros. An aligned layout has at and pos None: window w
+    reads pulse w from W on.
 
     Raises InvalidParams when the block's sample positions do not fit a
     64-bit integer.
@@ -544,7 +553,7 @@ def _layout(tx, rx, n, shapes):
         # a frame's pulse reaches no window but its own, which starts
         # where the pulse does: pulse and window fit their chip, and
         # frame starts lie at least a chip apart
-        return padded.ravel(), np.arange(n)[None], np.full((1, n), width)
+        return padded.ravel(), None, None
     first = _frame_starts(tx, n)
     frames = min((n * tx.frame_len + spread) // rx.frame_len, n)
     # edge: each window's start less length, then its end
@@ -574,19 +583,62 @@ def _run_pass(batch, padded, at, pos, rx, points):
     """Yield, for each block of one pass, its ScoredBlock at each point
     of receiver rx. batch holds a (bits, noise_seed) pair per block, all
     of one length, and padded, at and pos are their _layout. points
-    holds a (sigma, threshold) pair per point. The pulse reaching a
-    window takes the row of padded that its bit selects.
+    holds a (sigma, threshold) pair per point.
 
-    Per block, a pass only copies its bits into the array that one take
-    through at turns into the flat index of every reaching pulse, and
-    draws the block's noise once, from its seed; per block and point, it
-    scales that noise by the point's sigma and scores it."""
+    A pass finds its distinct clean windows and their groups once
+    (_pass_windows). Per block it only draws the block's noise once,
+    from its seed; per block and point, it scales that noise by the
+    point's sigma and scores it."""
     width = rx.window_len
-    # each block's bits, scaled to the start of the row they select,
-    # then a zero at the sentinel index n; read[step, b, w] is the flat
-    # index from which block b's window w reads its step-th pulse, and
-    # block b owns windows b*m to (b+1)*m of the pass
-    m = at.shape[1]
+    clean, which = _pass_windows(batch, padded, at, pos, width)
+    m = len(which) // len(batch)
+    noisy = any(sigma > 0.0 for sigma, _ in points)
+    ook = rx.mod.scheme == OOK
+    # the float datapath draws one normal per frame, the quantized one
+    # one per window sample
+    shape = m if rx.datapath is None else (m, width)
+    if rx.datapath is None:
+        clean_stats, norm = _clean_law(clean, rx)
+    for (bits, seed), block in zip(batch, which.reshape(len(batch), m)):
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal(shape) if noisy else np.zeros(shape)
+        if rx.datapath is not None:
+            stats = _quantized_statistics(z, clean, block, rx, points)
+        else:
+            # what every point reads of the block's windows, gathered once
+            base = clean_stats[block]
+            scale = 2.0 * norm[block] if ook else norm
+            chi2 = _chi2(rng, width - 1, m) if noisy and ook else None
+            stats = [base - t if ook else base.copy() for _, t in points]
+            for (sigma, _), point_stats in zip(points, stats):
+                if sigma > 0.0:
+                    point_stats += _noise_terms(z, chi2, sigma, scale, rx)
+        # the next block's noise is drawn only once this one's is gone
+        del z
+        yield from (_score(bits, point_stats) for point_stats in stats)
+
+
+def _pass_windows(batch, padded, at, pos, width):
+    """The clean side of a pass: its distinct clean windows, one row
+    each, and for each of its windows (block b's m after those of the
+    blocks before it) the index of its row, numbered as
+    _distinct_windows numbers its groups. The pulse reaching a window
+    takes the row of padded that its bit selects.
+
+    An aligned layout (at None) reads each window's own bit's row from
+    W on, so its groups are the bits that occur and their rows are read
+    off padded. Otherwise each block's bits, scaled to the start of the
+    row they select and followed by a zero at the sentinel index n, go
+    through at into the flat index from which each window reads each
+    step's pulse, and the windows are grouped by those indices and each
+    distinct one is built once."""
+    if at is None:
+        which = np.concatenate([bits for bits, _ in batch])
+        lo, hi = which.min(initial=1), which.max(initial=0)
+        which -= lo
+        return padded.reshape(2, -1)[lo:hi + 1, width:2 * width].copy(), which
+    # read[step, b, w] is the flat index from which block b's window w
+    # reads its step-th pulse; block b owns windows b*m to (b+1)*m
     sent = np.zeros((len(batch), len(batch[0][0]) + 1), dtype=np.int64)
     sent[:, :-1] = [bits for bits, _ in batch]
     sent *= len(padded) // 2
@@ -594,32 +646,7 @@ def _run_pass(batch, padded, at, pos, rx, points):
     read += pos
     read = read.transpose(1, 0, 2).reshape(len(at), -1)
     rep, which = _distinct_windows(read, len(padded))
-    clean = _build_windows(padded, read[:, rep], width)
-    # from here on a block reads only its groups and the clean windows
-    del read
-    noisy = any(sigma > 0.0 for sigma, _ in points)
-    # the float datapath draws one normal per frame, the quantized one
-    # one per window sample
-    shape = m if rx.datapath is None else (m, width)
-    if rx.datapath is None:
-        # each point's clean statistics and the scale of its noise terms
-        clean_stats, norm = _clean_law(clean, rx)
-        laws = [(clean_stats - t, norm) if rx.mod.scheme == OOK
-                else (clean_stats, sigma * norm) for sigma, t in points]
-    for (bits, seed), block in zip(batch, which.reshape(len(batch), m)):
-        rng = np.random.default_rng(seed)
-        z = rng.standard_normal(shape) if noisy else np.zeros(shape)
-        if rx.datapath is not None:
-            stats = _quantized_statistics(z, clean, block, rx, points)
-        else:
-            chi2 = (_chi2(rng, width - 1, m) if noisy and rx.mod.scheme == OOK
-                    else None)
-            stats = [law[block] + _noise_terms(z, chi2, sigma, scale, rx, block)
-                     if sigma > 0.0 else law[block]
-                     for (sigma, _), (law, scale) in zip(points, laws)]
-        # the next block's noise is drawn only once this one's is gone
-        del z
-        yield from (_score(bits, point_stats) for point_stats in stats)
+    return _build_windows(padded, read[:, rep], width), which
 
 
 def _quantized_statistics(z, clean, block, rx, points):
@@ -704,11 +731,14 @@ def _distinct_windows(read, radix):
     windows are ranked by the key group * radix + index and renumbered
     in increasing key order, so two share a group iff their keys agree
     at every step so far. Where the keys' range, groups * radix, is at
-    most twice the window count (AWGN passes: one to two thousand keys
-    for two to eight thousand windows), the rank comes from counting, a
-    presence array over the range and its cumulative sum; where it is
-    wider (CM1 passes: some twenty thousand keys for a thousand
-    windows), it is np.unique's inverse. Both number the groups alike.
+    most twice the window count (channel-free passes whose tx and rx
+    frames differ, as in the fault-injected segments of a session: some
+    2.4 thousand keys for 1575 windows of a 2000-bit block), the rank
+    comes from counting, a presence array over the range and its
+    cumulative sum; where it is wider (CM1 passes: some twenty thousand
+    keys for a thousand windows), it is np.unique's inverse. Both number
+    the groups alike, and an aligned pass (_pass_windows) numbers its
+    bits as they would.
     The key stays below (windows) * radix, a product of two lengths of
     arrays the pass holds; for it to reach 2**63 one of them would
     outgrow about 24 GB, so it is exact in int64 wherever memory lasts.
@@ -771,14 +801,16 @@ def _clean_law(win, cfg):
     return _statistics(win, tpl, cfg, None), math.sqrt((coef * coef).sum())
 
 
-def _noise_terms(z, chi2, sigma, scale, cfg, which):
-    """Noise terms of the statistics of the windows which at noise
+def _noise_terms(z, chi2, sigma, scale, cfg):
+    """Noise terms of the statistics of a block's windows at noise
     deviation sigma, from their law (see _clean_law) rather than from W
     samples per window: z holds one standard normal per window and, for
-    OOK, chi2 one chi-square of W - 1 degrees of freedom."""
+    OOK, chi2 one chi-square of W - 1 degrees of freedom. scale is the
+    norm |c| for BPAM and PPM, and 2 |s| of each window for OOK."""
     if cfg.mod.scheme != OOK:
-        return scale * z
-    extra = sigma * z * (2.0 * scale[which] + sigma * z)
+        return (sigma * scale) * z
+    noise = sigma * z
+    extra = noise * (scale + noise)
     extra += sigma * sigma * chi2
     return extra / cfg.sample_rate
 

@@ -42,6 +42,7 @@ from uwbphy import (
     synchronize,
 )
 from uwbphy.cli import main
+from uwbphy.errors import check_int, check_positive, check_type
 from uwbphy.framing import MAX_CODE_LENGTH
 from uwbphy.harness import CSV_HEADER
 from uwbphy.receiver import simulate_links
@@ -181,6 +182,55 @@ def test_integral_floats_count_as_integers():
     [point] = run_sweep(as_float)
     assert point.bits == 1500
     assert [point] == run_sweep(SweepConfig("bpam", (4.0,), 1500))
+
+
+class _Float(float):
+    """A float subclass, as a caller's unit type might be."""
+
+
+def _outcome(check, value, *args):
+    """What check(value, *args) returns, with its type, or the message
+    it refuses value with."""
+    try:
+        got = check(value, *args)
+    except InvalidParams as exc:
+        return str(exc)
+    return got, type(got)
+
+
+# what check_int(value, "n", 0), check_positive(value, "x"),
+# check_type(value, "v", int) and check_type(value, "v", float, None)
+# give: a bool is an int, a numpy scalar counts as the number it holds,
+# and check_type goes by the class alone
+NUMBER_KINDS = {
+    "True": (True, (1, int), (1.0, float), (True, bool),
+             "v must be float or None, got bool"),
+    "False": (False, (0, int), "x must be positive and finite, got False",
+              (False, bool), "v must be float or None, got bool"),
+    "int64": (np.int64(8), (8, int), (8.0, float),
+              "v must be int, got int64",
+              "v must be float or None, got int64"),
+    "float64": (np.float64(2.5),
+                "n must be >= 0 and integral, got np.float64(2.5)",
+                (2.5, float), "v must be int, got float64",
+                (2.5, np.float64)),
+    "float64-integral": (np.float64(8.0), (8, int), (8.0, float),
+                         "v must be int, got float64", (8.0, np.float64)),
+    "subclass": (_Float(2.5), "n must be >= 0 and integral, got 2.5",
+                 (2.5, float), "v must be int, got _Float",
+                 (2.5, _Float)),
+    "subclass-integral": (_Float(8.0), (8, int), (8.0, float),
+                          "v must be int, got _Float", (8.0, _Float)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NUMBER_KINDS))
+def test_number_kinds_are_admitted_as_builtins(case):
+    value, *want = NUMBER_KINDS[case]
+    assert [_outcome(check_int, value, "n", 0),
+            _outcome(check_positive, value, "x"),
+            _outcome(check_type, value, "v", int),
+            _outcome(check_type, value, "v", float, None)] == want
 
 
 def test_integral_float_seeds_count_as_integers():

@@ -32,6 +32,7 @@ from uwbphy import (
     ChannelRealization,
     CodeBank,
     ENERGY_PER_BIT,
+    IDENTITY_CHANNEL,
     InvalidParams,
     ModulationConfig,
     PhyState,
@@ -1289,21 +1290,27 @@ def test_window_groups_match_the_distinct_columns(case):
                          ids=["awgn-counts", "cm1-sorts"])
 def test_window_grouping_counts_awgn_and_sorts_cm1(channel, sorts,
                                                    monkeypatch):
-    # a default 2000-frame AWGN segment has some 1.2k keys per step for
-    # 2000 windows, so it is ranked by counting; a default CM1 block has
-    # some 21k for 1000 windows, so it is sorted by np.unique. The
-    # channel is drawn before the spy goes in, as draw_channel merges
-    # its delays with np.unique too.
-    cfg = _default_receiver("ppm")
-    n = 2 * BLOCK_BITS if channel is None else BLOCK_BITS
-    ch = None if channel is None else draw_channel(CM1_LIKE, rng_seed=9)
+    # a 2000-bit channel-free block sent in 63 ns tx frames (t_c 9 ns,
+    # n_c 7) and read in the default 80 ns ones, as a fault-injected
+    # session segment is, has some 2.4k keys for 1575 windows, so it is
+    # ranked by counting; a default CM1 block has some 21k for 1000
+    # windows, so it is sorted by np.unique. The channel is drawn before
+    # the spy goes in, as draw_channel merges its delays with np.unique
+    # too.
+    rx = replace(_default_receiver("ppm"),
+                 code=ThCode(offsets=(3, 0, 6, 2, 5, 1), code_id="short"))
+    if channel is None:
+        n, ch = 2 * BLOCK_BITS, None
+        tx = replace(rx, params=ThParams(t_c=9e-9, n_c=7))
+    else:
+        n, ch, tx = BLOCK_BITS, draw_channel(CM1_LIKE, rng_seed=9), rx
     sorted_sizes = []
     unique = np.unique
     monkeypatch.setattr(np, "unique",
                         lambda a, *args, **kw: sorted_sizes.append(len(a))
                         or unique(a, *args, **kw))
-    [record] = simulate_links([(random_bits(3, n), 3, ch)], cfg, cfg, (4.0,))
-    assert len(record.statistics) == n
+    [record] = simulate_links([(random_bits(3, n), 3, ch)], tx, rx, (4.0,))
+    assert len(record.statistics) == n * tx.frame_len // rx.frame_len
     assert bool(sorted_sizes) == sorts
 
 
@@ -1311,21 +1318,20 @@ def test_window_grouping_counts_awgn_and_sorts_cm1(channel, sorts,
 def test_awgn_pass_builds_two_distinct_windows(scheme, monkeypatch):
     # without a channel a window holds its bit's pulse (none for an OOK
     # 0) at the same offset wherever it sits in its frame: a pass of
-    # eight 1000-bit blocks builds two windows
-    built = []
-    distinct = receiver._distinct_windows
+    # eight 1000-bit blocks scores two clean windows
+    scored = []
+    clean_law = receiver._clean_law
 
-    def spy(*args):
-        rep, which = distinct(*args)
-        built.append(len(rep))
-        return rep, which
+    def spy(win, cfg):
+        scored.append(len(win))
+        return clean_law(win, cfg)
 
-    monkeypatch.setattr(receiver, "_distinct_windows", spy)
+    monkeypatch.setattr(receiver, "_clean_law", spy)
     cfg = _default_receiver(scheme)
     blocks = [(random_bits(b, BLOCK_BITS), b, None) for b in range(8)]
     records = list(simulate_links(blocks, cfg, cfg, (4.0,)))
     assert sum(len(r.statistics) for r in records) == 8000
-    assert built == [2]
+    assert scored == [2]
 
 
 def _sweep_point_peak(cfg):
@@ -1446,18 +1452,71 @@ def test_a_pass_holds_blocks_of_one_geometry(sizes, channels, passes, built,
 @pytest.mark.parametrize("edge", [False, True], ids=["default", "edge"])
 def test_one_link_end_lays_out_as_two_equal_ones(scheme, edge):
     # with tx and rx one configuration and shapes without spread (none,
-    # or a one-tap channel's scaled rows), _layout reads each window's
-    # own pulse without a search; an equal configuration that is
-    # another object takes the search, and lays the block out alike
+    # or a one-tap channel's scaled rows), _layout skips its search and
+    # a pass reads its groups off the bits; an equal configuration that
+    # is another object takes the search, and a pass of all-zero,
+    # all-one or mixed blocks gets the same clean windows and groups
     cfg = _edge_receiver(scheme) if edge else _default_receiver(scheme)
-    twin = replace(cfg)
+    twin, width = replace(cfg), cfg.window_len
     for shapes in (cfg.pulse_table[1], 0.5 * cfg.pulse_table[1]):
         for n in (0, 1, 7, BLOCK_BITS):
-            own = receiver._layout(cfg, cfg, n, shapes)
-            searched = receiver._layout(cfg, twin, n, shapes)
-            for got, want in zip(own, searched):
-                np.testing.assert_array_equal(got, want)
-                assert got.dtype == want.dtype
+            for batch in ([(np.zeros(n, np.int64), 0)] * 2,
+                          [(np.ones(n, np.int64), 0)],
+                          [(random_bits(n, n), 0), (np.ones(n, np.int64), 1)]):
+                own = receiver._pass_windows(
+                    batch, *receiver._layout(cfg, cfg, n, shapes), width)
+                searched = receiver._pass_windows(
+                    batch, *receiver._layout(cfg, twin, n, shapes), width)
+                for got, want in zip(own, searched):
+                    np.testing.assert_array_equal(got, want)
+                    assert got.shape == want.shape
+                    assert got.dtype == want.dtype
+
+
+NEGATING_CHANNEL = ChannelRealization(taps=((0.0, -1.0),))
+
+
+@st.composite
+def _aligned_links(draw):
+    """(blocks, cfg, points) of a link whose two ends are one
+    configuration: a FAST receiver of any scheme on the float datapath
+    or behind a 3- or 12-bit AGC, 1 to 8 blocks of 0 to 2500 all-zero,
+    all-one or mixed bits, each without a channel or behind a one-tap
+    channel at delay 0 of gain 1 or -1, and 1 to 3 Eb/N0 points, one of
+    them +inf."""
+    scheme = draw(st.sampled_from(["ook", "bpam", "ppm"]))
+    adc = draw(st.sampled_from([None, QuantizerConfig(3), QuantizerConfig(12)]))
+    cfg = replace(_receiver(scheme), datapath=adc)
+    common = draw(st.integers(0, 2500))
+    blocks = []
+    for b in range(draw(st.integers(1, 8))):
+        n = draw(st.one_of(st.just(common), st.integers(0, 2500)))
+        kind = draw(st.sampled_from(["zeros", "ones", "mixed"]))
+        block_bits = (random_bits(b, n) if kind == "mixed"
+                      else np.full(n, int(kind == "ones")))
+        channel = draw(st.sampled_from(
+            [None, IDENTITY_CHANNEL, NEGATING_CHANNEL]))
+        blocks.append((block_bits, b, channel))
+    points = draw(st.lists(st.sampled_from([0.0, 4.0, 8.0, 16.0]),
+                           max_size=2))
+    points.insert(draw(st.integers(0, len(points))), math.inf)
+    return blocks, cfg, tuple(points)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_aligned_links())
+def test_an_aligned_pass_scores_as_a_searched_one(link):
+    # one configuration at both ends reads each window's groups off its
+    # bits; an equal one that is another object searches the layout and
+    # groups the flat indices: every record agrees bit for bit
+    blocks, cfg, points = link
+    own = list(simulate_links(blocks, cfg, cfg, points))
+    searched = list(simulate_links(blocks, cfg, replace(cfg), points))
+    assert len(own) == len(searched) == len(blocks) * len(points)
+    for got, want in zip(own, searched):
+        assert got.statistics.tobytes() == want.statistics.tobytes()
+        assert got.decoded.tobytes() == want.decoded.tobytes()
+        assert got.errors == want.errors
 
 
 def test_each_pass_runs_before_the_next_layout_is_built(monkeypatch):

@@ -6,8 +6,9 @@ Every run is `python -m uwbphy ...` with that tree alone on PYTHONPATH,
 from one shared temporary directory, so the session script's path in
 the CSV metadata is the same under both trees. The list covers sweeps
 of each scheme on the float and quantized datapaths (3-bit OOK and PPM
-over AWGN among them, a BPAM sweep whose last block is short, and a PPM
-sweep over a profile file's dense multipath),
+over AWGN among them, a BPAM sweep whose last block is short, a PPM
+sweep over a profile file's dense multipath, and a BPAM sweep over one
+whose every draw is one tap at delay 0),
 sessions (a noiseless OOK one, and a fault-injected PPM one whose tx
 and rx frames differ in length, among them), compare, two presets and
 a refused sweep; NAME arguments select runs from it.
@@ -32,6 +33,9 @@ SCRIPTS = {
     # a short, dense multipath profile: about 110 taps over 12 ns
     "dense.txt": "ray_arrival_rate = 4.0\nray_decay = 3.0\n"
                  "cluster_arrival_rate = 0.5\nmax_excess_delay = 12.0\n",
+    # all but surely one tap at delay 0 of gain +1 or -1 per draw
+    "onetap.txt": "ray_arrival_rate = 0.001\nmax_excess_delay = 0.001\n"
+                  "cluster_arrival_rate = 0.001\n",
 }
 
 
@@ -50,6 +54,8 @@ def _runs():
         runs[f"sweep-{scheme}-cm1"] = cm1
         if scheme == "ppm":
             runs["sweep-ppm-profile"] = cm1 + ["--profile-file", "dense.txt"]
+        if scheme == "bpam":
+            runs["sweep-bpam-onetap"] = cm1 + ["--profile-file", "onetap.txt"]
         for bits in ("3", "8", "12"):
             runs[f"sweep-{scheme}-cm1-q{bits}"] = cm1 + ["--quant-bits", bits]
     # a last block of 500 bits needs a layout of its own
