@@ -12,11 +12,11 @@ and an OOK point decides at the closed-form threshold of its Eb/N0
 alone. In multipath mode each block sees a fresh channel realization.
 The sweep's blocks go through its one receiver in one
 receiver.simulate_links call, at one point per grid value (the receiver
-module's docstring describes the pipeline), so each pass builds the
-clean side, and each block draws its noise, once for the whole grid; a
-point's errors are the sum of the errors of its records. Each point's
-BER and interval stand on their own draws, but adjacent points share
-them and are correlated. The receiver is genie-synchronized (zero
+module's docstring describes the pipeline), so each block's clean side
+is built, and its noise drawn, once for the whole grid; a point's
+errors are the sum of the errors of its records. Each point's BER and
+interval stand on their own draws, but adjacent points share them and
+are correlated. The receiver is genie-synchronized (zero
 timing offset); matched-filter acquisition is exercised separately.
 
 The sweep axis is Eb/N0. With unit-energy pulses BPAM and PPM spend one
@@ -207,9 +207,9 @@ def run_sweep(cfg):
     BerPoint one of cfg's link, base seed and the point's Eb/N0 alone,
     whatever the rest of the grid and wherever on it the point lies
     (see point_seeds). Every point sees the same bits, noise and
-    channel in block k, so the sweep runs block by block, each pass
-    building its clean side and drawing each block's noise once for the
-    whole grid (receiver.simulate_links).
+    channel in block k, so the sweep runs block by block, each block
+    building its clean side and drawing its noise once for the whole
+    grid (receiver.simulate_links).
     """
     rx, n_bits = cfg.receiver, cfg.n_bits_per_point
     bits_base, noise_base, chan_base = point_seeds(cfg.base_seed, 0)

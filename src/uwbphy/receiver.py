@@ -54,37 +54,37 @@ window's samples start in its padded row. The step-th pulse of a
 window then starts at flat index kind * stride + pos, where kind is the
 row its bit selects; the steps past a window's run name the sentinel
 index n, which selects a zero bit appended to every block's bits, at
-position 0, where its padded row reads zeros. Up to eight consecutive
-blocks of one layout run as one pass, which lays their windows side by
-side; a block without a channel shares the layout of the block before
-it when that had no channel either and is as long, and a block with a
-channel has a layout, so a pass, of its own. The open pass runs before
-the next block's layout is built, so nothing is read ahead: a pass
-never shares memory with the block after it. Per block a pass only
-copies the bits that one take through the layout turns into the flat
-index of each reaching pulse, and draws the noise; per block and
-point it scales the noise and scores the decisions. No sample position
-spans two blocks, so only each block's own positions must fit the int64
-range. Each window the receiver reads is the sum of the rows that reach
-into it, a handful per window even on CM1. Those windows repeat: the
-content of one follows from the flat indices it reads, so a pass's
-windows are grouped by them and each distinct one is built once (about
-70 of 1000 on a default-geometry CM1 block). Grouping ranks the indices
-one step at a time, by counting where their range is at most twice the
-window count (channel-free passes whose tx and rx frames differ, as in
-a fault-injected session segment) and by np.unique's inverse where it
-is wider (CM1 passes, whose received pulse spans some ten thousand
+position 0, where its padded row reads zeros. Consecutive blocks of one
+length and one channel, or of one length and none, form a run and
+share one layout, built when the run starts; a channel is one
+realization object, so a sweep's CM1 blocks each run alone. A run reads
+and scores its blocks one at a time, each block's records yielded
+before the next block is read, and the run ends before the next
+layout is built, so nothing is read ahead. Per block a run only takes
+the bits through the layout into the flat index of each reaching
+pulse and draws the noise; per block and point it scales the noise and
+scores the decisions. No sample position spans two blocks, so only
+each block's own positions must fit the int64 range. Each window the
+receiver reads is the sum of the rows that reach into it, a handful
+per window even on CM1. Those windows repeat: the content of one
+follows from the flat indices it reads, so a block's windows are
+grouped by them and each distinct one is built once (about 70 of 1000
+on a default-geometry CM1 block). Grouping ranks the indices one step
+at a time, by counting where their range is at most twice the window
+count (channel-free blocks whose tx and rx frames differ, as in a
+fault-injected session segment) and by np.unique's inverse where it is
+wider (CM1 blocks, whose received pulse spans some ten thousand
 samples); both number the groups alike.
 
 Where the two link ends are one configuration and the shape set has no
 spread (every block of an AWGN sweep or of an unfaulted session, and
 one behind a one-tap channel at delay 0), each window reads its own
 frame's pulse alone, from its start. Such a layout is aligned: it is
-found without a search and holds no index, and a pass groups its
-windows by bit, numbered as grouping numbers them, with the one or two
-rows the bits select as its distinct windows.
+found without a search, holds no index and keeps just the two clean
+windows the bits select, and each window's group is its bit. The run
+computes those windows' clean statistics once for all its blocks.
 
-The clean side of a pass (its layout, grouping, distinct windows and
+The clean side of a block (its layout, grouping, distinct windows and
 their clean statistics) serves every point, and so does the noise: each
 block draws its standard normals once, from its noise seed, and each
 point scales them by its own sigma (common random numbers). Each
@@ -110,6 +110,7 @@ to float rounding in multipath sums.
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
@@ -157,11 +158,6 @@ from .waveform import SampledSignal
 # Rows of the quantized datapath's windows built, coded and scored as
 # one chunk, in cache; the AGC's peak run bounds and skips whole chunks.
 _MERGE_ROWS = 64
-
-# Blocks that simulate_links runs through one pass: enough to share a
-# pass's fixed cost, few enough that its per-frame arrays stay small
-# beside one block's windows however many bits a sweep point has.
-_PASS_BLOCKS = 8
 
 
 @dataclass(frozen=True)
@@ -453,21 +449,21 @@ def simulate_links(blocks, tx, rx, points):
     order, one ScoredBlock per point in the order of points.
 
     blocks is an iterable of (bits, noise_seed, channel) triples, read
-    one at a time: a pass ends when it is full or when the next block
-    needs a layout of its own, and then runs, yielding its records,
-    before that layout is built. Each block draws its noise from its own
-    noise_seed and sees its own channel (None or a ChannelRealization).
-    tx and rx are the two link ends' configurations, which may differ
-    after a one-sided reconfiguration; rx.datapath, if set, is the ADC,
-    and an AGC (see QuantizerConfig) samples each block's windows. The
-    records equal those of one call per block and per point, bit for
-    bit. An OOK point decides at rx.threshold when it is set, and
-    otherwise at ook_threshold(rx, ebn0_db, Eb of tx's scheme). Each
-    pass builds its windows and their clean statistics once for every
-    point, and each block draws its noise once: every point scales
-    those standard normals by its own sigma (common random numbers), so
-    each point's noise keeps its exact law while the points' errors are
-    correlated.
+    one at a time: each block's records are yielded before the next
+    block is read. Consecutive blocks as long and behind the same
+    channel object, or behind none, form a run and share one layout
+    (_run). Each block draws its noise from its own noise_seed and sees
+    its own channel (None or a ChannelRealization). tx and rx are the
+    two link ends' configurations, which may differ after a one-sided
+    reconfiguration; rx.datapath, if set, is the ADC, and an AGC (see
+    QuantizerConfig) samples each block's windows. The records equal
+    those of one call per block and per point, bit for bit. An OOK
+    point decides at rx.threshold when it is set, and otherwise at
+    ook_threshold(rx, ebn0_db, Eb of tx's scheme). Each block's windows
+    and their clean statistics serve every point, and each block draws
+    its noise once: every point scales those standard normals by its own
+    sigma (common random numbers), so each point's noise keeps its exact
+    law while the points' errors are correlated.
 
     Raises RateMismatch when tx and rx differ in sample rate, and
     InvalidParams for an invalid Eb/N0 (before any block is read), for
@@ -482,23 +478,15 @@ def simulate_links(blocks, tx, rx, points):
     points = tuple((noise_sigma(e, eb, rx.sample_rate),
                     ook_threshold(rx, e, eb) if ook else rx.threshold)
                    for e in points)
-    # a block without a channel shares the layout before it if that was
-    # of a block as long and without a channel too
-    batch, shared_len = [], None
-    for bits, noise_seed, channel in blocks:
-        bits = _as_bits(bits)
-        same = channel is None and len(bits) == shared_len
-        if batch and (not same or len(batch) == _PASS_BLOCKS):
-            yield from _run_pass(batch, *layout, rx, points)
-            batch = []
-        if not same:
-            # the rows sent are the shape set of a block without a channel
-            layout = _layout(tx, rx, len(bits), tx.pulse_table[1]
-                             if channel is None else _shapes(tx, channel))
-        shared_len = len(bits) if channel is None else None
-        batch.append((bits, noise_seed))
-    if batch:
-        yield from _run_pass(batch, *layout, rx, points)
+    # ChannelRealization compares by identity, so blocks as long share a
+    # run without a channel or behind one realization object
+    blocks = ((_as_bits(bits), seed, ch) for bits, seed, ch in blocks)
+    for (n, channel), run in groupby(blocks, lambda b: (len(b[0]), b[2])):
+        # the rows sent are the shape set of a block without a channel;
+        # the run holds only its layout
+        layout = _layout(tx, rx, n, tx.pulse_table[1]
+                         if channel is None else _shapes(tx, channel))
+        yield from _run(run, *layout, rx, points)
 
 
 def _shapes(tx, channel):
@@ -531,9 +519,11 @@ def _layout(tx, rx, n, shapes):
     step-th pulse reaching window w is the block's pulse at[step, w],
     and the window reads it from pos[step, w] on in its padded row. Past
     a window's run, at is the sentinel n, which picks the zero bit
-    _pass_windows appends to every block's bits, and pos is 0, where the
-    row reads zeros. An aligned layout has at and pos None: window w
-    reads pulse w from W on.
+    _block_windows appends to the block's bits, and pos is 0, where the
+    row reads zeros. An aligned layout returns in place of padded the
+    two clean windows, the first W samples of each row of shapes (zeros
+    past its end), with at and pos None: window w reads pulse w alone,
+    and the row of its bit is its clean window.
 
     Raises InvalidParams when the block's sample positions do not fit a
     64-bit integer.
@@ -553,7 +543,7 @@ def _layout(tx, rx, n, shapes):
         # a frame's pulse reaches no window but its own, which starts
         # where the pulse does: pulse and window fit their chip, and
         # frame starts lie at least a chip apart
-        return padded.ravel(), None, None
+        return padded[:, width:2 * width].copy(), None, None
     first = _frame_starts(tx, n)
     frames = min((n * tx.frame_len + spread) // rx.frame_len, n)
     # edge: each window's start less length, then its end
@@ -579,35 +569,40 @@ def _frame_starts(cfg, n):
     return ramp
 
 
-def _run_pass(batch, padded, at, pos, rx, points):
-    """Yield, for each block of one pass, its ScoredBlock at each point
-    of receiver rx. batch holds a (bits, noise_seed) pair per block, all
-    of one length, and padded, at and pos are their _layout. points
-    holds a (sigma, threshold) pair per point.
+def _run(blocks, windows, at, pos, rx, points):
+    """Yield, for each block of one run, its ScoredBlock at each point
+    of receiver rx, each block's records before the next block is read.
+    blocks yields (bits, noise_seed, channel) triples, all of one
+    length and one channel, and windows, at and pos are their _layout.
+    points holds a (sigma, threshold) pair per point.
 
-    A pass finds its distinct clean windows and their groups once
-    (_pass_windows). Per block it only draws the block's noise once,
+    An aligned run's clean windows and, on the floating-point datapath,
+    their statistics serve all its blocks; any other block finds its own
+    (_block_windows). Per block the run draws the block's noise once,
     from its seed; per block and point, it scales that noise by the
     point's sigma and scores it."""
     width = rx.window_len
-    clean, which = _pass_windows(batch, padded, at, pos, width)
-    m = len(which) // len(batch)
     noisy = any(sigma > 0.0 for sigma, _ in points)
     ook = rx.mod.scheme == OOK
-    # the float datapath draws one normal per frame, the quantized one
-    # one per window sample
-    shape = m if rx.datapath is None else (m, width)
-    if rx.datapath is None:
-        clean_stats, norm = _clean_law(clean, rx)
-    for (bits, seed), block in zip(batch, which.reshape(len(batch), m)):
+    law = None
+    for bits, seed, _ in blocks:
+        clean, which = _block_windows(bits, windows, at, pos, width)
+        m = len(which)
+        # the float datapath draws one normal per frame, the quantized one
+        # one per window sample
+        shape = m if rx.datapath is None else (m, width)
         rng = np.random.default_rng(seed)
         z = rng.standard_normal(shape) if noisy else np.zeros(shape)
         if rx.datapath is not None:
-            stats = _quantized_statistics(z, clean, block, rx, points)
+            stats = _quantized_statistics(z, clean, which, rx, points)
         else:
+            # an aligned run's two clean windows are scored once
+            if law is None or at is not None:
+                law = _clean_law(clean, rx)
+            clean_stats, norm = law
             # what every point reads of the block's windows, gathered once
-            base = clean_stats[block]
-            scale = 2.0 * norm[block] if ook else norm
+            base = clean_stats[which]
+            scale = 2.0 * norm[which] if ook else norm
             chi2 = _chi2(rng, width - 1, m) if noisy and ook else None
             stats = [base - t if ook else base.copy() for _, t in points]
             for (sigma, _), point_stats in zip(points, stats):
@@ -618,33 +613,24 @@ def _run_pass(batch, padded, at, pos, rx, points):
         yield from (_score(bits, point_stats) for point_stats in stats)
 
 
-def _pass_windows(batch, padded, at, pos, width):
-    """The clean side of a pass: its distinct clean windows, one row
-    each, and for each of its windows (block b's m after those of the
-    blocks before it) the index of its row, numbered as
-    _distinct_windows numbers its groups. The pulse reaching a window
-    takes the row of padded that its bit selects.
+def _block_windows(bits, padded, at, pos, width):
+    """The clean side of a block: its distinct clean windows, one row
+    each, and for each of its windows the index of its row.
 
-    An aligned layout (at None) reads each window's own bit's row from
-    W on, so its groups are the bits that occur and their rows are read
-    off padded. Otherwise each block's bits, scaled to the start of the
-    row they select and followed by a zero at the sentinel index n, go
-    through at into the flat index from which each window reads each
-    step's pulse, and the windows are grouped by those indices and each
+    An aligned layout (at None) holds in place of padded the two clean
+    windows, and each window's row is its bit. Otherwise the block's
+    bits, scaled to the start of the row of padded they select and
+    followed by a zero at the sentinel index n, go through at into the
+    flat index from which each window reads each step's pulse; the
+    windows are grouped by those indices (_distinct_windows) and each
     distinct one is built once."""
     if at is None:
-        which = np.concatenate([bits for bits, _ in batch])
-        lo, hi = which.min(initial=1), which.max(initial=0)
-        which -= lo
-        return padded.reshape(2, -1)[lo:hi + 1, width:2 * width].copy(), which
-    # read[step, b, w] is the flat index from which block b's window w
-    # reads its step-th pulse; block b owns windows b*m to (b+1)*m
-    sent = np.zeros((len(batch), len(batch[0][0]) + 1), dtype=np.int64)
-    sent[:, :-1] = [bits for bits, _ in batch]
-    sent *= len(padded) // 2
-    read = sent.take(at, axis=1)
+        return padded, bits
+    sent = np.append(bits, 0) * (len(padded) // 2)
+    # read[step, w] is the flat index from which window w reads its
+    # step-th pulse
+    read = sent.take(at)
     read += pos
-    read = read.transpose(1, 0, 2).reshape(len(at), -1)
     rep, which = _distinct_windows(read, len(padded))
     return _build_windows(padded, read[:, rep], width), which
 
@@ -731,16 +717,15 @@ def _distinct_windows(read, radix):
     windows are ranked by the key group * radix + index and renumbered
     in increasing key order, so two share a group iff their keys agree
     at every step so far. Where the keys' range, groups * radix, is at
-    most twice the window count (channel-free passes whose tx and rx
+    most twice the window count (channel-free blocks whose tx and rx
     frames differ, as in the fault-injected segments of a session: some
     2.4 thousand keys for 1575 windows of a 2000-bit block), the rank
     comes from counting, a presence array over the range and its
-    cumulative sum; where it is wider (CM1 passes: some twenty thousand
+    cumulative sum; where it is wider (CM1 blocks: some twenty thousand
     keys for a thousand windows), it is np.unique's inverse. Both number
-    the groups alike, and an aligned pass (_pass_windows) numbers its
-    bits as they would.
+    the groups alike.
     The key stays below (windows) * radix, a product of two lengths of
-    arrays the pass holds; for it to reach 2**63 one of them would
+    arrays the block holds; for it to reach 2**63 one of them would
     outgrow about 24 GB, so it is exact in int64 wherever memory lasts.
     Returns one representative window per distinct key (any member, as
     all read the same indices) and, for every window, the index of its

@@ -48,7 +48,9 @@ from .waveform import (
 )
 
 # Ceiling on chips per frame: bounds the achievable-rate range the
-# controller will accept, the way fixed-width hardware inputs would.
+# controller will accept, the way a fixed-width hardware register would.
+# A sweep has no controller and takes any n_c whose frame fits the int64
+# sample index; only a session state is held to this.
 MAX_N_C = 1024
 
 

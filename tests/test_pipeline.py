@@ -901,7 +901,7 @@ def test_each_link_of_a_pass_equals_its_own_call(scheme, datapath, channel):
 def test_quantized_pass_holds_one_window_matrix_for_any_links():
     # three PPM CM1 links on a 12-bit AGC share one block's noise
     # matrix: each link's windows are built, quantized and scored a
-    # chunk at a time, so the pass stays within the bound of one link
+    # chunk at a time, so the block stays within the bound of one link
     # (test_quantized_block_holds_one_window_matrix)
     rx = replace(_default_receiver("ppm"), datapath=QuantizerConfig(12))
     block = (random_bits(12, BLOCK_BITS), 13, draw_channel(CM1_LIKE, 9))
@@ -923,7 +923,7 @@ def test_an_ook_point_without_a_threshold_reads_no_block(datapath, threshold,
                                                          error):
     # an OOK point decides at the receiver's threshold, or at its
     # ook_threshold when the receiver sets none: an invalid threshold is
-    # refused as the receiver is built, and an invalid Eb/N0 as the pass
+    # refused as the receiver is built, and an invalid Eb/N0 as the call
     # starts, both before the blocks iterator gives up a block
     rx = replace(_default_receiver("ook"), datapath=datapath, threshold=None)
     taken = []
@@ -1167,7 +1167,7 @@ def test_fault_injected_session_segments_score_their_bits():
                          ids=["float", "agc12"])
 @pytest.mark.parametrize("scheme", ["ook", "bpam", "ppm"])
 def test_passes_of_mixed_blocks_equal_one_call_per_block(scheme, datapath):
-    # more blocks than one pass holds, with and without a channel; a
+    # runs of mixed blocks, with and without a channel; a
     # one-bit block reads only code position 0, whose window stays in
     # its frame, while the others also read the cut last chip
     cfg = replace(_cut_receiver(scheme), code=ThCode((0, 2), "late"),
@@ -1185,7 +1185,7 @@ def test_passes_of_mixed_blocks_equal_one_call_per_block(scheme, datapath):
 def test_blocks_past_the_int64_range_split_into_passes():
     # 3e18-sample frames: three fit the int64 sample index, four do
     # not, but each block counts its samples from its own start, so
-    # eight one-bit blocks run as one pass, each as if alone
+    # eight one-bit blocks run on one layout, each as if alone
     cfg = _receiver("bpam", ThParams(t_c=5e-9, n_c=12 * 10**15))
     assert 3 * cfg.frame_len < np.iinfo(np.int64).max < 4 * cfg.frame_len
     blocks = [(np.array([b % 2]), b, None) for b in range(8)]
@@ -1214,7 +1214,8 @@ def test_integral_float_bits_equal_int_bits():
 def test_windows_of_a_long_channel_group_over_many_steps():
     # six or more pulses reach each window through LONG_CHANNEL, each at
     # one of about 6000 offsets, so grouping refines over that many
-    # steps; each block has a channel, so a pass of its own
+    # steps; the three blocks are as long and behind one realization
+    # object, so they run on one layout
     cfg = _receiver("bpam")
     bits = random_bits(44, 900)
     blocks = [(b, 0, LONG_CHANNEL) for b in np.split(bits, 3)]
@@ -1317,8 +1318,8 @@ def test_window_grouping_counts_awgn_and_sorts_cm1(channel, sorts,
 @pytest.mark.parametrize("scheme", ["ook", "bpam", "ppm"])
 def test_awgn_pass_builds_two_distinct_windows(scheme, monkeypatch):
     # without a channel a window holds its bit's pulse (none for an OOK
-    # 0) at the same offset wherever it sits in its frame: a pass of
-    # eight 1000-bit blocks scores two clean windows
+    # 0) at the same offset wherever it sits in its frame: a run of 8 or
+    # of 20 1000-bit blocks scores its two clean windows once
     scored = []
     clean_law = receiver._clean_law
 
@@ -1328,10 +1329,13 @@ def test_awgn_pass_builds_two_distinct_windows(scheme, monkeypatch):
 
     monkeypatch.setattr(receiver, "_clean_law", spy)
     cfg = _default_receiver(scheme)
-    blocks = [(random_bits(b, BLOCK_BITS), b, None) for b in range(8)]
-    records = list(simulate_links(blocks, cfg, cfg, (4.0,)))
-    assert sum(len(r.statistics) for r in records) == 8000
-    assert scored == [2]
+    for n_blocks in (8, 20):
+        scored.clear()
+        blocks = [(random_bits(b, BLOCK_BITS), b, None)
+                  for b in range(n_blocks)]
+        records = list(simulate_links(blocks, cfg, cfg, (4.0,)))
+        assert sum(len(r.statistics) for r in records) == n_blocks * 1000
+        assert scored == [2]
 
 
 def _sweep_point_peak(cfg):
@@ -1346,8 +1350,8 @@ def _sweep_point_peak(cfg):
 
 
 def test_sweep_point_memory_stays_at_one_pass():
-    # a 100-block float point: simulate_links takes its blocks a few per
-    # pass, so the per-frame arrays of a pass (about 20 values per bit)
+    # a 100-block float point: simulate_links scores its blocks one at a
+    # time, so the per-frame arrays of a block (about 20 values per bit)
     # never cover the whole point
     cfg = SweepConfig(
         scheme="bpam", ebn0_grid=(4.0,), n_bits_per_point=100 * BLOCK_BITS
@@ -1355,10 +1359,21 @@ def test_sweep_point_memory_stays_at_one_pass():
     assert _sweep_point_peak(cfg) < 5 * 8 * cfg.n_bits_per_point
 
 
+def test_sweep_point_peaks_as_a_one_block_point():
+    # a run of blocks holds one block's per-frame arrays at a time, over
+    # the clean windows its layout holds: a 100-block float AWGN point
+    # peaks about as a 1-block one does
+    def point(n_blocks):
+        return SweepConfig(scheme="bpam", ebn0_grid=(4.0,),
+                           n_bits_per_point=n_blocks * BLOCK_BITS)
+
+    assert _sweep_point_peak(point(100)) < 1.5 * _sweep_point_peak(point(1))
+
+
 def test_channel_sweep_point_memory_stays_at_one_pass():
     # a 50-block CM1 float point: each block's layout is its own and
-    # goes with its pass, so the point peaks as a one-pass point of 8
-    # blocks does (about 5.7 MB either way)
+    # goes with its run, so the point peaks as a point of 8 blocks does
+    # (about 5.7 MB either way)
     def point(n_blocks):
         return SweepConfig(scheme="bpam", ebn0_grid=(4.0,), channel=CM1_LIKE,
                            n_bits_per_point=n_blocks * BLOCK_BITS)
@@ -1367,44 +1382,51 @@ def test_channel_sweep_point_memory_stays_at_one_pass():
 
 
 def _count_geometries(monkeypatch):
-    """The block lengths receiver._layout is called for, and the passes
-    run, from here on."""
-    built, passes = [], []
-    layout, run_pass = receiver._layout, receiver._run_pass
+    """The block lengths receiver._layout is called for, and the blocks
+    of each run, from here on."""
+    built, runs = [], []
+    layout, run = receiver._layout, receiver._run
 
     def layout_spy(tx, rx, n, shapes):
         built.append(n)
         return layout(tx, rx, n, shapes)
 
-    def run_pass_spy(*args):
-        passes.append(len(args[0]))
-        return run_pass(*args)
+    def run_spy(blocks, *args):
+        k = len(runs)
+        runs.append(0)
+
+        def counted():
+            for block in blocks:
+                runs[k] += 1
+                yield block
+
+        return run(counted(), *args)
 
     monkeypatch.setattr(receiver, "_layout", layout_spy)
-    monkeypatch.setattr(receiver, "_run_pass", run_pass_spy)
-    return built, passes
+    monkeypatch.setattr(receiver, "_run", run_spy)
+    return built, runs
 
 
 def test_blocks_without_a_channel_share_one_geometry(monkeypatch):
     # what reaches each window follows from the block's length alone,
-    # not its bits: a 20-block AWGN point builds it once for three passes
-    built, passes = _count_geometries(monkeypatch)
+    # not its bits: a 20-block AWGN point builds it once for one run
+    built, runs = _count_geometries(monkeypatch)
     cfg = SweepConfig(scheme="ppm", ebn0_grid=(4.0,),
                       n_bits_per_point=20 * BLOCK_BITS)
     run_sweep(cfg)
-    assert passes == [8, 8, 4]
+    assert runs == [20]
     assert built == [BLOCK_BITS]
 
 
 def test_a_sweep_grid_shares_its_clean_side(monkeypatch):
-    # every grid point sees block k's bits and channel, so a pass lays
-    # out, groups and builds its windows once for the whole grid: a
-    # 3-point, 20-block AWGN sweep lays out once and runs three passes,
-    # not nine, and a 2-point, 4-block CM1 sweep draws 4 channels, not 8
-    built, passes = _count_geometries(monkeypatch)
+    # every grid point sees block k's bits and channel, so a run lays
+    # out its blocks once for the whole grid: a 3-point, 20-block AWGN
+    # sweep lays out once and runs once, not three times, and a 2-point,
+    # 4-block CM1 sweep draws 4 channels, not 8
+    built, runs = _count_geometries(monkeypatch)
     run_sweep(SweepConfig(scheme="ppm", ebn0_grid=(0.0, 4.0, 8.0),
                           n_bits_per_point=20 * BLOCK_BITS))
-    assert passes == [8, 8, 4]
+    assert runs == [20]
     assert built == [BLOCK_BITS]
     drawn = []
     monkeypatch.setattr(harness, "draw_channel",
@@ -1412,29 +1434,64 @@ def test_a_sweep_grid_shares_its_clean_side(monkeypatch):
     run_sweep(SweepConfig(scheme="bpam", ebn0_grid=(4.0, 10.0),
                           channel=CM1_LIKE, n_bits_per_point=4 * BLOCK_BITS))
     assert len(drawn) == 4
-    assert passes[3:] == [1, 1, 1, 1]
+    assert runs[1:] == [1, 1, 1, 1]
 
 
 def test_channel_blocks_build_a_geometry_each(monkeypatch):
     # each block's channel gives it shapes of its own, so no two blocks
-    # of a CM1 call share a layout, and each runs as a pass of its own
-    built, passes = _count_geometries(monkeypatch)
+    # of a CM1 call share a layout, and each runs on its own
+    built, runs = _count_geometries(monkeypatch)
     cfg = _default_receiver("bpam")
     blocks = [(random_bits(b, BLOCK_BITS), b, draw_channel(CM1_LIKE, 60 + b))
               for b in range(4)]
     assert len(list(simulate_links(blocks, cfg, cfg, (4.0,)))) == 4
-    assert passes == [1, 1, 1, 1]
+    assert runs == [1, 1, 1, 1]
     assert built == [BLOCK_BITS] * 4
 
 
-@pytest.mark.parametrize("sizes, channels, passes, built", [
+def test_blocks_behind_one_channel_object_share_a_layout(monkeypatch):
+    # a layout follows from the link, the block's length and its shape
+    # set alone, so consecutive blocks behind one realization object run
+    # on one layout, each scored as if alone
+    built, runs = _count_geometries(monkeypatch)
+    cfg = _default_receiver("ppm")
+    channel = draw_channel(CM1_LIKE, 60)
+    blocks = [(random_bits(b, BLOCK_BITS), b, channel) for b in range(3)]
+    records = list(simulate_links(blocks, cfg, cfg, (4.0, 10.0)))
+    assert (built, runs) == ([BLOCK_BITS], [3])
+    for b, block in enumerate(blocks):
+        alone = list(simulate_links([block], cfg, cfg, (4.0, 10.0)))
+        for got, want in zip(records[2 * b:2 * b + 2], alone):
+            assert got.statistics.tobytes() == want.statistics.tobytes()
+            assert got.decoded.tobytes() == want.decoded.tobytes()
+            assert got.errors == want.errors
+
+
+def test_each_block_is_read_after_the_one_before_is_scored():
+    # a run reads its blocks one at a time: block k + 1 is taken from
+    # the caller only once every record of block k is out
+    events = []
+    cfg = _default_receiver("bpam")
+
+    def blocks():
+        for b in range(10):
+            events.append(("read", b))
+            yield random_bits(b, BLOCK_BITS), b, None
+
+    for k, _ in enumerate(simulate_links(blocks(), cfg, cfg, (4.0, 8.0))):
+        events.append(("record", k // 2))
+    assert events == [(event, b) for b in range(10)
+                      for event in ("read", "record", "record")]
+
+
+@pytest.mark.parametrize("sizes, channels, runs, built", [
     ([BLOCK_BITS] * 7, [None] * 3 + ["cm1"] + [None] * 3, [3, 1, 3],
      [BLOCK_BITS] * 3),
     ([BLOCK_BITS, BLOCK_BITS, 345], [None] * 3, [2, 1], [BLOCK_BITS, 345]),
 ], ids=["awgn-cm1-awgn", "awgn-short-last"])
-def test_a_pass_holds_blocks_of_one_geometry(sizes, channels, passes, built,
+def test_a_pass_holds_blocks_of_one_geometry(sizes, channels, runs, built,
                                              monkeypatch):
-    # a pass ends where the next block needs a layout of its own: a
+    # a run ends where the next block needs a layout of its own: a
     # channel block's is its own, a shorter block has one of its own
     # length, and the blocks without a channel after a channel block
     # build theirs again, since only the layout before a block is kept
@@ -1445,7 +1502,15 @@ def test_a_pass_holds_blocks_of_one_geometry(sizes, channels, passes, built,
               for b, (n, ch) in enumerate(zip(sizes, channels))]
     records = list(simulate_links(blocks, cfg, cfg, (4.0,)))
     assert [len(r.decoded) for r in records] == sizes
-    assert spied == (built, passes)
+    assert spied == (built, runs)
+
+
+def _window_law(bits, layout, cfg):
+    """Each window's clean content, float-law statistic and norm for a
+    block of bits on layout, as receiver._run reads them."""
+    clean, which = receiver._block_windows(bits, *layout, cfg.window_len)
+    stats, norm = receiver._clean_law(clean, cfg)
+    return clean[which], stats[which], np.broadcast_to(norm, len(clean))[which]
 
 
 @pytest.mark.parametrize("scheme", ["ook", "bpam", "ppm"])
@@ -1453,24 +1518,25 @@ def test_a_pass_holds_blocks_of_one_geometry(sizes, channels, passes, built,
 def test_one_link_end_lays_out_as_two_equal_ones(scheme, edge):
     # with tx and rx one configuration and shapes without spread (none,
     # or a one-tap channel's scaled rows), _layout skips its search and
-    # a pass reads its groups off the bits; an equal configuration that
-    # is another object takes the search, and a pass of all-zero,
-    # all-one or mixed blocks gets the same clean windows and groups
+    # a run reads each window's group off its bit; an equal
+    # configuration that is another object takes the search, and an
+    # all-zero, all-one or mixed block gets the same clean content,
+    # statistic and norm in every window
     cfg = _edge_receiver(scheme) if edge else _default_receiver(scheme)
-    twin, width = replace(cfg), cfg.window_len
+    twin = replace(cfg)
     for shapes in (cfg.pulse_table[1], 0.5 * cfg.pulse_table[1]):
         for n in (0, 1, 7, BLOCK_BITS):
-            for batch in ([(np.zeros(n, np.int64), 0)] * 2,
-                          [(np.ones(n, np.int64), 0)],
-                          [(random_bits(n, n), 0), (np.ones(n, np.int64), 1)]):
-                own = receiver._pass_windows(
-                    batch, *receiver._layout(cfg, cfg, n, shapes), width)
-                searched = receiver._pass_windows(
-                    batch, *receiver._layout(cfg, twin, n, shapes), width)
-                for got, want in zip(own, searched):
-                    np.testing.assert_array_equal(got, want)
-                    assert got.shape == want.shape
-                    assert got.dtype == want.dtype
+            aligned = receiver._layout(cfg, cfg, n, shapes)
+            assert aligned[1] is None
+            searched = receiver._layout(cfg, twin, n, shapes)
+            for bits in (np.zeros(n, np.int64), np.ones(n, np.int64),
+                         random_bits(n, n)):
+                own = _window_law(bits, aligned, cfg)
+                want = _window_law(bits, searched, cfg)
+                for got, expected in zip(own, want):
+                    assert got.shape == expected.shape
+                    assert got.dtype == expected.dtype
+                    assert got.tobytes() == expected.tobytes()
 
 
 NEGATING_CHANNEL = ChannelRealization(taps=((0.0, -1.0),))

@@ -6,10 +6,10 @@ Every run is `python -m uwbphy ...` with that tree alone on PYTHONPATH,
 from one shared temporary directory, so the session script's path in
 the CSV metadata is the same under both trees. The list covers sweeps
 of each scheme on the float and quantized datapaths (3-bit OOK and PPM
-over AWGN among them, a BPAM sweep whose last block is short, a PPM
-sweep over a profile file's dense multipath, and a BPAM sweep over one
-whose every draw is one tap at delay 0),
-sessions (a noiseless OOK one, and a fault-injected PPM one whose tx
+over AWGN among them, sweeps whose last block is short, two of them
+after a long run of equal blocks, a PPM sweep over a profile file's
+dense multipath, and a BPAM sweep over one whose every draw is one tap
+at delay 0), sessions (a noiseless OOK one, and a fault-injected PPM one whose tx
 and rx frames differ in length, among them), compare, two presets and
 a refused sweep; NAME arguments select runs from it.
 Exits 0 when every run selected is identical, 1 otherwise, and 2 for
@@ -61,6 +61,12 @@ def _runs():
     # a last block of 500 bits needs a layout of its own
     runs["sweep-bpam-awgn-2500"] = ["sweep", "--scheme", "bpam", "--ebn0",
                                     "0,4,8", "--bits", "2500", "--seed", "5"]
+    # long runs of equal blocks, each with a short last block
+    runs["sweep-ppm-awgn-long"] = ["sweep", "--scheme", "ppm", "--ebn0",
+                                   "0,4,8", "--bits", "20500", "--seed", "5"]
+    runs["sweep-ook-awgn-q3-long"] = [
+        "sweep", "--scheme", "ook", "--ebn0", "0,4,8", "--bits", "9500",
+        "--seed", "5", "--quant-bits", "3"]
     session = ["session", "--script", "plan.txt", "--bits", "1200", "--seed",
                "3"]
     runs["session-ppm"] = session + ["--scheme", "ppm"]
