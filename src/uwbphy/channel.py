@@ -50,9 +50,6 @@ _DIRECT_TAP_LIMIT = 32
 MAX_EXPECTED_TAPS = 100_000
 MAX_EXCESS_DELAY_NS = 1e4
 
-# float64 has 52 mantissa bits: a finer lattice cannot be represented,
-# so quantization at such widths degenerates to clipping.
-_IDENTITY_BITS = 52
 
 @dataclass(frozen=True)
 class SvProfile:
@@ -147,8 +144,9 @@ class ChannelRealization:
     """A discrete multipath channel: (delay seconds, gain) taps.
 
     taps is given as (delay, gain) pairs and held as a read-only (n, 2)
-    float64 array. Delays are nonnegative and strictly increasing;
-    gains are normalized to unit energy at construction.
+    float64 array. Delays are nonnegative, strictly increasing and at
+    most MAX_EXCESS_DELAY_NS (the bound a profile has); gains are finite
+    and normalized to unit energy at construction.
     """
 
     taps: np.ndarray
@@ -159,15 +157,18 @@ class ChannelRealization:
         if not len(taps):
             raise InvalidParams("channel needs at least one tap")
         d, g = taps.T
-        if d[0] < 0.0 or np.any(d[1:] <= d[:-1]):
+        # written so that a NaN delay fails it
+        if not (d[0] >= 0.0 and np.all(d[1:] > d[:-1])
+                and d[-1] <= MAX_EXCESS_DELAY_NS * 1e-9):
             raise InvalidParams(
-                "tap delays must be nonnegative and strictly increasing"
-            )
+                "tap delays must be nonnegative, strictly increasing and "
+                f"at most {MAX_EXCESS_DELAY_NS:g} ns")
         # a sequential sum, so the normalized gains round as they
-        # always have
+        # always have; a NaN or inf gain, or an energy past the float64
+        # range, makes it NaN or inf
         norm = math.sqrt(sum((g * g).tolist()))
-        if norm == 0.0:
-            raise InvalidParams("channel gains are all zero")
+        if not 0.0 < norm < math.inf:
+            raise InvalidParams("channel gains must be finite and not all zero")
         g /= norm
         taps.flags.writeable = False
         object.__setattr__(self, "taps", taps)
@@ -347,9 +348,8 @@ class QuantizerConfig:
     - 1), which stands for the level (k + 1/2) step. A receiver scores
     codes (receiver._statistics), so its correlations are sums of
     integers, exact in float64 while W 4^bits < 2^53 for W samples per
-    window. At _IDENTITY_BITS or more float64 holds no finer lattice:
-    the code is the sample clipped to the full scale, and the statistic
-    equals the float correlation of the clipped samples to rounding.
+    window. Past that the sums carry float64 rounding, and past about
+    50 bits the levels do too.
     """
 
     bits: int
@@ -373,11 +373,8 @@ class QuantizerConfig:
 
 def _lattice(q):
     """(step, half) of quantizer q at a fixed full scale: the sample x
-    has the code _codes(x / step, q), which stands for the level (code +
-    half) * step. Below _IDENTITY_BITS half is 1/2 and codes are
-    integers; at or above, step is 1 and half 0."""
-    if q.bits >= _IDENTITY_BITS:
-        return 1.0, 0.0
+    has the integer code _codes(x / step, q), which stands for the level
+    (code + half) * step, and half is 1/2."""
     return 2.0 * q.full_scale / (1 << q.bits), 0.5
 
 
@@ -385,8 +382,6 @@ def _codes(y, q, low=-math.inf, high=math.inf):
     """Codes of quantizer q at a fixed full scale, in place, for samples
     y already divided by its step (_lattice). low and high bound y: on
     a lattice whose code range holds both, the clip is left out."""
-    if q.bits >= _IDENTITY_BITS:
-        return np.clip(y, -q.full_scale, q.full_scale, out=y)
     half_levels = 1 << (q.bits - 1)
     np.floor(y, out=y)
     if -half_levels <= low and high < half_levels:
@@ -394,20 +389,19 @@ def _codes(y, q, low=-math.inf, high=math.inf):
     return np.clip(y, -half_levels, half_levels - 1, out=y)
 
 
-def quantize_array(x, q, out=None):
+def quantize_array(x, q):
     """Quantize samples onto the mid-rise lattice of q.for_samples(x),
-    into out when given (which may be x itself); one new array
-    otherwise.
+    as one new array.
 
     Output samples are reconstruction values (still floats); at a fixed
-    full scale the operation is idempotent and clips outside
-    +/- full_scale.
+    full scale the operation clips outside +/- full_scale and, up to 52
+    bits, is idempotent. Wider, where the levels carry float64 rounding,
+    a second pass moves a level by at most one rounding.
     """
     x = np.asarray(x, dtype=np.float64)
     q = q.for_samples(x)
     step, half = _lattice(q)
-    out = _codes(np.divide(x, step, out=out), q)
-    if half:
-        out += half
-        out *= step
+    out = _codes(x / step, q)
+    out += half
+    out *= step
     return out

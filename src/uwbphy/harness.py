@@ -125,17 +125,13 @@ class SweepConfig:
             object.__setattr__(self, "code", _default_code(self.params.n_c))
         self.receiver  # checks the link, once
 
-    @property
-    def modulation(self):
-        return ModulationConfig(self.scheme, delta=self.delta)
-
     @cached_property
     def receiver(self):
         """The ReceiverConfig of the swept link, both its ends: its
         modulation, geometry, code, sampled pulse and ADC. Built once,
         when the sweep is checked."""
         return ReceiverConfig(
-            mod=self.modulation,
+            mod=ModulationConfig(self.scheme, delta=self.delta),
             params=self.params,
             code=self.code,
             template=sample_pulse(self.pulse, self.sample_rate),

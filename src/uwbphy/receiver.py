@@ -164,8 +164,9 @@ _MERGE_ROWS = 64
 class ReceiverConfig:
     """Everything a receiver needs to know about the link.
 
-    template: unit-energy sampled pulse at the received sample rate;
-        the receiver correlates against its chip pulse (see pulse).
+    template: unit-energy sampled pulse at the received sample rate, a
+        non-empty 1-D array of finite samples; the receiver correlates
+        against its chip pulse (see pulse).
     integration_window: OOK energy window, seconds, at least one sample
         (defaults to the template support).
     threshold: OOK decision threshold in energy units, or None. When
@@ -193,6 +194,9 @@ class ReceiverConfig:
         check_type(self.code, "code", ThCode)
         check_type(self.template, "template", SampledSignal)
         check_type(self.datapath, "datapath", QuantizerConfig, None)
+        t = self.template.samples
+        if t.ndim != 1 or not t.size or not np.isfinite(t).all():
+            raise InvalidParams("template must be finite, 1-D and non-empty")
         # a mid-rise ADC of b bits maps every sample to at least half a
         # step, 2**-b of full scale: at 1 bit every window has the same
         # energy, at 2 a window of noise alone holds about as much as
@@ -342,11 +346,12 @@ def _statistics(win, tpl, cfg, threshold, lattice=(1.0, 0.0)):
     half, its codes l plus half; an OOK win is overwritten by its
     levels. Each statistic is then step^2 times a sum over codes: BPAM
     sum(k t) + half sum(t), PPM sum(k_shifted t) - sum(k_nominal t), OOK
-    sum((k + half)^2) before the rate and the threshold. Below
-    _IDENTITY_BITS every partial sum is a multiple of 1/4 under W
-    4^bits / 4 in magnitude, so the sums are exact while W 4^bits <
-    2^53 (every ADC of up to 16 bits at any window under 2^21 samples):
-    a frame whose correlations tie scores exactly 0 and decodes as 1.
+    sum((k + half)^2) before the rate and the threshold. Every partial
+    sum is a multiple of 1/4 under W 4^bits / 4 in magnitude, so the
+    sums are exact while W 4^bits < 2^53 (every ADC of up to 16 bits at
+    any window under 2^21 samples): a frame whose correlations tie
+    scores exactly 0 and decodes as 1. Past that the sums carry float64
+    rounding, and past about 50 bits the levels do too.
     """
     step, half = lattice
     if cfg.mod.scheme == OOK:
@@ -360,10 +365,10 @@ def _statistics(win, tpl, cfg, threshold, lattice=(1.0, 0.0)):
     if cfg.mod.scheme == BPAM:
         return (nominal + half * tpl.sum()) * (step * step)
     # two correlations, not one product with the shifted-minus-nominal
-    # coefficients (_clean_law's norm): on codes both forms are exact,
-    # but on samples (the float datapath, and ADCs of _IDENTITY_BITS or
-    # more) only this one scores a frame whose correlations are equal
-    # exactly 0
+    # coefficients (_clean_law's norm): on exact sums of codes both
+    # forms tie at 0, but on samples (the float datapath) and on sums
+    # that round only this one scores a frame whose correlations are
+    # equal exactly 0
     shifted = np.einsum("ij,j->i", win[:, -len(tpl):], tpl)
     return (shifted - nominal) * (step * step)
 
@@ -603,7 +608,9 @@ def _run(blocks, windows, at, pos, rx, points):
             # what every point reads of the block's windows, gathered once
             base = clean_stats[which]
             scale = 2.0 * norm[which] if ook else norm
-            chi2 = _chi2(rng, width - 1, m) if noisy and ook else None
+            # one chi-square of W - 1 degrees of freedom per window
+            chi2 = (2.0 * rng.standard_gamma(0.5 * (width - 1), m)
+                    if noisy and ook else None)
             stats = [base - t if ook else base.copy() for _, t in points]
             for (sigma, _), point_stats in zip(points, stats):
                 if sigma > 0.0:
@@ -798,8 +805,3 @@ def _noise_terms(z, chi2, sigma, scale, cfg):
     extra = noise * (scale + noise)
     extra += sigma * sigma * chi2
     return extra / cfg.sample_rate
-
-
-def _chi2(rng, df, size=None):
-    """Chi-square variates with df >= 0 degrees of freedom."""
-    return 2.0 * rng.standard_gamma(0.5 * df, size)

@@ -136,20 +136,20 @@ def place_pulse_train(bits, mod, params, code, template):
     """Lay a pre-sampled unit-energy template into a time-hopped frame
     sequence according to the bits. Returns a signal of exactly
     len(bits) * t_f seconds; see module docstring for the per-scheme
-    placement rules. Each frame takes its start and row from
-    pulse_table, which the link pipeline reads without building this
-    waveform."""
+    placement rules. Frame j sends rows[bit_j] from starts[j mod
+    len(code)] of pulse_table, which the link pipeline reads without
+    building this waveform: the frames at one code position are one
+    strided slice."""
     bits_arr = _as_bits(bits)
     require_code(code, params)
     check_pulse_fits(mod, params, template)
     rate = template.sample_rate
     out = np.zeros((len(bits_arr), frame_samples(params, rate)))
     starts, rows = pulse_table(mod, params, code, template)
-    entry = bits_arr * len(code) + np.arange(len(bits_arr)) % len(code)
-    for e in np.unique(entry):
-        bit, position = divmod(int(e), len(code))
-        s = starts[position]
-        out[entry == e, s:s + rows.shape[1]] += rows[bit]
+    # added onto zeros rather than assigned, so that the -0.0 samples of
+    # a -pulse row are sent as +0.0
+    for p, s in enumerate(starts):
+        out[p::len(code), s:s + len(rows[0])] += rows[bits_arr[p::len(code)]]
     return SampledSignal(out.ravel(), rate)
 
 

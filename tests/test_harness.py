@@ -135,7 +135,7 @@ class TestSweepConfig:
         assert fast_sweep(scheme="bpam").delta == 0.0
 
     def test_modulation_property(self):
-        mod = fast_sweep(scheme="ppm").modulation
+        mod = fast_sweep(scheme="ppm").receiver.mod
         assert mod.scheme == "ppm" and mod.delta == FAST_PULSE.duration
 
 

@@ -14,6 +14,7 @@ from uwbphy import (
     CM1_LIKE,
     DEFAULT_PULSE,
     BerPoint,
+    ChannelRealization,
     CodeBank,
     FormatError,
     InvalidParams,
@@ -153,6 +154,24 @@ REFUSED = {
     "reconfigure frame str": lambda: _apply(new_n_c=8, current_frame="1"),
     "reconfigure frame 2.5": lambda: _apply(new_n_c=8, current_frame=2.5),
     "reconfigure frame -1": lambda: _apply(new_n_c=8, current_frame=-1),
+    # a session applied these: a NaN delay failed in apply_channel with
+    # numpy's ValueError, an inf gain made every bit an error without a
+    # word, and 11 us of delay is past what a profile may draw
+    "channel delay nan": lambda: ChannelRealization(
+        taps=[(0.0, 1.0), (NAN, 0.5)]),
+    "channel gain inf": lambda: ChannelRealization(
+        taps=[(0.0, 1.0), (1e-9, INF)]),
+    "channel delay past 10 us": lambda: ChannelRealization(
+        taps=[(0.0, 1.0), (1.1e-5, 0.5)]),
+    # a NaN sample made every statistic NaN, a 2-D template was taken,
+    # and an empty one was refused for its integration window
+    "receiver template nan sample": lambda: _receiver(template=SampledSignal(
+        np.where(np.arange(len(TEMPLATE)) == 50, NAN, TEMPLATE.samples),
+        RATE)),
+    "receiver template 2-d": lambda: _receiver(
+        template=SampledSignal(np.ones((201, 2)), RATE)),
+    "receiver template empty": lambda: _receiver(
+        template=SampledSignal(np.zeros(0), RATE)),
 }
 
 
@@ -160,6 +179,12 @@ REFUSED = {
 def test_malformed_input_raises_phy_error(case):
     with pytest.raises(PhyError):
         REFUSED[case]()
+
+
+def test_an_empty_template_is_refused_for_itself():
+    # it was refused for an integration window of -2e-11 s
+    with pytest.raises(InvalidParams, match="template"):
+        _receiver(template=SampledSignal(np.zeros(0), RATE))
 
 
 def test_block_past_the_int64_range_is_refused_after_the_one_before():

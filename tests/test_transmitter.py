@@ -140,7 +140,9 @@ class TestPlacement:
     def test_exact_fit_pulses_lose_their_last_sample(self, scheme, t_c):
         # 121 template samples plus the shift span the chip plus one
         # sample: every pulse, in any chip, is sent without its last
-        # sample, so none reaches into the next chip
+        # sample, so none reaches into the next chip. Two bits fill
+        # fewer frames than the code has positions, 13 end part of the
+        # way through a code period.
         params = ThParams(t_c=t_c, n_c=3)
         code = ThCode((0, 1, 2), "all")
         mod = ModulationConfig(scheme, delta=1.2e-9 if scheme == "ppm" else 0)
@@ -148,16 +150,18 @@ class TestPlacement:
         chip = chip_samples(params, RATE)
         shift = delta_samples(mod, RATE)
         assert len(ramp) + shift == chip + 1
-        bits = random_bits(12, 30)
-        frames = place_pulse_train(bits, mod, params, code, ramp).samples
-        for j, frame in enumerate(frames.reshape(len(bits), 3 * chip)):
-            start = code.offsets[j % 3] * chip + shift * (
-                scheme == "ppm" and bits[j])
-            want = np.zeros(3 * chip)
-            want[start:start + 120] = ramp.samples[:120]
-            if scheme == "bpam":
-                want *= 2.0 * bits[j] - 1.0
-            np.testing.assert_array_equal(frame, want)
+        for n_bits in (0, 2, 13, 30):
+            bits = random_bits(12, n_bits)
+            frames = place_pulse_train(bits, mod, params, code, ramp).samples
+            assert len(frames) == n_bits * 3 * chip
+            for j, frame in enumerate(frames.reshape(n_bits, 3 * chip)):
+                start = code.offsets[j % 3] * chip + shift * (
+                    scheme == "ppm" and bits[j])
+                want = np.zeros(3 * chip)
+                want[start:start + 120] = ramp.samples[:120]
+                if scheme == "bpam":
+                    want *= 2.0 * bits[j] - 1.0
+                np.testing.assert_array_equal(frame, want)
 
     def test_deterministic(self, fast_params, fast_code, fast_template):
         bits = random_bits(7, 40)

@@ -6,7 +6,7 @@ Every run is `python -m uwbphy ...` with that tree alone on PYTHONPATH,
 from one shared temporary directory, so the session script's path in
 the CSV metadata is the same under both trees. The list covers sweeps
 of each scheme on the float and quantized datapaths (3-bit OOK and PPM
-over AWGN among them, sweeps whose last block is short, two of them
+over AWGN, and 3- to 64-bit ADCs over multipath, among them, sweeps whose last block is short, two of them
 after a long run of equal blocks, a PPM sweep over a profile file's
 dense multipath, and a BPAM sweep over one whose every draw is one tap
 at delay 0), sessions (a noiseless OOK one, and a fault-injected PPM one whose tx
@@ -56,7 +56,7 @@ def _runs():
             runs["sweep-ppm-profile"] = cm1 + ["--profile-file", "dense.txt"]
         if scheme == "bpam":
             runs["sweep-bpam-onetap"] = cm1 + ["--profile-file", "onetap.txt"]
-        for bits in ("3", "8", "12"):
+        for bits in ("3", "8", "12", "64"):
             runs[f"sweep-{scheme}-cm1-q{bits}"] = cm1 + ["--quant-bits", bits]
     # a last block of 500 bits needs a layout of its own
     runs["sweep-bpam-awgn-2500"] = ["sweep", "--scheme", "bpam", "--ebn0",
