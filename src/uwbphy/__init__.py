@@ -79,7 +79,6 @@ from .transmitter import (
     PPM,
     SCHEMES,
     ModulationConfig,
-    modulate,
     place_pulse_train,
 )
 from .waveform import (

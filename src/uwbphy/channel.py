@@ -153,7 +153,11 @@ class ChannelRealization:
     profile_id: str = "manual"
 
     def __post_init__(self):
-        taps = np.array(self.taps, dtype=np.float64).reshape(-1, 2)
+        try:
+            taps = np.array(self.taps, dtype=np.float64).reshape(-1, 2)
+        except (TypeError, ValueError):
+            raise InvalidParams(
+                "channel taps must be (delay, gain) pairs of numbers") from None
         if not len(taps):
             raise InvalidParams("channel needs at least one tap")
         d, g = taps.T
@@ -164,9 +168,10 @@ class ChannelRealization:
                 "tap delays must be nonnegative, strictly increasing and "
                 f"at most {MAX_EXCESS_DELAY_NS:g} ns")
         # a sequential sum, so the normalized gains round as they
-        # always have; a NaN or inf gain, or an energy past the float64
-        # range, makes it NaN or inf
-        norm = math.sqrt(sum((g * g).tolist()))
+        # always have, over Python floats, so an energy past the float64
+        # range is inf without numpy's overflow warning; that, or a NaN
+        # or inf gain, makes it NaN or inf
+        norm = math.sqrt(sum(x * x for x in g.tolist()))
         if not 0.0 < norm < math.inf:
             raise InvalidParams("channel gains must be finite and not all zero")
         g /= norm
@@ -328,9 +333,8 @@ def add_awgn(signal, ebn0_db, energy_per_bit, rng_seed):
     sigma = noise_sigma(ebn0_db, energy_per_bit, signal.sample_rate)
     if sigma == 0.0:
         return signal
-    rng = np.random.default_rng(rng_seed)
-    noisy = signal.samples + sigma * rng.standard_normal(len(signal))
-    return SampledSignal(noisy, signal.sample_rate)
+    z = np.random.default_rng(rng_seed).standard_normal(len(signal))
+    return SampledSignal(signal.samples + sigma * z, signal.sample_rate)
 
 
 @dataclass(frozen=True)

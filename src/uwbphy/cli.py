@@ -120,7 +120,6 @@ def _cmd_sweep(args):
     cfg = _sweep_config(args, scheme=args.scheme, preset=args.preset)
     points = run_sweep(cfg)
     _write_or_print(format_csv(points, sweep_metadata(cfg)), args.out)
-    return 0
 
 
 def _cmd_compare(args):
@@ -128,7 +127,6 @@ def _cmd_compare(args):
     cfgs = [_sweep_config(args, scheme=s) for s in schemes]
     table = compare_architectures(cfgs)
     _write_or_print(table.render(), args.out)
-    return 0
 
 
 def _cmd_session(args):
@@ -163,7 +161,6 @@ def _cmd_session(args):
         "fault_inject": args.fault_inject,
     }
     _write_or_print(format_session_csv(result, meta), args.out)
-    return 0
 
 
 def _cmd_codegen(args):
@@ -177,7 +174,6 @@ def _cmd_codegen(args):
         for i in range(args.count)
     ]
     write_code_file(args.out, codes)
-    return 0
 
 
 def build_parser():
@@ -236,13 +232,14 @@ _parser = functools.cache(build_parser)
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except PhyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

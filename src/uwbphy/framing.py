@@ -176,7 +176,7 @@ class CodeBank:
                 )
         object.__setattr__(self, "entries", entries)
         if self.active_id not in entries:
-            raise UnknownCode(f"active code {self.active_id!r} not in bank")
+            raise UnknownCode(f"no code {self.active_id!r} in bank")
 
     def get(self, code_id):
         try:
@@ -186,12 +186,6 @@ class CodeBank:
 
     def active(self):
         return self.entries[self.active_id]
-
-    def with_active(self, code_id):
-        """A new bank with a different active code; the original is
-        untouched."""
-        return CodeBank(
-            entries=self.entries, active_id=self.get(code_id).code_id)
 
 
 _CODE_LINE = re.compile(r"^code\s+(\S+)\s*:\s*(.+)$")

@@ -86,8 +86,9 @@ computes those windows' clean statistics once for all its blocks.
 
 The clean side of a block (its layout, grouping, distinct windows and
 their clean statistics) serves every point, and so does the noise: each
-block draws its standard normals once, from its noise seed, and each
-point scales them by its own sigma (common random numbers). Each
+block draws its standard normals once, from its noise seed, whatever
+its points' sigma, and each point scales them by its own sigma (common
+random numbers); a noiseless point scales them by zero. Each
 point's noise keeps its exact law, while the points' errors are
 correlated; on the floating-point datapath a BPAM or PPM frame a point
 gets wrong over AWGN is wrong at every noisier point too. With white
@@ -108,13 +109,14 @@ to float rounding in multipath sums.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
 
 import numpy as np
 
 from .channel import (
+    ChannelRealization,
     QuantizerConfig,
     _codes,
     _fft_convolve,
@@ -257,9 +259,6 @@ class ReceiverConfig:
         once and shared by every block: read only."""
         return pulse_table(self.mod, self.params, self.code, self.template)
 
-    def with_threshold(self, threshold):
-        return replace(self, threshold=threshold)
-
 
 @dataclass(frozen=True)
 class SyncEstimate:
@@ -391,8 +390,8 @@ def decision_statistics(rx, cfg, sync=GENIE_SYNC):
     threshold = cfg.threshold
     if cfg.mod.scheme == OOK and threshold is None:
         raise UncalibratedThreshold(
-            "OOK threshold is unset; set one with "
-            "cfg.with_threshold(ook_threshold(cfg, ebn0_db, energy_per_bit))")
+            "OOK threshold is unset; set one with dataclasses.replace(cfg, "
+            "threshold=ook_threshold(cfg, ebn0_db, energy_per_bit))")
     win = _windows(rx.samples, cfg, sync.offset)
     if cfg.datapath is None:
         return _statistics(win, cfg.pulse, cfg, threshold)
@@ -472,8 +471,10 @@ def simulate_links(blocks, tx, rx, points):
 
     Raises RateMismatch when tx and rx differ in sample rate, and
     InvalidParams for an invalid Eb/N0 (before any block is read), for
-    bits other than 0 and 1 or a block whose sample positions do not
-    fit a 64-bit integer.
+    bits other than 0 and 1, a channel that is neither None nor a
+    ChannelRealization, a noise seed that is not an integer >= 0 (an
+    integral float is taken, as by check_int) or a block whose sample
+    positions do not fit a 64-bit integer.
     """
     if tx.sample_rate != rx.sample_rate:
         raise RateMismatch(f"tx at {tx.sample_rate:g} S/s but rx at "
@@ -487,6 +488,7 @@ def simulate_links(blocks, tx, rx, points):
     # run without a channel or behind one realization object
     blocks = ((_as_bits(bits), seed, ch) for bits, seed, ch in blocks)
     for (n, channel), run in groupby(blocks, lambda b: (len(b[0]), b[2])):
+        check_type(channel, "channel", ChannelRealization, None)
         # the rows sent are the shape set of a block without a channel;
         # the run holds only its layout
         layout = _layout(tx, rx, n, tx.pulse_table[1]
@@ -584,10 +586,10 @@ def _run(blocks, windows, at, pos, rx, points):
     An aligned run's clean windows and, on the floating-point datapath,
     their statistics serve all its blocks; any other block finds its own
     (_block_windows). Per block the run draws the block's noise once,
-    from its seed; per block and point, it scales that noise by the
-    point's sigma and scores it."""
+    from its seed, whatever its points' sigma: a noiseless point scales
+    it by zero, which adds +-0.0 and moves no decision. Per block and
+    point, it scales that noise by the point's sigma and scores it."""
     width = rx.window_len
-    noisy = any(sigma > 0.0 for sigma, _ in points)
     ook = rx.mod.scheme == OOK
     law = None
     for bits, seed, _ in blocks:
@@ -596,8 +598,13 @@ def _run(blocks, windows, at, pos, rx, points):
         # the float datapath draws one normal per frame, the quantized one
         # one per window sample
         shape = m if rx.datapath is None else (m, width)
-        rng = np.random.default_rng(seed)
-        z = rng.standard_normal(shape) if noisy else np.zeros(shape)
+        try:
+            rng = np.random.default_rng(seed)
+        except (TypeError, ValueError):
+            # refused by numpy: refuse it as every seed is, or take an
+            # integral float
+            rng = np.random.default_rng(check_int(seed, "noise seed", 0))
+        z = rng.standard_normal(shape)
         if rx.datapath is not None:
             stats = _quantized_statistics(z, clean, which, rx, points)
         else:
@@ -610,11 +617,10 @@ def _run(blocks, windows, at, pos, rx, points):
             scale = 2.0 * norm[which] if ook else norm
             # one chi-square of W - 1 degrees of freedom per window
             chi2 = (2.0 * rng.standard_gamma(0.5 * (width - 1), m)
-                    if noisy and ook else None)
+                    if ook else None)
             stats = [base - t if ook else base.copy() for _, t in points]
             for (sigma, _), point_stats in zip(points, stats):
-                if sigma > 0.0:
-                    point_stats += _noise_terms(z, chi2, sigma, scale, rx)
+                point_stats += _noise_terms(z, chi2, sigma, scale, rx)
         # the next block's noise is drawn only once this one's is gone
         del z
         yield from (_score(bits, point_stats) for point_stats in stats)

@@ -81,10 +81,6 @@ class PhyState:
             raise InvalidParams(str(exc)) from None
         check_int(self.params.n_c, "n_c", 2, MAX_N_C)
 
-    @property
-    def active_code(self):
-        return self.code_bank.active()
-
     @cached_property
     def link_end(self):
         """A ReceiverConfig for a link end in this state: its
@@ -93,7 +89,7 @@ class PhyState:
         return ReceiverConfig(
             mod=self.mod,
             params=self.params,
-            code=self.active_code,
+            code=self.code_bank.active(),
             template=sample_pulse(self.pulse, self.sample_rate),
         )
 
@@ -150,7 +146,7 @@ def apply_reconfiguration(state, req, current_frame):
         )
     bank = state.code_bank
     if req.new_code_id is not None:
-        bank = bank.with_active(req.new_code_id)
+        bank = replace(bank, active_id=req.new_code_id)
     params = ThParams(
         t_c=state.params.t_c if req.new_t_c is None else req.new_t_c,
         n_c=state.params.n_c if req.new_n_c is None else req.new_n_c,

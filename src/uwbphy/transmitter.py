@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigConflict, InvalidParams, check_positive
 from .framing import chip_samples, frame_samples, require_code
-from .waveform import SampledSignal, sample_pulse
+from .waveform import SampledSignal
 
 OOK = "ook"
 BPAM = "bpam"
@@ -151,14 +151,3 @@ def place_pulse_train(bits, mod, params, code, template):
     for p, s in enumerate(starts):
         out[p::len(code), s:s + len(rows[0])] += rows[bits_arr[p::len(code)]]
     return SampledSignal(out.ravel(), rate)
-
-
-def modulate(bits, mod, params, code, pulse, sample_rate):
-    """Modulate bits into a time-hopped pulse train.
-
-    Samples the pulse at sample_rate (unit energy per pulse) and places
-    one pulse per frame. Raises ConfigConflict if the framing, code,
-    and pulse are mutually inconsistent at this rate.
-    """
-    template = sample_pulse(pulse, sample_rate)
-    return place_pulse_train(bits, mod, params, code, template)

@@ -135,7 +135,8 @@ def test_acceptance_1_noiseless_loopback(capsys):
                     mod=mod, params=params, code=code, template=template
                 )
                 if scheme == "ook":
-                    cfg = cfg.with_threshold(ook_threshold(cfg, math.inf, 0.5))
+                    cfg = replace(
+                        cfg, threshold=ook_threshold(cfg, math.inf, 0.5))
                 decoded = demodulate(tx, cfg)
                 errors += int(np.count_nonzero(decoded != bits))
                 total_bits += len(bits)

@@ -21,7 +21,7 @@ PUBLIC_NAMES = (
     "chip_start_time", "compare_architectures", "data_rate", "demodulate",
     "draw_channel", "format_csv", "generate_code", "inner_product",
     "load_code_file", "load_profile_file", "load_reconfig_script",
-    "modulate", "ook_threshold", "place_pulse_train", "point_seeds",
+    "ook_threshold", "place_pulse_train", "point_seeds",
     "pulse_value", "read_csv", "run_session", "run_sweep", "sample_pulse",
     "sweep_metadata", "synchronize", "validate_code", "write_code_file",
 )

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -165,16 +166,17 @@ class TestCodeBank:
         with pytest.raises(UnknownCode):
             self.make().get("zzz")
 
-    def test_with_active_is_functional(self):
+    def test_replace_active_is_functional(self):
         bank = self.make()
-        other = bank.with_active("b")
+        other = replace(bank, active_id="b")
         assert bank.active_id == "a"
         assert other.active_id == "b"
         assert other.active().code_id == "b"
 
-    def test_with_active_unknown(self):
-        with pytest.raises(UnknownCode):
-            self.make().with_active("zzz")
+    def test_replace_to_an_unknown_code(self):
+        # the text get gives, so a session names the code alike
+        with pytest.raises(UnknownCode, match=r"^no code 'zzz' in bank$"):
+            replace(self.make(), active_id="zzz")
 
     def test_key_must_match_code_id(self):
         with pytest.raises(InvalidParams):

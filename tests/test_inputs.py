@@ -4,6 +4,7 @@ text readers report the file line of a bad row."""
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,12 @@ def _receiver(**kw):
     kw = {"mod": make_mod("bpam"), "params": PARAMS, "code": CODE,
           "template": TEMPLATE, **kw}
     return ReceiverConfig(**kw)
+
+
+def _links(seed=0, channel=None):
+    cfg = _receiver()
+    blocks = [(np.array([1, 0, 1]), seed, channel)]
+    return list(simulate_links(blocks, cfg, cfg, (4.0,)))
 
 
 # Each of these was accepted, truncated or crashed with a non-PhyError
@@ -172,6 +179,19 @@ REFUSED = {
         template=SampledSignal(np.ones((201, 2)), RATE)),
     "receiver template empty": lambda: _receiver(
         template=SampledSignal(np.zeros(0), RATE)),
+    # numpy refused these seeds with its ValueError or TypeError, and a
+    # str channel failed in apply_channel with an AttributeError
+    "links noise seed -1": lambda: _links(seed=-1),
+    "links noise seed 1.5": lambda: _links(seed=1.5),
+    "links noise seed str": lambda: _links(seed="x"),
+    "links channel str": lambda: _links(channel="x"),
+    # each raised numpy's ValueError from the conversion to (n, 2)
+    "channel taps triple": lambda: ChannelRealization(taps=[(0.0, 1.0, 2.0)]),
+    "channel taps str": lambda: ChannelRealization(taps=[("a", 1.0)]),
+    "channel taps ragged": lambda: ChannelRealization(
+        taps=[(0.0, 1.0), (1e-9,)]),
+    "channel taps None": lambda: ChannelRealization(taps=None),
+    "channel taps 5": lambda: ChannelRealization(taps=5),
 }
 
 
@@ -185,6 +205,29 @@ def test_an_empty_template_is_refused_for_itself():
     # it was refused for an integration window of -2e-11 s
     with pytest.raises(InvalidParams, match="template"):
         _receiver(template=SampledSignal(np.zeros(0), RATE))
+
+
+def test_an_overflowing_gain_is_refused_without_a_warning():
+    # the energy 1e400 is past float64: numpy warned of the overflow
+    # before the refusal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParams, match="gains must be finite"):
+            ChannelRealization(taps=[(0.0, 1e200)])
+
+
+def test_taps_are_taken_as_any_sequence_of_pairs():
+    want = ChannelRealization(taps=np.array([[0.0, 3.0], [2e-9, -4.0]]))
+    for taps in ([(0, 3), (2e-9, -4)], ((0.0, 3.0), (2e-9, -4.0)),
+                 [0.0, 3.0, 2e-9, -4.0]):
+        assert ChannelRealization(taps=taps).taps.tobytes() == (
+            want.taps.tobytes())
+    assert want.gains().tolist() == [0.6, -0.8]
+
+
+def test_a_block_takes_an_integral_float_noise_seed():
+    [as_float], [as_int] = _links(seed=7.0), _links(seed=7)
+    assert as_float.statistics.tobytes() == as_int.statistics.tobytes()
 
 
 def test_block_past_the_int64_range_is_refused_after_the_one_before():

@@ -582,7 +582,7 @@ def test_block_memory_follows_the_windows_not_the_frames(scheme, n_c, channel):
 
 def _default_receiver(scheme):
     rcfg = SweepConfig(scheme=scheme, ebn0_grid=(4.0,)).receiver
-    return rcfg.with_threshold(0.5) if scheme == "ook" else rcfg
+    return replace(rcfg, threshold=0.5) if scheme == "ook" else rcfg
 
 
 def _block_peak(scheme, channel, datapath):
@@ -888,8 +888,8 @@ def test_each_link_of_a_pass_equals_its_own_call(scheme, datapath, channel):
     records = list(receiver.simulate_links(blocks, rx, rx, points))
     assert len(records) == 3 * len(blocks)
     for k, ebn0_db in enumerate(points):
-        link = rx if scheme != "ook" else rx.with_threshold(
-            ook_threshold(rx, ebn0_db, ENERGY_PER_BIT[scheme]))
+        link = rx if scheme != "ook" else replace(
+            rx, threshold=ook_threshold(rx, ebn0_db, ENERGY_PER_BIT[scheme]))
         alone = simulate_links(blocks, rx, link, (ebn0_db,))
         bare = simulate_links(blocks, rx, rx, (ebn0_db,))
         for got, want, own in zip(records[k::3], alone, bare, strict=True):

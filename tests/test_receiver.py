@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -72,13 +74,16 @@ class TestReceiverConfig:
                 "ook", fast_params, fast_code, fast_template, threshold=-0.1
             )
 
-    def test_with_threshold_is_functional(
+    def test_replace_threshold_is_functional(
         self, fast_params, fast_code, fast_template
     ):
         cfg = make_receiver("ook", fast_params, fast_code, fast_template)
-        armed = cfg.with_threshold(0.25)
+        armed = replace(cfg, threshold=0.25)
         assert cfg.threshold is None
         assert armed.threshold == 0.25
+        # replace validates the new config as construction does
+        with pytest.raises(InvalidParams):
+            replace(cfg, threshold=-0.1)
 
     def test_invalid_code_rejected(self, fast_params, fast_template):
         with pytest.raises(Exception):
@@ -359,7 +364,7 @@ class TestOok:
         theta = ook_threshold(cfg, np.inf, 0.5)
         rx = transmit("ook", bits, fast_params, fast_code, fast_template)
         np.testing.assert_array_equal(
-            demodulate(rx, cfg.with_threshold(theta)), bits
+            demodulate(rx, replace(cfg, threshold=theta)), bits
         )
 
     def test_all_zero_rx_decodes_zeros(self, fast_params, fast_code, fast_template):
@@ -385,7 +390,7 @@ class TestOok:
         assert 0.0 < theta < 0.5
         rx = transmit("ook", bits, fast_params, fast_code, fast_template)
         np.testing.assert_array_equal(
-            demodulate(rx, cfg.with_threshold(theta)), bits
+            demodulate(rx, replace(cfg, threshold=theta)), bits
         )
 
     def test_demodulate_dispatch(self, fast_params, fast_code, fast_template):
@@ -435,7 +440,7 @@ class TestQuantizedDatapath:
         cfg = make_receiver(scheme, fast_params, fast_code, fast_template, **kwargs)
         if scheme == "ook":
             theta = ook_threshold(cfg, np.inf, 0.5)
-            cfg = cfg.with_threshold(theta)
+            cfg = replace(cfg, threshold=theta)
         np.testing.assert_array_equal(demodulate(tx, cfg), bits)
 
     def test_12_bit_decisions_track_float(

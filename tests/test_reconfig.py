@@ -56,7 +56,7 @@ def make_state(scheme="bpam", t_c=5e-9, n_c=8, active="wide", epoch=0):
 class TestPhyState:
     def test_valid_state(self):
         state = make_state()
-        assert state.active_code is WIDE
+        assert state.code_bank.active() is WIDE
         assert state.epoch == 0
 
     def test_states_share_one_sampled_pulse(self):
@@ -188,8 +188,8 @@ class TestApplyReconfiguration:
         new = apply_reconfiguration(state, req, current_frame=0)
         assert new.params == state.params
         assert new.mod == state.mod
-        assert new.active_code is OTHER
-        assert state.active_code is WIDE
+        assert new.code_bank.active() is OTHER
+        assert state.code_bank.active() is WIDE
 
     def test_invalid_merge_leaves_state_usable(self):
         state = make_state(active="wide")
@@ -199,7 +199,7 @@ class TestApplyReconfiguration:
         with pytest.raises(InvalidParams):
             apply_reconfiguration(state, req, current_frame=0)
         assert state.params.n_c == 8
-        assert state.active_code is WIDE
+        assert state.code_bank.active() is WIDE
 
     @given(
         t_c=st.sampled_from([None, 2e-9, 4e-9, 5e-9, 10e-9, 7.77e-9]),

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from uwbphy import (
     ConfigConflict,
@@ -10,7 +8,6 @@ from uwbphy import (
     SampledSignal,
     ThCode,
     ThParams,
-    modulate,
     place_pulse_train,
     sample_pulse,
 )
@@ -173,25 +170,6 @@ class TestPlacement:
         )
         np.testing.assert_array_equal(a.samples, b.samples)
 
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
-    def test_modulate_matches_place(self, seed):
-        bits = random_bits(seed, 8)
-        params = ThParams(t_c=5e-9, n_c=4)
-        code = ThCode((2, 0, 3, 1), "fast")
-        via_modulate = modulate(
-            bits, make_mod("bpam"), params, code, FAST_PULSE, RATE
-        )
-        np.testing.assert_array_equal(
-            via_modulate.samples,
-            place_pulse_train(
-                bits,
-                make_mod("bpam"),
-                params,
-                code,
-                sample_pulse(FAST_PULSE, RATE),
-            ).samples,
-        )
-
     def test_rejects_non_binary_bits(self, fast_params, fast_code, fast_template):
         with pytest.raises(InvalidParams):
             place_pulse_train(
@@ -203,14 +181,16 @@ class TestConfigConflicts:
     def test_pulse_too_long_for_chip(self, fast_code):
         tight = ThParams(t_c=2e-9, n_c=4)  # chip 100 samples < pulse 121
         with pytest.raises(ConfigConflict):
-            modulate([1, 0], make_mod("bpam"), tight, fast_code, FAST_PULSE, RATE)
+            place_pulse_train([1, 0], make_mod("bpam"), tight, fast_code,
+                              sample_pulse(FAST_PULSE, RATE))
 
     def test_ppm_shift_overflows_chip(self, fast_code):
         # pulse alone fits (121 <= 250) but pulse + delta does not
         params = ThParams(t_c=5e-9, n_c=4)
         mod = ModulationConfig(scheme="ppm", delta=3.2e-9)  # 160 samples
         with pytest.raises(ConfigConflict):
-            modulate([1, 0], mod, params, fast_code, FAST_PULSE, RATE)
+            place_pulse_train([1, 0], mod, params, fast_code,
+                              sample_pulse(FAST_PULSE, RATE))
 
     def test_code_offsets_out_of_range(self, fast_template):
         params = ThParams(t_c=5e-9, n_c=4)
@@ -220,16 +200,13 @@ class TestConfigConflicts:
 
     def test_off_grid_chip(self, fast_code):
         params = ThParams(t_c=5.3e-9, n_c=4)  # 265 samples at 50 GS/s: on grid
-        modulate([1], make_mod("bpam"), params, fast_code, FAST_PULSE, RATE)
+        place_pulse_train([1], make_mod("bpam"), params, fast_code,
+                          sample_pulse(FAST_PULSE, RATE))
+        # 270.3 samples per chip at 51 GS/s: off grid
+        off_grid = sample_pulse(FAST_PULSE, 51e9)
         with pytest.raises(ConfigConflict):
-            modulate(
-                [1],
-                make_mod("bpam"),
-                ThParams(t_c=5.3e-9, n_c=4),
-                fast_code,
-                FAST_PULSE,
-                51e9,  # 270.3 samples per chip: off grid
-            )
+            place_pulse_train([1], make_mod("bpam"), params, fast_code,
+                              off_grid)
 
     def test_ppm_shift_under_one_sample(self, fast_params, fast_code):
         # 1 ps is 0.05 samples at 50 GS/s: both PPM positions would read
@@ -237,7 +214,9 @@ class TestConfigConflicts:
         mod = ModulationConfig(scheme="ppm", delta=1e-12)
         assert delta_samples(mod, RATE) == 0
         with pytest.raises(ConfigConflict, match="rounds to 0 samples"):
-            modulate([1, 0], mod, fast_params, fast_code, FAST_PULSE, RATE)
+            place_pulse_train([1, 0], mod, fast_params, fast_code,
+                              sample_pulse(FAST_PULSE, RATE))
         # 0.6 of a sample period rounds to one sample and is accepted
         one = ModulationConfig(scheme="ppm", delta=0.6 / RATE)
-        modulate([1, 0], one, fast_params, fast_code, FAST_PULSE, RATE)
+        place_pulse_train([1, 0], one, fast_params, fast_code,
+                          sample_pulse(FAST_PULSE, RATE))

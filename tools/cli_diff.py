@@ -4,14 +4,18 @@ name every run whose stdout, stderr or exit code differ.
 Each tree is a directory holding the uwbphy package (a checkout's src).
 Every run is `python -m uwbphy ...` with that tree alone on PYTHONPATH,
 from one shared temporary directory, so the session script's path in
-the CSV metadata is the same under both trees. The list covers sweeps
-of each scheme on the float and quantized datapaths (3-bit OOK and PPM
-over AWGN, and 3- to 64-bit ADCs over multipath, among them, sweeps whose last block is short, two of them
-after a long run of equal blocks, a PPM sweep over a profile file's
-dense multipath, and a BPAM sweep over one whose every draw is one tap
-at delay 0), sessions (a noiseless OOK one, and a fault-injected PPM one whose tx
-and rx frames differ in length, among them), compare, two presets and
-a refused sweep; NAME arguments select runs from it.
+the CSV metadata is the same under both trees. The list of 41 runs
+covers sweeps of each scheme on the float and quantized datapaths
+(3-bit OOK and PPM over AWGN, and 3- to 64-bit ADCs over multipath,
+among them, sweeps whose last block is short, two of them after a long
+run of equal blocks, a PPM sweep over a profile file's dense multipath,
+a BPAM sweep over one whose every draw is one tap at delay 0, noiseless
+12-bit BPAM over AWGN and PPM over multipath, and an OOK grid that
+mixes a noiseless point with a noisy one), sessions (a noiseless OOK
+one, and a fault-injected PPM one whose tx and rx frames differ in
+length, among them), compare, two presets, a refused sweep and a
+session refused for a code its bank lacks; NAME arguments select runs
+from it.
 Exits 0 when every run selected is identical, 1 otherwise, and 2 for
 an unknown NAME.
 
@@ -36,6 +40,8 @@ SCRIPTS = {
     # all but surely one tap at delay 0 of gain +1 or -1 per draw
     "onetap.txt": "ray_arrival_rate = 0.001\nmax_excess_delay = 0.001\n"
                   "cluster_arrival_rate = 0.001\n",
+    # a code the session's one generated code bank does not hold
+    "badcode.txt": "@400 set code=zzz signal=1\n",
 }
 
 
@@ -67,6 +73,16 @@ def _runs():
     runs["sweep-ook-awgn-q3-long"] = [
         "sweep", "--scheme", "ook", "--ebn0", "0,4,8", "--bits", "9500",
         "--seed", "5", "--quant-bits", "3"]
+    # noiseless points through an ADC draw their noise and scale it by
+    # zero, as does the noiseless point of a float grid
+    runs["sweep-bpam-awgn-q12-inf"] = [
+        "sweep", "--scheme", "bpam", "--ebn0", "inf", "--bits", "2000",
+        "--seed", "5", "--quant-bits", "12"]
+    runs["sweep-ppm-cm1-q12-inf"] = [
+        "sweep", "--scheme", "ppm", "--ebn0", "inf", "--bits", "2000",
+        "--seed", "6", "--channel", "multipath", "--quant-bits", "12"]
+    runs["sweep-ook-awgn-mix"] = ["sweep", "--scheme", "ook", "--ebn0",
+                                  "4,inf", "--bits", "2000", "--seed", "5"]
     session = ["session", "--script", "plan.txt", "--bits", "1200", "--seed",
                "3"]
     runs["session-ppm"] = session + ["--scheme", "ppm"]
@@ -88,6 +104,8 @@ def _runs():
                                     "0,4", "--bits", "1000", "--seed", "5"]
     runs["refused-ook-q2"] = ["sweep", "--scheme", "ook", "--ebn0", "8",
                               "--bits", "1000", "--quant-bits", "2"]
+    runs["refused-session-code"] = ["session", "--script", "badcode.txt",
+                                    "--bits", "1200", "--seed", "3"]
     return runs
 
 
