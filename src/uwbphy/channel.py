@@ -306,8 +306,6 @@ def noise_sigma(ebn0_db, energy_per_bit, sample_rate):
     """
     check_positive(energy_per_bit, "energy_per_bit")
     check_ebn0(ebn0_db)
-    if ebn0_db == math.inf:
-        return 0.0
     try:
         n0 = energy_per_bit / 10.0 ** (ebn0_db / 10.0)
     except OverflowError:

@@ -595,18 +595,16 @@ def _run(blocks, windows, at, pos, rx, points):
     for bits, seed, _ in blocks:
         clean, which = _block_windows(bits, windows, at, pos, width)
         m = len(which)
-        # the float datapath draws one normal per frame, the quantized one
-        # one per window sample
-        shape = m if rx.datapath is None else (m, width)
         try:
             rng = np.random.default_rng(seed)
         except (TypeError, ValueError):
             # refused by numpy: refuse it as every seed is, or take an
             # integral float
             rng = np.random.default_rng(check_int(seed, "noise seed", 0))
-        z = rng.standard_normal(shape)
         if rx.datapath is not None:
-            stats = _quantized_statistics(z, clean, which, rx, points)
+            # the quantized datapath draws one normal per window sample
+            stats = _quantized_statistics(rng.standard_normal((m, width)),
+                                          clean, which, rx, points)
         else:
             # an aligned run's two clean windows are scored once
             if law is None or at is not None:
@@ -615,14 +613,14 @@ def _run(blocks, windows, at, pos, rx, points):
             # what every point reads of the block's windows, gathered once
             base = clean_stats[which]
             scale = 2.0 * norm[which] if ook else norm
-            # one chi-square of W - 1 degrees of freedom per window
+            # one normal per frame and, for OOK, one chi-square of W - 1
+            # degrees of freedom per window
+            z = rng.standard_normal(m)
             chi2 = (2.0 * rng.standard_gamma(0.5 * (width - 1), m)
                     if ook else None)
             stats = [base - t if ook else base.copy() for _, t in points]
             for (sigma, _), point_stats in zip(points, stats):
                 point_stats += _noise_terms(z, chi2, sigma, scale, rx)
-        # the next block's noise is drawn only once this one's is gone
-        del z
         yield from (_score(bits, point_stats) for point_stats in stats)
 
 

@@ -32,6 +32,24 @@ def test_names_a_run_that_differs_and_passes_one_that_does_not(
         f"{run}: differ in stdout", "0 of 1 runs identical"]
 
 
+def test_names_a_run_whose_output_file_differs(tmp_path, capsys):
+    assert cli_diff.main([str(SRC), str(SRC), "codegen"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "codegen: same", "1 of 1 runs identical"]
+    # a copy whose code files put a space after each comma
+    planted = tmp_path / "src"
+    shutil.copytree(SRC, planted,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    framing = planted / "uwbphy" / "framing.py"
+    text = framing.read_text()
+    assert text.count("{','.join(map(str, code.offsets))}") == 1
+    framing.write_text(text.replace("{','.join(map(str, code.offsets))}",
+                                    "{', '.join(map(str, code.offsets))}"))
+    assert cli_diff.main([str(SRC), str(planted), "codegen"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "codegen: differ in output file", "0 of 1 runs identical"]
+
+
 def test_refuses_an_unknown_run(capsys):
     assert cli_diff.main([str(SRC), str(SRC), "no-such-run"]) == 2
     assert "no-such-run" in capsys.readouterr().err

@@ -44,7 +44,7 @@ def test_prints_each_module_and_the_total(tmp_path, capsys):
 # The line budget of src/uwbphy: its code lines, exactly. A change that
 # raises it says why in CHANGES.md; one that lowers the count lowers it
 # with it, so the budget quoted in ROADMAP.md stays the count.
-SRC_CODE_LINES = 1646
+SRC_CODE_LINES = 1643
 
 
 def test_src_stays_within_its_line_budget():

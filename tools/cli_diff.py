@@ -1,23 +1,19 @@
 """Run a fixed list of seeded CLI invocations under two source trees and
-name every run whose stdout, stderr or exit code differ.
+name every run whose stdout, stderr, exit code or output file differ.
 
 Each tree is a directory holding the uwbphy package (a checkout's src).
 Every run is `python -m uwbphy ...` with that tree alone on PYTHONPATH,
 from one shared temporary directory, so the session script's path in
-the CSV metadata is the same under both trees. The list of 41 runs
-covers sweeps of each scheme on the float and quantized datapaths
-(3-bit OOK and PPM over AWGN, and 3- to 64-bit ADCs over multipath,
-among them, sweeps whose last block is short, two of them after a long
-run of equal blocks, a PPM sweep over a profile file's dense multipath,
-a BPAM sweep over one whose every draw is one tap at delay 0, noiseless
-12-bit BPAM over AWGN and PPM over multipath, and an OOK grid that
-mixes a noiseless point with a noisy one), sessions (a noiseless OOK
-one, and a fault-injected PPM one whose tx and rx frames differ in
-length, among them), compare, two presets, a refused sweep and a
-session refused for a code its bank lacks; NAME arguments select runs
-from it.
-Exits 0 when every run selected is identical, 1 otherwise, and 2 for
-an unknown NAME.
+the CSV metadata is the same under both trees. The list is the one
+place a seeded CLI run is written down (tests/test_golden.py pins runs
+of it by name), and it reaches every src line that the benchmark's
+workloads run. Its 49 runs are sweeps of each scheme on either
+datapath, sessions over a generated code or over a code file (codes
+and frames swapped, a request gated off), with and without fault
+injection, compare, two presets, codegen, a sweep written with --out
+and two refused runs; the comments below say what each adds. NAME
+arguments select runs. Exits 0 when every run selected is identical,
+1 otherwise, and 2 for an unknown NAME.
 
     python tools/cli_diff.py A_SRC B_SRC [NAME ...]
 """
@@ -42,6 +38,15 @@ SCRIPTS = {
                   "cluster_arrival_rate = 0.001\n",
     # a code the session's one generated code bank does not hold
     "badcode.txt": "@400 set code=zzz signal=1\n",
+    # three codes whose offsets fit both n_c 4 and n_c 8
+    "bank.txt": "code a: 0,3,1,2,2,0,3,1\ncode b: 1,0,2,3,0,1,3,2\n"
+                "code c: 3,2,0,1,3,1,0,2\n",
+    # a gated-off request, then a code and a frame per 2000-frame segment,
+    # as in the benchmark's sessions (fault segments rank by counting)
+    "swaps.txt": "@700 set nc=16 signal=0\n"
+                 "@2000 set tc=20 nc=4 code=b signal=1\n"
+                 "@4000 set tc=12 nc=4 code=c signal=1\n"
+                 "@6000 set tc=16 nc=4 code=a signal=1\n",
 }
 
 
@@ -90,18 +95,30 @@ def _runs():
     runs["session-ook"] = session + ["--scheme", "ook"]
     runs["session-ppm-fault"] = session + ["--scheme", "ppm", "--fault-inject"]
     runs["session-ook-8db"] = session + ["--scheme", "ook", "--ebn0", "8"]
-    runs["session-ook-8db-fault"] = session + [
-        "--scheme", "ook", "--ebn0", "8", "--fault-inject"]
+    for scheme in ("ook", "ppm"):
+        runs[f"session-{scheme}-8db-fault"] = session + [
+            "--scheme", scheme, "--ebn0", "8", "--fault-inject"]
     runs["session-bpam-6db"] = session + ["--scheme", "bpam", "--ebn0", "6"]
     runs["session-ppm-nc-fault"] = ["session", "--script", "frames.txt",
                                     "--bits", "1200", "--seed", "3",
                                     "--scheme", "ppm", "--fault-inject"]
+    swaps = ["session", "--script", "swaps.txt", "--code-file", "bank.txt",
+             "--bits", "8000", "--seed", "3", "--ebn0", "8"]
+    for scheme in ("ook", "ppm"):
+        runs[f"session-{scheme}-swaps"] = swaps + ["--scheme", scheme]
+        runs[f"session-{scheme}-swaps-fault"] = swaps + [
+            "--scheme", scheme, "--fault-inject"]
     compare = ["compare", "--ebn0", "4,8", "--bits", "2000", "--seed", "5"]
+    runs["compare"] = compare
     runs["compare-cm1"] = compare + ["--channel", "multipath"]
     runs["compare-q4"] = compare + ["--quant-bits", "4"]
     for preset in ("th-ook-v1", "th-ppm-v3"):
         runs[f"preset-{preset}"] = ["sweep", "--preset", preset, "--ebn0",
                                     "0,4", "--bits", "1000", "--seed", "5"]
+    runs["codegen"] = ["codegen", "--nc", "8", "--count", "3", "--seed", "9",
+                       "--out", "out.txt"]
+    runs["sweep-bpam-awgn-out"] = runs["sweep-bpam-awgn"] + [
+        "--out", "out.txt"]
     runs["refused-ook-q2"] = ["sweep", "--scheme", "ook", "--ebn0", "8",
                               "--bits", "1000", "--quant-bits", "2"]
     runs["refused-session-code"] = ["session", "--script", "badcode.txt",
@@ -113,11 +130,17 @@ RUNS = _runs()
 
 
 def run(src, argv, cwd):
-    """(exit code, stdout, stderr) of `python -m uwbphy argv` over src."""
+    """(exit code, stdout, stderr, output file) of `python -m uwbphy argv`
+    over src; the file --out names (None if none) is taken out of cwd."""
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
     done = subprocess.run([sys.executable, "-m", "uwbphy", *argv], cwd=cwd,
                           env=env, capture_output=True)
-    return done.returncode, done.stdout, done.stderr
+    out = None
+    if "--out" in argv:
+        path = Path(cwd, argv[argv.index("--out") + 1])
+        out = path.read_bytes() if path.exists() else None
+        path.unlink(missing_ok=True)
+    return done.returncode, done.stdout, done.stderr, out
 
 
 def main(argv):
@@ -137,7 +160,8 @@ def main(argv):
         for name in names:
             got = [run(src, RUNS[name], cwd) for src in (a, b)]
             parts = [part for part, x, y in zip(
-                ("exit code", "stdout", "stderr"), *got) if x != y]
+                ("exit code", "stdout", "stderr", "output file"), *got)
+                if x != y]
             if parts:
                 differ.append(name)
                 print(f"{name}: differ in {', '.join(parts)}")
