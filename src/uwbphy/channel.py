@@ -350,15 +350,15 @@ class QuantizerConfig:
     - 1), which stands for the level (k + 1/2) step. A receiver scores
     codes (receiver._statistics), so its correlations are sums of
     integers, exact in float64 while W 4^bits < 2^53 for W samples per
-    window. Past that the sums carry float64 rounding, and past about
-    50 bits the levels do too.
+    window; ReceiverConfig refuses an ADC past that. bits is 1 to 26,
+    the most a one-sample window admits.
     """
 
     bits: int
     full_scale: float = None
 
     def __post_init__(self):
-        object.__setattr__(self, "bits", check_int(self.bits, "bits", 1, 64))
+        object.__setattr__(self, "bits", check_int(self.bits, "bits", 1, 26))
         if self.full_scale is not None:
             object.__setattr__(
                 self, "full_scale", check_positive(self.full_scale, "full_scale")
@@ -396,9 +396,8 @@ def quantize_array(x, q):
     as one new array.
 
     Output samples are reconstruction values (still floats); at a fixed
-    full scale the operation clips outside +/- full_scale and, up to 52
-    bits, is idempotent. Wider, where the levels carry float64 rounding,
-    a second pass moves a level by at most one rounding.
+    full scale the operation clips outside +/- full_scale and is
+    idempotent.
     """
     x = np.asarray(x, dtype=np.float64)
     q = q.for_samples(x)

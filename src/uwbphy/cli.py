@@ -82,7 +82,9 @@ def _add_sweep_flags(sub):
     sub.add_argument("--profile-file", metavar="PATH",
                      help="--channel multipath profile (key = value lines)")
     sub.add_argument("--quant-bits", type=int, default=None,
-                     help="ADC word width; omit for the float datapath")
+                     help="ADC word width, at most 22 at the default "
+                          "geometry (window samples * 4**bits must be "
+                          "under 2**53); omit for the float datapath")
     _add_link_flags(sub)
 
 
@@ -99,17 +101,12 @@ def _channel_profile(args):
 
 
 def _sweep_config(args, scheme=None, preset=None):
-    quant_bits = args.quant_bits
-    if preset is not None:
-        scheme, adc_bits = PRESETS[preset]
-        if quant_bits is None:
-            quant_bits = adc_bits
     return SweepConfig(
-        scheme=scheme,
+        scheme=PRESETS.get(preset, scheme),
         ebn0_grid=args.ebn0,
         n_bits_per_point=args.bits,
         channel=_channel_profile(args),
-        quant_bits=quant_bits,
+        quant_bits=args.quant_bits,
         base_seed=args.seed,
         preset_id=preset,
         params=_params(args),
@@ -187,9 +184,8 @@ def build_parser():
     pick = p_sweep.add_mutually_exclusive_group(required=True)
     pick.add_argument("--scheme", choices=SCHEMES)
     pick.add_argument("--preset", choices=sorted(PRESETS),
-                      help="scheme and ADC width of a named receiver; "
-                           "th-bpam-v1/v2, th-ppm-v1/v2 and th-ppm-v3/v4 "
-                           "run identical sweeps")
+                      help="the scheme of a named receiver; every "
+                           "preset of one scheme runs the same sweep")
     _add_sweep_flags(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 

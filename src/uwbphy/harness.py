@@ -81,7 +81,8 @@ class SweepConfig:
         of AWGN.
     quant_bits: None for the floating-point datapath, or the ADC word
         width (an integer): the receiver then holds the AGC
-        QuantizerConfig(quant_bits) (see QuantizerConfig).
+        QuantizerConfig(quant_bits), and QuantizerConfig and
+        ReceiverConfig bound the width.
     code/delta: default to a seed-derived code and an orthogonal PPM
         shift of one pulse duration.
     """
@@ -117,7 +118,7 @@ class SweepConfig:
             self.n_bits_per_point, "n_bits_per_point", BLOCK_BITS))
         if self.quant_bits is not None:
             object.__setattr__(self, "quant_bits", check_int(
-                self.quant_bits, "quant_bits", 1, 64))
+                self.quant_bits, "quant_bits", -math.inf))
         object.__setattr__(
             self, "base_seed", check_int(self.base_seed, "base_seed", 0)
         )
@@ -394,15 +395,16 @@ def compare_architectures(cfgs):
     )
 
 
-# Named receiver variants: preset id -> (scheme, ADC word width).
-# th-bpam-v1/v2, th-ppm-v1/v2 and th-ppm-v3/v4 run identical sweeps.
+# Named receiver variants: preset id -> scheme. A preset runs its
+# scheme's sweep, on the float datapath unless an ADC width is given, so
+# every preset of one scheme runs the same sweep.
 PRESETS = {
-    "th-ook-v1": ("ook", 64),
-    "th-ook-v2": ("ook", 32),
-    "th-bpam-v1": ("bpam", 32),
-    "th-bpam-v2": ("bpam", 32),
-    "th-ppm-v1": ("ppm", 32),
-    "th-ppm-v2": ("ppm", 32),
-    "th-ppm-v3": ("ppm", 64),
-    "th-ppm-v4": ("ppm", 64),
+    "th-ook-v1": "ook",
+    "th-ook-v2": "ook",
+    "th-bpam-v1": "bpam",
+    "th-bpam-v2": "bpam",
+    "th-ppm-v1": "ppm",
+    "th-ppm-v2": "ppm",
+    "th-ppm-v3": "ppm",
+    "th-ppm-v4": "ppm",
 }

@@ -23,8 +23,8 @@ quantized mode in which the ADC codes the windows and the template
 alike (QuantizerConfig's docstring states the codes and the rule for an
 AGC) and the statistic scores the integer codes, as an FPGA correlator
 multiplies ADC codes: each statistic is step^2 times a sum of integers
-(_statistics), exact in double precision while W 4^bits < 2^53, which
-holds for every ADC of up to 16 bits at any window under 2^21 samples.
+(_statistics), exact in double precision because ReceiverConfig admits
+only ADCs with W 4^bits < 2^53 (up to 22 bits at the default geometry).
 So the ties the lattice makes reachable are exact: a frame whose BPAM
 correlation is zero or whose two PPM correlations are equal scores
 exactly 0 and decodes as bit 1.
@@ -199,17 +199,6 @@ class ReceiverConfig:
         t = self.template.samples
         if t.ndim != 1 or not t.size or not np.isfinite(t).all():
             raise InvalidParams("template must be finite, 1-D and non-empty")
-        # a mid-rise ADC of b bits maps every sample to at least half a
-        # step, 2**-b of full scale: at 1 bit every window has the same
-        # energy, at 2 a window of noise alone holds about as much as
-        # one with a pulse, so OOK decodes coin flips either way
-        if (self.mod.scheme == OOK and self.datapath is not None
-                and self.datapath.bits <= 2):
-            raise InvalidParams(
-                "OOK needs an ADC of at least 3 bits: below that every "
-                "sample is at least a quarter of full scale, so a window "
-                "of noise alone holds about as much energy as a pulse"
-            )
         require_code(self.code, self.params)
         check_pulse_fits(self.mod, self.params, self.template)
         window = self.integration_window
@@ -223,6 +212,23 @@ class ReceiverConfig:
                 f"sample period to t_c = {self.params.t_c:g} s"
             )
         object.__setattr__(self, "integration_window", window)
+        adc = self.datapath
+        # a mid-rise ADC of b bits maps every sample to at least half a
+        # step, 2**-b of full scale: at 1 bit every window has the same
+        # energy, at 2 a window of noise alone holds about as much as
+        # one with a pulse, so OOK decodes coin flips either way
+        if self.mod.scheme == OOK and adc is not None and adc.bits <= 2:
+            raise InvalidParams(
+                "OOK needs an ADC of at least 3 bits: below that every "
+                "sample is at least a quarter of full scale, so a window "
+                "of noise alone holds about as much energy as a pulse")
+        # the statistics are sums of W codes and their products, exact
+        # in float64 only while W 4^bits < 2^53 (_statistics)
+        if adc is not None and self.window_len * 4 ** adc.bits >= 2 ** 53:
+            raise InvalidParams(
+                f"a {adc.bits}-bit ADC over {self.window_len}-sample windows "
+                "can round its sums of codes (window * 4**bits must be "
+                "under 2**53): use fewer bits, or the float datapath")
         if self.threshold is not None and self.mod.scheme != OOK:
             raise InvalidParams(f"OOK-only threshold set for {self.mod.scheme}")
         # zero is a valid threshold: without noise, a template whose
@@ -347,10 +353,8 @@ def _statistics(win, tpl, cfg, threshold, lattice=(1.0, 0.0)):
     sum(k t) + half sum(t), PPM sum(k_shifted t) - sum(k_nominal t), OOK
     sum((k + half)^2) before the rate and the threshold. Every partial
     sum is a multiple of 1/4 under W 4^bits / 4 in magnitude, so the
-    sums are exact while W 4^bits < 2^53 (every ADC of up to 16 bits at
-    any window under 2^21 samples): a frame whose correlations tie
-    scores exactly 0 and decodes as 1. Past that the sums carry float64
-    rounding, and past about 50 bits the levels do too.
+    sums are exact, as ReceiverConfig admits only W 4^bits < 2^53: a
+    frame whose correlations tie scores exactly 0 and decodes as 1.
     """
     step, half = lattice
     if cfg.mod.scheme == OOK:

@@ -2,7 +2,6 @@ import hashlib
 import math
 import tracemalloc
 from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -401,8 +400,11 @@ class TestQuantizer:
     def test_config_validation(self):
         with pytest.raises(InvalidParams):
             QuantizerConfig(bits=0, full_scale=1.0)
+        # 26 bits is the most a one-sample window sums exactly (1 4^26 <
+        # 2^53), so it is the widest ADC any receiver could hold
+        QuantizerConfig(bits=26, full_scale=1.0)
         with pytest.raises(InvalidParams):
-            QuantizerConfig(bits=65, full_scale=1.0)
+            QuantizerConfig(bits=27, full_scale=1.0)
         with pytest.raises(InvalidParams):
             QuantizerConfig(bits=2.5, full_scale=1.0)
         with pytest.raises(InvalidParams):
@@ -437,37 +439,13 @@ class TestQuantizer:
         y = quantize_array(np.array([-100.0, 100.0]), q)
         np.testing.assert_allclose(y, [-1.0 + step / 2, 1.0 - step / 2])
 
-    def test_wide_quantizer_is_mid_rise_to_float_rounding(self):
-        # one lattice at every width: past about 50 bits its levels carry
-        # float64 rounding, so a sample moves by at most 2 eps full scale
-        fs = 10.0
-        inside = np.concatenate((
-            [-fs, -9.999, 0.0, 0.123456789, fs],
-            np.random.default_rng(8).uniform(-fs, fs, 2000)))
-        for bits in (52, 53, 64):
-            q = QuantizerConfig(bits=bits, full_scale=fs)
-            once = quantize_array(inside, q)
-            assert np.abs(once - inside).max() <= 2 * np.finfo(float).eps * fs
-            # beyond full scale: the top or bottom level, (2^(bits-1) -
-            # 1/2) step rounded once
-            top = float(Fraction(fs) * (1 - Fraction(1, 2**bits)))
-            np.testing.assert_array_equal(
-                quantize_array(np.array([-1e100, -12.0, 11.0, 1e100]), q),
-                [-top, -top, top, top])
-            # the levels quantize to themselves: exactly while each holds
-            # its code + 1/2, to one rounding of the level past that (58
-            # of these levels move at 53 bits)
-            twice = quantize_array(once, q)
-            slack = np.spacing(np.abs(once)) if bits > 52 else 0.0
-            assert np.all(np.abs(twice - once) <= slack)
-
     @given(
         hnp.arrays(
             np.float64,
             st.integers(min_value=1, max_value=64),
             elements=st.floats(-50, 50),
         ),
-        st.integers(min_value=1, max_value=64),
+        st.integers(min_value=1, max_value=26),
     )
     def test_idempotent(self, x, bits):
         q = QuantizerConfig(bits=bits, full_scale=3.0)

@@ -11,7 +11,7 @@ from uwbphy import SweepConfig, ThParams, load_code_file, read_csv, run_sweep
 from uwbphy import cli
 from uwbphy.cli import main
 from uwbphy.framing import MAX_CODE_LENGTH
-from uwbphy.harness import CSV_HEADER, SESSION_CSV_HEADER
+from uwbphy.harness import CSV_HEADER, PRESETS, SESSION_CSV_HEADER
 
 
 def run(argv):
@@ -89,19 +89,20 @@ class TestSweepCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert "# preset = th-bpam-v1" in out
-        assert "# datapath = quantized32" in out
+        assert "# datapath = float" in out
 
-    @pytest.mark.parametrize(
-        "extra, datapath",
-        [([], "quantized32"), (["--quant-bits", "12"], "quantized12")],
-    )
-    def test_preset_word_width_unless_given(self, extra, datapath, capsys):
-        rc = run(["sweep", "--preset", "th-ook-v2", "--ebn0", "inf",
-                  "--bits", "1000"] + extra)
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "# scheme = ook" in out
-        assert f"# datapath = {datapath}" in out
+    @pytest.mark.parametrize("extra", [[], ["--quant-bits", "12"]],
+                             ids=["float", "q12"])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_preset_runs_its_schemes_sweep(self, preset, extra, capsys):
+        flags = ["--ebn0", "0,8", "--bits", "1000", "--seed", "4"] + extra
+        rows = []
+        for pick in (["--preset", preset], ["--scheme", PRESETS[preset]]):
+            assert run(["sweep", *pick, *flags]) == 0
+            rows.append([line for line in capsys.readouterr().out.splitlines()
+                         if not line.startswith("#")])
+        assert rows[0] == rows[1]
+        assert len(rows[0]) == 3
 
     def test_scheme_and_preset_are_exclusive(self):
         with pytest.raises(SystemExit) as exc:
@@ -136,6 +137,16 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert "at least 3 bits" in captured.err
         assert captured.out == ""
+
+    def test_adc_whose_sums_can_round_exits_2(self, capsys):
+        # 401-sample PPM windows: 401 * 4**23 is past 2**53
+        rc = run(["sweep", "--scheme", "ppm", "--quant-bits", "23", "--bits",
+                  "1000", "--ebn0", "0"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: a 23-bit ADC over 401-sample windows")
 
     @pytest.mark.parametrize("grid", ["--ebn0=nan", "--ebn0=-inf,0"])
     def test_non_finite_eb_n0_exits_2(self, grid, capsys):

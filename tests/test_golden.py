@@ -51,7 +51,7 @@ DIGESTS = {
     "session-ppm-swaps-fault":
         "ad024bbe9caf88009a84218d83611efc8252e2c649878c6a4511bb1cc8b2919f",
     "preset-th-ppm-v3":
-        "7db8aef8807549bc93523dc5aa0aa17fbd8c18f7fc5f6a9e3166bbdeec48aa81",
+        "025c41ef8bb81422fe94df02fd92a32216bd855a765b205a50fbcdf8538b8091",
     "compare":
         "2d4c62e91218d3b96831c8c2ef6cbe7bbc9635bf7c9ba1da01f431c12cf669c7",
     "codegen":

@@ -81,9 +81,10 @@ class TestSweepConfig:
     def test_quant_bits_range(self):
         with pytest.raises(InvalidParams):
             fast_sweep(quant_bits=0)
-        with pytest.raises(InvalidParams):
-            fast_sweep(quant_bits=65)
-        fast_sweep(quant_bits=64)
+        # a 241-sample PPM window sums 22-bit codes exactly, not 23-bit
+        fast_sweep(scheme="ppm", quant_bits=22)
+        with pytest.raises(InvalidParams, match="float datapath"):
+            fast_sweep(scheme="ppm", quant_bits=23)
 
     def test_quant_bits_must_be_integer(self):
         with pytest.raises(InvalidParams):
@@ -461,19 +462,16 @@ class TestPresets:
         }
 
     def test_known_rows(self):
-        # (scheme, ADC word width)
-        assert PRESETS["th-ook-v1"] == ("ook", 64)
-        assert PRESETS["th-ook-v2"] == ("ook", 32)
-        assert PRESETS["th-bpam-v1"] == PRESETS["th-bpam-v2"] == ("bpam", 32)
-        assert PRESETS["th-ppm-v1"] == PRESETS["th-ppm-v2"] == ("ppm", 32)
-        assert PRESETS["th-ppm-v3"] == PRESETS["th-ppm-v4"] == ("ppm", 64)
+        # preset id -> scheme
+        assert PRESETS["th-ook-v1"] == PRESETS["th-ook-v2"] == "ook"
+        assert PRESETS["th-bpam-v1"] == PRESETS["th-bpam-v2"] == "bpam"
+        assert PRESETS["th-ppm-v1"] == PRESETS["th-ppm-v2"] == "ppm"
+        assert PRESETS["th-ppm-v3"] == PRESETS["th-ppm-v4"] == "ppm"
 
     def test_preset_sweep_runs(self):
-        scheme, adc_bits = PRESETS["th-bpam-v1"]
         cfg = SweepConfig(
-            scheme=scheme,
+            scheme=PRESETS["th-bpam-v1"],
             ebn0_grid=(math.inf,),
-            quant_bits=adc_bits,
             preset_id="th-bpam-v1",
             n_bits_per_point=1000,
             params=FAST_PARAMS,

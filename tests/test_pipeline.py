@@ -1010,17 +1010,19 @@ def test_agc_peak_run_finds_each_point_peak(scheme, channel, monkeypatch):
 @st.composite
 def _quantized_links(draw):
     """A quantized link with a drawn ADC: a scheme, a FAST, edge or cut
-    receiver, 1 to 16 bits (3 to 16 for OOK), an AGC or a fixed full
-    scale, an Eb/N0 (inf: no noise), no channel or SHORT_CHANNEL, up to
-    40 bits and a noise seed."""
+    receiver, 1 bit (3 for OOK) up to the widest the receiver admits
+    (W 4^bits < 2^53: 22 bits for PPM, 23 for the others), an AGC or a
+    fixed full scale, an Eb/N0 (inf: no noise), no channel or
+    SHORT_CHANNEL, up to 40 bits and a noise seed."""
     scheme = draw(st.sampled_from(["ook", "bpam", "ppm"]))
     rx = draw(st.sampled_from([_receiver, _edge_receiver, _cut_receiver]))(
         scheme)
     full_scale = draw(st.sampled_from([None, 0.5, 1.0, 2.0]))
     if full_scale is not None:
         full_scale *= float(np.max(rx.template.samples))
+    widest = (53 - rx.window_len.bit_length()) // 2
     rx = replace(rx, datapath=QuantizerConfig(
-        draw(st.integers(3 if scheme == "ook" else 1, 16)), full_scale))
+        draw(st.integers(3 if scheme == "ook" else 1, widest)), full_scale))
     ebn0_db = draw(st.sampled_from([math.inf, 0.0, 6.0, 12.0, 20.0]))
     channel = draw(st.sampled_from([None, SHORT_CHANNEL]))
     bits = np.array(draw(st.lists(st.integers(0, 1), min_size=1,

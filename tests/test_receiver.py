@@ -8,6 +8,7 @@ from uwbphy import (
     QuantizerConfig,
     RateMismatch,
     SampledSignal,
+    SweepConfig,
     ThCode,
     UncalibratedThreshold,
     WindowTooSmall,
@@ -90,6 +91,23 @@ class TestReceiverConfig:
             make_receiver(
                 "bpam", fast_params, ThCode((9,), "bad"), fast_template
             )
+
+    def test_adc_sums_must_be_exact(self, fast_params, fast_code, fast_template):
+        # W = 2^7 samples: W 4^22 = 2^51 is admitted, W 4^23 = 2^53 is not
+        cfg = make_receiver("ook", fast_params, fast_code, fast_template,
+                            integration_window=128 / RATE)
+        assert cfg.window_len == 128
+        replace(cfg, datapath=QuantizerConfig(22))
+        with pytest.raises(InvalidParams, match="128-sample.*float datapath"):
+            replace(cfg, datapath=QuantizerConfig(23))
+
+    @pytest.mark.parametrize("scheme", ["ook", "bpam", "ppm"])
+    def test_default_geometry_admits_22_adc_bits(self, scheme):
+        # W = 200, 201 and 401
+        cfg = SweepConfig(scheme, (0.0,), 1000).receiver
+        replace(cfg, datapath=QuantizerConfig(22))
+        with pytest.raises(InvalidParams, match="23-bit ADC"):
+            replace(cfg, datapath=QuantizerConfig(23))
 
 
 class TestSynchronize:

@@ -7,11 +7,12 @@ from one shared temporary directory, so the session script's path in
 the CSV metadata is the same under both trees. The list is the one
 place a seeded CLI run is written down (tests/test_golden.py pins runs
 of it by name), and it reaches every src line that the benchmark's
-workloads run. Its 49 runs are sweeps of each scheme on either
+workloads run. Its 50 runs are sweeps of each scheme on either
 datapath, sessions over a generated code or over a code file (codes
 and frames swapped, a request gated off), with and without fault
-injection, compare, two presets, codegen, a sweep written with --out
-and two refused runs; the comments below say what each adds. NAME
+injection, compare, two presets (aliases of their schemes' sweeps),
+codegen, a sweep written with --out and three refused runs; the
+comments below say what each adds. NAME
 arguments select runs. Exits 0 when every run selected is identical,
 1 otherwise, and 2 for an unknown NAME.
 
@@ -67,7 +68,8 @@ def _runs():
             runs["sweep-ppm-profile"] = cm1 + ["--profile-file", "dense.txt"]
         if scheme == "bpam":
             runs["sweep-bpam-onetap"] = cm1 + ["--profile-file", "onetap.txt"]
-        for bits in ("3", "8", "12", "64"):
+        # 22 bits: the widest ADC the default geometry admits
+        for bits in ("3", "8", "12", "22"):
             runs[f"sweep-{scheme}-cm1-q{bits}"] = cm1 + ["--quant-bits", bits]
     # a last block of 500 bits needs a layout of its own
     runs["sweep-bpam-awgn-2500"] = ["sweep", "--scheme", "bpam", "--ebn0",
@@ -121,6 +123,9 @@ def _runs():
         "--out", "out.txt"]
     runs["refused-ook-q2"] = ["sweep", "--scheme", "ook", "--ebn0", "8",
                               "--bits", "1000", "--quant-bits", "2"]
+    # 401-sample PPM windows could round the sums of 23-bit codes
+    runs["refused-ppm-q23"] = ["sweep", "--scheme", "ppm", "--ebn0", "0",
+                               "--bits", "1000", "--quant-bits", "23"]
     runs["refused-session-code"] = ["session", "--script", "badcode.txt",
                                     "--bits", "1200", "--seed", "3"]
     return runs
